@@ -12,9 +12,10 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (ChainTooShort, InvalidParameters, NotNested, UnknownName)
+from .errors import (ChainTooShort, InvalidParameters, NotALattice, NotNested,
+                     UnknownName)
 from .groundsets import GroundSet, bits, popcount
-from .lattices import (FiniteLattice, _tables_from_down, is_chain,
+from .lattices import (FiniteLattice, _converse, _tables_from_down, is_chain,
                        poset_isomorphic)
 from .matroid import Matroid, RankedFamily, validate
 from .ops import MinorSpec, direct_sum, dual, minor, truncate
@@ -63,10 +64,7 @@ def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
     if variant not in ("plain", "sublattice"):
         raise InvalidParameters(f"unknown variant {variant!r}")
     k = len(lat)
-    up = [0] * k
-    for i in range(k):
-        for j in bits(lat.down[i]):
-            up[j] |= 1 << i
+    up = _converse(lat.down)
     v = [up_complement(up[i], k) for i in range(k)]  # V_z as lattice-index mask
 
     if variant == "plain":
@@ -333,10 +331,10 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
             down = [(1 << i) for i in range(n)]
             for i, j in rel:
                 down[j] |= 1 << i
-            tables = _tables_from_down(down)
-            if isinstance(tables[1], str):
+            try:
+                meet, join = _tables_from_down(down)
+            except NotALattice:
                 continue
-            meet, join = tables
             lat = FiniteLattice([f"v{i}" for i in range(n)], down, meet, join)
             if not any(poset_isomorphic(lat, seen)[0] for seen in found):
                 found.append(lat)

@@ -14,6 +14,7 @@ class NotALattice(CycflatsError):
 
     def __init__(self, x, y, reason=""):
         self.pair = (x, y)
+        self.reason = reason
         super().__init__(f"no unique meet/join for pair ({x!r}, {y!r})"
                          + (f": {reason}" if reason else ""))
 

@@ -30,16 +30,6 @@ def subset_key(mask: int) -> tuple:
     return (mask.bit_count(), tuple(bits(mask)))
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 class GroundSet:
     """An ordered finite set of distinct element names."""
 

@@ -46,13 +46,21 @@ def doc_to_ranked_family(doc) -> RankedFamily:
             or any(not isinstance(x, str) for x in ground_field)):
         raise ParseError("'ground' must be an array of strings")
     ground = GroundSet(ground_field)
+    if not isinstance(doc["cyclic_flats"], list):
+        raise ParseError("'cyclic_flats' must be an array")
     entries = []
     for i, item in enumerate(doc["cyclic_flats"]):
         if not isinstance(item, dict) or set(item) != {"set", "rank"}:
             raise ParseError(f"cyclic_flats[{i}] needs fields 'set' and 'rank'")
+        names = item["set"]
+        if (not isinstance(names, list)
+                or any(not isinstance(x, str) for x in names)):
+            raise ParseError(f"cyclic_flats[{i}].set must be an array of strings")
+        if len(set(names)) != len(names):
+            raise ParseError(f"cyclic_flats[{i}].set repeats a label")
         if not isinstance(item["rank"], int) or isinstance(item["rank"], bool):
             raise ParseError(f"cyclic_flats[{i}].rank must be an integer")
-        entries.append((ground.mask(item["set"]), item["rank"]))
+        entries.append((ground.mask(names), item["rank"]))
     seen = set()
     for m, _ in entries:
         if m in seen:
@@ -88,10 +96,14 @@ def doc_to_lattice(doc) -> FiniteLattice:
     if (not isinstance(elements, list)
             or any(not isinstance(x, str) for x in elements)):
         raise ParseError("'elements' must be an array of strings")
+    if not isinstance(doc["covers"], list):
+        raise ParseError("'covers' must be an array")
     covers = []
     for i, pair in enumerate(doc["covers"]):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ParseError(f"covers[{i}] must be a [lower, upper] pair")
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, str) for x in pair)):
+            raise ParseError(
+                f"covers[{i}] must be a [lower, upper] pair of strings")
         covers.append((pair[0], pair[1]))
     return lattice_from_covers(elements, covers)
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import CyclicCovers, DuplicateSet, NotALattice, UnknownLabel
+from .errors import (CyclicCovers, DuplicateSet, InvalidParameters, NotALattice,
+                     UnknownLabel)
 from .groundsets import SetFamily, bits, popcount
 
 
@@ -20,6 +21,10 @@ class FiniteLattice:
 
     down[i] is the bitmask (over element indices) of elements <= element i,
     including i itself.  meet/join are total tables of element indices.
+    Down-masks are distinct (antisymmetry), so the meet of i and j is the
+    element whose down-mask equals down[i] & down[j], and the join the
+    element whose up-mask equals up[i] & up[j]; the tables are filled by
+    one dict lookup per pair.
     """
 
     __slots__ = ("elements", "down", "meet", "join", "bottom", "top")
@@ -62,11 +67,14 @@ def lattice_from_covers(elements: Sequence[str],
                         covers: Iterable[tuple[str, str]]) -> FiniteLattice:
     """Build a FiniteLattice from element names and cover pairs.
 
-    leq is the reflexive-transitive closure of the cover relation.
-    Raises CyclicCovers if the cover digraph has a cycle and NotALattice
-    if some pair lacks a unique meet or join.
+    leq is the reflexive-transitive closure of the cover relation; the
+    elements may be listed in any order.  Raises InvalidParameters for an
+    empty element list, CyclicCovers if the cover digraph has a cycle and
+    NotALattice if some pair lacks a unique meet or join.
     """
     elements = tuple(elements)
+    if not elements:
+        raise InvalidParameters("a lattice needs at least one element")
     index = {e: i for i, e in enumerate(elements)}
     if len(index) != len(elements):
         raise DuplicateSet(f"duplicate element names: {elements}")
@@ -94,51 +102,60 @@ def lattice_from_covers(elements: Sequence[str],
             if j != i and (up[j] >> i) & 1:
                 raise CyclicCovers(
                     f"cycle through {elements[i]!r} and {elements[j]!r}")
-    down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
-    meet, join = _tables_from_down(down)
-    if isinstance(meet, tuple):  # failure: offending pair of indices
-        x, y = meet
-        raise NotALattice(elements[x], elements[y], join)
+    down = _converse(up)
+    try:
+        meet, join = _tables_from_down(down)
+    except NotALattice as exc:
+        i, j = exc.pair
+        raise NotALattice(elements[i], elements[j], exc.reason) from None
     return FiniteLattice(elements, down, meet, join)
 
 
-def _tables_from_down(down: Sequence[int]):
-    """Meet/join tables from down-masks.
+def _down_masks(masks: Sequence[int]) -> list[int]:
+    """Down-masks of a family under inclusion: bit j of the result's
+    entry i is set iff masks[j] is a subset of masks[i]."""
+    weights = [1 << j for j in range(len(masks))]
+    return [sum(w for w, b in zip(weights, masks) if b & ~a == 0)
+            for a in masks]
 
-    Returns (meet, join) as lists of lists on success; on failure returns
-    ((i, j), reason) for the first offending pair in index order.
+
+def _converse(rel: Sequence[int]) -> list[int]:
+    """The converse relation: up-masks from down-masks (or back)."""
+    out = [0] * len(rel)
+    for i, row in enumerate(rel):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return out
+
+
+def _tables_from_down(down: Sequence[int]):
+    """Meet/join tables, as lists of lists, from the down-masks of a
+    partial order (reflexive and transitive, in any index order).
+
+    The lower bounds of {i, j} are down[i] & down[j]; a greatest one
+    exists iff it is the down-mask of some element, found by one dict
+    lookup.  Joins likewise on up-masks.  Raises NotALattice(i, j,
+    reason), with element indices, for the first offending pair in index
+    order; the meet of a pair is checked before its join.
     """
     n = len(down)
+    up = _converse(down)
+    glb = {d: i for i, d in enumerate(down)}
+    lub = {u: i for i, u in enumerate(up)}
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
-    up = [0] * n
     for i in range(n):
-        for j in bits(down[i]):
-            up[j] |= 1 << i
-    for i in range(n):
+        di, ui = down[i], up[i]
         for j in range(i, n):
-            lower = down[i] & down[j]
-            m = _unique_extreme(lower, down)
+            m = glb.get(di & down[j])
             if m is None:
-                return (i, j), "no unique meet"
-            upper = up[i] & up[j]
-            jn = _unique_extreme(upper, up)
+                raise NotALattice(i, j, "no unique meet")
+            jn = lub.get(ui & up[j])
             if jn is None:
-                return (i, j), "no unique join"
+                raise NotALattice(i, j, "no unique join")
             meet[i][j] = meet[j][i] = m
             join[i][j] = join[j][i] = jn
     return meet, join
-
-
-def _unique_extreme(candidates: int, down: Sequence[int]):
-    """The candidate whose down-mask contains all candidates, if any."""
-    for k in bits(candidates):
-        if candidates & ~down[k] == 0:
-            return k
-    return None
 
 
 def family_lattice_tables(family: SetFamily):
@@ -148,20 +165,16 @@ def family_lattice_tables(family: SetFamily):
     or (False, (mask_x, mask_y)) naming the first pair (canonical order)
     without a unique inclusion-greatest lower or inclusion-least upper
     member.  Meet and join are members of the family, not intersections
-    and unions.
+    and unions: the meet of X and Y is the member whose down-set (members
+    contained in it) equals the members contained in both, found by one
+    dict lookup per pair; the join likewise on up-sets.
     """
     masks = family.masks
-    down = [0] * len(masks)
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            if b & ~a == 0:  # b subset of a
-                down[i] |= 1 << j
-    result = _tables_from_down(down)
-    if isinstance(result[1], str):
-        (i, j), _reason = result
+    try:
+        return True, _tables_from_down(_down_masks(masks))
+    except NotALattice as exc:
+        i, j = exc.pair
         return False, (masks[i], masks[j])
-    meet, join = result
-    return True, (meet, join)
 
 
 def is_chain(family: SetFamily) -> bool:
@@ -180,11 +193,9 @@ def width_of_family(family: SetFamily, method: str = "matching") -> int:
     """
     if method == "brute":
         return _max_antichain_brute(family.masks)
-    masks = family.masks
-    n = len(masks)
-    adj = [[j for j in range(n)
-            if j != i and masks[i] != masks[j] and masks[i] & ~masks[j] == 0]
-           for i in range(n)]
+    n = len(family.masks)
+    up = _converse(_down_masks(family.masks))
+    adj = [list(bits(up[i] & ~(1 << i))) for i in range(n)]
     match_r = [-1] * n
 
     def try_kuhn(i: int, seen: list[bool]) -> bool:
@@ -226,23 +237,14 @@ def _poset_of(obj):
     if isinstance(obj, FiniteLattice):
         return list(obj.elements), list(obj.down)
     if isinstance(obj, SetFamily):
-        items = [obj.ground.names(m) for m in obj.masks]
-        down = [0] * len(obj.masks)
-        for i, a in enumerate(obj.masks):
-            for j, b in enumerate(obj.masks):
-                if b & ~a == 0:
-                    down[i] |= 1 << j
-        return items, down
+        return [obj.ground.names(m) for m in obj.masks], _down_masks(obj.masks)
     raise TypeError(f"expected FiniteLattice or SetFamily, got {type(obj)!r}")
 
 
 def _refine_signatures(down: Sequence[int]) -> list:
     """Iterated order-invariant per-element signatures (WL-style)."""
     n = len(down)
-    up = [0] * n
-    for i in range(n):
-        for j in bits(down[i]):
-            up[j] |= 1 << i
+    up = _converse(down)
     sig = [(popcount(down[i]), popcount(up[i])) for i in range(n)]
     for _ in range(n):
         nxt = [(sig[i],

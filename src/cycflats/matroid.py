@@ -90,16 +90,14 @@ class Matroid:
     flat_ranks are parallel tuples in canonical subset order.
     """
 
-    __slots__ = ("ground", "flats", "flat_ranks", "_rank_of", "meet", "join",
-                 "matroid_rank", "_table")
+    __slots__ = ("ground", "flats", "flat_ranks", "_rank_of", "matroid_rank",
+                 "_table")
 
-    def __init__(self, ground, flats, flat_ranks, meet, join):
+    def __init__(self, ground, flats, flat_ranks):
         self.ground = ground
         self.flats = tuple(flats)
         self.flat_ranks = tuple(flat_ranks)
         self._rank_of = dict(zip(self.flats, self.flat_ranks))
-        self.meet = meet
-        self.join = join
         full = ground.full
         self.matroid_rank = min(
             r + popcount(full & ~f) for f, r in self._rank_of.items())
@@ -230,11 +228,8 @@ def validate(candidate: RankedFamily) -> Union[Matroid, AxiomViolation]:
     """
     for v in _violations(candidate):
         return v
-    family = candidate.family()
-    _, (meet, join) = family_lattice_tables(family)
-    flats = family.masks
-    return Matroid(candidate.ground, flats,
-                   [candidate.entries[f] for f in flats], meet, join)
+    return Matroid(candidate.ground, candidate.entries.keys(),
+                   candidate.entries.values())
 
 
 def all_violations(candidate: RankedFamily) -> list[AxiomViolation]:
@@ -263,9 +258,10 @@ def _violations(candidate: RankedFamily):
             f"least member {set(ground.names(masks[0])) or '{}'} has rank {r0}, not 0")
     n = len(masks)
     for i in range(n):
-        for j in range(n):
+        # canonical order puts a proper subset before its superset
+        for j in range(i + 1, n):
             x, y = masks[i], masks[j]
-            if x != y and x & ~y == 0:  # X proper subset of Y
+            if x & ~y == 0:  # X proper subset of Y
                 diff = entries[y] - entries[x]
                 if not 0 < diff < popcount(y & ~x):
                     yield AxiomViolation(

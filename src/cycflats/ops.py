@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (GroundSetTooLarge, InvalidParameters, NotRelaxable,
                      OverlappingGroundSets, RankZero, TooLarge)
-from .groundsets import GroundSet, bits, popcount, subset_key, submasks
+from .groundsets import GroundSet, bits, popcount, subset_key
 from .matroid import ENUM_CAP, AxiomViolation, Matroid, RankedFamily, validate
 from .lattices import is_chain
 
@@ -296,8 +296,10 @@ def has_minor(m: Matroid, n: Matroid, max_elems: int = 12):
     """Exhaustive search for a minor of m isomorphic to n.
 
     Returns (bool, MinorSpec | None); the witness is the canonically
-    least (contract, delete) pair found.  Pruned by rank/nullity before
-    each candidate minor is built.
+    least (contract, delete) pair found.  Candidates are generated in
+    that order (contract sets by size, then lexicographically; for each,
+    delete sets likewise), so the search stops at the first witness.
+    Pruned by rank/nullity before each candidate minor is built.
     """
     if len(m.ground) > max_elems:
         raise TooLarge(
@@ -307,23 +309,26 @@ def has_minor(m: Matroid, n: Matroid, max_elems: int = 12):
             or n.nullity > m.nullity:
         return False, None
     rt = m.rank_table()
+    full = m.ground.full
     removed_size = size_m - size_n
-    elems = list(range(size_m))
-    specs = []
-    for removed_idx in combinations(elems, removed_size):
-        removed = 0
-        for i in removed_idx:
-            removed |= 1 << i
-        for c in submasks(removed):
-            specs.append((subset_key(c), subset_key(removed & ~c),
-                          c, removed & ~c))
-    specs.sort()
-    for _, _, c, d in specs:
-        keep = m.ground.full & ~c & ~d
-        if int(rt[keep | c]) - int(rt[c]) != n.matroid_rank:
-            continue
-        cand = minor(m, MinorSpec(c, d))
-        ok, _ = is_isomorphic(cand, n, max_elems=max_elems)
-        if ok:
-            return True, MinorSpec(c, d)
+    for c in _masks_by_size(range(size_m), range(removed_size + 1)):
+        rest = [i for i in range(size_m) if not (c >> i) & 1]
+        for d in _masks_by_size(rest, [removed_size - popcount(c)]):
+            if int(rt[full & ~d]) - int(rt[c]) != n.matroid_rank:
+                continue
+            cand = minor(m, MinorSpec(c, d))
+            ok, _ = is_isomorphic(cand, n, max_elems=max_elems)
+            if ok:
+                return True, MinorSpec(c, d)
     return False, None
+
+
+def _masks_by_size(elems, sizes):
+    """Masks of the subsets of elems (ascending indices) with the given
+    sizes, in canonical subset order."""
+    for size in sizes:
+        for combo in combinations(elems, size):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            yield mask

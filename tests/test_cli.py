@@ -193,6 +193,13 @@ class TestAnalysis:
         assert code == 0
         assert out2 != out
 
+    def test_realize_empty_lattice(self, run, tmp_path):
+        doc = tmp_path / "empty.json"
+        doc.write_text('{"elements": [], "covers": []}')
+        code, out, err = run("realize", doc)
+        assert (code, out) == (2, "")
+        assert err == "error: a lattice needs at least one element\n"
+
     def test_ingleton(self, run):
         code, out, _ = run("ingleton", FX / "u24.json")
         assert (code, out) == (0, "transversal-condition: true\n")
@@ -262,3 +269,27 @@ class TestDeterminism:
     def test_repeated_runs_identical(self, run):
         outs = {run("tutte", FX / "mk4.json")[1] for _ in range(3)}
         assert len(outs) == 1
+
+
+MALFORMED = [
+    ("validate", {"ground": ["a"], "cyclic_flats": 5}),
+    ("validate", {"ground": ["a", "b"],
+                  "cyclic_flats": [{"set": "ab", "rank": 0}]}),
+    ("validate", {"ground": ["a", "b"],
+                  "cyclic_flats": [{"set": ["a", "a", "b"], "rank": 0}]}),
+    ("validate", {"ground": ["a", "b"],
+                  "cyclic_flats": [{"set": ["a", 1], "rank": 0}]}),
+    ("realize", {"elements": ["a", "b"], "covers": {"a": "b"}}),
+    ("realize", {"elements": ["a", "b"], "covers": [["a", ["b"]]]}),
+]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("command,doc", MALFORMED)
+    def test_exit_2_with_one_line(self, run, tmp_path, command, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(command, path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

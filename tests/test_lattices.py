@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import cycflats as cf
-from cycflats.lattices import _max_antichain_brute
+from cycflats.lattices import _max_antichain_brute, _tables_from_down
 
 
 def fam(labels, *sets):
@@ -16,6 +16,11 @@ class TestLatticeFromCovers:
     def test_singleton(self):
         lat = cf.lattice_from_covers(["z"], [])
         assert lat.bottom == lat.top == 0
+
+    def test_empty(self):
+        with pytest.raises(cf.CycflatsError,
+                           match="a lattice needs at least one element"):
+            cf.lattice_from_covers([], [])
 
     def test_b2(self):
         lat = cf.lattice_from_covers(
@@ -160,3 +165,127 @@ class TestMeetJoinAlgebra:
                     for k in range(n):
                         assert meet[meet[i][j]][k] == meet[i][meet[j][k]]
                         assert join[join[i][j]][k] == join[i][join[j][k]]
+
+
+def brute_tables(n, leq):
+    """Meet/join tables from the definition of glb and lub, or
+    ((i, j), reason) for the first pair in index order without one."""
+    def extreme(bounds, below):
+        best = [m for m in bounds if all(below(k, m) for k in bounds)]
+        return best[0] if len(best) == 1 else None
+
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            lower = [k for k in range(n) if leq(k, i) and leq(k, j)]
+            m = extreme(lower, leq)
+            if m is None:
+                return (i, j), "no unique meet"
+            upper = [k for k in range(n) if leq(i, k) and leq(j, k)]
+            jn = extreme(upper, lambda a, b: leq(b, a))
+            if jn is None:
+                return (i, j), "no unique join"
+            meet[i][j] = meet[j][i] = m
+            join[i][j] = join[j][i] = jn
+    return meet, join
+
+
+def brute_tables_of_down(down):
+    return brute_tables(len(down), lambda a, b: bool((down[b] >> a) & 1))
+
+
+def assert_tables_match(down, expected):
+    if isinstance(expected[1], str):
+        with pytest.raises(cf.NotALattice) as info:
+            _tables_from_down(down)
+        assert (info.value.pair, info.value.reason) == expected
+    else:
+        assert _tables_from_down(down) == expected
+
+
+class TestTablesAgainstDefinition:
+    def test_random_families(self):
+        rng = random.Random(5)
+        g = cf.GroundSet("abcdef")
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            masks = {rng.randrange(64) for _ in range(rng.randint(1, 9))}
+            if rng.random() < 0.5:
+                masks |= {0, g.full}
+            f = cf.SetFamily(g, masks)
+            expected = brute_tables(
+                len(f), lambda a, b: f.masks[a] & ~f.masks[b] == 0)
+            ok, payload = cf.family_lattice_tables(f)
+            outcomes[ok] += 1
+            if ok:
+                assert payload == expected
+            else:
+                (i, j), _ = expected
+                assert payload == (f.masks[i], f.masks[j])
+        assert min(outcomes.values()) > 50
+
+    def test_random_orders_in_any_index_order(self):
+        rng = random.Random(6)
+        failures = {"no unique meet": 0, "no unique join": 0}
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            down = [1 << i for i in range(n)]
+            for j in range(n):
+                for i in range(j):
+                    if rng.random() < 0.4:
+                        down[j] |= down[i]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = [0] * n
+            for i, d in enumerate(down):
+                shuffled[perm[i]] = sum(1 << perm[k] for k in range(n)
+                                        if (d >> k) & 1)
+            expected = brute_tables_of_down(shuffled)
+            assert_tables_match(shuffled, expected)
+            if isinstance(expected[1], str):
+                failures[expected[1]] += 1
+        assert min(failures.values()) > 10
+
+    def test_all_lattices_five(self):
+        lats = cf.all_lattices(5)
+        assert len(lats) == 1 + 1 + 1 + 2 + 5
+        for lat in lats:
+            meet, join = brute_tables_of_down(lat.down)
+            assert lat.meet == tuple(map(tuple, meet))
+            assert lat.join == tuple(map(tuple, join))
+
+    def test_covers_in_reverse_topological_order(self):
+        for lat in cf.all_lattices(5):
+            names = list(reversed(lat.elements))  # tops first
+            rev = cf.lattice_from_covers(names, lat.covers())
+            meet, join = brute_tables_of_down(rev.down)
+            assert rev.meet == tuple(map(tuple, meet))
+            assert rev.join == tuple(map(tuple, join))
+            for x in range(len(lat)):
+                for y in range(len(lat)):
+                    rx = names.index(lat.elements[x])
+                    ry = names.index(lat.elements[y])
+                    assert (rev.elements[rev.meet[rx][ry]]
+                            == lat.elements[lat.meet[x][y]])
+                    assert (rev.elements[rev.join[rx][ry]]
+                            == lat.elements[lat.join[x][y]])
+
+    def test_not_a_lattice_in_reverse_order_names_first_pair(self):
+        names = ["b", "a", "0"]
+        covers = [("0", "a"), ("0", "b")]
+        with pytest.raises(cf.NotALattice) as info:
+            cf.lattice_from_covers(names, covers)
+        assert info.value.pair == ("b", "a")
+        assert info.value.reason == "no unique join"
+
+    def test_validate_z0_witness_and_message(self):
+        rf = cf.RankedFamily.from_labels("ab", [("", 0), ("a", 0), ("b", 0)])
+        v = cf.validate(rf)
+        assert isinstance(v, cf.AxiomViolation)
+        f = rf.family()
+        (i, j), _ = brute_tables(
+            len(f), lambda a, b: f.masks[a] & ~f.masks[b] == 0)
+        assert v.witness == (f.masks[i], f.masks[j]) == (0b01, 0b10)
+        assert str(v) == ("Z0 violated: members {'a'} and {'b'} "
+                          "lack a unique meet or join")

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 import cycflats as cf
-from cycflats.groundsets import bits, popcount
+from cycflats import ops
+from cycflats.groundsets import bits, popcount, subset_key
 
 
 def apply_witness(m, n, witness):
@@ -296,3 +299,48 @@ class TestHasMinor:
     def test_cap(self, catalog):
         with pytest.raises(cf.TooLarge):
             cf.has_minor(catalog["p4"], catalog["u24"], max_elems=4)
+
+    def test_witness_matches_sort_everything_order(self, small_catalog):
+        hosts = [m for m in small_catalog.values() if len(m.ground) <= 5]
+        patterns = [small_catalog[k] for k in ("u01", "u11", "u12", "u23",
+                                               "u24", "u12+u12")]
+        checked = 0
+        for m in hosts:
+            for n in patterns:
+                assert cf.has_minor(m, n) == _has_minor_sorted(m, n)
+                checked += 1
+        assert checked > 50
+
+    def test_first_candidate_is_the_only_minor_built(self, monkeypatch):
+        built = []
+
+        def counting_minor(m, spec, *args, **kwargs):
+            built.append(spec)
+            return cf.minor(m, spec, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "minor", counting_minor)
+        found, spec = cf.has_minor(cf.uniform(2, 12), cf.uniform(2, 4))
+        assert found
+        assert spec == cf.MinorSpec(0, 0b11111111)
+        assert built == [spec]
+
+
+def _has_minor_sorted(m, n):
+    """Reference: build every (contract, delete) spec with |C u D| =
+    |E(m)| - |E(n)|, sort them canonically, return the first witness."""
+    size_m, size_n = len(m.ground), len(n.ground)
+    if size_n > size_m or n.matroid_rank > m.matroid_rank \
+            or n.nullity > m.nullity:
+        return False, None
+    specs = []
+    for removed_idx in combinations(range(size_m), size_m - size_n):
+        removed = sum(1 << i for i in removed_idx)
+        for c in range(removed + 1):
+            if c & ~removed == 0:
+                d = removed & ~c
+                specs.append((subset_key(c), subset_key(d), c, d))
+    for _, _, c, d in sorted(specs):
+        spec = cf.MinorSpec(c, d)
+        if cf.is_isomorphic(cf.minor(m, spec), n)[0]:
+            return True, spec
+    return False, None
