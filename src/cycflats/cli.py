@@ -12,8 +12,8 @@ import json
 import sys
 
 from . import build, io, ops, tutte, widths
-from .errors import (ChainTooShort, CycflatsError, NotNested, NotRelaxable,
-                     RankZero)
+from .errors import (ChainTooShort, CycflatsError, InvalidParameters,
+                     NotNested, NotRelaxable, RankZero)
 from .freeprod import free_product
 from .matroid import (AxiomViolation, Matroid, basic_stats,
                       cyclic_flats_recompute, validate)
@@ -216,7 +216,17 @@ def cmd_chain_minor(args) -> int:
     return 0
 
 
+GEN_PARAMS = {"uniform": "R N", "pn": "N", "gimenez": "N [SIGMA]",
+              "nested": "[SEQ]", "catalog": "NAME"}
+
+
 def cmd_gen(args) -> int:
+    usage = GEN_PARAMS[args.kind].split()
+    if not (sum(not u.startswith("[") for u in usage)
+            <= len(args.params) <= len(usage)):
+        raise InvalidParameters(
+            f"gen {args.kind} takes {GEN_PARAMS[args.kind]}, "
+            f"got {len(args.params)} parameter(s)")
     if args.kind == "uniform":
         m = build.uniform(int(args.params[0]), int(args.params[1]))
     elif args.kind == "pn":
@@ -307,10 +317,9 @@ def make_parser() -> argparse.ArgumentParser:
             help="uniform minor extracted from a chain of cyclic flats")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
-    p = add("gen", cmd_gen, help="generators: uniform R N | pn N | "
-            "gimenez N [SIGMA] | nested SEQ | catalog NAME")
-    p.add_argument("kind",
-                   choices=["uniform", "pn", "gimenez", "nested", "catalog"])
+    p = add("gen", cmd_gen, help="generators: " + " | ".join(
+        f"{kind} {params}" for kind, params in GEN_PARAMS.items()))
+    p.add_argument("kind", choices=list(GEN_PARAMS))
     p.add_argument("params", nargs="*")
     return parser
 

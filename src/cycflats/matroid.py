@@ -17,15 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import GroundSetTooLarge, InvalidParameters
+from .errors import GroundSetTooLarge, InvalidParameters, TooLarge
 from .groundsets import GroundSet, SetFamily, bits, popcount, subset_key
 from .lattices import family_lattice_tables
 
 ENUM_CAP = 22  # default 2^n enumeration cap
+# candidate subsets circuits() may enumerate; its minimality filter is
+# quadratic in their number
+CIRCUIT_CAP = 10_000
 
 
 class RankedFamily:
@@ -178,17 +182,35 @@ class Matroid:
         """True iff |I n X| <= r(X) for every cyclic flat X."""
         return all(popcount(i & f) <= r for f, r in self._rank_of.items())
 
+    def rank_support(self, a: int) -> tuple[int, int, int]:
+        """r(A), with the intersection and the union of the cyclic flats F
+        that attain r(A) = r(F) + |A - F|.
+
+        A is cyclic iff it lies inside the intersection (an element of A
+        outside some attaining F is an isthmus of A), and cl(A) is A
+        together with the union (x joins A at no cost iff some attaining
+        F contains x).
+        """
+        best = inter = union = None
+        for f, r in self._rank_of.items():
+            v = r + popcount(a & ~f)
+            if best is None or v < best:
+                best, inter, union = v, f, f
+            elif v == best:
+                inter &= f
+                union |= f
+        return best, inter, union
+
     def closure(self, a: int) -> int:
         """A together with every x whose addition leaves the rank fixed."""
-        ra = self.rank(a)
-        out = a
-        for x in bits(self.ground.full & ~a):
-            if self.rank(a | (1 << x)) == ra:
-                out |= 1 << x
-        return out
+        return a | self.rank_support(a)[2]
 
     def circuits(self) -> list[int]:
         """All minimal C contained in some member X with |C| = r(X) + 1."""
+        count = sum(comb(popcount(f), r + 1) for f, r in self._rank_of.items())
+        if count > CIRCUIT_CAP:
+            raise TooLarge(f"circuits would enumerate {count} candidate "
+                           f"subsets, over cap {CIRCUIT_CAP}")
         candidates = set()
         for f, r in self._rank_of.items():
             if popcount(f) >= r + 1:
@@ -208,13 +230,8 @@ class Matroid:
         return self.bottom
 
     def isthmuses(self) -> int:
-        """Elements x with rank(E - x) = r(M) - 1 (equivalently outside 1_Z)."""
-        out = 0
-        full = self.ground.full
-        for x in bits(full):
-            if self.rank(full & ~(1 << x)) == self.matroid_rank - 1:
-                out |= 1 << x
-        return out
+        """Elements x with rank(E - x) = r(M) - 1, i.e. those outside 1_Z."""
+        return self.ground.full & ~self.top
 
 
 def validate(candidate: RankedFamily) -> Union[Matroid, AxiomViolation]:

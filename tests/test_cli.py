@@ -69,6 +69,14 @@ class TestQueries:
         assert code == 0
         assert len(json.loads(out)["circuits"]) == 7
 
+    def test_circuits_over_cap(self, run, tmp_path):
+        path = tmp_path / "u10_40.json"
+        path.write_text(io.emit_matroid(cf.uniform(10, 40)))
+        code, out, err = run("circuits", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: circuits would enumerate ")
+        assert err.count("\n") == 1
+
     def test_cyclic_flats_fixpoint(self, run):
         code, out, _ = run("cyclic-flats", FX / "mk4.json")
         assert code == 0
@@ -128,6 +136,13 @@ class TestOperations:
         code, out, _ = run("lift", FX / "u24.json")
         got = cf.validate(io.doc_to_ranked_family(json.loads(out)))
         assert code == 0 and cf.is_isomorphic(got, cf.uniform(3, 4))[0]
+
+    def test_truncate_past_enumeration_cap(self, run, tmp_path):
+        path = tmp_path / "u330.json"
+        path.write_text(io.emit_matroid(cf.uniform(3, 30)))
+        code, out, _ = run("truncate", path)
+        assert code == 0
+        assert out == io.emit_matroid(cf.uniform(2, 30))
 
 
 class TestTutte:
@@ -254,6 +269,15 @@ class TestGen:
         code, _, err = run("gen", "catalog", "nonesuch")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("params", [
+        ["uniform"], ["uniform", "2"], ["pn"], ["catalog"], ["gimenez"],
+        ["nested", "if", "fi"]])
+    def test_wrong_parameter_count(self, run, params):
+        code, out, err = run("gen", *params)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: gen {params[0]} takes ")
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:

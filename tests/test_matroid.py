@@ -1,10 +1,12 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 import cycflats as cf
 from cycflats.groundsets import bits, popcount
+from cycflats.matroid import CIRCUIT_CAP
 
 
 def rf(labels, sets):
@@ -190,6 +192,13 @@ class TestCircuits:
     def test_loops_are_circuits(self, catalog):
         m = catalog["u01+u11"]
         assert [m.ground.names(c) for c in m.circuits()] == [("a1",)]
+
+    def test_candidate_cap(self):
+        # U_{10,40} would enumerate every 11-subset of its 40 elements
+        with pytest.raises(cf.TooLarge) as err:
+            cf.uniform(10, 40).circuits()
+        assert f"{comb(40, 11)} candidate" in str(err.value)
+        assert f"cap {CIRCUIT_CAP}" in str(err.value)
 
 
 class TestCyclicFlatsRecompute:

@@ -1,10 +1,12 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
 import cycflats as cf
 from cycflats import ops
 from cycflats.groundsets import bits, popcount, subset_key
+from cycflats.matroid import ENUM_CAP
 
 
 def apply_witness(m, n, witness):
@@ -65,19 +67,47 @@ class TestMinor:
         assert cf.is_isomorphic(got, catalog["u13"])[0]
 
     def test_minor_rank_oracle(self, small_catalog):
-        # r'(A) = r(A u C) - r(C) over every (contract, delete) split
+        # every (contract, delete) split of the small catalog members
+        checked = 0
         for name, m in small_catalog.items():
-            if len(m.ground) > 4:
+            n = len(m.ground)
+            if n > 4:
                 continue
-            full = m.ground.full
-            for c in range(1 << len(m.ground)):
-                d = full & ~c  # extreme split: contract c, delete the rest
-                got = cf.minor(m, cf.MinorSpec(c, 0))
-                rc = m.rank(c)
-                for a_small in range(1 << len(got.ground)):
-                    a = got.ground  # expand back to parent indices
-                    parent_mask = m.ground.mask(got.ground.names(a_small))
-                    assert got.rank(a_small) == m.rank(parent_mask | c) - rc, name
+            for split in product(range(3), repeat=n):
+                c = sum(1 << i for i, s in enumerate(split) if s == 1)
+                d = sum(1 << i for i, s in enumerate(split) if s == 2)
+                _check_minor(m, c, d, name)
+                checked += 1
+        # and a seeded sample of larger matroids, split at random
+        rng = random.Random(6)
+        hosts = [cf.random_matroid(random.Random(s)) for s in range(60)]
+        hosts += [cf.random_cw2_matroid(random.Random(s)) for s in range(30)]
+        hosts += [cf.realize_lattice(lat).matroid
+                  for lat in cf.all_lattices(5)]
+        for m in hosts:
+            for _ in range(4):
+                c = d = 0
+                for i in range(len(m.ground)):
+                    t = rng.randrange(4)
+                    c |= (t == 1) << i
+                    d |= (t == 2) << i
+                _check_minor(m, c, d, repr(m))
+                checked += 1
+        assert checked > 1000
+
+    def test_truncate_past_enumeration_cap(self):
+        assert cf.truncate(cf.uniform(3, 30)) == cf.uniform(2, 30)
+
+    def test_deletion_past_enumeration_cap(self):
+        m = cf.gimenez_family(5, [2, 4, 1, 5, 3])
+        assert len(m.ground) == 25 > ENUM_CAP
+        d = m.ground.mask(["x1"])
+        got = cf.minor(m, cf.MinorSpec(0, d))
+        rng = random.Random(25)
+        for _ in range(300):
+            a = rng.getrandbits(len(got.ground))
+            parent_mask = m.ground.mask(got.ground.names(a))
+            assert got.rank(a) == m.rank(parent_mask)
 
     def test_minor_of_dual_is_dual_of_minor(self, small_catalog):
         # (M / C \ D)* = M* \ C / D
@@ -102,7 +132,7 @@ class TestMinor:
         outer = cf.MinorSpec(0, m.ground.mask(["e5"]))
         inner_m = cf.minor(m, outer)
         inner = cf.MinorSpec(inner_m.ground.mask(["e1"]), 0)
-        merged = inner.compose_into(outer, m.ground, inner_m.ground)
+        merged = compose_into(inner, outer, m.ground, inner_m.ground)
         assert cf.minor(m, merged) == cf.minor(inner_m, inner)
 
 
@@ -323,6 +353,28 @@ class TestHasMinor:
         assert found
         assert spec == cf.MinorSpec(0, 0b11111111)
         assert built == [spec]
+
+
+def _check_minor(m, c, d, name):
+    """The minor's rank is r(A u C) - r(C) on every subset A, and its
+    cyclic flats are those the rank oracle enumerates."""
+    got = cf.minor(m, cf.MinorSpec(c, d))
+    rc = m.rank(c)
+    for a in range(1 << len(got.ground)):
+        parent_mask = m.ground.mask(got.ground.names(a))
+        assert got.rank(a) == m.rank(parent_mask | c) - rc, name
+    assert cf.cyclic_flats_recompute(got) == got.ranked_family(), name
+
+
+def compose_into(inner, outer, outer_ground, inner_ground):
+    """Lift the spec inner (on inner_ground) to outer_ground and merge it
+    with outer."""
+    contract, delete = outer.contract, outer.delete
+    for i in bits(inner.contract):
+        contract |= 1 << outer_ground.index[inner_ground.labels[i]]
+    for i in bits(inner.delete):
+        delete |= 1 << outer_ground.index[inner_ground.labels[i]]
+    return cf.MinorSpec(contract, delete)
 
 
 def _has_minor_sorted(m, n):
