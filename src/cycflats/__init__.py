@@ -30,7 +30,6 @@ from .build import (ChainMinor, Realization, all_lattices, catalog,
                     nested_subsequence_minor, random_cw2_matroid,
                     random_matroid, realize_lattice, uniform,
                     uniform_minor_from_chain)
-from .widths import (bitransversal_cert, cyclic_width, ingleton_all_families,
-                     ingleton_transversal)
+from .widths import bitransversal_cert, cyclic_width, ingleton_transversal
 
 __version__ = "0.1.0"

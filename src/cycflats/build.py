@@ -17,7 +17,7 @@ from .errors import (ChainTooShort, InvalidParameters, NotALattice, NotNested,
 from .groundsets import GroundSet, bits, popcount
 from .lattices import (FiniteLattice, _converse, _tables_from_down, is_chain,
                        poset_isomorphic)
-from .matroid import Matroid, RankedFamily, validate
+from .matroid import Matroid, RankedFamily, validate, validated
 from .ops import MinorSpec, direct_sum, dual, minor, truncate
 from .freeprod import free_extension, free_product
 
@@ -98,11 +98,8 @@ def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
                 mask |= block[y]
             entries.append((mask, popcount(v[z])))
             witness.append((lat.elements[z], mask))
-    ground = GroundSet(labels)
-    result = validate(RankedFamily(ground, entries))
-    if not isinstance(result, Matroid):
-        raise AssertionError(f"realization failed validation: {result}")
-    return Realization(result, tuple(witness))
+    m = validated(RankedFamily(GroundSet(labels), entries))
+    return Realization(m, tuple(witness))
 
 
 def up_complement(up_mask: int, k: int) -> int:

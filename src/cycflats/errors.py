@@ -44,7 +44,7 @@ class RankZero(CycflatsError):
 
 
 class TooLarge(CycflatsError):
-    """A search (isomorphism, minor) exceeds its size cap."""
+    """The minor search or the circuit enumeration exceeds its size cap."""
 
 
 class NotNested(CycflatsError):
@@ -57,6 +57,14 @@ class ChainTooShort(CycflatsError):
 
 class InvalidParameters(CycflatsError):
     """Construction parameters out of range."""
+
+
+class NotAMatroid(InvalidParameters):
+    """A ranked family fails the cyclic-flat axioms; .violation says how."""
+
+    def __init__(self, violation):
+        self.violation = violation
+        super().__init__(str(violation))
 
 
 class UnknownName(CycflatsError):

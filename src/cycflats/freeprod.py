@@ -14,8 +14,7 @@ from itertools import count
 
 from .errors import LabelInUse, OverlappingGroundSets
 from .groundsets import GroundSet, popcount
-from .matroid import Matroid
-from .ops import _validated
+from .matroid import Matroid, RankedFamily, validated
 
 
 def free_product(m: Matroid, n: Matroid) -> Matroid:
@@ -31,7 +30,7 @@ def free_product(m: Matroid, n: Matroid) -> Matroid:
                 for y, ry in zip(n.flats, n.flat_ranks) if y != 0]
     if m.isthmuses() == 0 and n.loops() == 0:
         entries.append((em, m.matroid_rank))
-    return _validated(ground, entries)
+    return validated(RankedFamily(ground, entries))
 
 
 def _fresh_label(ground: GroundSet) -> str:

@@ -8,7 +8,6 @@ and poset isomorphism with a witness bijection.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (CyclicCovers, DuplicateSet, InvalidParameters, NotALattice,
@@ -183,16 +182,12 @@ def is_chain(family: SetFamily) -> bool:
     return all(a & ~b == 0 for a, b in zip(masks, masks[1:]))
 
 
-def width_of_family(family: SetFamily, method: str = "matching") -> int:
+def width_of_family(family: SetFamily) -> int:
     """Maximum size of an antichain of members under inclusion.
 
-    The default computes a minimum chain cover via maximum bipartite
-    matching on the strict-comparability relation (Dilworth duality).
-    method="brute" enumerates antichains directly; it is kept as an
-    oracle and only suitable for small families.
+    Computes a minimum chain cover via maximum bipartite matching on the
+    strict-comparability relation (Dilworth duality).
     """
-    if method == "brute":
-        return _max_antichain_brute(family.masks)
     n = len(family.masks)
     up = _converse(_down_masks(family.masks))
     adj = [list(bits(up[i] & ~(1 << i))) for i in range(n)]
@@ -214,21 +209,6 @@ def width_of_family(family: SetFamily, method: str = "matching") -> int:
     return n - matched
 
 
-def _max_antichain_brute(masks: Sequence[int]) -> int:
-    best = 0
-    for size in range(len(masks), 0, -1):
-        if size <= best:
-            break
-        for combo in combinations(masks, size):
-            if all(a & ~b != 0 and b & ~a != 0
-                   for a, b in combinations(combo, 2)):
-                best = size
-                break
-        if best:
-            break
-    return best
-
-
 def _poset_of(obj):
     """Normalize a FiniteLattice or SetFamily to (items, down_masks).
 
@@ -241,11 +221,14 @@ def _poset_of(obj):
     raise TypeError(f"expected FiniteLattice or SetFamily, got {type(obj)!r}")
 
 
-def _refine_signatures(down: Sequence[int]) -> list:
-    """Iterated order-invariant per-element signatures (WL-style)."""
+def _refine_signatures(down: Sequence[int], colours=None) -> list:
+    """Iterated order-invariant per-element signatures (WL-style),
+    starting from the given node colours, if any."""
     n = len(down)
     up = _converse(down)
     sig = [(popcount(down[i]), popcount(up[i])) for i in range(n)]
+    if colours is not None:
+        sig = list(zip(colours, sig))
     for _ in range(n):
         nxt = [(sig[i],
                 tuple(sorted(sig[j] for j in bits(down[i]) if j != i)),
@@ -263,18 +246,33 @@ def poset_isomorphic(a, b):
 
     Both arguments may be FiniteLattice or SetFamily.  Returns
     (True, witness) with witness a list of (item_a, item_b) pairs, or
-    (False, None).  Backtracking search pruned by iterated degree/height
-    signatures.
+    (False, None).
     """
     items_a, down_a = _poset_of(a)
     items_b, down_b = _poset_of(b)
-    n = len(items_a)
-    if n != len(items_b):
+    mapping = _order_isomorphism(down_a, down_b)
+    if mapping is None:
         return False, None
-    sig_a = _refine_signatures(down_a)
-    sig_b = _refine_signatures(down_b)
+    return True, [(items_a[i], items_b[j]) for i, j in enumerate(mapping)]
+
+
+def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
+                       colours_a=None, colours_b=None, accept=None):
+    """An order isomorphism from poset a to poset b, or None.
+
+    The posets are given by down-masks; colours, when given, are node
+    labels the isomorphism must preserve.  Backtracking search pruned by
+    iterated degree/height signatures: each pair is checked against every
+    node already assigned, and accept(mapping), when given, decides each
+    complete mapping (mapping[i] is the image of node i).
+    """
+    n = len(down_a)
+    if n != len(down_b):
+        return None
+    sig_a = _refine_signatures(down_a, colours_a)
+    sig_b = _refine_signatures(down_b, colours_b)
     if sorted(map(repr, sig_a)) != sorted(map(repr, sig_b)):
-        return False, None
+        return None
     # process rarest signatures first
     order = sorted(range(n), key=lambda i: (sig_a.count(sig_a[i]), i))
     mapping = [-1] * n
@@ -293,7 +291,7 @@ def poset_isomorphic(a, b):
 
     def search(pos: int) -> bool:
         if pos == n:
-            return True
+            return accept is None or accept(mapping)
         i = order[pos]
         for j in range(n):
             if not used[j] and sig_b[j] == sig_a[i] and ok(i, j):
@@ -305,6 +303,4 @@ def poset_isomorphic(a, b):
                 used[j] = False
         return False
 
-    if search(0):
-        return True, [(items_a[i], items_b[mapping[i]]) for i in range(n)]
-    return False, None
+    return mapping if search(0) else None

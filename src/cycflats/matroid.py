@@ -22,13 +22,13 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import GroundSetTooLarge, InvalidParameters, TooLarge
+from .errors import GroundSetTooLarge, InvalidParameters, NotAMatroid, TooLarge
 from .groundsets import GroundSet, SetFamily, bits, popcount, subset_key
 from .lattices import family_lattice_tables
 
 ENUM_CAP = 22  # default 2^n enumeration cap
-# candidate subsets circuits() may enumerate; its minimality filter is
-# quadratic in their number
+# candidate subsets circuits() may test; on a uniform matroid every
+# candidate is a circuit, so this also bounds the length of its result
 CIRCUIT_CAP = 10_000
 
 
@@ -112,10 +112,7 @@ class Matroid:
     @classmethod
     def from_labels(cls, labels, sets) -> "Matroid":
         """Validate (labels, [(names, rank), ...]); raise on violation."""
-        result = validate(RankedFamily.from_labels(labels, sets))
-        if isinstance(result, AxiomViolation):
-            raise InvalidParameters(str(result))
-        return result
+        return validated(RankedFamily.from_labels(labels, sets))
 
     def ranked_family(self) -> RankedFamily:
         return RankedFamily(self.ground, dict(zip(self.flats, self.flat_ranks)))
@@ -206,7 +203,11 @@ class Matroid:
         return a | self.rank_support(a)[2]
 
     def circuits(self) -> list[int]:
-        """All minimal C contained in some member X with |C| = r(X) + 1."""
+        """All minimal C contained in some member X with |C| = r(X) + 1.
+
+        Such a C is dependent, and a circuit iff C - x is independent for
+        every x in C; every circuit C arises so, with X = cl(C).
+        """
         count = sum(comb(popcount(f), r + 1) for f, r in self._rank_of.items())
         if count > CIRCUIT_CAP:
             raise TooLarge(f"circuits would enumerate {count} candidate "
@@ -220,11 +221,8 @@ class Matroid:
                     for i in combo:
                         m |= 1 << i
                     candidates.add(m)
-        minimal = []
-        for c in sorted(candidates, key=subset_key):
-            if not any(kept & ~c == 0 for kept in minimal):
-                minimal.append(c)
-        return minimal
+        return [c for c in sorted(candidates, key=subset_key)
+                if all(self.is_independent(c & ~(1 << x)) for x in bits(c))]
 
     def loops(self) -> int:
         return self.bottom
@@ -247,6 +245,15 @@ def validate(candidate: RankedFamily) -> Union[Matroid, AxiomViolation]:
         return v
     return Matroid(candidate.ground, candidate.entries.keys(),
                    candidate.entries.values())
+
+
+def validated(candidate: RankedFamily) -> Matroid:
+    """The Matroid of a candidate, or NotAMatroid naming its first
+    violation (see validate)."""
+    result = validate(candidate)
+    if isinstance(result, AxiomViolation):
+        raise NotAMatroid(result)
+    return result
 
 
 def all_violations(candidate: RankedFamily) -> list[AxiomViolation]:

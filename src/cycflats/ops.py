@@ -2,7 +2,9 @@
 
 Everything operates on the cyclic-flats representation.  Minors follow
 one rule on the cyclic flats (see minor), so they, truncation and the
-Higgs lift never enumerate subsets and work past ENUM_CAP.
+Higgs lift never enumerate subsets and work past ENUM_CAP.  Isomorphism
+is a search over the lattices of cyclic flats, not the ground sets (see
+is_isomorphic), so it has no element cap.
 """
 
 from __future__ import annotations
@@ -12,16 +14,9 @@ from itertools import combinations
 
 from .errors import (InvalidParameters, NotRelaxable, OverlappingGroundSets,
                      RankZero, TooLarge)
-from .groundsets import GroundSet, bits, popcount, subset_key
-from .matroid import AxiomViolation, Matroid, RankedFamily, validate
-from .lattices import is_chain
-
-
-def _validated(ground, entries) -> Matroid:
-    result = validate(RankedFamily(ground, entries))
-    if isinstance(result, AxiomViolation):  # construction bug, not user error
-        raise AssertionError(f"internal construction failed validation: {result}")
-    return result
+from .groundsets import GroundSet, bits, popcount
+from .matroid import Matroid, RankedFamily, validated
+from .lattices import _down_masks, _order_isomorphism
 
 
 def dual(m: Matroid) -> Matroid:
@@ -32,7 +27,7 @@ def dual(m: Matroid) -> Matroid:
     full = m.ground.full
     entries = [(full & ~f, popcount(full & ~f) - m.matroid_rank + r)
                for f, r in zip(m.flats, m.flat_ranks)]
-    return _validated(m.ground, entries)
+    return validated(RankedFamily(m.ground, entries))
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
             y |= ((x >> i) & 1) << j
         entries.append((y, r))
     ground = GroundSet(m.ground.labels[i] for i in kept)
-    return _validated(ground, entries)
+    return validated(RankedFamily(ground, entries))
 
 
 def restriction(m: Matroid, keep: int) -> Matroid:
@@ -107,13 +102,13 @@ def relax(m: Matroid, f: int) -> Matroid:
             raise NotRelaxable(
                 f"flat is comparable to {set(m.ground.names(g))}")
     entries = [(g, r) for g, r in zip(m.flats, m.flat_ranks) if g != f]
-    return _validated(m.ground, entries)
+    return validated(RankedFamily(m.ground, entries))
 
 
 def relabel(m: Matroid, prefix: str) -> Matroid:
     """Prefix every ground-set label; structure unchanged."""
     ground = GroundSet(prefix + lab for lab in m.ground.labels)
-    return _validated(ground, list(zip(m.flats, m.flat_ranks)))
+    return validated(RankedFamily(ground, zip(m.flats, m.flat_ranks)))
 
 
 def direct_sum(m: Matroid, n: Matroid) -> Matroid:
@@ -126,7 +121,7 @@ def direct_sum(m: Matroid, n: Matroid) -> Matroid:
     entries = [(x | (y << shift), rx + ry)
                for x, rx in zip(m.flats, m.flat_ranks)
                for y, ry in zip(n.flats, n.flat_ranks)]
-    return _validated(ground, entries)
+    return validated(RankedFamily(ground, entries))
 
 
 def truncate(m: Matroid) -> Matroid:
@@ -148,124 +143,53 @@ def higgs_lift(m: Matroid) -> Matroid:
 
 # -- isomorphism ---------------------------------------------------------
 
-def _chain_signature(m: Matroid):
-    """Canonical signature of a nested matroid: ground size plus the
-    chain of (|F|, r(F)) pairs."""
-    return (len(m.ground),
-            tuple((popcount(f), r) for f, r in zip(m.flats, m.flat_ranks)))
-
-
-def _incidence_classes(m: Matroid):
-    """Partition the ground set by flat-incidence vector.
-
-    Elements with identical incidence over the cyclic flats are
-    interchangeable by an automorphism.  Returns a list of
-    (signature, class_mask) sorted canonically; the signature carries the
-    class size and the (|F|, r(F)) profile of the incident flats.
-    """
-    by_vector: dict[tuple, int] = {}
+def _element_classes(m: Matroid) -> dict[int, int]:
+    """Elements grouped by their up-set U(x) = {F in Z : x in F}: maps
+    each up-set, as a mask over flat indices, to its elements' mask.
+    Classes come in ground order of their first element."""
+    classes: dict[int, int] = {}
     for x in bits(m.ground.full):
-        vec = tuple(i for i, f in enumerate(m.flats) if (f >> x) & 1)
-        by_vector[vec] = by_vector.get(vec, 0) | (1 << x)
-    if not m.ground.full:
-        return []
-    out = []
-    for vec, mask in by_vector.items():
-        profile = tuple(sorted((popcount(m.flats[i]), m.flat_ranks[i])
-                               for i in vec))
-        out.append(((popcount(mask), profile), mask, vec))
-    out.sort(key=lambda t: (t[0], subset_key(t[1])))
-    return out
+        u = sum(1 << i for i, f in enumerate(m.flats) if (f >> x) & 1)
+        classes[u] = classes.get(u, 0) | (1 << x)
+    return classes
 
 
-def is_isomorphic(m: Matroid, n: Matroid, max_elems: int = 13):
+def is_isomorphic(m: Matroid, n: Matroid):
     """Isomorphism of matroids, with a label bijection witness.
 
-    Two matroids are isomorphic iff some ground bijection maps the cyclic
-    flats of one onto the other preserving ranks.  Nested matroids are
-    compared by chain signature; the generic path matches classes of
-    interchangeable elements by backtracking.  Returns (bool, witness)
-    where witness maps labels of m to labels of n.
+    m and n are isomorphic iff some lattice isomorphism phi from Z(m) to
+    Z(n) keeps |F| and r(F) and, for each class of elements of m sharing
+    one up-set U of Z(m), sends U to the up-set of a class of n of the
+    same size.  Mapping the elements class by class then carries each
+    flat, the union of the classes whose up-set contains it, onto its
+    image.  Returns (bool, witness) where witness maps labels of m to
+    labels of n.
     """
     if len(m.ground) != len(n.ground):
         return False, None
     if m.matroid_rank != n.matroid_rank or len(m.flats) != len(n.flats):
         return False, None
-    sig_m = sorted((popcount(f), r) for f, r in zip(m.flats, m.flat_ranks))
-    sig_n = sorted((popcount(f), r) for f, r in zip(n.flats, n.flat_ranks))
-    if sig_m != sig_n:
+    colours_m = [(popcount(f), r) for f, r in zip(m.flats, m.flat_ranks)]
+    colours_n = [(popcount(f), r) for f, r in zip(n.flats, n.flat_ranks)]
+    if sorted(colours_m) != sorted(colours_n):
         return False, None
-    chain_m = is_chain(m.flat_family())
-    if chain_m != is_chain(n.flat_family()):
-        return False, None
-    if chain_m:
-        if _chain_signature(m) != _chain_signature(n):
-            return False, None
-        return True, _chain_witness(m, n)
-    if len(m.ground) > max_elems:
-        raise TooLarge(
-            f"{len(m.ground)} elements exceeds isomorphism cap {max_elems}")
-    return _iso_backtrack(m, n)
+    classes_m, classes_n = _element_classes(m), _element_classes(n)
 
+    def image(u: int, phi) -> int:
+        return sum(1 << phi[i] for i in bits(u))
 
-def _chain_witness(m: Matroid, n: Matroid) -> dict[str, str]:
-    """Blockwise bijection for two nested matroids with equal signatures."""
-    witness = {}
-    prev_m = prev_n = 0
-    for fm, fn in zip(m.flats + (m.ground.full,), n.flats + (n.ground.full,)):
-        block_m = m.ground.names(fm & ~prev_m)
-        block_n = n.ground.names(fn & ~prev_n)
-        witness.update(zip(block_m, block_n))
-        prev_m, prev_n = prev_m | fm, prev_n | fn
-    witness.update(zip(m.ground.names(m.ground.full & ~prev_m),
-                       n.ground.names(n.ground.full & ~prev_n)))
-    return witness
+    def sizes_kept(phi) -> bool:
+        return all(popcount(classes_n.get(image(u, phi), 0)) == popcount(c)
+                   for u, c in classes_m.items())
 
-
-def _iso_backtrack(m: Matroid, n: Matroid):
-    classes_m = _incidence_classes(m)
-    classes_n = _incidence_classes(n)
-    if [c[0] for c in classes_m] != [c[0] for c in classes_n]:
-        return False, None
-    k = len(classes_m)
-    flats_n = dict(zip(n.flats, n.flat_ranks))
-    # group candidate targets by signature
-    candidates = [[j for j in range(k) if classes_n[j][0] == classes_m[i][0]]
-                  for i in range(k)]
-    assignment = [-1] * k
-    used = [False] * k
-
-    def flats_map_ok() -> bool:
-        images = set()
-        for f, r in zip(m.flats, m.flat_ranks):
-            img = 0
-            for i in range(k):
-                if classes_m[i][1] & ~f == 0 and classes_m[i][1] & f:
-                    img |= classes_n[assignment[i]][1]
-            if flats_n.get(img) != r:
-                return False
-            images.add(img)
-        return len(images) == len(n.flats)
-
-    def search(i: int) -> bool:
-        if i == k:
-            return flats_map_ok()
-        for j in candidates[i]:
-            if not used[j]:
-                assignment[i] = j
-                used[j] = True
-                if search(i + 1):
-                    return True
-                used[j] = False
-                assignment[i] = -1
-        return False
-
-    if not search(0):
+    phi = _order_isomorphism(_down_masks(m.flats), _down_masks(n.flats),
+                             colours_m, colours_n, sizes_kept)
+    if phi is None:
         return False, None
     witness = {}
-    for i in range(k):
-        witness.update(zip(m.ground.names(classes_m[i][1]),
-                           n.ground.names(classes_n[assignment[i]][1])))
+    for u, c in classes_m.items():
+        witness.update(zip(m.ground.names(c),
+                           n.ground.names(classes_n[image(u, phi)])))
     return True, witness
 
 
@@ -285,16 +209,16 @@ def has_minor(m: Matroid, n: Matroid, max_elems: int = 12):
     if size_n > size_m or n.matroid_rank > m.matroid_rank \
             or n.nullity > m.nullity:
         return False, None
-    rt = m.rank_table()
     full = m.ground.full
     removed_size = size_m - size_n
     for c in _masks_by_size(range(size_m), range(removed_size + 1)):
+        rc = m.rank(c)
         rest = [i for i in range(size_m) if not (c >> i) & 1]
         for d in _masks_by_size(rest, [removed_size - popcount(c)]):
-            if int(rt[full & ~d]) - int(rt[c]) != n.matroid_rank:
+            if m.rank(full & ~d) - rc != n.matroid_rank:
                 continue
             cand = minor(m, MinorSpec(c, d))
-            ok, _ = is_isomorphic(cand, n, max_elems=max_elems)
+            ok, _ = is_isomorphic(cand, n)
             if ok:
                 return True, MinorSpec(c, d)
     return False, None

@@ -198,6 +198,15 @@ class TestAnalysis:
         code, out, _ = run("iso", FX / "u24.json", FX / "mk4.json")
         assert (code, out) == (1, "isomorphic: false\n")
 
+    def test_iso_17_elements(self, run, tmp_path):
+        m = cf.gimenez_family(3, [2, 3, 1])
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        left.write_text(io.emit_matroid(m))
+        right.write_text(io.emit_matroid(cf.relabel(m, "q")))
+        code, out, _ = run("iso", left, right)
+        assert code == 0
+        assert out.startswith("isomorphic: true\n")
+
     def test_realize(self, run):
         code, out, _ = run("realize", FX / "lattice_b2.json")
         assert code == 0

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import cycflats as cf
-from cycflats.lattices import _max_antichain_brute, _tables_from_down
+from cycflats.lattices import _tables_from_down
 
 
 def fam(labels, *sets):
@@ -165,6 +165,22 @@ class TestMeetJoinAlgebra:
                     for k in range(n):
                         assert meet[meet[i][j]][k] == meet[i][meet[j][k]]
                         assert join[join[i][j]][k] == join[i][join[j][k]]
+
+
+def _max_antichain_brute(masks):
+    """Reference width: the largest pairwise incomparable subfamily."""
+    best = 0
+    for size in range(len(masks), 0, -1):
+        if size <= best:
+            break
+        for combo in combinations(masks, size):
+            if all(a & ~b != 0 and b & ~a != 0
+                   for a, b in combinations(combo, 2)):
+                best = size
+                break
+        if best:
+            break
+    return best
 
 
 def brute_tables(n, leq):

@@ -1,7 +1,9 @@
+import functools
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
 from cycflats import ops
@@ -285,20 +287,122 @@ class TestIsomorphism:
             "abcdef", [("", 0), ("abc", 2), ("def", 2), ("abcdef", 4)])
         assert cf.is_isomorphic(chain, split) == (False, None)
 
-    def test_cap(self, catalog):
-        g2 = catalog["gimenez2:id"]
-        with pytest.raises(cf.TooLarge):
-            cf.is_isomorphic(g2, catalog["gimenez2:swap"], max_elems=5)
+    def test_ranks_tell_same_size_flats_apart(self):
+        # the two 3-element flats differ only in rank
+        m = cf.direct_sum(cf.uniform(1, 3, ["a1", "a2", "a3"]),
+                          cf.uniform(2, 3, ["b1", "b2", "b3"]))
+        n = cf.direct_sum(cf.uniform(2, 3, ["c1", "c2", "c3"]),
+                          cf.uniform(1, 3, ["d1", "d2", "d3"]))
+        ok, witness = cf.is_isomorphic(m, n)
+        assert ok
+        apply_witness(m, n, witness)
 
     def test_gimenez_pair(self, catalog):
         # distinct permutations give non-isomorphic matroids whose
         # lattices of cyclic flats are nevertheless poset-isomorphic
         a, b = catalog["gimenez2:id"], catalog["gimenez2:swap"]
-        assert cf.is_isomorphic(a, b, max_elems=13) == (False, None)
+        assert cf.is_isomorphic(a, b) == (False, None)
         assert cf.poset_isomorphic(a.flat_family(), b.flat_family())[0]
-        ok, witness = cf.is_isomorphic(a, cf.relabel(a, "z:"), max_elems=13)
+        ok, witness = cf.is_isomorphic(a, cf.relabel(a, "z:"))
         assert ok
         apply_witness(a, cf.relabel(a, "z:"), witness)
+
+    def test_past_former_element_cap(self):
+        # 18 elements and 216 flats; 29 elements
+        k4 = cf.catalog("mk4")
+        three_k4 = cf.direct_sum(cf.direct_sum(cf.relabel(k4, "a"),
+                                               cf.relabel(k4, "b")),
+                                 cf.relabel(k4, "c"))
+        g6 = cf.gimenez_family(6, [3, 1, 6, 2, 5, 4])
+        for m in (three_k4, g6):
+            n = shuffled(m, random.Random(len(m.ground)))
+            ok, witness = cf.is_isomorphic(m, n)
+            assert ok
+            apply_witness(m, n, witness)
+
+    def test_gimenez_17_elements_against_shuffled_copies(self):
+        members = [cf.gimenez_family(3, sigma)
+                   for sigma in permutations(range(1, 4))]
+        rng = random.Random(17)
+        for i, m in enumerate(members):
+            for j, other in enumerate(members):
+                n = shuffled(other, rng)
+                ok, witness = cf.is_isomorphic(m, n)
+                assert ok == (i == j)
+                if ok:
+                    apply_witness(m, n, witness)
+                else:
+                    assert witness is None
+
+
+KINDS = ("random", "cw2", "plain", "sublattice")
+
+
+def sample_matroid(kind, seed):
+    """A seeded matroid: from a random generator, or realizing one of the
+    lattices with at most 5 elements."""
+    if kind == "random":
+        return cf.random_matroid(random.Random(seed))
+    if kind == "cw2":
+        return cf.random_cw2_matroid(random.Random(seed))
+    lattices = _lattices()
+    return cf.realize_lattice(lattices[seed % len(lattices)], kind).matroid
+
+
+@functools.cache
+def _lattices():
+    return cf.all_lattices(5)
+
+
+@functools.cache
+def equal_invariant_pairs():
+    """Pairs of sampled matroids and Gimenez members (whose lattices are
+    isomorphic) with equal size, rank and flat count."""
+    pool = [sample_matroid(kind, seed)
+            for kind, seeds in (("random", 150), ("cw2", 30),
+                                ("plain", 10), ("sublattice", 10))
+            for seed in range(seeds)]
+    pool += [cf.gimenez_family(n, sigma) for n in (1, 2, 3)
+             for sigma in permutations(range(1, n + 1))]
+    return [(a, b) for a, b in combinations(pool, 2)
+            if (len(a.ground), a.matroid_rank, len(a.flats))
+            == (len(b.ground), b.matroid_rank, len(b.flats))]
+
+
+def shuffled(m, rng):
+    """m on a fresh, randomly ordered ground set: x becomes "s:x"."""
+    order = list(bits(m.ground.full))
+    rng.shuffle(order)
+    ground = cf.GroundSet("s:" + m.ground.labels[i] for i in order)
+    entries = [(sum(1 << p for p, i in enumerate(order) if (f >> i) & 1), r)
+               for f, r in zip(m.flats, m.flat_ranks)]
+    return cf.validate(cf.RankedFamily(ground, entries))
+
+
+class TestIsomorphismProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 10**6),
+           perm_seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_copy_is_isomorphic(self, kind, seed, perm_seed):
+        m = sample_matroid(kind, seed)
+        n = shuffled(m, random.Random(perm_seed))
+        ok, witness = cf.is_isomorphic(m, n)
+        assert ok
+        apply_witness(m, n, witness)
+
+    def test_agrees_with_class_backtracking(self):
+        pairs = equal_invariant_pairs()
+        assert len(pairs) > 300
+        rng = random.Random(2)
+        for m, n in pairs:
+            n = shuffled(n, rng)
+            got = cf.is_isomorphic(m, n)
+            assert got[0] == _iso_backtrack(m, n)[0]
+            if got[0]:
+                apply_witness(m, n, got[1])
+            else:
+                assert got[1] is None
 
 
 class TestHasMinor:
@@ -375,6 +479,78 @@ def compose_into(inner, outer, outer_ground, inner_ground):
     for i in bits(inner.delete):
         delete |= 1 << outer_ground.index[inner_ground.labels[i]]
     return cf.MinorSpec(contract, delete)
+
+
+def _incidence_classes(m):
+    """Partition the ground set by flat-incidence vector.
+
+    Elements with identical incidence over the cyclic flats are
+    interchangeable by an automorphism.  Returns a list of
+    (signature, class_mask) sorted canonically; the signature carries the
+    class size and the (|F|, r(F)) profile of the incident flats.
+    """
+    by_vector = {}
+    for x in bits(m.ground.full):
+        vec = tuple(i for i, f in enumerate(m.flats) if (f >> x) & 1)
+        by_vector[vec] = by_vector.get(vec, 0) | (1 << x)
+    if not m.ground.full:
+        return []
+    out = []
+    for vec, mask in by_vector.items():
+        profile = tuple(sorted((popcount(m.flats[i]), m.flat_ranks[i])
+                               for i in vec))
+        out.append(((popcount(mask), profile), mask, vec))
+    out.sort(key=lambda t: (t[0], subset_key(t[1])))
+    return out
+
+
+def _iso_backtrack(m, n):
+    """Reference isomorphism test: match classes of interchangeable
+    elements by backtracking, checking the flats at each leaf."""
+    classes_m = _incidence_classes(m)
+    classes_n = _incidence_classes(n)
+    if [c[0] for c in classes_m] != [c[0] for c in classes_n]:
+        return False, None
+    k = len(classes_m)
+    flats_n = dict(zip(n.flats, n.flat_ranks))
+    # group candidate targets by signature
+    candidates = [[j for j in range(k) if classes_n[j][0] == classes_m[i][0]]
+                  for i in range(k)]
+    assignment = [-1] * k
+    used = [False] * k
+
+    def flats_map_ok():
+        images = set()
+        for f, r in zip(m.flats, m.flat_ranks):
+            img = 0
+            for i in range(k):
+                if classes_m[i][1] & ~f == 0 and classes_m[i][1] & f:
+                    img |= classes_n[assignment[i]][1]
+            if flats_n.get(img) != r:
+                return False
+            images.add(img)
+        return len(images) == len(n.flats)
+
+    def search(i):
+        if i == k:
+            return flats_map_ok()
+        for j in candidates[i]:
+            if not used[j]:
+                assignment[i] = j
+                used[j] = True
+                if search(i + 1):
+                    return True
+                used[j] = False
+                assignment[i] = -1
+        return False
+
+    if not search(0):
+        return False, None
+    witness = {}
+    for i in range(k):
+        witness.update(zip(m.ground.names(classes_m[i][1]),
+                           n.ground.names(classes_n[assignment[i]][1])))
+    return True, witness
 
 
 def _has_minor_sorted(m, n):

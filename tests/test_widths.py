@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 import cycflats as cf
+from cycflats.errors import TooManyCyclicFlats
 
 
 class TestCyclicWidth:
@@ -48,7 +50,6 @@ class TestIngleton:
             inter &= f
         assert m.rank(inter) == 0
         rhs = 0
-        from itertools import combinations
         for j in range(1, 5):
             sign = 1 if j % 2 else -1
             for sub in combinations(witness, j):
@@ -68,7 +69,7 @@ class TestIngleton:
         for name, m in small_catalog.items():
             if len(m.flats) > 8:
                 continue
-            assert cf.ingleton_all_families(m)[0] == \
+            assert ingleton_all_families(m)[0] == \
                 cf.ingleton_transversal(m)[0], name
 
     def test_flat_count_cap(self, catalog):
@@ -93,3 +94,29 @@ class TestBitransversal:
         for name, m in catalog.items():
             if name.startswith("nested:"):
                 assert cf.bitransversal_cert(m), name
+
+
+def ingleton_all_families(m: cf.Matroid, cap: int = 16):
+    """The same condition evaluated over ALL nonempty families of cyclic
+    flats, not just antichains.  Quadratically slower; used to spot-check
+    that the antichain restriction is lossless."""
+    flats = m.flats
+    if len(flats) > cap:
+        raise TooManyCyclicFlats(
+            f"{len(flats)} cyclic flats exceeds cap {cap}")
+    for size in range(1, len(flats) + 1):
+        for combo in combinations(flats, size):
+            inter = combo[0]
+            for f in combo[1:]:
+                inter &= f
+            rhs = 0
+            for j in range(1, size + 1):
+                sign = 1 if j % 2 else -1
+                for sub in combinations(combo, j):
+                    union = 0
+                    for f in sub:
+                        union |= f
+                    rhs += sign * m.rank(union)
+            if m.rank(inter) > rhs:
+                return False, combo
+    return True, None
