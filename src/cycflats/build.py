@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import (ChainTooShort, InvalidParameters, NotALattice, NotNested,
-                     UnknownName)
+from .errors import ChainTooShort, InvalidParameters, NotNested, UnknownName
 from .groundsets import GroundSet, bits, popcount
 from .lattices import (FiniteLattice, _converse, _tables_from_down, is_chain,
                        poset_isomorphic)
@@ -306,37 +304,70 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
 
 # -- exhaustive small lattices -------------------------------------------
 
+LATTICE_CAP = 8  # OEIS A006966: 222 lattices of 8 elements, 1,078 of 9
+
+
 def all_lattices(max_size: int) -> list[FiniteLattice]:
     """Every lattice with 1..max_size elements, up to isomorphism.
 
-    Posets are enumerated with the order compatible with the index order
-    (every poset has such a labeling), filtered for unique meets and
-    joins, and deduplicated by isomorphism.  Element names are v0, v1...
+    Only naturally labelled lattices are built: i <= j in the order
+    implies i <= j as indices (every lattice has such a labelling).  Each
+    prefix {0..j} of one is a down-set, hence a meet-semilattice with
+    bottom 0, so candidates grow one element at a time: the strict
+    down-set S of element j holds 0 and meets every earlier down-mask in
+    an earlier down-mask (so S is down-closed); the top comes last, with
+    S the whole prefix.  The candidates of each size are taken in the
+    order of _scan_number and the first of each isomorphism class is
+    kept, so the representatives are those a scan over all 2^C(n,2)
+    relations would keep.  Element names are v0, v1, ...  Capped at
+    LATTICE_CAP = 8 elements.
     """
-    if max_size > 7:
-        raise InvalidParameters("exhaustive enumeration capped at 7 elements")
+    if max_size > LATTICE_CAP:
+        raise InvalidParameters(
+            f"all_lattices is capped at {LATTICE_CAP} elements (LATTICE_CAP), "
+            f"asked for {max_size}; build a larger lattice with "
+            f"lattice_from_covers and realize it with realize_lattice")
     out: list[FiniteLattice] = []
+    # naturally labelled meet-semilattices with bottom 0, of size n - 1
+    semis: list[list[int]] = [[]]
     for n in range(1, max_size + 1):
-        pairs = list(combinations(range(n), 2))
-        found: list[FiniteLattice] = []
-        for choice in range(1 << len(pairs)):
-            rel = {pairs[i] for i in range(len(pairs)) if (choice >> i) & 1}
-            if any((i, j) in rel and (j, k) in rel and (i, k) not in rel
-                   for i in range(n) for j in range(i + 1, n)
-                   for k in range(j + 1, n)):
-                continue
-            down = [(1 << i) for i in range(n)]
-            for i, j in rel:
-                down[j] |= 1 << i
-            try:
-                meet, join = _tables_from_down(down)
-            except NotALattice:
-                continue
-            lat = FiniteLattice([f"v{i}" for i in range(n)], down, meet, join)
-            if not any(poset_isomorphic(lat, seen)[0] for seen in found):
-                found.append(lat)
-        out += found
+        names = [f"v{i}" for i in range(n)]
+        buckets: dict[tuple, list[FiniteLattice]] = {}
+        for down in sorted((d + [(1 << n) - 1] for d in semis),
+                           key=_scan_number):
+            lat = FiniteLattice(names, down, *_tables_from_down(down))
+            key = tuple(sorted(zip(map(popcount, down),
+                                   map(popcount, _converse(down)))))
+            seen = buckets.setdefault(key, [])
+            if not any(poset_isomorphic(lat, other)[0] for other in seen):
+                seen.append(lat)
+                out.append(lat)
+        if n < max_size:
+            semis = [d + [s | 1 << (n - 1)] for d in semis
+                     for s in _strict_down_sets(d)]
     return out
+
+
+def _scan_number(down: list[int]) -> int:
+    """The number of a naturally labelled order in the scan over all
+    relations: bit p is set iff the p-th pair (i, j) of
+    combinations(range(n), 2) has i < j in the order."""
+    n = len(down)
+    return sum(1 << (i * (2 * n - i - 1) // 2 + j - i - 1)
+               for j, d in enumerate(down) for i in bits(d & ~(1 << j)))
+
+
+def _strict_down_sets(down: list[int]) -> list[int]:
+    """Strict down-sets S that a new element may take on top of a
+    naturally labelled meet-semilattice prefix (its down-masks) so that
+    the result is one too: S holds 0 and meets each down-mask in a
+    down-mask of the prefix.  That makes S down-closed: for i in S,
+    down[i] & S holds i and lies below i, so it is down[i]."""
+    if not down:
+        return [0]  # the bottom
+    masks = set(down)
+    return [s for s in range(1, 1 << len(down), 2)
+            if all(d & s in masks for d in down)]
 
 
 # -- seeded random generators --------------------------------------------

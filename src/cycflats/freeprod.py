@@ -4,8 +4,6 @@ For matroids M, N on disjoint ground sets the cyclic flats of the free
 product are the proper cyclic flats of M together with E(M) u Y for the
 nonempty cyclic flats Y of N; E(M) itself belongs iff M has no isthmuses
 and N has no loops.  Ranks carry over, shifted by r(M) on the N side.
-The independence and rank characterizations are provided separately as
-cross-check oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 from itertools import count
 
 from .errors import LabelInUse, OverlappingGroundSets
-from .groundsets import GroundSet, popcount
+from .groundsets import GroundSet
 from .matroid import Matroid, RankedFamily, validated
 
 
@@ -59,24 +57,3 @@ def free_coextension(m: Matroid, label: str | None = None) -> Matroid:
         raise LabelInUse(f"label {label!r} already in ground set")
     point = Matroid.from_labels([label], [([], 0)])  # U_{1,1}
     return free_product(point, m)
-
-
-def fp_rank_check(m: Matroid, n: Matroid, x: int, y: int) -> int:
-    """Closed-form rank of X u Y in M box N:
-
-        r_M(X) + r_N(Y) + min{r(M) - r_M(X), nu_N(Y)}.
-
-    An oracle independent of the constructed product.
-    """
-    rx = m.rank(x)
-    ry = n.rank(y)
-    return rx + ry + min(m.matroid_rank - rx, popcount(y) - ry)
-
-
-def fp_independent_check(m: Matroid, n: Matroid, x: int, y: int) -> bool:
-    """Closed-form independence of X u Y in M box N: X independent in M
-    and nu_N(Y) <= r(M) - |X|."""
-    if not m.is_independent(x):
-        return False
-    nu_y = popcount(y) - n.rank(y)
-    return nu_y <= m.matroid_rank - popcount(x)

@@ -97,7 +97,7 @@ class SetFamily:
         return iter(self.masks)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.masks)
+        return mask in self.masks
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SetFamily)

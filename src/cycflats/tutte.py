@@ -69,17 +69,6 @@ def tutte_polynomial(m: Matroid) -> dict[tuple[int, int], int]:
     return tutte_from_rank_gen(rank_gen_brute(m))
 
 
-def poly_mul(p: dict[tuple[int, int], int],
-             q: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """Product of two sparse polynomials in x, y."""
-    out: dict[tuple[int, int], int] = {}
-    for (a, b), c in p.items():
-        for (d, e), f in q.items():
-            key = (a + d, b + e)
-            out[key] = out.get(key, 0) + c * f
-    return {k: v for k, v in sorted(out.items()) if v}
-
-
 def rank_gen_convolution(rm: RankGenMatrix, r_m: int,
                          rn: RankGenMatrix) -> RankGenMatrix:
     """R(M box N) from R(M) and R(N).

@@ -1,10 +1,44 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 import cycflats as cf
 from cycflats.groundsets import popcount
+from cycflats.lattices import FiniteLattice, _tables_from_down
+
+
+def _all_lattices_brute(max_size):
+    """Oracle for all_lattices: scan all 2^C(n,2) relations compatible
+    with the index order, keep the transitive ones that are lattices, and
+    keep the first of each isomorphism class."""
+    out = []
+    for n in range(1, max_size + 1):
+        pairs = list(combinations(range(n), 2))
+        found = []
+        for choice in range(1 << len(pairs)):
+            rel = {pairs[i] for i in range(len(pairs)) if (choice >> i) & 1}
+            if any((i, j) in rel and (j, k) in rel and (i, k) not in rel
+                   for i in range(n) for j in range(i + 1, n)
+                   for k in range(j + 1, n)):
+                continue
+            down = [(1 << i) for i in range(n)]
+            for i, j in rel:
+                down[j] |= 1 << i
+            try:
+                meet, join = _tables_from_down(down)
+            except cf.NotALattice:
+                continue
+            lat = FiniteLattice([f"v{i}" for i in range(n)], down, meet, join)
+            if not any(cf.poset_isomorphic(lat, seen)[0] for seen in found):
+                found.append(lat)
+        out += found
+    return out
+
+
+@pytest.fixture(scope="module")
+def lattices_to_8():
+    return cf.all_lattices(8)
 
 
 class TestUniform:
@@ -46,6 +80,21 @@ class TestRealizeLattice:
                 xm = flat_of[x] & flat_of[y]
                 i, j = lat.elements.index(x), lat.elements.index(y)
                 assert xm == flat_of[lat.elements[lat.meet[i][j]]]
+
+    def test_every_lattice_to_eight_is_realized(self, lattices_to_8):
+        # the paper's first theorem on all 300 lattices with <= 8 elements
+        for lat in lattices_to_8:
+            for variant in ("plain", "sublattice"):
+                real = cf.realize_lattice(lat, variant)
+                m = real.matroid
+                assert isinstance(cf.validate(m.ranked_family()), cf.Matroid)
+                ok, _ = cf.poset_isomorphic(m.flat_family(), lat)
+                assert ok, (variant, lat)
+                if variant == "sublattice":
+                    flat_of = [f for _, f in real.witness]
+                    for i, j in product(range(len(lat)), repeat=2):
+                        assert (flat_of[i] & flat_of[j]
+                                == flat_of[lat.meet[i][j]]), lat
 
     def test_witness_lists_the_flats(self):
         lat = cf.lattice_from_covers(
@@ -178,15 +227,31 @@ class TestCatalogAndChainMinor:
 
 
 class TestAllLattices:
-    def test_counts_match_oeis(self):
+    def test_counts_match_oeis(self, lattices_to_8):
         sizes = {}
-        for lat in cf.all_lattices(6):
+        for lat in lattices_to_8:
             sizes[len(lat)] = sizes.get(len(lat), 0) + 1
-        assert sizes == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+        # OEIS A006966
+        assert sizes == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
+
+    @pytest.mark.parametrize("max_size", range(1, 7))
+    def test_matches_brute_scan(self, max_size):
+        got = cf.all_lattices(max_size)
+        want = _all_lattices_brute(max_size)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.elements == b.elements
+            assert a.down == b.down
+            assert a.meet == b.meet
+            assert a.join == b.join
 
     def test_cap(self):
-        with pytest.raises(cf.InvalidParameters):
-            cf.all_lattices(8)
+        with pytest.raises(cf.InvalidParameters) as info:
+            cf.all_lattices(9)
+        message = str(info.value)
+        assert "capped at 8" in message
+        assert "asked for 9" in message
+        assert "lattice_from_covers" in message
 
     def test_pairwise_non_isomorphic(self):
         lats = cf.all_lattices(5)

@@ -6,6 +6,23 @@ import cycflats as cf
 from cycflats.groundsets import popcount
 
 
+def fp_rank_check(m, n, x, y):
+    """Closed-form rank of X u Y in M box N, independent of the
+    constructed product: r_M(X) + r_N(Y) + min{r(M) - r_M(X), nu_N(Y)}."""
+    rx = m.rank(x)
+    ry = n.rank(y)
+    return rx + ry + min(m.matroid_rank - rx, popcount(y) - ry)
+
+
+def fp_independent_check(m, n, x, y):
+    """Closed-form independence of X u Y in M box N: X independent in M
+    and nu_N(Y) <= r(M) - |X|."""
+    if not m.is_independent(x):
+        return False
+    nu_y = popcount(y) - n.rank(y)
+    return nu_y <= m.matroid_rank - popcount(x)
+
+
 def shifted_pairs(m, n):
     """All subset masks of the product ground set, split into (x, y)."""
     na = len(m.ground)
@@ -44,7 +61,7 @@ class TestFreeProduct:
                 continue
             p = cf.free_product(a, b)
             for mask, x, y in shifted_pairs(a, b):
-                assert p.rank(mask) == cf.fp_rank_check(a, b, x, y), (an, bn)
+                assert p.rank(mask) == fp_rank_check(a, b, x, y), (an, bn)
 
     def test_independence_against_closed_form(self, small_catalog):
         names = ["u12", "u23", "u01", "u11", "nested:if"]
@@ -54,7 +71,7 @@ class TestFreeProduct:
             p = cf.free_product(a, b)
             for mask, x, y in shifted_pairs(a, b):
                 assert p.is_independent(mask) == \
-                    cf.fp_independent_check(a, b, x, y), (an, bn)
+                    fp_independent_check(a, b, x, y), (an, bn)
 
     def test_em_flat_membership_rule(self, catalog):
         # E(M) joins the lattice iff M has no isthmuses and N has no loops

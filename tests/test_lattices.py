@@ -100,6 +100,18 @@ class TestWidth:
             assert cf.width_of_family(f) == _max_antichain_brute(f.masks)
 
 
+class TestSetFamily:
+    def test_contains_matches_the_member_set(self):
+        rng = random.Random(3)
+        g = cf.GroundSet("abcdef")
+        for _ in range(20):
+            f = cf.SetFamily(g, {rng.randrange(64)
+                                 for _ in range(rng.randint(1, 12))})
+            members = set(f.masks)
+            for mask in list(range(64)) + [64, 1 << 10, -1]:
+                assert (mask in f) == (mask in members), (f, mask)
+
+
 class TestIsChain:
     def test_examples(self):
         assert cf.is_chain(fam("ab", "", "a", "ab"))

@@ -3,9 +3,19 @@ from itertools import product
 import pytest
 
 import cycflats as cf
-from cycflats.tutte import (RankGenMatrix, poly_mul, rank_gen_brute,
+from cycflats.tutte import (RankGenMatrix, rank_gen_brute,
                             rank_gen_convolution, tutte_from_rank_gen,
                             tutte_polynomial)
+
+
+def poly_mul(p, q):
+    """Product of two sparse polynomials in x, y."""
+    out = {}
+    for (a, b), c in p.items():
+        for (d, e), f in q.items():
+            key = (a + d, b + e)
+            out[key] = out.get(key, 0) + c * f
+    return {k: v for k, v in sorted(out.items()) if v}
 
 
 def eval_poly(terms, x, y):
