@@ -26,7 +26,7 @@ for z, flat in real.witness:
     names = sorted(m.ground.names(flat))
     print(f"  lattice element {z!r:6} -> flat {names}")
 
-ok, pairs = cf.poset_isomorphic(m.flat_family(), b2)
+ok, pairs = cf.poset_isomorphic(m.flats, b2)
 print(f"  poset-isomorphic to B_2: {ok}")
 
 # ----------------------------------------------------------------------
@@ -48,6 +48,6 @@ print(f"  F_a n F_b == F_bot: {fa & fb == flat_of['bot']}")
 print("\nexhaustive sweep over all lattices with <= 5 elements:")
 for lat in cf.all_lattices(5):
     r = cf.realize_lattice(lat)
-    ok, _ = cf.poset_isomorphic(r.matroid.flat_family(), lat)
+    ok, _ = cf.poset_isomorphic(r.matroid.flats, lat)
     print(f"  {len(lat)} elements, {len(lat.covers())} covers -> "
           f"matroid on {len(r.matroid.ground)} elements, isomorphic: {ok}")

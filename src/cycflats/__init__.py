@@ -10,7 +10,7 @@ transversality test.
 """
 
 from .errors import *  # noqa: F401,F403
-from .groundsets import GroundSet, SetFamily, bits, popcount, subset_key
+from .groundsets import GroundSet, bits, popcount, subset_key
 from .lattices import (FiniteLattice, family_lattice_tables, is_chain,
                        lattice_from_covers, poset_isomorphic, width_of_family)
 from .matroid import (AxiomViolation, BasicStats, Matroid, RankedFamily,

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import ChainTooShort, InvalidParameters, NotNested, UnknownName
+from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
+                     UnknownName)
 from .groundsets import GroundSet, bits, popcount
 from .lattices import (FiniteLattice, _converse, _tables_from_down, is_chain,
                        poset_isomorphic)
@@ -63,7 +64,7 @@ def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
         raise InvalidParameters(f"unknown variant {variant!r}")
     k = len(lat)
     up = _converse(lat.down)
-    v = [up_complement(up[i], k) for i in range(k)]  # V_z as lattice-index mask
+    v = [((1 << k) - 1) & ~u for u in up]  # V_z as lattice-index mask
 
     if variant == "plain":
         base = [i for i in range(k) if i != lat.top]
@@ -100,11 +101,6 @@ def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
     return Realization(m, tuple(witness))
 
 
-def up_complement(up_mask: int, k: int) -> int:
-    """Indices not in up_mask, over a k-element index range."""
-    return ((1 << k) - 1) & ~up_mask
-
-
 # -- nested matroids ----------------------------------------------------
 
 def nested_from_sequence(seq: str) -> Matroid:
@@ -132,7 +128,7 @@ def nested_sequence_of(m: Matroid) -> str:
     as r-difference many 'i' steps followed by the remaining 'f' steps,
     and outside isthmuses as trailing 'i' steps.
     """
-    if not is_chain(m.flat_family()):
+    if not is_chain(m.flats):
         raise NotNested("lattice of cyclic flats is not a chain")
     steps = ["f"] * popcount(m.flats[0])
     for prev, prev_r, cur, cur_r in zip(m.flats, m.flat_ranks,
@@ -259,7 +255,7 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
     """
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got {k}")
-    if not is_chain(m.flat_family()):
+    if not is_chain(m.flats):
         raise NotNested("lattice of cyclic flats is not a chain")
     if len(m.flats) < k + 2:
         raise ChainTooShort(
@@ -319,13 +315,13 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
     S the whole prefix.  The candidates of each size are taken in the
     order of _scan_number and the first of each isomorphism class is
     kept, so the representatives are those a scan over all 2^C(n,2)
-    relations would keep.  Element names are v0, v1, ...  Capped at
-    LATTICE_CAP = 8 elements.
+    relations would keep.  Element names are v0, v1, ...  Raises
+    TooLarge past LATTICE_CAP = 8 elements.
     """
     if max_size > LATTICE_CAP:
-        raise InvalidParameters(
-            f"all_lattices is capped at {LATTICE_CAP} elements (LATTICE_CAP), "
-            f"asked for {max_size}; build a larger lattice with "
+        raise TooLarge(
+            f"all_lattices was asked for {max_size} elements, over cap "
+            f"{LATTICE_CAP} (LATTICE_CAP); build a larger lattice with "
             f"lattice_from_covers and realize it with realize_lattice")
     out: list[FiniteLattice] = []
     # naturally labelled meet-semilattices with bottom 0, of size n - 1

@@ -133,7 +133,6 @@ def cmd_tutte(args) -> int:
         m = _load_matroid(args.files[0])
         n = _load_matroid(args.files[1])
         conv = tutte.rank_gen_convolution(tutte.rank_gen_brute(m),
-                                          m.matroid_rank,
                                           tutte.rank_gen_brute(n))
         poly = tutte.tutte_from_rank_gen(conv)
     sys.stdout.write(io.emit_poly(poly))

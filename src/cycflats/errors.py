@@ -27,10 +27,6 @@ class DuplicateSet(CycflatsError):
     """A family contains the same subset twice."""
 
 
-class GroundSetTooLarge(CycflatsError):
-    """A 2^n enumeration was requested beyond the configured cap."""
-
-
 class NotRelaxable(CycflatsError):
     """The cyclic flat does not satisfy the relaxation precondition."""
 
@@ -44,7 +40,9 @@ class RankZero(CycflatsError):
 
 
 class TooLarge(CycflatsError):
-    """The minor search or the circuit enumeration exceeds its size cap."""
+    """A call exceeds a size cap: matroid.ENUM_CAP, matroid.CIRCUIT_CAP,
+    ops.MINOR_SEARCH_CAP, widths.ANTICHAIN_CAP or build.LATTICE_CAP.  The
+    message names the cap, the size asked for and any route around it."""
 
 
 class NotNested(CycflatsError):
@@ -73,14 +71,6 @@ class UnknownName(CycflatsError):
 
 class LabelInUse(CycflatsError):
     """A fresh element label collides with the existing ground set."""
-
-
-class DimensionMismatch(CycflatsError):
-    """Rank-generating matrices with inconsistent dimensions."""
-
-
-class TooManyCyclicFlats(CycflatsError):
-    """Antichain enumeration over the cyclic flats exceeds its cap."""
 
 
 class ParseError(CycflatsError):

@@ -1,9 +1,10 @@
-"""Ground sets, bitmask subsets, and families of subsets.
+"""Ground sets and bitmask subsets.
 
 Subsets of a ground set are plain integers used as bitmasks: bit i set
 means the element with index i belongs to the subset.  All families are
 iterated and serialized in canonical order: by cardinality first, then
-lexicographically by the sorted index tuple.
+lexicographically by the sorted index tuple.  A family of subsets is a
+plain sequence of masks in that order, such as Matroid.flats.
 """
 
 from __future__ import annotations
@@ -70,42 +71,3 @@ class GroundSet:
             raise UnknownLabel(f"mask {mask:#x} outside ground set")
         return tuple(self.labels[i] for i in bits(mask))
 
-
-class SetFamily:
-    """A collection of distinct subsets of one ground set.
-
-    Members are stored in canonical order.
-    """
-
-    __slots__ = ("ground", "masks")
-
-    def __init__(self, ground: GroundSet, masks: Iterable[int]):
-        self.ground = ground
-        ms = sorted(masks, key=subset_key)
-        for m in ms:
-            if m >> len(ground):
-                raise UnknownLabel(f"mask {m:#x} outside ground set")
-        for a, b in zip(ms, ms[1:]):
-            if a == b:
-                raise DuplicateSet(f"duplicate subset {ground.names(a)}")
-        self.masks = tuple(ms)
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.masks)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.masks
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SetFamily)
-                and self.ground == other.ground and self.masks == other.masks)
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.masks))
-
-    def __repr__(self) -> str:
-        sets = [set(self.ground.names(m)) or "{}" for m in self.masks]
-        return f"SetFamily({sets!r})"

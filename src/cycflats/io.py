@@ -136,3 +136,6 @@ def _load(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(
+            f"{path}: arrays or objects nested too deeply") from None

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .errors import (CyclicCovers, DuplicateSet, InvalidParameters, NotALattice,
                      UnknownLabel)
-from .groundsets import SetFamily, bits, popcount
+from .groundsets import bits, popcount
 
 
 class FiniteLattice:
@@ -157,39 +157,39 @@ def _tables_from_down(down: Sequence[int]):
     return meet, join
 
 
-def family_lattice_tables(family: SetFamily):
-    """Check that a family of sets is a lattice under inclusion.
+def family_lattice_tables(masks: Sequence[int]):
+    """Meet/join tables of a family of distinct sets under inclusion.
 
-    Returns (True, (meet, join)) with tables of member indices on success,
-    or (False, (mask_x, mask_y)) naming the first pair (canonical order)
-    without a unique inclusion-greatest lower or inclusion-least upper
-    member.  Meet and join are members of the family, not intersections
-    and unions: the meet of X and Y is the member whose down-set (members
-    contained in it) equals the members contained in both, found by one
-    dict lookup per pair; the join likewise on up-sets.
+    Returns (meet, join), tables of member indices, or raises
+    NotALattice(mask_x, mask_y, reason) for the first pair, in the order
+    given (canonical for Matroid.flats), without a unique
+    inclusion-greatest lower or inclusion-least upper member.  Meet and
+    join are members of the family, not intersections and unions: the
+    meet of X and Y is the member whose down-set (members contained in
+    it) equals the members contained in both, found by one dict lookup
+    per pair; the join likewise on up-sets.
     """
-    masks = family.masks
     try:
-        return True, _tables_from_down(_down_masks(masks))
+        return _tables_from_down(_down_masks(masks))
     except NotALattice as exc:
         i, j = exc.pair
-        return False, (masks[i], masks[j])
+        raise NotALattice(masks[i], masks[j], exc.reason) from None
 
 
-def is_chain(family: SetFamily) -> bool:
-    """True iff the members are pairwise comparable under inclusion."""
-    masks = family.masks  # canonical order: sizes ascending
+def is_chain(masks: Sequence[int]) -> bool:
+    """True iff the members, in canonical order, are pairwise comparable
+    under inclusion."""
     return all(a & ~b == 0 for a, b in zip(masks, masks[1:]))
 
 
-def width_of_family(family: SetFamily) -> int:
-    """Maximum size of an antichain of members under inclusion.
+def width_of_family(masks: Sequence[int]) -> int:
+    """Maximum size of an antichain of distinct sets under inclusion.
 
     Computes a minimum chain cover via maximum bipartite matching on the
     strict-comparability relation (Dilworth duality).
     """
-    n = len(family.masks)
-    up = _converse(_down_masks(family.masks))
+    n = len(masks)
+    up = _converse(_down_masks(masks))
     adj = [list(bits(up[i] & ~(1 << i))) for i in range(n)]
     match_r = [-1] * n
 
@@ -210,15 +210,11 @@ def width_of_family(family: SetFamily) -> int:
 
 
 def _poset_of(obj):
-    """Normalize a FiniteLattice or SetFamily to (items, down_masks).
-
-    items are element names for lattices and label tuples for families.
-    """
+    """Normalize a FiniteLattice or a sequence of distinct masks to
+    (items, down_masks): items are element names or the masks."""
     if isinstance(obj, FiniteLattice):
-        return list(obj.elements), list(obj.down)
-    if isinstance(obj, SetFamily):
-        return [obj.ground.names(m) for m in obj.masks], _down_masks(obj.masks)
-    raise TypeError(f"expected FiniteLattice or SetFamily, got {type(obj)!r}")
+        return obj.elements, obj.down
+    return obj, _down_masks(obj)
 
 
 def _refine_signatures(down: Sequence[int], colours=None) -> list:
@@ -244,9 +240,10 @@ def _refine_signatures(down: Sequence[int], colours=None) -> list:
 def poset_isomorphic(a, b):
     """Order-isomorphism test with a witness bijection.
 
-    Both arguments may be FiniteLattice or SetFamily.  Returns
-    (True, witness) with witness a list of (item_a, item_b) pairs, or
-    (False, None).
+    Each argument is a FiniteLattice or a sequence of distinct masks
+    ordered by inclusion, such as Matroid.flats.  Returns (True,
+    witness) with witness a list of (item_a, item_b) pairs, items being
+    element names or masks, or (False, None).
     """
     items_a, down_a = _poset_of(a)
     items_b, down_b = _poset_of(b)

@@ -22,11 +22,11 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import GroundSetTooLarge, InvalidParameters, NotAMatroid, TooLarge
-from .groundsets import GroundSet, SetFamily, bits, popcount, subset_key
+from .errors import InvalidParameters, NotALattice, NotAMatroid, TooLarge
+from .groundsets import GroundSet, bits, popcount, subset_key
 from .lattices import family_lattice_tables
 
-ENUM_CAP = 22  # default 2^n enumeration cap
+ENUM_CAP = 22  # largest ground set given a 2^n rank table
 # candidate subsets circuits() may test; on a uniform matroid every
 # candidate is a circuit, so this also bounds the length of its result
 CIRCUIT_CAP = 10_000
@@ -53,9 +53,6 @@ class RankedFamily:
                     f"subset {m:#x} outside ground set {ground.labels}")
             if not isinstance(r, int) or isinstance(r, bool):
                 raise InvalidParameters(f"rank {r!r} is not an integer")
-
-    def family(self) -> SetFamily:
-        return SetFamily(self.ground, self.entries.keys())
 
     @classmethod
     def from_labels(cls, labels: Iterable[str],
@@ -117,9 +114,6 @@ class Matroid:
     def ranked_family(self) -> RankedFamily:
         return RankedFamily(self.ground, dict(zip(self.flats, self.flat_ranks)))
 
-    def flat_family(self) -> SetFamily:
-        return SetFamily(self.ground, self.flats)
-
     # -- identity --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -164,8 +158,10 @@ class Matroid:
         if self._table is None:
             n = len(self.ground)
             if n > ENUM_CAP:
-                raise GroundSetTooLarge(
-                    f"{n} elements exceeds enumeration cap {ENUM_CAP}")
+                raise TooLarge(
+                    f"rank_table would tabulate all subsets of {n} elements, "
+                    f"over cap {ENUM_CAP} (ENUM_CAP); rank, closure, minor "
+                    f"and dual need no table")
             all_masks = np.arange(1 << n, dtype=np.uint64)
             best = None
             for f, r in self._rank_of.items():
@@ -211,7 +207,8 @@ class Matroid:
         count = sum(comb(popcount(f), r + 1) for f, r in self._rank_of.items())
         if count > CIRCUIT_CAP:
             raise TooLarge(f"circuits would enumerate {count} candidate "
-                           f"subsets, over cap {CIRCUIT_CAP}")
+                           f"subsets, over cap {CIRCUIT_CAP} (CIRCUIT_CAP); "
+                           f"is_independent tests one subset directly")
         candidates = set()
         for f, r in self._rank_of.items():
             if popcount(f) >= r + 1:
@@ -263,18 +260,17 @@ def all_violations(candidate: RankedFamily) -> list[AxiomViolation]:
 
 def _violations(candidate: RankedFamily):
     ground = candidate.ground
-    family = candidate.family()
-    masks = family.masks
-    ok, payload = family_lattice_tables(family)
-    if not ok:
-        x, y = payload
+    entries = candidate.entries  # sorted and checked by RankedFamily
+    masks = tuple(entries)
+    try:
+        meet, join = family_lattice_tables(masks)
+    except NotALattice as exc:
+        x, y = exc.pair
         yield AxiomViolation(
             "Z0", (x, y),
             f"members {set(ground.names(x)) or '{}'} and "
             f"{set(ground.names(y)) or '{}'} lack a unique meet or join")
         return
-    meet, join = payload
-    entries = candidate.entries
     r0 = entries[masks[0]]
     if r0 != 0:
         yield AxiomViolation(
@@ -309,17 +305,16 @@ def _violations(candidate: RankedFamily):
                     f"Y={set(ground.names(y)) or '{}'}")
 
 
-def cyclic_flats_recompute(m: Matroid, cap: int = ENUM_CAP) -> RankedFamily:
+def cyclic_flats_recompute(m: Matroid) -> RankedFamily:
     """Re-derive the cyclic flats of m from its rank oracle.
 
     Enumerates all subsets F that are closed (adding any outside element
     raises the rank) and isthmus-free in restriction (removing any inside
-    element keeps the rank).  Must reproduce m's family exactly.
+    element keeps the rank).  Must reproduce m's family exactly.  Raises
+    TooLarge past ENUM_CAP elements, before allocating.
     """
-    n = len(m.ground)
-    if n > cap:
-        raise GroundSetTooLarge(f"{n} elements exceeds cap {cap}")
     rt = m.rank_table()
+    n = len(m.ground)
     all_masks = np.arange(1 << n, dtype=np.uint64)
     good = np.ones(1 << n, dtype=bool)
     for x in range(n):

@@ -18,6 +18,8 @@ from .groundsets import GroundSet, bits, popcount
 from .matroid import Matroid, RankedFamily, validated
 from .lattices import _down_masks, _order_isomorphism
 
+MINOR_SEARCH_CAP = 12  # largest host has_minor searches
+
 
 def dual(m: Matroid) -> Matroid:
     """The dual matroid: cyclic flats are the complements of m's.
@@ -193,18 +195,22 @@ def is_isomorphic(m: Matroid, n: Matroid):
     return True, witness
 
 
-def has_minor(m: Matroid, n: Matroid, max_elems: int = 12):
+def has_minor(m: Matroid, n: Matroid):
     """Exhaustive search for a minor of m isomorphic to n.
 
     Returns (bool, MinorSpec | None); the witness is the canonically
     least (contract, delete) pair found.  Candidates are generated in
     that order (contract sets by size, then lexicographically; for each,
     delete sets likewise), so the search stops at the first witness.
-    Pruned by rank/nullity before each candidate minor is built.
+    Pruned by rank/nullity before each candidate minor is built.  Raises
+    TooLarge for a host past MINOR_SEARCH_CAP elements.
     """
-    if len(m.ground) > max_elems:
+    if len(m.ground) > MINOR_SEARCH_CAP:
         raise TooLarge(
-            f"{len(m.ground)} elements exceeds minor-search cap {max_elems}")
+            f"has_minor would search a host of {len(m.ground)} elements, "
+            f"over cap {MINOR_SEARCH_CAP} (MINOR_SEARCH_CAP); for nested "
+            f"matroids, nested_sequence_of and nested_subsequence_minor "
+            f"decide it without a search")
     size_m, size_n = len(m.ground), len(n.ground)
     if size_n > size_m or n.matroid_rank > m.matroid_rank \
             or n.nullity > m.nullity:

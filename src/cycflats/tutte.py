@@ -14,7 +14,6 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .matroid import Matroid
 
 
@@ -32,20 +31,10 @@ class RankGenMatrix:
     def nullity_max(self) -> int:
         return len(self.coeffs[0]) - 1
 
-    def total(self) -> int:
-        """Sum of all coefficients; equals 2^|E|."""
-        return sum(sum(row) for row in self.coeffs)
-
     def terms(self) -> list[tuple[int, int, int]]:
         """Nonzero terms as (x_exponent, y_exponent, coefficient), sorted."""
         return [(i, j, c) for i, row in enumerate(self.coeffs)
                 for j, c in enumerate(row) if c]
-
-    def transpose(self) -> "RankGenMatrix":
-        rows = len(self.coeffs)
-        cols = len(self.coeffs[0])
-        return RankGenMatrix(tuple(tuple(self.coeffs[i][j] for i in range(rows))
-                                   for j in range(cols)))
 
 
 def rank_gen_brute(m: Matroid) -> RankGenMatrix:
@@ -69,18 +58,16 @@ def tutte_polynomial(m: Matroid) -> dict[tuple[int, int], int]:
     return tutte_from_rank_gen(rank_gen_brute(m))
 
 
-def rank_gen_convolution(rm: RankGenMatrix, r_m: int,
+def rank_gen_convolution(rm: RankGenMatrix,
                          rn: RankGenMatrix) -> RankGenMatrix:
-    """R(M box N) from R(M) and R(N).
+    """R(M box N) from R(M) and R(N).  r(M) is rm.corank_max, the
+    corank of the empty set.
 
     The subset pair (X, Y) with corank/nullity (i, j) in M and (k, l) in
     N lands at corank i + k - min(i, l) and nullity j + l - min(i, l) in
     the product, so the (p, q) coefficient is the sum of a[i][j]*b[k][l]
     over all quadruples satisfying those two equations.
     """
-    if rm.corank_max != r_m:
-        raise DimensionMismatch(
-            f"matrix has corank range 0..{rm.corank_max}, but r(M) = {r_m}")
     rows = rm.corank_max + rn.corank_max + 1
     cols = rm.nullity_max + rn.nullity_max + 1
     grid = [[0] * cols for _ in range(rows)]

@@ -16,30 +16,34 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import TooManyCyclicFlats
+from .errors import TooLarge
 from .groundsets import popcount
 from .lattices import width_of_family
 from .matroid import Matroid
 from .ops import dual
 
+ANTICHAIN_CAP = 24  # most cyclic flats ingleton_transversal searches
+
 
 def cyclic_width(m: Matroid) -> int:
     """Width of the lattice of cyclic flats."""
-    return width_of_family(m.flat_family())
+    return width_of_family(m.flats)
 
 
-def ingleton_transversal(m: Matroid, cap: int = 24):
+def ingleton_transversal(m: Matroid):
     """Transversality via the inclusion-exclusion condition.
 
     Returns (True, None) or (False, witness) where witness is the first
     violating antichain in canonical order (size ascending, then lexicographic
     over the canonically ordered flats), as a tuple of flat masks.
+    Raises TooLarge past ANTICHAIN_CAP cyclic flats.
     """
     flats = m.flats
-    if len(flats) > cap:
-        raise TooManyCyclicFlats(
-            f"{len(flats)} cyclic flats exceeds antichain cap {cap}")
-    width = width_of_family(m.flat_family())
+    if len(flats) > ANTICHAIN_CAP:
+        raise TooLarge(
+            f"ingleton_transversal would search antichains of {len(flats)} "
+            f"cyclic flats, over cap {ANTICHAIN_CAP} (ANTICHAIN_CAP)")
+    width = width_of_family(flats)
     for size in range(3, width + 1):
         for combo in combinations(flats, size):
             if any(a & ~b == 0 or b & ~a == 0
@@ -62,10 +66,10 @@ def ingleton_transversal(m: Matroid, cap: int = 24):
     return True, None
 
 
-def bitransversal_cert(m: Matroid, cap: int = 24) -> bool:
+def bitransversal_cert(m: Matroid) -> bool:
     """True iff both m and its dual pass the transversality test."""
-    ok, _ = ingleton_transversal(m, cap=cap)
+    ok, _ = ingleton_transversal(m)
     if not ok:
         return False
-    ok, _ = ingleton_transversal(dual(m), cap=cap)
+    ok, _ = ingleton_transversal(dual(m))
     return ok

@@ -65,13 +65,13 @@ def test_criterion_03_tutte_convolution(small_catalog):
         a = small_catalog[an]
         b = cf.relabel(small_catalog[bn], "r:")
         p = cf.free_product(a, b)
-        conv = cf.rank_gen_convolution(cf.rank_gen_brute(a), a.matroid_rank,
+        conv = cf.rank_gen_convolution(cf.rank_gen_brute(a),
                                        cf.rank_gen_brute(b))
         assert conv == cf.rank_gen_brute(p), (an, bn)
         pairs += 1
     # the worked case: R(U11 box U01) = x + y + 2
     worked = cf.rank_gen_convolution(
-        cf.rank_gen_brute(cf.uniform(1, 1, ["a"])), 1,
+        cf.rank_gen_brute(cf.uniform(1, 1, ["a"])),
         cf.rank_gen_brute(cf.uniform(0, 1, ["b"])))
     assert worked.terms() == [(0, 0, 2), (0, 1, 1), (1, 0, 1)]
     report(3, f"convolution equals brute force on {pairs} ordered pairs")
@@ -110,9 +110,9 @@ def test_criterion_05_lattice_realization():
     lats = cf.all_lattices(5)
     for lat in lats:
         real = cf.realize_lattice(lat)
-        assert cf.poset_isomorphic(real.matroid.flat_family(), lat)[0]
+        assert cf.poset_isomorphic(real.matroid.flats, lat)[0]
         sub = cf.realize_lattice(lat, "sublattice")
-        assert cf.poset_isomorphic(sub.matroid.flat_family(), lat)[0]
+        assert cf.poset_isomorphic(sub.matroid.flats, lat)[0]
         flat_of = dict(sub.witness)
         for i, xe in enumerate(lat.elements):
             for j, ye in enumerate(lat.elements):
@@ -218,7 +218,7 @@ def test_criterion_11_gimenez_family():
             assert len(m.ground) == 4 * n + 5
         for a, b in combinations(members, 2):
             assert cf.is_isomorphic(a, b) == (False, None)
-            assert cf.poset_isomorphic(a.flat_family(), b.flat_family())[0]
+            assert cf.poset_isomorphic(a.flats, b.flats)[0]
     report(11, "Gimenez n = 2, 3: n! valid, pairwise nonisomorphic members "
                "with isomorphic lattices")
 

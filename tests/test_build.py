@@ -66,14 +66,14 @@ class TestRealizeLattice:
     def test_all_small_lattices_plain(self):
         for lat in cf.all_lattices(5):
             real = cf.realize_lattice(lat)
-            ok, _ = cf.poset_isomorphic(real.matroid.flat_family(), lat)
+            ok, _ = cf.poset_isomorphic(real.matroid.flats, lat)
             assert ok, lat.elements
 
     def test_all_small_lattices_sublattice(self):
         for lat in cf.all_lattices(5):
             real = cf.realize_lattice(lat, "sublattice")
             m = real.matroid
-            ok, _ = cf.poset_isomorphic(m.flat_family(), lat)
+            ok, _ = cf.poset_isomorphic(m.flats, lat)
             assert ok, lat.elements
             flat_of = dict(real.witness)
             for x, y in product(lat.elements, repeat=2):
@@ -88,7 +88,7 @@ class TestRealizeLattice:
                 real = cf.realize_lattice(lat, variant)
                 m = real.matroid
                 assert isinstance(cf.validate(m.ranked_family()), cf.Matroid)
-                ok, _ = cf.poset_isomorphic(m.flat_family(), lat)
+                ok, _ = cf.poset_isomorphic(m.flats, lat)
                 assert ok, (variant, lat)
                 if variant == "sublattice":
                     flat_of = [f for _, f in real.witness]
@@ -246,10 +246,10 @@ class TestAllLattices:
             assert a.join == b.join
 
     def test_cap(self):
-        with pytest.raises(cf.InvalidParameters) as info:
+        with pytest.raises(cf.TooLarge) as info:
             cf.all_lattices(9)
         message = str(info.value)
-        assert "capped at 8" in message
+        assert "cap 8 (LATTICE_CAP)" in message
         assert "asked for 9" in message
         assert "lattice_from_covers" in message
 

@@ -1,13 +1,18 @@
-"""End-to-end tests: every subcommand against committed fixture files."""
+"""End-to-end tests: every subcommand against committed fixture files,
+and a property test of the 0/1/2 exit-code contract."""
 
+import contextlib
+import io as textio
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
 from cycflats import io
-from cycflats.cli import main
+from cycflats.cli import GEN_PARAMS, main
 
 FX = Path(__file__).parent / "fixtures"
 
@@ -212,7 +217,7 @@ class TestAnalysis:
         assert code == 0
         m = cf.validate(io.doc_to_ranked_family(json.loads(out)))
         lat = io.parse_lattice(FX / "lattice_b2.json")
-        assert cf.poset_isomorphic(m.flat_family(), lat)[0]
+        assert cf.poset_isomorphic(m.flats, lat)[0]
         code, out2, _ = run("realize", "--sublattice", FX / "lattice_b2.json")
         assert code == 0
         assert out2 != out
@@ -314,6 +319,9 @@ MALFORMED = [
                   "cyclic_flats": [{"set": ["a", 1], "rank": 0}]}),
     ("realize", {"elements": ["a", "b"], "covers": {"a": "b"}}),
     ("realize", {"elements": ["a", "b"], "covers": [["a", ["b"]]]}),
+    # raw text: deeper than the JSON decoder's recursion limit
+    pytest.param("validate", "[" * 100_000 + "]" * 100_000,
+                 id="validate-deep-nesting"),
 ]
 
 
@@ -321,8 +329,117 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("command,doc", MALFORMED)
     def test_exit_2_with_one_line(self, run, tmp_path, command, doc):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, out, err = run(command, path)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# -- property: main() keeps the 0/1/2 exit-code contract --------------------
+
+LABELS = ["a", "b", "c", "d", "e"]
+FIELDS = ["ground", "cyclic_flats", "set", "rank", "elements", "covers"]
+
+any_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
+              st.sampled_from(LABELS)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(FIELDS), inner,
+                                            max_size=4)),
+    max_leaves=12)
+
+
+def _matroid_docs(ground):
+    return st.fixed_dictionaries({
+        "ground": st.just(ground),
+        "cyclic_flats": st.lists(
+            st.fixed_dictionaries({
+                "set": st.lists(st.sampled_from(ground), unique=True),
+                "rank": st.integers(-1, 4)}),
+            min_size=1, max_size=5)})
+
+
+def _lattice_docs(elements):
+    return st.fixed_dictionaries({
+        "elements": st.just(elements),
+        "covers": st.lists(st.lists(st.sampled_from(elements),
+                                    min_size=2, max_size=2), max_size=6)})
+
+
+some_labels = st.lists(st.sampled_from(LABELS), unique=True, min_size=1,
+                       max_size=5)
+valid_matroid_docs = st.one_of(
+    st.builds(lambda seq: io.matroid_to_doc(cf.nested_from_sequence(seq)),
+              st.text("if", max_size=6)),
+    st.builds(lambda seed: io.matroid_to_doc(
+        cf.random_matroid(random.Random(seed), 6)), st.integers(0, 10**6)))
+documents = st.one_of(some_labels.flatmap(_matroid_docs), valid_matroid_docs,
+                      some_labels.flatmap(_lattice_docs), any_json)
+
+COMMANDS = [
+    "validate", "rank", "independent", "circuits", "cyclic-flats", "stats",
+    "dual", "minor", "relax", "directsum", "freeprod", "truncate", "lift",
+    "tutte", "width", "nested", "minor-test", "iso", "realize", "ingleton",
+    "bitransversal", "chain-minor", "gen"]
+FILES = [str(FX / name) for name in (
+    "u24.json", "mk4.json", "p2.json", "nested_ifif.json", "invalid_z2.json",
+    "bad_schema.json", "lattice_b2.json", "missing.json")]
+OPTIONS = [
+    *GEN_PARAMS, "mk4", "--set", "--contract", "--delete", "--flat", "--k",
+    "--method", "brute", "convolution", "--sublattice", "12", "12,13", "e1",
+    "a1,b1", "0", "1", "2", "3", "-1", "x", "2,1", "if"]
+argvs = st.builds(lambda command, files, rest: [command] + files + rest,
+                  st.sampled_from(COMMANDS),
+                  st.lists(st.sampled_from(FILES), min_size=1, max_size=2),
+                  st.lists(st.sampled_from(OPTIONS), max_size=2))
+
+
+def exit_code(argv):
+    """main(argv) with its output captured; argparse's SystemExit counts
+    as its exit code.  Checks the message that goes with exit 2."""
+    out, err = textio.StringIO(), textio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), argv
+    return code
+
+
+@pytest.fixture(scope="class")
+def docs_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs")
+
+
+def write_doc(directory, name, doc):
+    path = directory / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestMainNeverRaises:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(command=st.sampled_from(["validate", "stats", "dual", "width",
+                                    "realize"]),
+           doc=documents)
+    def test_one_document(self, docs_dir, command, doc):
+        exit_code([command, write_doc(docs_dir, "doc.json", doc)])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(left=st.one_of(valid_matroid_docs, documents),
+           right=st.one_of(valid_matroid_docs, documents))
+    def test_iso(self, docs_dir, left, right):
+        exit_code(["iso", write_doc(docs_dir, "left.json", left),
+                   write_doc(docs_dir, "right.json", right)])
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(argv=argvs)
+    def test_argv(self, argv):
+        exit_code(argv)

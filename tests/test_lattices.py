@@ -8,8 +8,13 @@ from cycflats.lattices import _tables_from_down
 
 
 def fam(labels, *sets):
+    """The masks of the named sets, in canonical order."""
     g = cf.GroundSet(labels)
-    return cf.SetFamily(g, [g.mask(s) for s in sets])
+    return canonical(g.mask(s) for s in sets)
+
+
+def canonical(masks):
+    return sorted(masks, key=cf.subset_key)
 
 
 class TestLatticeFromCovers:
@@ -57,24 +62,23 @@ class TestLatticeFromCovers:
 class TestFamilyLatticeTables:
     def test_two_chain(self):
         f = fam("ab", "", "ab")
-        ok, (meet, join) = cf.family_lattice_tables(f)
-        assert ok
-        assert f.masks[meet[0][1]] == 0
-        assert f.masks[join[0][1]] == f.ground.mask("ab")
+        meet, join = cf.family_lattice_tables(f)
+        assert f[meet[0][1]] == 0
+        assert f[join[0][1]] == 0b11
 
     def test_p2_family(self):
         f = fam("abcd", "", "ab", "cd", "abcd")
-        ok, (meet, join) = cf.family_lattice_tables(f)
-        assert ok
-        i, j = f.masks.index(f.ground.mask("ab")), f.masks.index(f.ground.mask("cd"))
-        assert f.masks[meet[i][j]] == 0
-        assert f.masks[join[i][j]] == f.ground.full
+        meet, join = cf.family_lattice_tables(f)
+        i, j = f.index(0b0011), f.index(0b1100)
+        assert f[meet[i][j]] == 0
+        assert f[join[i][j]] == 0b1111
 
     def test_no_bottom(self):
         f = fam("abc", "ab", "bc")
-        ok, witness = cf.family_lattice_tables(f)
-        assert not ok
-        assert set(witness) == {f.ground.mask("ab"), f.ground.mask("bc")}
+        with pytest.raises(cf.NotALattice) as info:
+            cf.family_lattice_tables(f)
+        assert info.value.pair == (0b011, 0b110)
+        assert info.value.reason == "no unique meet"
 
 
 class TestWidth:
@@ -83,33 +87,19 @@ class TestWidth:
         assert cf.width_of_family(fam("abcd", "", "ab", "abcd")) == 1
 
     def test_mk4_triangles(self, catalog):
-        assert cf.width_of_family(catalog["mk4"].flat_family()) == 4
+        assert cf.width_of_family(catalog["mk4"].flats) == 4
 
     def test_two_blocks(self):
         assert cf.width_of_family(fam("abcd", "", "ab", "cd", "abcd")) == 2
 
     def test_matching_equals_brute_on_random_families(self):
         rng = random.Random(0)
-        labels = "abcdefgh"
-        g = cf.GroundSet(labels)
         for _ in range(50):
             masks = set()
             for _ in range(rng.randint(1, 12)):
-                masks.add(rng.randrange(1 << len(labels)))
-            f = cf.SetFamily(g, masks)
-            assert cf.width_of_family(f) == _max_antichain_brute(f.masks)
-
-
-class TestSetFamily:
-    def test_contains_matches_the_member_set(self):
-        rng = random.Random(3)
-        g = cf.GroundSet("abcdef")
-        for _ in range(20):
-            f = cf.SetFamily(g, {rng.randrange(64)
-                                 for _ in range(rng.randint(1, 12))})
-            members = set(f.masks)
-            for mask in list(range(64)) + [64, 1 << 10, -1]:
-                assert (mask in f) == (mask in members), (f, mask)
+                masks.add(rng.randrange(1 << 8))
+            f = canonical(masks)
+            assert cf.width_of_family(f) == _max_antichain_brute(f)
 
 
 class TestIsChain:
@@ -125,7 +115,7 @@ class TestPosetIsomorphic:
         c2 = fam("xyz", "", "xy", "xyz")
         ok, witness = cf.poset_isomorphic(c1, c2)
         assert ok
-        assert len(witness) == 3
+        assert witness == list(zip(c1, c2))  # items are the masks
 
     def test_chain_vs_b2(self):
         b2 = cf.lattice_from_covers(
@@ -139,15 +129,14 @@ class TestPosetIsomorphic:
             ["0", "a", "b", "1"],
             [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
         m = cf.realize_lattice(b2).matroid
-        assert cf.poset_isomorphic(m.flat_family(), b2)[0]
+        assert cf.poset_isomorphic(m.flats, b2)[0]
 
     def test_reflexive_and_symmetric_on_random_families(self):
         rng = random.Random(1)
-        g = cf.GroundSet("abcdef")
         fams = []
         for _ in range(10):
             masks = {rng.randrange(64) for _ in range(rng.randint(1, 6))}
-            fams.append(cf.SetFamily(g, masks))
+            fams.append(canonical(masks))
         for f in fams:
             assert cf.poset_isomorphic(f, f)[0]
         for f1, f2 in combinations(fams, 2):
@@ -162,9 +151,7 @@ class TestMeetJoinAlgebra:
             fam("abcde", "", "a", "ab", "cd", "abcde"),
         ]
         for f in families:
-            ok, (meet, join) = cf.family_lattice_tables(f)
-            if not ok:
-                continue
+            meet, join = cf.family_lattice_tables(f)
             n = len(f)
             for i in range(n):
                 assert meet[i][i] == i and join[i][i] == i
@@ -235,22 +222,22 @@ def assert_tables_match(down, expected):
 class TestTablesAgainstDefinition:
     def test_random_families(self):
         rng = random.Random(5)
-        g = cf.GroundSet("abcdef")
         outcomes = {True: 0, False: 0}
         for _ in range(300):
             masks = {rng.randrange(64) for _ in range(rng.randint(1, 9))}
             if rng.random() < 0.5:
-                masks |= {0, g.full}
-            f = cf.SetFamily(g, masks)
-            expected = brute_tables(
-                len(f), lambda a, b: f.masks[a] & ~f.masks[b] == 0)
-            ok, payload = cf.family_lattice_tables(f)
-            outcomes[ok] += 1
-            if ok:
-                assert payload == expected
+                masks |= {0, 63}
+            f = canonical(masks)
+            expected = brute_tables(len(f), lambda a, b: f[a] & ~f[b] == 0)
+            try:
+                tables = cf.family_lattice_tables(f)
+            except cf.NotALattice as exc:
+                outcomes[False] += 1
+                (i, j), reason = expected
+                assert (exc.pair, exc.reason) == ((f[i], f[j]), reason)
             else:
-                (i, j), _ = expected
-                assert payload == (f.masks[i], f.masks[j])
+                outcomes[True] += 1
+                assert tables == expected
         assert min(outcomes.values()) > 50
 
     def test_random_orders_in_any_index_order(self):
@@ -311,9 +298,8 @@ class TestTablesAgainstDefinition:
         rf = cf.RankedFamily.from_labels("ab", [("", 0), ("a", 0), ("b", 0)])
         v = cf.validate(rf)
         assert isinstance(v, cf.AxiomViolation)
-        f = rf.family()
-        (i, j), _ = brute_tables(
-            len(f), lambda a, b: f.masks[a] & ~f.masks[b] == 0)
-        assert v.witness == (f.masks[i], f.masks[j]) == (0b01, 0b10)
+        f = tuple(rf.entries)
+        (i, j), _ = brute_tables(len(f), lambda a, b: f[a] & ~f[b] == 0)
+        assert v.witness == (f[i], f[j]) == (0b01, 0b10)
         assert str(v) == ("Z0 violated: members {'a'} and {'b'} "
                           "lack a unique meet or join")

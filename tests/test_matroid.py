@@ -6,7 +6,7 @@ import pytest
 
 import cycflats as cf
 from cycflats.groundsets import bits, popcount
-from cycflats.matroid import CIRCUIT_CAP
+from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP
 
 
 def rf(labels, sets):
@@ -208,9 +208,13 @@ class TestCyclicFlatsRecompute:
                 continue
             assert cf.cyclic_flats_recompute(m) == m.ranked_family(), name
 
-    def test_cap(self, catalog):
-        with pytest.raises(cf.GroundSetTooLarge):
-            cf.cyclic_flats_recompute(catalog["u24"], cap=3)
+    def test_cap(self):
+        m = cf.uniform(1, ENUM_CAP + 1)
+        with pytest.raises(cf.TooLarge) as err:
+            cf.cyclic_flats_recompute(m)
+        assert f"{ENUM_CAP + 1} elements" in str(err.value)
+        assert f"cap {ENUM_CAP} (ENUM_CAP)" in str(err.value)
+        assert m._table is None
 
 
 class TestBasicStats:

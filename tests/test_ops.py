@@ -9,6 +9,7 @@ import cycflats as cf
 from cycflats import ops
 from cycflats.groundsets import bits, popcount, subset_key
 from cycflats.matroid import ENUM_CAP
+from cycflats.ops import MINOR_SEARCH_CAP
 
 
 def apply_witness(m, n, witness):
@@ -302,7 +303,7 @@ class TestIsomorphism:
         # lattices of cyclic flats are nevertheless poset-isomorphic
         a, b = catalog["gimenez2:id"], catalog["gimenez2:swap"]
         assert cf.is_isomorphic(a, b) == (False, None)
-        assert cf.poset_isomorphic(a.flat_family(), b.flat_family())[0]
+        assert cf.poset_isomorphic(a.flats, b.flats)[0]
         ok, witness = cf.is_isomorphic(a, cf.relabel(a, "z:"))
         assert ok
         apply_witness(a, cf.relabel(a, "z:"), witness)
@@ -431,8 +432,13 @@ class TestHasMinor:
         assert spec.delete == catalog["u25"].ground.mask(["e1"])
 
     def test_cap(self, catalog):
-        with pytest.raises(cf.TooLarge):
-            cf.has_minor(catalog["p4"], catalog["u24"], max_elems=4)
+        assert MINOR_SEARCH_CAP == 12
+        assert cf.has_minor(cf.uniform(2, 12), catalog["u24"])[0]
+        with pytest.raises(cf.TooLarge) as err:
+            cf.has_minor(cf.uniform(2, 13), catalog["u24"])
+        assert "host of 13 elements" in str(err.value)
+        assert "cap 12 (MINOR_SEARCH_CAP)" in str(err.value)
+        assert "nested_subsequence_minor" in str(err.value)
 
     def test_witness_matches_sort_everything_order(self, small_catalog):
         hosts = [m for m in small_catalog.values() if len(m.ground) <= 5]

@@ -1,7 +1,5 @@
 from itertools import product
 
-import pytest
-
 import cycflats as cf
 from cycflats.tutte import (RankGenMatrix, rank_gen_brute,
                             rank_gen_convolution, tutte_from_rank_gen,
@@ -26,6 +24,15 @@ def eval_rgm(rgm, x, y):
     return sum(c * x ** i * y ** j for i, j, c in rgm.terms())
 
 
+def total(rgm):
+    """Sum of all coefficients; equals 2^|E|."""
+    return sum(sum(row) for row in rgm.coeffs)
+
+
+def transpose(rgm):
+    return RankGenMatrix(tuple(zip(*rgm.coeffs)))
+
+
 class TestRankGenBrute:
     def test_u24(self, catalog):
         rgm = rank_gen_brute(catalog["u24"])
@@ -34,12 +41,12 @@ class TestRankGenBrute:
 
     def test_total_is_power_of_two(self, small_catalog):
         for name, m in small_catalog.items():
-            assert rank_gen_brute(m).total() == 1 << len(m.ground), name
+            assert total(rank_gen_brute(m)) == 1 << len(m.ground), name
 
     def test_dual_transposes(self, small_catalog):
         for name, m in small_catalog.items():
             assert rank_gen_brute(cf.dual(m)) == \
-                rank_gen_brute(m).transpose(), name
+                transpose(rank_gen_brute(m)), name
 
 
 class TestTuttePolynomial:
@@ -86,7 +93,7 @@ class TestConvolution:
         # R(U11 box U01) from R(U11) = x + 1 and R(U01) = y + 1
         rm = rank_gen_brute(cf.uniform(1, 1, ["a"]))
         rn = rank_gen_brute(cf.uniform(0, 1, ["b"]))
-        conv = rank_gen_convolution(rm, 1, rn)
+        conv = rank_gen_convolution(rm, rn)
         direct = rank_gen_brute(cf.free_product(cf.uniform(1, 1, ["a"]),
                                                 cf.uniform(0, 1, ["b"])))
         assert conv == direct
@@ -99,14 +106,8 @@ class TestConvolution:
             b = cf.relabel(small_catalog[bn], "r:")
             if len(a.ground) + len(b.ground) > 10:
                 continue
-            conv = rank_gen_convolution(rank_gen_brute(a), a.matroid_rank,
-                                        rank_gen_brute(b))
+            conv = rank_gen_convolution(rank_gen_brute(a), rank_gen_brute(b))
             assert conv == rank_gen_brute(cf.free_product(a, b)), (an, bn)
-
-    def test_dimension_mismatch(self, catalog):
-        rm = rank_gen_brute(catalog["u24"])
-        with pytest.raises(cf.DimensionMismatch):
-            rank_gen_convolution(rm, 3, rm)
 
     def test_operation_count_is_polynomial(self, catalog):
         # the convolution touches O((r+1)^2 (n-r+1)^2) coefficient pairs,
@@ -126,7 +127,7 @@ class TestRankGenMatrix:
 
     def test_transpose_involution(self, catalog):
         rgm = rank_gen_brute(catalog["mk4"])
-        assert rgm.transpose().transpose() == rgm
+        assert transpose(transpose(rgm)) == rgm
 
     def test_shape(self, catalog):
         rgm = rank_gen_brute(catalog["u24"])

@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 import cycflats as cf
-from cycflats.errors import TooManyCyclicFlats
+from cycflats.errors import TooLarge
+from cycflats.widths import ANTICHAIN_CAP
 
 
 class TestCyclicWidth:
@@ -73,8 +74,14 @@ class TestIngleton:
                 cf.ingleton_transversal(m)[0], name
 
     def test_flat_count_cap(self, catalog):
-        with pytest.raises(cf.TooManyCyclicFlats):
-            cf.ingleton_transversal(catalog["mk4"], cap=3)
+        mk4 = catalog["mk4"]
+        m = cf.direct_sum(mk4, cf.relabel(mk4, "r:"))
+        assert len(m.flats) == 36 > ANTICHAIN_CAP
+        for call in (cf.ingleton_transversal, cf.bitransversal_cert):
+            with pytest.raises(cf.TooLarge) as err:
+                call(m)
+            assert "36 cyclic flats" in str(err.value)
+            assert f"cap {ANTICHAIN_CAP} (ANTICHAIN_CAP)" in str(err.value)
 
 
 class TestBitransversal:
@@ -102,7 +109,7 @@ def ingleton_all_families(m: cf.Matroid, cap: int = 16):
     that the antichain restriction is lossless."""
     flats = m.flats
     if len(flats) > cap:
-        raise TooManyCyclicFlats(
+        raise TooLarge(
             f"{len(flats)} cyclic flats exceeds cap {cap}")
     for size in range(1, len(flats) + 1):
         for combo in combinations(flats, size):
