@@ -396,7 +396,23 @@ def random_matroid(rng: random.Random, max_elems: int = 10) -> Matroid:
 
 def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
     """A random valid matroid of cyclic width at most 2: a random chain
-    plus, when possible, one extra incomparable cyclic flat."""
+    plus, when possible, one extra incomparable cyclic flat.
+
+    The chain f_0 c ... c f_t (ranks r_i) is the nested matroid of a
+    random i/f sequence, and up to 400 of its shuffled (s, rho)
+    candidates are tried in turn.  One incomparable to some f_i is
+    decided from the chain in O(k) (Z0-Z3 of chain u {(s, rho)}):
+      Z0: f_0 c s c f_t;
+      Z2: 0 < rho - r_i < |s - f_i| for each f_i c s, and
+          0 < r_i - rho < |f_i - s| for each s c f_i;
+      Z3: with lo the last member inside s and hi the first containing
+          s (the meet and join of s with every incomparable f_i),
+          rho + r_i >= r(hi) + r(lo) + |(s n f_i) - lo| for each f_i
+          strictly between them; comparable pairs meet Z3 with equality.
+    Only a candidate that passes goes to validate, which stays the gate.
+    The rule agrees with validate, so each seed gives the matroid that
+    validating every candidate would.
+    """
     for _ in range(20):
         length = rng.randint(2, max_elems)
         seq = "".join(rng.choice("if") for _ in range(length))
@@ -407,11 +423,36 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
         rng.shuffle(candidates)
         base = list(zip(m.flats, m.flat_ranks))
         for s, rho in candidates[:400]:
-            if any(s == f for f in m.flats):
-                continue
             if all(s & ~f == 0 or f & ~s == 0 for f in m.flats):
-                continue  # comparable to everything: still a chain
+                continue  # a member, or comparable to every member
+            if not _chain_plus_one_ok(m.flats, m.flat_ranks, s, rho):
+                continue
             result = validate(RankedFamily(m.ground, base + [(s, rho)]))
             if isinstance(result, Matroid):
                 return result
     return m  # fallback: the chain itself (cyclic width 1)
+
+
+def _chain_plus_one_ok(chain, ranks, s: int, rho: int) -> bool:
+    """Whether a valid chain of cyclic flats with their ranks, plus
+    (s, rho) for an s incomparable to some member, satisfies Z0-Z3: the
+    O(k) rule of random_cw2_matroid."""
+    if chain[0] & ~s or s & ~chain[-1]:
+        return False  # no meet with the bottom or no join with the top
+    lo = hi = None
+    between = []
+    for f, r in zip(chain, ranks):
+        if f & ~s == 0:
+            if not 0 < rho - r < popcount(s & ~f):
+                return False
+            lo = (f, r)
+        elif s & ~f == 0:
+            if not 0 < r - rho < popcount(f & ~s):
+                return False
+            if hi is None:
+                hi = (f, r)
+        else:
+            between.append((f, r))
+    (lo_f, lo_r), (_, hi_r) = lo, hi
+    return all(rho + r >= hi_r + lo_r + popcount(s & f & ~lo_f)
+               for f, r in between)

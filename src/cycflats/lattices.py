@@ -254,14 +254,19 @@ def poset_isomorphic(a, b):
 
 
 def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
-                       colours_a=None, colours_b=None, accept=None):
+                       colours_a=None, colours_b=None, sets_a=None,
+                       sets_b=None):
     """An order isomorphism from poset a to poset b, or None.
 
     The posets are given by down-masks; colours, when given, are node
-    labels the isomorphism must preserve.  Backtracking search pruned by
-    iterated degree/height signatures: each pair is checked against every
-    node already assigned, and accept(mapping), when given, decides each
-    complete mapping (mapping[i] is the image of node i).
+    labels the isomorphism must preserve.  sets_a and sets_b, when given,
+    map node masks to labels, and the isomorphism must carry each set of
+    sets_a onto a set of sets_b with the same label.  Backtracking search
+    pruned by iterated degree/height signatures: each pair is checked
+    against every node already assigned.  Each set U of sets_a keeps the
+    sets V of sets_b it may still go to: same label, |V| = |U|, and for
+    each assigned i -> j, j in V iff i in U; a branch where some U has
+    none left is dropped.  A complete mapping leaves U only image(U).
     """
     n = len(down_a)
     if n != len(down_b):
@@ -274,6 +279,12 @@ def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
     order = sorted(range(n), key=lambda i: (sig_a.count(sig_a[i]), i))
     mapping = [-1] * n
     used = [False] * n
+    marked = list((sets_a or {}).items())
+    live = [[v for v, lab_b in (sets_b or {}).items()
+             if lab_b == lab and popcount(v) == popcount(u)]
+            for u, lab in marked]
+    if not all(live):
+        return None
 
     def ok(i: int, j: int) -> bool:
         for k in range(n):
@@ -286,18 +297,22 @@ def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
                 return False
         return True
 
-    def search(pos: int) -> bool:
+    def search(pos: int, live) -> bool:
         if pos == n:
-            return accept is None or accept(mapping)
+            return True
         i = order[pos]
         for j in range(n):
             if not used[j] and sig_b[j] == sig_a[i] and ok(i, j):
+                narrowed = [[v for v in vs if (v >> j) & 1 == (u >> i) & 1]
+                            for (u, _), vs in zip(marked, live)]
+                if not all(narrowed):
+                    continue
                 mapping[i] = j
                 used[j] = True
-                if search(pos + 1):
+                if search(pos + 1, narrowed):
                     return True
                 mapping[i] = -1
                 used[j] = False
         return False
 
-    return mapping if search(0) else None
+    return mapping if search(0, live) else None

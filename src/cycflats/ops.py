@@ -164,8 +164,12 @@ def is_isomorphic(m: Matroid, n: Matroid):
     one up-set U of Z(m), sends U to the up-set of a class of n of the
     same size.  Mapping the elements class by class then carries each
     flat, the union of the classes whose up-set contains it, onto its
-    image.  Returns (bool, witness) where witness maps labels of m to
-    labels of n.
+    image.  The search keeps, for each class of m, the classes of n its
+    up-set may still go to, and drops a partial phi that leaves a class
+    none; that prunes only mappings the complete check would reject, so
+    the first phi found, and the witness, are those of checking each
+    complete phi.  Returns (bool, witness) where witness maps labels of
+    m to labels of n.
     """
     if len(m.ground) != len(n.ground):
         return False, None
@@ -180,12 +184,10 @@ def is_isomorphic(m: Matroid, n: Matroid):
     def image(u: int, phi) -> int:
         return sum(1 << phi[i] for i in bits(u))
 
-    def sizes_kept(phi) -> bool:
-        return all(popcount(classes_n.get(image(u, phi), 0)) == popcount(c)
-                   for u, c in classes_m.items())
-
+    sizes_m = {u: popcount(c) for u, c in classes_m.items()}
+    sizes_n = {v: popcount(c) for v, c in classes_n.items()}
     phi = _order_isomorphism(_down_masks(m.flats), _down_masks(n.flats),
-                             colours_m, colours_n, sizes_kept)
+                             colours_m, colours_n, sizes_m, sizes_n)
     if phi is None:
         return False, None
     witness = {}
@@ -202,8 +204,15 @@ def has_minor(m: Matroid, n: Matroid):
     least (contract, delete) pair found.  Candidates are generated in
     that order (contract sets by size, then lexicographically; for each,
     delete sets likewise), so the search stops at the first witness.
-    Pruned by rank/nullity before each candidate minor is built.  Raises
-    TooLarge for a host past MINOR_SEARCH_CAP elements.
+    Before a candidate m \\ D / C is built, its rank, loops and coloops
+    are counted from two rank_support calls on m and compared with n's:
+      rank    = r(E - D) - r(C);
+      loops   = cl(C) - C - D;
+      coloops = (E - D) - inter(E - D) - C, where inter(E - D) is the
+                intersection of the flats attaining r(E - D), so
+                (E - D) - inter(E - D) are the isthmuses of m \\ D.
+    All three are isomorphism invariants, so the witness is unchanged.
+    Raises TooLarge for a host past MINOR_SEARCH_CAP elements.
     """
     if len(m.ground) > MINOR_SEARCH_CAP:
         raise TooLarge(
@@ -216,12 +225,17 @@ def has_minor(m: Matroid, n: Matroid):
             or n.nullity > m.nullity:
         return False, None
     full = m.ground.full
+    loops_n, coloops_n = popcount(n.loops()), popcount(n.isthmuses())
     removed_size = size_m - size_n
     for c in _masks_by_size(range(size_m), range(removed_size + 1)):
-        rc = m.rank(c)
+        rc, _, union = m.rank_support(c)
+        cl_c = c | union
         rest = [i for i in range(size_m) if not (c >> i) & 1]
         for d in _masks_by_size(rest, [removed_size - popcount(c)]):
-            if m.rank(full & ~d) - rc != n.matroid_rank:
+            r, inter, _ = m.rank_support(full & ~d)
+            if r - rc != n.matroid_rank \
+                    or popcount(cl_c & ~(c | d)) != loops_n \
+                    or popcount(full & ~(d | inter | c)) != coloops_n:
                 continue
             cand = minor(m, MinorSpec(c, d))
             ok, _ = is_isomorphic(cand, n)

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 import cycflats as cf
+from cycflats.build import _chain_plus_one_ok
 from cycflats.groundsets import popcount
 from cycflats.lattices import FiniteLattice, _tables_from_down
 
@@ -34,6 +35,39 @@ def _all_lattices_brute(max_size):
                 found.append(lat)
         out += found
     return out
+
+
+def _random_cw2_matroid_brute(rng, max_elems=9):
+    """Oracle for random_cw2_matroid: the same draws, with validate run
+    on every candidate incomparable to some chain member."""
+    for _ in range(20):
+        length = rng.randint(2, max_elems)
+        seq = "".join(rng.choice("if") for _ in range(length))
+        m = cf.nested_from_sequence(seq)
+        n = len(m.ground)
+        candidates = [(s, rho) for s in range(1, 1 << n)
+                      for rho in range(1, popcount(s) + 1)]
+        rng.shuffle(candidates)
+        base = list(zip(m.flats, m.flat_ranks))
+        for s, rho in candidates[:400]:
+            if any(s == f for f in m.flats):
+                continue
+            if all(s & ~f == 0 or f & ~s == 0 for f in m.flats):
+                continue
+            result = cf.validate(cf.RankedFamily(m.ground, base + [(s, rho)]))
+            if isinstance(result, cf.Matroid):
+                return result
+    return m
+
+
+def _chain_plus_one_cases(m):
+    """Every (s, rho) with s incomparable to some member of m's chain and
+    1 <= rho <= |s|."""
+    for s in range(1, 1 << len(m.ground)):
+        if all(s & ~f == 0 or f & ~s == 0 for f in m.flats):
+            continue
+        for rho in range(1, popcount(s) + 1):
+            yield s, rho
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +311,42 @@ class TestRandomGenerators:
         widths = {cf.cyclic_width(cf.random_cw2_matroid(random.Random(s)))
                   for s in range(25)}
         assert 2 in widths  # the extra flat is usually found
+
+    @pytest.mark.parametrize("max_elems", [8, 9])
+    def test_random_cw2_matches_validating_every_candidate(self, max_elems):
+        for s in range(200):
+            got = cf.random_cw2_matroid(random.Random(s), max_elems)
+            want = _random_cw2_matroid_brute(random.Random(s), max_elems)
+            assert (got.ground, got.flats, got.flat_ranks) \
+                == (want.ground, want.flats, want.flat_ranks), s
+
+
+class TestChainPlusOne:
+    @staticmethod
+    def agrees_with_validate(m):
+        base = list(zip(m.flats, m.flat_ranks))
+        accepted = 0
+        for s, rho in _chain_plus_one_cases(m):
+            valid = isinstance(
+                cf.validate(cf.RankedFamily(m.ground, base + [(s, rho)])),
+                cf.Matroid)
+            assert _chain_plus_one_ok(m.flats, m.flat_ranks, s, rho) \
+                == valid, (m, s, rho)
+            accepted += valid
+        return accepted
+
+    def test_every_short_chain(self):
+        accepted = 0
+        for length in range(1, 6):
+            for seq in product("if", repeat=length):
+                m = cf.nested_from_sequence("".join(seq))
+                accepted += self.agrees_with_validate(m)
+        assert accepted == 13  # of 1,475 cases
+
+    def test_seeded_chains_of_length_8(self):
+        rng = random.Random(8)
+        accepted = 0
+        for _ in range(40):
+            seq = "".join(rng.choice("if") for _ in range(8))
+            accepted += self.agrees_with_validate(cf.nested_from_sequence(seq))
+        assert accepted == 511  # of 35,028 cases

@@ -308,6 +308,23 @@ class TestIsomorphism:
         assert ok
         apply_witness(a, cf.relabel(a, "z:"), witness)
 
+    def test_two_mk4_and_gimenez_pair(self):
+        # 25 elements and 288 flats: the lattices are isomorphic, the class
+        # sizes are not
+        k4 = cf.catalog("mk4")
+
+        def host(n, sigma):
+            return cf.direct_sum(
+                cf.direct_sum(cf.relabel(k4, "a"), cf.relabel(k4, "b")),
+                cf.relabel(cf.gimenez_family(n, sigma), "g"))
+
+        assert cf.is_isomorphic(host(2, [1, 2]),
+                                host(2, [2, 1])) == (False, None)
+        # 27 elements, 360 flats, equal multisets of (|U|, class size):
+        # only the classes' places in the lattice tell them apart
+        assert cf.is_isomorphic(host(3, [2, 3, 1]),
+                                host(3, [3, 1, 2])) == (False, None)
+
     def test_past_former_element_cap(self):
         # 18 elements and 216 flats; 29 elements
         k4 = cf.catalog("mk4")
@@ -450,6 +467,49 @@ class TestHasMinor:
                 assert cf.has_minor(m, n) == _has_minor_sorted(m, n)
                 checked += 1
         assert checked > 50
+
+    def test_loop_and_coloop_counts_before_building(self):
+        # has_minor's counts from two rank_support calls on the host
+        rng = random.Random(4)
+        checked = 0
+        for seed in range(200):
+            m = cf.random_matroid(random.Random(seed))
+            full = m.ground.full
+            for _ in range(10):
+                c = rng.getrandbits(len(m.ground)) & full
+                d = rng.getrandbits(len(m.ground)) & full & ~c
+                cl_c = c | m.rank_support(c)[2]
+                inter = m.rank_support(full & ~d)[1]
+                got = cf.minor(m, cf.MinorSpec(c, d))
+                assert popcount(cl_c & ~(c | d)) == popcount(got.loops())
+                assert popcount(full & ~(d | inter | c)) \
+                    == popcount(got.isthmuses())
+                checked += 1
+        assert checked == 2000
+
+    def test_matches_sort_everything_order_on_larger_hosts(self):
+        patterns = [cf.uniform(1, 2), cf.uniform(2, 4), cf.uniform(1, 3),
+                    cf.excluded_minor_pn(2), cf.nested_from_sequence("ifif")]
+        found = 0
+        for seed in range(20):
+            host = cf.random_cw2_matroid(random.Random(seed), max_elems=7)
+            for n in patterns:
+                got = cf.has_minor(host, n)
+                assert got == _has_minor_sorted(host, n)
+                found += got[0]
+        rng = random.Random(8)
+        for _ in range(20):
+            seq = "".join(rng.choice("if") for _ in range(8))
+            keep = sorted(rng.sample(range(8), rng.randint(3, 4)))
+            host = cf.nested_from_sequence(seq)
+            pattern = cf.nested_from_sequence("".join(seq[i] for i in keep))
+            got = cf.has_minor(host, pattern)
+            assert got[0] and got == _has_minor_sorted(host, pattern)
+            p2 = cf.excluded_minor_pn(2)
+            assert cf.has_minor(host, p2) == (False, None) \
+                == _has_minor_sorted(host, p2)
+            found += 1
+        assert 20 < found < 120
 
     def test_first_candidate_is_the_only_minor_built(self, monkeypatch):
         built = []
