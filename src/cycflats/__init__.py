@@ -20,8 +20,9 @@ from .ops import (MinorSpec, contraction, direct_sum, dual, has_minor,
                   higgs_lift, is_isomorphic, minor, relabel, relax,
                   restriction, truncate)
 from .freeprod import free_coextension, free_extension, free_product
-from .tutte import (RankGenMatrix, rank_gen_brute, rank_gen_convolution,
-                    tutte_from_rank_gen, tutte_polynomial)
+from .tutte import (RankGenMatrix, rank_gen, rank_gen_brute,
+                    rank_gen_convolution, tutte_from_rank_gen,
+                    tutte_polynomial)
 from .build import (ChainMinor, Realization, all_lattices, catalog,
                     empty_matroid, excluded_minor_pn, gimenez_family,
                     nested_from_sequence, nested_sequence_of,

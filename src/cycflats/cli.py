@@ -132,8 +132,7 @@ def cmd_tutte(args) -> int:
                 "tutte --method convolution takes the two factor files")
         m = _load_matroid(args.files[0])
         n = _load_matroid(args.files[1])
-        conv = tutte.rank_gen_convolution(tutte.rank_gen_brute(m),
-                                          tutte.rank_gen_brute(n))
+        conv = tutte.rank_gen_convolution(tutte.rank_gen(m), tutte.rank_gen(n))
         poly = tutte.tutte_from_rank_gen(conv)
     sys.stdout.write(io.emit_poly(poly))
     return 0
@@ -292,7 +291,10 @@ def make_parser() -> argparse.ArgumentParser:
     p = add("tutte", cmd_tutte, help="Tutte polynomial")
     p.add_argument("files", nargs="+")
     p.add_argument("--method", choices=["brute", "convolution"],
-                   default="brute")
+                   default="brute",
+                   help="brute: of one matroid, from its cyclic flats; "
+                        "convolution: of the free product of two factor "
+                        "files, from the factors' rank generating matrices")
     p = add("width", cmd_width, help="cyclic width")
     p.add_argument("file")
     p = add("nested", cmd_nested, help="nested test and i/f sequence")

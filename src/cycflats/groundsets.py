@@ -31,6 +31,17 @@ def subset_key(mask: int) -> tuple:
     return (mask.bit_count(), tuple(bits(mask)))
 
 
+def element_classes(family, support: int) -> dict[int, int]:
+    """The elements of support grouped by their up-set {i : x in family[i]}:
+    maps each up-set, as a mask over indices of family, to its elements'
+    mask.  Classes come in order of their first element."""
+    classes: dict[int, int] = {}
+    for x in bits(support):
+        u = sum(1 << i for i, f in enumerate(family) if (f >> x) & 1)
+        classes[u] = classes.get(u, 0) | (1 << x)
+    return classes
+
+
 class GroundSet:
     """An ordered finite set of distinct element names."""
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import InvalidParameters, NotALattice, NotAMatroid, TooLarge
 from .groundsets import GroundSet, bits, popcount, subset_key
 from .lattices import family_lattice_tables
+
+if TYPE_CHECKING:  # numpy is imported by the table functions that use it
+    import numpy as np
 
 ENUM_CAP = 22  # largest ground set given a 2^n rank table
 # candidate subsets circuits() may test; on a uniform matroid every
@@ -154,7 +155,11 @@ class Matroid:
         return min(r + popcount(a & ~f) for f, r in self._rank_of.items())
 
     def rank_table(self) -> np.ndarray:
-        """Ranks of all 2^n subsets, indexed by mask (cached)."""
+        """Ranks of all 2^n subsets, indexed by mask (cached, uint8).
+
+        The grid of _grid_ranks with every element its own class of one,
+        so a profile is a subset and its grid index is its mask.
+        """
         if self._table is None:
             n = len(self.ground)
             if n > ENUM_CAP:
@@ -162,13 +167,7 @@ class Matroid:
                     f"rank_table would tabulate all subsets of {n} elements, "
                     f"over cap {ENUM_CAP} (ENUM_CAP); rank, closure, minor "
                     f"and dual need no table")
-            all_masks = np.arange(1 << n, dtype=np.uint64)
-            best = None
-            for f, r in self._rank_of.items():
-                cur = np.bitwise_count(all_masks & np.uint64(~f & self.ground.full))
-                cur = cur.astype(np.int64) + r
-                best = cur if best is None else np.minimum(best, cur)
-            self._table = best
+            self._table = _grid_ranks([1] * n, self._rank_of.items())
         return self._table
 
     def is_independent(self, i: int) -> bool:
@@ -305,6 +304,56 @@ def _violations(candidate: RankedFamily):
                     f"Y={set(ground.names(y)) or '{}'}")
 
 
+def _grid_ranks(radices, flats) -> np.ndarray:
+    """min over flats F of r(F) + sum of t_c over the classes c outside F,
+    at every profile t of a mixed-radix grid.
+
+    Axis c takes t_c = 0..radices[c] (axis 0 varies fastest, so with
+    every radix 1 the grid index of a subset is its mask); flats are
+    (mask of the axes inside F, r(F)).  Each value is the sum of one part
+    from the low axes and one from the high axes, so the grid is a
+    (high x low) min of outer sums of two short vectors.  Flats with the
+    same low part share one pass: their high parts are folded into one
+    vector first.  Returns the flattened grid in the smallest unsigned
+    dtype that holds the largest candidate value.
+    """
+    import numpy as np
+    flats = list(flats)
+    h = len(radices) // 2
+    low_mask = (1 << h) - 1
+    top = max(r + sum(k for c, k in enumerate(radices) if not inside >> c & 1)
+              for inside, r in flats)
+    dtype = np.min_scalar_type(top)
+
+    def part(axes, inside, base):
+        v = np.full(1, base, dtype=dtype)
+        for c in reversed(range(len(axes))):
+            k = axes[c] + 1
+            step = (np.zeros(k, dtype) if inside >> c & 1
+                    else np.arange(k, dtype=dtype))
+            v = np.add.outer(v, step).ravel()
+        return v
+
+    high_of = {}  # low part of F's inside mask -> min of the high parts
+    for inside, r in flats:
+        b = part(radices[h:], inside >> h, r)
+        low = inside & low_mask
+        if low in high_of:
+            np.minimum(high_of[low], b, out=high_of[low])
+        else:
+            high_of[low] = b
+    best = tmp = None
+    for low, b in high_of.items():
+        a = part(radices[:h], low, 0)
+        if best is None:
+            best = np.add.outer(b, a)
+            tmp = np.empty_like(best)
+        else:
+            np.add.outer(b, a, out=tmp)
+            np.minimum(best, tmp, out=best)
+    return best.ravel()
+
+
 def cyclic_flats_recompute(m: Matroid) -> RankedFamily:
     """Re-derive the cyclic flats of m from its rank oracle.
 
@@ -312,22 +361,22 @@ def cyclic_flats_recompute(m: Matroid) -> RankedFamily:
     raises the rank) and isthmus-free in restriction (removing any inside
     element keeps the rank).  Must reproduce m's family exactly.  Raises
     TooLarge past ENUM_CAP elements, before allocating.
+
+    Viewed as (-1, 2, 2^x), the table pairs each set without x (column
+    0) with the same set plus x (column 1); one comparison of the two
+    decides both tests for x.
     """
+    import numpy as np
     rt = m.rank_table()
-    n = len(m.ground)
-    all_masks = np.arange(1 << n, dtype=np.uint64)
-    good = np.ones(1 << n, dtype=bool)
-    for x in range(n):
-        bit = np.uint64(1 << x)
-        has = (all_masks & bit) != 0
-        with_x = rt[all_masks | bit]
-        without_x = rt[all_masks & ~bit]
-        # closed: x outside F implies rank increases when added
-        good &= has | (with_x > rt)
-        # no isthmus in restriction: x inside F implies rank unchanged on removal
-        good &= ~has | (without_x == rt)
-    found = [int(f) for f in all_masks[good]]
-    return RankedFamily(m.ground, [(f, int(rt[f])) for f in found])
+    good = np.ones(len(rt), dtype=bool)
+    for x in range(len(m.ground)):
+        v = rt.reshape(-1, 2, 1 << x)
+        g = good.reshape(-1, 2, 1 << x)
+        up = v[:, 1] > v[:, 0]
+        g[:, 0] &= up   # closed: adding x raises the rank
+        g[:, 1] &= ~up  # no isthmus: removing x keeps the rank
+    return RankedFamily(m.ground, [(int(f), int(rt[f]))
+                                   for f in np.flatnonzero(good)])
 
 
 @dataclass(frozen=True)

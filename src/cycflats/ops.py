@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import (InvalidParameters, NotRelaxable, OverlappingGroundSets,
                      RankZero, TooLarge)
-from .groundsets import GroundSet, bits, popcount
+from .groundsets import GroundSet, bits, element_classes, popcount
 from .matroid import Matroid, RankedFamily, validated
 from .lattices import _down_masks, _order_isomorphism
 
@@ -145,17 +145,6 @@ def higgs_lift(m: Matroid) -> Matroid:
 
 # -- isomorphism ---------------------------------------------------------
 
-def _element_classes(m: Matroid) -> dict[int, int]:
-    """Elements grouped by their up-set U(x) = {F in Z : x in F}: maps
-    each up-set, as a mask over flat indices, to its elements' mask.
-    Classes come in ground order of their first element."""
-    classes: dict[int, int] = {}
-    for x in bits(m.ground.full):
-        u = sum(1 << i for i, f in enumerate(m.flats) if (f >> x) & 1)
-        classes[u] = classes.get(u, 0) | (1 << x)
-    return classes
-
-
 def is_isomorphic(m: Matroid, n: Matroid):
     """Isomorphism of matroids, with a label bijection witness.
 
@@ -179,7 +168,8 @@ def is_isomorphic(m: Matroid, n: Matroid):
     colours_n = [(popcount(f), r) for f, r in zip(n.flats, n.flat_ranks)]
     if sorted(colours_m) != sorted(colours_n):
         return False, None
-    classes_m, classes_n = _element_classes(m), _element_classes(n)
+    classes_m = element_classes(m.flats, m.ground.full)
+    classes_n = element_classes(n.flats, n.ground.full)
 
     def image(u: int, phi) -> int:
         return sum(1 << phi[i] for i in bits(u))

@@ -2,19 +2,30 @@
 
 R(M; x, y) = sum over subsets A of x^(r(M)-r(A)) y^(|A|-r(A)), stored as
 a dense (corank x nullity) matrix of exact integers.  The Tutte
-polynomial is t(M; x, y) = R(M; x-1, y-1).  The free-product convolution
-combines two such matrices coefficientwise; brute-force enumeration is
-the independent oracle.
+polynomial is t(M; x, y) = R(M; x-1, y-1).
+
+rank_gen computes R from the cyclic flats, with no 2^n table.  Loops and
+coloops factor out as (1+y)^l and (1+x)^c, and R of a direct sum is the
+product of the summands' R, so the rest is split into its connected
+components.  In a component S, r(A) = min over F in Z of
+r(F) + |A - (F n S)| depends only on how many elements A takes from each
+class of elements of S lying in the same sets F n S.  So R(M|S) is a sum
+over the class profiles t, each weighted by prod C(|c|, t_c), the number
+of subsets with that profile.  The grid has prod (|c| + 1) <= 2^|S|
+cells; one over 2^ENUM_CAP cells raises TooLarge before it is built.
+
+rank_gen_brute enumerates all 2^n subsets and is the oracle.  The
+free-product convolution combines two matrices coefficientwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
-import numpy as np
-
-from .matroid import Matroid
+from .errors import TooLarge
+from .groundsets import bits, element_classes, popcount
+from .matroid import ENUM_CAP, Matroid, _grid_ranks
 
 
 @dataclass(frozen=True)
@@ -37,25 +48,118 @@ class RankGenMatrix:
                 for j, c in enumerate(row) if c]
 
 
+def _tally(ranks, sizes, rank: int, nullity: int, weights=None):
+    """The (corank x nullity) coefficients of R from a grid of ranks and
+    one of sizes: each cell adds weights[cell] (or 1) at corank
+    rank - r and nullity size - r, tallied by the key nullity*(rank+1) +
+    corank."""
+    import numpy as np
+    cells = (nullity + 1) * (rank + 1)
+    kt = np.min_scalar_type(cells - 1)
+    key = (sizes - ranks).astype(kt) * (rank + 1) + (rank - ranks)
+    if weights is None:
+        counts = np.bincount(key, minlength=cells)
+    else:
+        counts = np.zeros(cells, weights.dtype)
+        np.add.at(counts, key, weights)
+    return counts.reshape(nullity + 1, rank + 1).T.tolist()
+
+
 def rank_gen_brute(m: Matroid) -> RankGenMatrix:
     """Exact coefficient matrix by enumerating all 2^|E| subsets."""
     n = len(m.ground)
     rt = m.rank_table()
-    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-    corank = m.matroid_rank - rt
-    nullity = sizes - rt
-    grid = np.zeros((m.matroid_rank + 1, n - m.matroid_rank + 1), dtype=np.int64)
-    np.add.at(grid, (corank, nullity), 1)
-    return RankGenMatrix(tuple(tuple(int(c) for c in row) for row in grid))
+    sizes = _grid_ranks([1] * n, [(0, 0)])  # |A|: its rank in U_{n,n}
+    coeffs = _tally(rt, sizes, m.matroid_rank, n - m.matroid_rank)
+    return RankGenMatrix(tuple(map(tuple, coeffs)))
+
+
+def _components(m: Matroid, support: int) -> list[int]:
+    """Connected components of m restricted to support, which holds no
+    loop and no coloop.  They are the components of the fundamental
+    graph of a greedy basis B (Krogdahl), which joins each e outside B
+    to every b in its fundamental circuit: b is there iff B - b + e is
+    independent."""
+    basis = 0
+    for x in bits(support):
+        if m.is_independent(basis | 1 << x):
+            basis |= 1 << x
+    parts = []
+    for e in bits(support & ~basis):
+        joined = 1 << e
+        for b in bits(basis):
+            if m.is_independent(basis & ~(1 << b) | 1 << e):
+                joined |= 1 << b
+        keep = []
+        for part in parts:  # parts are disjoint: merge those joined meets
+            if part & joined:
+                joined |= part
+            else:
+                keep.append(part)
+        parts = keep + [joined]
+    return parts
+
+
+def _component_rank_gen(m: Matroid, s: int) -> list[list[int]]:
+    """R(M|S) of a connected component S, summed over class profiles."""
+    import numpy as np
+    proj = {}  # F n S -> the least r(F)
+    for f, r in zip(m.flats, m.flat_ranks):
+        if r < proj.get(f & s, r + 1):
+            proj[f & s] = r
+    classes = list(element_classes(list(proj), s).items())
+    radices = [popcount(c) for _, c in classes]
+    n = popcount(s)
+    cells = prod(k + 1 for k in radices)
+    if cells > 1 << ENUM_CAP:
+        raise TooLarge(
+            f"rank_gen would sum a grid of {cells} class profiles for a "
+            f"connected component of {n} elements, over cap 2^{ENUM_CAP} "
+            f"(ENUM_CAP); rank_gen_convolution gives R of a free product "
+            f"from its factors")
+    flats = [(sum(1 << c for c, (u, _) in enumerate(classes) if u >> i & 1), r)
+             for i, r in enumerate(proj.values())]
+    rank = min(r + popcount(s & ~g) for g, r in proj.items())
+    # exact sums: int64 holds every sum, at most 2^n, while n <= 62
+    dtype = np.int64 if n <= 62 else object
+    weights = np.ones(1, dtype)
+    for k in reversed(radices):
+        row = np.array([comb(k, t) for t in range(k + 1)], dtype)
+        weights = np.multiply.outer(weights, row).ravel()
+    return _tally(_grid_ranks(radices, flats), _grid_ranks(radices, [(0, 0)]),
+                  rank, n - rank, weights)
+
+
+def _poly_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Product of two polynomials in x, y given as coefficient matrices."""
+    out = [[0] * (len(a[0]) + len(b[0]) - 1) for _ in range(len(a) + len(b) - 1)]
+    for i, row_a in enumerate(a):
+        for j, x in enumerate(row_a):
+            if x:
+                for k, row_b in enumerate(b):
+                    for l, y in enumerate(row_b):
+                        out[i + k][j + l] += x * y
+    return out
+
+
+def rank_gen(m: Matroid) -> RankGenMatrix:
+    """Exact coefficient matrix from the cyclic flats (module docstring):
+    (1+y)^loops (1+x)^coloops times R of each connected component."""
+    loops, coloops = popcount(m.loops()), popcount(m.isthmuses())
+    coeffs = _poly_mul([[comb(loops, j) for j in range(loops + 1)]],
+                       [[comb(coloops, i)] for i in range(coloops + 1)])
+    for s in _components(m, m.top & ~m.bottom):
+        coeffs = _poly_mul(coeffs, _component_rank_gen(m, s))
+    return RankGenMatrix(tuple(map(tuple, coeffs)))
 
 
 def tutte_polynomial(m: Matroid) -> dict[tuple[int, int], int]:
     """t(M; x, y) as a map (x_exp, y_exp) -> coefficient.
 
-    Obtained from R by the substitution x -> x-1, y -> y-1 expanded with
-    binomial coefficients; only nonzero terms are kept.
+    Obtained from R = rank_gen(m) by the substitution x -> x-1, y -> y-1
+    expanded with binomial coefficients; only nonzero terms are kept.
     """
-    return tutte_from_rank_gen(rank_gen_brute(m))
+    return tutte_from_rank_gen(rank_gen(m))
 
 
 def rank_gen_convolution(rm: RankGenMatrix,

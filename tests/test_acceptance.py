@@ -12,6 +12,7 @@ import numpy as np
 
 import cycflats as cf
 from cycflats.groundsets import bits, popcount
+from cycflats.matroid import ENUM_CAP
 from conftest import build_catalog
 
 
@@ -229,6 +230,9 @@ def test_criterion_12_duality_suite(catalog):
         t = cf.tutte_polynomial(m)
         td = cf.tutte_polynomial(cf.dual(m))
         assert td == {(q, p): c for (p, q), c in t.items()}, name
+        if len(m.ground) <= ENUM_CAP:
+            # tutte_polynomial works from Z(M); keep the brute oracle
+            assert t == cf.tutte_from_rank_gen(cf.rank_gen_brute(m)), name
         if len(m.ground) <= 8:
             for x in range(len(m.ground)):
                 lhs = cf.dual(cf.minor(m, cf.MinorSpec(0, 1 << x)))

@@ -4,7 +4,10 @@ and a property test of the 0/1/2 exit-code contract."""
 import contextlib
 import io as textio
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,10 +172,34 @@ class TestTutte:
         assert code == 0
         assert conv_out == brute_out
 
+    def test_past_the_rank_table_cap(self, run, tmp_path):
+        m = cf.gimenez_family(6, [2, 4, 6, 1, 3, 5])
+        assert len(m.ground) == 29
+        path = tmp_path / "gimenez6.json"
+        path.write_text(io.emit_matroid(m))
+        code, out, err = run("tutte", path)
+        assert (code, err) == (0, "")
+        assert out == io.emit_poly(cf.tutte_polynomial(m))
+
     def test_wrong_file_count(self, run):
         code, _, err = run("tutte", "--method", "convolution", FX / "u24.json")
         assert code == 2
         assert "error:" in err
+
+
+def test_table_free_commands_do_not_import_numpy():
+    script = (
+        "import sys\n"
+        "import cycflats\n"
+        "assert 'numpy' not in sys.modules, 'import cycflats'\n"
+        "from cycflats import cli\n"
+        f"assert cli.main(['validate', {str(FX / 'mk4.json')!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'validate'\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestAnalysis:

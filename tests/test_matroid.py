@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import cycflats as cf
 from cycflats.groundsets import bits, popcount
-from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP
+from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP, _grid_ranks
 
 
 def rf(labels, sets):
@@ -127,6 +128,46 @@ class TestRankOracle:
                     assert rt[a] <= rt[a | (1 << x)] <= rt[a] + 1, name
 
 
+    def test_rank_table_on_zero_and_one_element(self, catalog):
+        for name in ["empty", "u01", "u11"]:
+            m = catalog[name]
+            table = m.rank_table()
+            assert len(table) == 1 << len(m.ground), name
+            assert [int(r) for r in table] == \
+                [m.rank(a) for a in range(1 << len(m.ground))], name
+
+    def test_rank_table_odd_ground_sampled(self):
+        # 17 elements: the grid's low half is elements 0-7, so the flats
+        # of the U_{2,5} summand (elements 6-10) lie in both halves
+        mk4 = cf.catalog("mk4")
+        m = cf.direct_sum(cf.direct_sum(cf.relabel(mk4, "a:"),
+                                        cf.uniform(2, 5, list("vwxyz"))),
+                          cf.relabel(mk4, "b:"))
+        nested = cf.nested_from_sequence("ififfiiffifiifffiif")
+        rng = random.Random(17)
+        for m in (m, nested):
+            n = len(m.ground)
+            assert n % 2 == 1 and n >= 17
+            table = m.rank_table()
+            assert len(table) == 1 << n
+            masks = [0, m.ground.full] + [rng.getrandbits(n) for _ in range(3000)]
+            for a in masks:
+                assert table[a] == m.rank(a), (n, a)
+
+    def test_grid_ranks_mixed_radix(self):
+        radices = [2, 1, 3, 1, 2]
+        flats = [(0b00000, 0), (0b00101, 2), (0b11001, 3), (0b10110, 4),
+                 (0b11111, 6)]
+        grid = _grid_ranks(radices, flats)
+        # axis 0 varies fastest
+        cells = [t[::-1] for t in product(*(range(k + 1) for k in radices[::-1]))]
+        assert len(grid) == len(cells)
+        for g, t in zip(grid, cells):
+            assert g == min(r + sum(tc for c, tc in enumerate(t)
+                                    if not inside >> c & 1)
+                            for inside, r in flats), t
+
+
 class TestIndependence:
     def test_matches_rank(self, small_catalog):
         for name, m in small_catalog.items():
@@ -207,6 +248,19 @@ class TestCyclicFlatsRecompute:
             if len(m.ground) > 16:
                 continue
             assert cf.cyclic_flats_recompute(m) == m.ranked_family(), name
+
+    def test_fixpoint_on_three_copies_of_mk4(self):
+        mk4 = cf.catalog("mk4")
+        m = cf.direct_sum(cf.direct_sum(cf.relabel(mk4, "a:"),
+                                        cf.relabel(mk4, "b:")),
+                          cf.relabel(mk4, "c:"))
+        assert (len(m.ground), len(m.flats)) == (18, 216)
+        assert cf.cyclic_flats_recompute(m) == m.ranked_family()
+
+    def test_fixpoint_on_nested_19(self):
+        m = cf.nested_from_sequence("ififfiiffifiifffiif")
+        assert len(m.ground) == 19
+        assert cf.cyclic_flats_recompute(m) == m.ranked_family()
 
     def test_cap(self):
         m = cf.uniform(1, ENUM_CAP + 1)

@@ -1,9 +1,15 @@
+import random
 from itertools import product
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
-from cycflats.tutte import (RankGenMatrix, rank_gen_brute,
-                            rank_gen_convolution, tutte_from_rank_gen,
-                            tutte_polynomial)
+from cycflats.matroid import ENUM_CAP
+from cycflats.tutte import (RankGenMatrix, _components, rank_gen,
+                            rank_gen_brute, rank_gen_convolution,
+                            tutte_from_rank_gen, tutte_polynomial)
 
 
 def poly_mul(p, q):
@@ -132,3 +138,97 @@ class TestRankGenMatrix:
     def test_shape(self, catalog):
         rgm = rank_gen_brute(catalog["u24"])
         assert (rgm.corank_max, rgm.nullity_max) == (2, 2)
+
+
+def mk4_sum(copies):
+    """The direct sum of relabelled copies of M(K4)."""
+    m = cf.relabel(cf.catalog("mk4"), "a0:")
+    for i in range(1, copies):
+        m = cf.direct_sum(m, cf.relabel(cf.catalog("mk4"), f"a{i}:"))
+    return m
+
+
+def uniform_rank_gen(r, n):
+    """R(U_{r,n}): the C(n, k) k-subsets sit at corank r - min(k, r) and
+    nullity k - min(k, r)."""
+    coeffs = [[0] * (n - r + 1) for _ in range(r + 1)]
+    for k in range(n + 1):
+        coeffs[r - min(k, r)][k - min(k, r)] += comb(n, k)
+    return RankGenMatrix(tuple(map(tuple, coeffs)))
+
+
+class TestRankGen:
+    """rank_gen, from the cyclic flats, against the brute-force oracle."""
+
+    def test_catalog(self, catalog):
+        assert "u01+u11" in catalog and "empty" in catalog
+        for name, m in catalog.items():
+            assert rank_gen(m) == rank_gen_brute(m), name
+
+    def test_random_matroids(self):
+        for seed in range(60):
+            m = cf.random_matroid(random.Random(seed), 14)
+            assert rank_gen(m) == rank_gen_brute(m), seed
+
+    def test_random_cw2_matroids(self):
+        for seed in range(30):
+            m = cf.random_cw2_matroid(random.Random(seed), 10)
+            assert rank_gen(m) == rank_gen_brute(m), seed
+
+    def test_direct_sums_and_free_products(self, catalog):
+        names = ["u01", "u11", "u12", "u24", "nested:fif", "p2", "mk4",
+                 "gimenez1:id"]
+        for an, bn in product(names, repeat=2):
+            a = catalog[an]
+            b = cf.relabel(catalog[bn], "r:")
+            for m in (cf.direct_sum(a, b), cf.free_product(a, b)):
+                assert rank_gen(m) == rank_gen_brute(m), (an, bn)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(seed_a=st.integers(0, 10**6), seed_b=st.integers(0, 10**6))
+    def test_convolution_of_rank_gens(self, seed_a, seed_b):
+        a = cf.random_matroid(random.Random(seed_a), 10)
+        b = cf.relabel(cf.random_matroid(random.Random(seed_b), 10), "r:")
+        assert rank_gen_convolution(rank_gen(a), rank_gen(b)) == \
+            rank_gen(cf.free_product(a, b))
+
+    def test_components(self):
+        m = mk4_sum(3)
+        parts = _components(m, m.top & ~m.bottom)
+        assert sorted(parts) == [0o77 << (6 * i) for i in range(3)]
+        p = cf.free_product(cf.catalog("mk4"), cf.relabel(cf.catalog("mk4"), "r:"))
+        assert _components(p, p.top & ~p.bottom) == [p.ground.full]
+
+
+class TestTuttePastTheCap:
+    def test_four_copies_of_mk4(self):
+        m = mk4_sum(4)
+        assert len(m.ground) == 24 > ENUM_CAP
+        t = tutte_polynomial(cf.catalog("mk4"))
+        assert tutte_polynomial(m) == poly_mul(poly_mul(t, t), poly_mul(t, t))
+        assert m._table is None
+
+    def test_uniform_40_80_exact_past_int64(self):
+        rgm = rank_gen(cf.uniform(40, 80))
+        assert rgm == uniform_rank_gen(40, 80)
+        assert max(c for _, _, c in rgm.terms()) == comb(80, 40) > 2 ** 63
+        assert tutte_polynomial(cf.uniform(40, 80)) == \
+            tutte_from_rank_gen(uniform_rank_gen(40, 80))
+
+    def test_gimenez_members(self):
+        for n in (6, 7):
+            m = cf.gimenez_family(n, list(range(n, 0, -1)))
+            rgm = rank_gen(m)
+            assert total(rgm) == 1 << len(m.ground)
+            assert rank_gen(cf.dual(m)) == transpose(rgm)
+
+    def test_connected_grid_over_cap(self):
+        m = cf.relabel(cf.catalog("mk4"), "a:")
+        for p in "bcd":
+            m = cf.free_product(m, cf.relabel(cf.catalog("mk4"), f"{p}:"))
+        assert len(m.ground) == 24
+        with pytest.raises(cf.TooLarge) as err:
+            tutte_polynomial(m)
+        assert f"{1 << 24} class profiles" in str(err.value)
+        assert f"cap 2^{ENUM_CAP} (ENUM_CAP)" in str(err.value)
