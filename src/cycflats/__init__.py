@@ -24,11 +24,10 @@ from .tutte import (RankGenMatrix, rank_gen, rank_gen_brute,
                     rank_gen_convolution, tutte_from_rank_gen,
                     tutte_polynomial)
 from .build import (ChainMinor, Realization, all_lattices, catalog,
-                    empty_matroid, excluded_minor_pn, gimenez_family,
-                    nested_from_sequence, nested_sequence_of,
-                    nested_subsequence_minor, random_cw2_matroid,
-                    random_matroid, realize_lattice, uniform,
-                    uniform_minor_from_chain)
+                    excluded_minor_pn, gimenez_family, nested_from_sequence,
+                    nested_sequence_of, nested_subsequence_minor,
+                    random_cw2_matroid, random_matroid, realize_lattice,
+                    uniform, uniform_minor_from_chain)
 from .widths import bitransversal_cert, cyclic_width, ingleton_transversal
 
 __version__ = "0.1.0"

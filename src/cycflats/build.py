@@ -39,10 +39,6 @@ def uniform(r: int, n: int, labels=None) -> Matroid:
     return Matroid.from_labels(labels, sets)
 
 
-def empty_matroid() -> Matroid:
-    return Matroid.from_labels([], [([], 0)])
-
-
 # -- lattice realization ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -104,21 +100,25 @@ def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
 # -- nested matroids ----------------------------------------------------
 
 def nested_from_sequence(seq: str) -> Matroid:
-    """Fold an i/f sequence into a nested matroid.
+    """The nested matroid of an i/f sequence, as its chain of cyclic flats.
 
     'i' adds a fresh isthmus (cyclic flats unchanged); 'f' adds a fresh
-    element freely.  Elements are labeled e1, e2, ... in step order.
+    element freely, M box U_{0,1}, whose cyclic flats are M's without
+    E(M), and E(M) + e at rank r(M).  Elements are e1, e2, ... in order.
     """
     if any(c not in "if" for c in seq):
         raise InvalidParameters(f"sequence must be over 'i'/'f': {seq!r}")
-    m = empty_matroid()
-    for pos, step in enumerate(seq, start=1):
-        label = f"e{pos}"
+    chain = [(0, 0)]  # the empty matroid
+    rank = 0
+    for pos, step in enumerate(seq):
         if step == "i":
-            m = direct_sum(m, uniform(1, 1, [label]))
-        else:
-            m = free_extension(m, label)
-    return m
+            rank += 1
+            continue
+        if chain[-1][0] == (1 << pos) - 1:
+            chain.pop()  # E(M) is no longer closed
+        chain.append(((2 << pos) - 1, rank))
+    labels = [f"e{pos}" for pos in range(1, len(seq) + 1)]
+    return validated(RankedFamily(GroundSet(labels), chain))
 
 
 def nested_sequence_of(m: Matroid) -> str:
@@ -171,15 +171,15 @@ def nested_subsequence_minor(seq_n: str, seq_m: str):
 # -- excluded minors and the permutation family --------------------------
 
 def excluded_minor_pn(n: int) -> Matroid:
-    """P_n: the truncation to rank n of U_{n-1,n} + U_{n-1,n}."""
+    """P_n: the truncation to rank n of U_{n-1,n} + U_{n-1,n}, so
+    Z(P_n) = {{}: 0, A: n-1, B: n-1, A u B: n} with A = {a1..an} and
+    B = {b1..bn}: truncation keeps the flats of rank below n."""
     if n < 2:
         raise InvalidParameters(f"need n >= 2, got {n}")
-    left = uniform(n - 1, n, [f"a{i}" for i in range(1, n + 1)])
-    right = uniform(n - 1, n, [f"b{i}" for i in range(1, n + 1)])
-    m = direct_sum(left, right)
-    while m.matroid_rank > n:
-        m = truncate(m)
-    return m
+    a = [f"a{i}" for i in range(1, n + 1)]
+    b = [f"b{i}" for i in range(1, n + 1)]
+    return Matroid.from_labels(
+        a + b, [([], 0), (a, n - 1), (b, n - 1), (a + b, n)])
 
 
 def gimenez_family(n: int, sigma) -> Matroid:

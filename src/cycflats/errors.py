@@ -36,7 +36,7 @@ class OverlappingGroundSets(CycflatsError):
 
 
 class RankZero(CycflatsError):
-    """Truncation of a rank-0 matroid."""
+    """Truncation of a rank-0 matroid, or Higgs lift of one with r = |E|."""
 
 
 class TooLarge(CycflatsError):

@@ -31,19 +31,18 @@ def free_product(m: Matroid, n: Matroid) -> Matroid:
     return validated(RankedFamily(ground, entries))
 
 
-def _fresh_label(ground: GroundSet) -> str:
-    taken = set(ground.labels)
-    for i in count():
-        if f"e{i}" not in taken:
-            return f"e{i}"
+def _new_label(ground: GroundSet, label: str | None) -> str:
+    """label, or the first free e0, e1, ... if None; LabelInUse if taken."""
+    if label is None:
+        return next(f"e{i}" for i in count() if f"e{i}" not in ground.index)
+    if label in ground.index:
+        raise LabelInUse(f"label {label!r} already in ground set")
+    return label
 
 
 def free_extension(m: Matroid, label: str | None = None) -> Matroid:
     """M + e: add an element as freely as possible (M box U_{0,1})."""
-    if label is None:
-        label = _fresh_label(m.ground)
-    elif label in m.ground.index:
-        raise LabelInUse(f"label {label!r} already in ground set")
+    label = _new_label(m.ground, label)
     point = Matroid.from_labels([label], [([label], 0)])  # U_{0,1}
     return free_product(m, point)
 
@@ -51,9 +50,6 @@ def free_extension(m: Matroid, label: str | None = None) -> Matroid:
 def free_coextension(m: Matroid, label: str | None = None) -> Matroid:
     """The dual operation: U_{1,1} box M; every nonempty cyclic flat is
     augmented by the new element and all ranks increase by 1."""
-    if label is None:
-        label = _fresh_label(m.ground)
-    elif label in m.ground.index:
-        raise LabelInUse(f"label {label!r} already in ground set")
+    label = _new_label(m.ground, label)
     point = Matroid.from_labels([label], [([], 0)])  # U_{1,1}
     return free_product(point, m)

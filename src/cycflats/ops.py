@@ -1,8 +1,8 @@
 """Duality, minors, relaxation, direct sums, truncation, isomorphism.
 
-Everything operates on the cyclic-flats representation.  Minors follow
-one rule on the cyclic flats (see minor), so they, truncation and the
-Higgs lift never enumerate subsets and work past ENUM_CAP.  Isomorphism
+Everything operates on the cyclic-flats representation.  Minors,
+truncation and the Higgs lift each follow one rule on the cyclic flats,
+so they never enumerate subsets and work past ENUM_CAP.  Isomorphism
 is a search over the lattices of cyclic flats, not the ground sets (see
 is_isomorphic), so it has no element cap.
 """
@@ -127,20 +127,25 @@ def direct_sum(m: Matroid, n: Matroid) -> Matroid:
 
 
 def truncate(m: Matroid) -> Matroid:
-    """Truncation: free extension by a fresh element, then contract it."""
-    from .freeprod import free_extension  # cycle: freeprod builds on ops
-    if m.matroid_rank == 0:
+    """Truncation: the cyclic flats F with r(F) < r(M) - 1, and E at rank
+    r(M) - 1, as the rank min(r(A), r(M) - 1) keeps sets below r(M) - 1
+    and makes E the only flat above, with no isthmus."""
+    rank = m.matroid_rank - 1
+    if rank < 0:
         raise RankZero("cannot truncate a rank-0 matroid")
-    ext = free_extension(m)
-    e = 1 << (len(ext.ground) - 1)
-    trunc = contraction(ext, e)
-    # contraction keeps the original labels and their order
-    return trunc
+    entries = [(f, r) for f, r in zip(m.flats, m.flat_ranks) if r < rank]
+    return validated(RankedFamily(m.ground, entries + [(m.ground.full, rank)]))
 
 
 def higgs_lift(m: Matroid) -> Matroid:
-    """The Higgs lift: dual of the truncation of the dual."""
-    return dual(truncate(dual(m)))
+    """The Higgs lift: the cyclic flats F with |F| - r(F) >= 2 at rank
+    r(F) + 1, and the empty set at rank 0, as the dual of truncate's
+    rule on M* (E - F is kept iff r*(E - F) < r(M*) - 1)."""
+    if m.nullity == 0:
+        raise RankZero("cannot lift a matroid of full rank r(M) = |E|")
+    entries = [(f, r + 1) for f, r in zip(m.flats, m.flat_ranks)
+               if popcount(f) - r >= 2]
+    return validated(RankedFamily(m.ground, entries + [(0, 0)]))
 
 
 # -- isomorphism ---------------------------------------------------------

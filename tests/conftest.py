@@ -14,7 +14,7 @@ def build_catalog():
     def put(name, m):
         entries[name] = m
 
-    put("empty", cf.empty_matroid())
+    put("empty", cf.uniform(0, 0))
     put("u01", cf.uniform(0, 1))
     put("u11", cf.uniform(1, 1))
     put("u12", cf.uniform(1, 2))

@@ -144,7 +144,25 @@ class TestRealizeLattice:
             cf.realize_lattice(lat, "fancy")
 
 
+def _nested_by_fold(seq):
+    """Reference nested matroid: from the empty matroid, a direct sum with
+    U_{1,1} for each 'i' and a free extension for each 'f'."""
+    m = cf.uniform(0, 0)
+    for pos, step in enumerate(seq, start=1):
+        if step == "i":
+            m = cf.direct_sum(m, cf.uniform(1, 1, [f"e{pos}"]))
+        else:
+            m = cf.free_extension(m, f"e{pos}")
+    return m
+
+
 class TestNested:
+    def test_matches_sum_and_extension_fold(self):
+        for n in range(11):
+            for seq in product("if", repeat=n):
+                seq = "".join(seq)
+                assert cf.nested_from_sequence(seq) == _nested_by_fold(seq)
+
     def test_round_trip_all_short_sequences(self):
         for n in range(0, 6):
             for bits_ in range(1 << n):
@@ -198,6 +216,16 @@ class TestNested:
 
 
 class TestExcludedMinorPn:
+    def test_matches_truncated_sum(self):
+        # each truncation as a free extension followed by its contraction
+        for n in range(2, 9):
+            m = cf.direct_sum(
+                cf.uniform(n - 1, n, [f"a{i}" for i in range(1, n + 1)]),
+                cf.uniform(n - 1, n, [f"b{i}" for i in range(1, n + 1)]))
+            while m.matroid_rank > n:
+                m = cf.contraction(cf.free_extension(m), 1 << len(m.ground))
+            assert cf.excluded_minor_pn(n) == m, n
+
     def test_shape(self):
         for n in (2, 3, 4):
             p = cf.excluded_minor_pn(n)

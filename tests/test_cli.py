@@ -145,6 +145,14 @@ class TestOperations:
         got = cf.validate(io.doc_to_ranked_family(json.loads(out)))
         assert code == 0 and cf.is_isomorphic(got, cf.uniform(3, 4))[0]
 
+    def test_lift_full_rank_is_a_violation(self, run, tmp_path):
+        path = tmp_path / "u22.json"
+        path.write_text(io.emit_matroid(cf.uniform(2, 2)))
+        code, out, _ = run("lift", path)
+        assert code == 1
+        assert out == ("violation: cannot lift a matroid of full rank "
+                       "r(M) = |E|\n")
+
     def test_truncate_past_enumeration_cap(self, run, tmp_path):
         path = tmp_path / "u330.json"
         path.write_text(io.emit_matroid(cf.uniform(3, 30)))

@@ -211,7 +211,27 @@ class TestDirectSum:
         assert got == expect
 
 
+def _truncate_by_extension(m):
+    """Reference truncation: free extension by a fresh element, then
+    contract it."""
+    ext = cf.free_extension(m)
+    return cf.contraction(ext, 1 << len(m.ground))
+
+
+def _differential_matroids(catalog):
+    """The catalog and 100 seeds each of the two random generators."""
+    yield from catalog.items()
+    for seed in range(100):
+        yield f"random:{seed}", cf.random_matroid(random.Random(seed))
+        yield f"cw2:{seed}", cf.random_cw2_matroid(random.Random(seed))
+
+
 class TestTruncate:
+    def test_matches_extension_then_contraction(self, catalog):
+        for name, m in _differential_matroids(catalog):
+            if m.matroid_rank >= 1:
+                assert cf.truncate(m) == _truncate_by_extension(m), name
+
     def test_u24(self, catalog):
         t = cf.truncate(catalog["u24"])
         assert cf.is_isomorphic(t, cf.uniform(1, 4))[0]
@@ -236,6 +256,17 @@ class TestTruncate:
 
 
 class TestHiggsLift:
+    def test_matches_dual_truncate_dual(self, catalog):
+        for name, m in _differential_matroids(catalog):
+            if m.nullity >= 1:
+                ref = cf.dual(_truncate_by_extension(cf.dual(m)))
+                assert cf.higgs_lift(m) == ref, name
+
+    def test_full_rank(self, catalog):
+        for name in ("empty", "u11", "u33"):
+            with pytest.raises(cf.RankZero, match="lift"):
+                cf.higgs_lift(catalog[name])
+
     def test_u12(self, catalog):
         assert cf.is_isomorphic(cf.higgs_lift(catalog["u12"]),
                                 cf.uniform(2, 2))[0]
