@@ -16,7 +16,7 @@ from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
 from .groundsets import GroundSet, bits, popcount
 from .lattices import (FiniteLattice, _converse, _tables_from_down, is_chain,
                        poset_isomorphic)
-from .matroid import Matroid, RankedFamily, validate, validated
+from .matroid import Matroid, RankedFamily, validate
 from .ops import MinorSpec, direct_sum, dual, minor, truncate
 from .freeprod import free_extension, free_product
 
@@ -93,7 +93,7 @@ def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
                 mask |= block[y]
             entries.append((mask, popcount(v[z])))
             witness.append((lat.elements[z], mask))
-    m = validated(RankedFamily(GroundSet(labels), entries))
+    m = validate(RankedFamily(GroundSet(labels), entries))
     return Realization(m, tuple(witness))
 
 
@@ -118,7 +118,7 @@ def nested_from_sequence(seq: str) -> Matroid:
             chain.pop()  # E(M) is no longer closed
         chain.append(((2 << pos) - 1, rank))
     labels = [f"e{pos}" for pos in range(1, len(seq) + 1)]
-    return validated(RankedFamily(GroundSet(labels), chain))
+    return validate(RankedFamily(GroundSet(labels), chain))
 
 
 def nested_sequence_of(m: Matroid) -> str:
@@ -409,9 +409,10 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
           s (the meet and join of s with every incomparable f_i),
           rho + r_i >= r(hi) + r(lo) + |(s n f_i) - lo| for each f_i
           strictly between them; comparable pairs meet Z3 with equality.
-    Only a candidate that passes goes to validate, which stays the gate.
-    The rule agrees with validate, so each seed gives the matroid that
-    validating every candidate would.
+    The first candidate that passes is returned through validate, which
+    stays the gate: the rule agrees with validate, so each seed gives the
+    matroid that validating every candidate would, and a disagreement
+    raises NotAMatroid.
     """
     for _ in range(20):
         length = rng.randint(2, max_elems)
@@ -425,11 +426,8 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
         for s, rho in candidates[:400]:
             if all(s & ~f == 0 or f & ~s == 0 for f in m.flats):
                 continue  # a member, or comparable to every member
-            if not _chain_plus_one_ok(m.flats, m.flat_ranks, s, rho):
-                continue
-            result = validate(RankedFamily(m.ground, base + [(s, rho)]))
-            if isinstance(result, Matroid):
-                return result
+            if _chain_plus_one_ok(m.flats, m.flat_ranks, s, rho):
+                return validate(RankedFamily(m.ground, base + [(s, rho)]))
     return m  # fallback: the chain itself (cyclic width 1)
 
 

@@ -13,21 +13,22 @@ import sys
 
 from . import build, io, ops, tutte, widths
 from .errors import (ChainTooShort, CycflatsError, InvalidParameters,
-                     NotNested, NotRelaxable, RankZero)
+                     NotAMatroid, NotNested, NotRelaxable, RankZero)
 from .freeprod import free_product
-from .matroid import (AxiomViolation, Matroid, basic_stats,
-                      cyclic_flats_recompute, validate)
+from .matroid import Matroid, basic_stats, cyclic_flats_recompute, validate
 
 
 def _load_matroid(path) -> Matroid:
-    result = validate(io.parse_matroid(path))
-    if isinstance(result, AxiomViolation):
-        raise CycflatsError(f"{path}: not a matroid: {result}")
-    return result
+    try:
+        return validate(io.parse_matroid(path))
+    except NotAMatroid as exc:
+        raise CycflatsError(f"{path}: not a matroid: {exc}") from None
 
 
 def _parse_set(ground, text: str) -> int:
     names = [t for t in text.split(",") if t] if text else []
+    if len(set(names)) != len(names):
+        raise InvalidParameters(f"repeated label in set {text!r}")
     return ground.mask(names)
 
 
@@ -36,11 +37,12 @@ def _print_doc(doc) -> None:
 
 
 def cmd_validate(args) -> int:
-    result = validate(io.parse_matroid(args.file))
-    if isinstance(result, AxiomViolation):
-        print(f"invalid: {result}")
+    try:
+        m = validate(io.parse_matroid(args.file))
+    except NotAMatroid as exc:
+        print(f"invalid: {exc}")
         return 1
-    print(f"valid, rank {result.matroid_rank}")
+    print(f"valid, rank {m.matroid_rank}")
     return 0
 
 
@@ -122,18 +124,16 @@ def cmd_lift(args) -> int:
 
 
 def cmd_tutte(args) -> int:
-    if args.method == "brute":
-        if len(args.files) != 1:
-            raise CycflatsError("tutte --method brute takes one matroid file")
+    if len(args.files) == 1:
         poly = tutte.tutte_polynomial(_load_matroid(args.files[0]))
-    else:
-        if len(args.files) != 2:
-            raise CycflatsError(
-                "tutte --method convolution takes the two factor files")
-        m = _load_matroid(args.files[0])
-        n = _load_matroid(args.files[1])
+    elif len(args.files) == 2:
+        m, n = map(_load_matroid, args.files)
         conv = tutte.rank_gen_convolution(tutte.rank_gen(m), tutte.rank_gen(n))
         poly = tutte.tutte_from_rank_gen(conv)
+    else:
+        raise CycflatsError(
+            f"tutte takes one matroid file, or the two factor files of a "
+            f"free product; got {len(args.files)}")
     sys.stdout.write(io.emit_poly(poly))
     return 0
 
@@ -289,12 +289,10 @@ def make_parser() -> argparse.ArgumentParser:
     p = add("lift", cmd_lift, help="Higgs lift")
     p.add_argument("file")
     p = add("tutte", cmd_tutte, help="Tutte polynomial")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--method", choices=["brute", "convolution"],
-                   default="brute",
-                   help="brute: of one matroid, from its cyclic flats; "
-                        "convolution: of the free product of two factor "
-                        "files, from the factors' rank generating matrices")
+    p.add_argument("files", nargs="+",
+                   help="one matroid file: T(M) from its cyclic flats; two "
+                        "factor files: T(M box N) from the factors' rank "
+                        "generating matrices")
     p = add("width", cmd_width, help="cyclic width")
     p.add_argument("file")
     p = add("nested", cmd_nested, help="nested test and i/f sequence")

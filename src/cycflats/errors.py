@@ -58,7 +58,8 @@ class InvalidParameters(CycflatsError):
 
 
 class NotAMatroid(InvalidParameters):
-    """A ranked family fails the cyclic-flat axioms; .violation says how."""
+    """Raised by matroid.validate when a ranked family fails Z0-Z3;
+    .violation is the first item of matroid.all_violations."""
 
     def __init__(self, violation):
         self.violation = violation

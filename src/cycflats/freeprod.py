@@ -12,7 +12,7 @@ from itertools import count
 
 from .errors import LabelInUse, OverlappingGroundSets
 from .groundsets import GroundSet
-from .matroid import Matroid, RankedFamily, validated
+from .matroid import Matroid, RankedFamily, validate
 
 
 def free_product(m: Matroid, n: Matroid) -> Matroid:
@@ -28,7 +28,7 @@ def free_product(m: Matroid, n: Matroid) -> Matroid:
                 for y, ry in zip(n.flats, n.flat_ranks) if y != 0]
     if m.isthmuses() == 0 and n.loops() == 0:
         entries.append((em, m.matroid_rank))
-    return validated(RankedFamily(ground, entries))
+    return validate(RankedFamily(ground, entries))
 
 
 def _new_label(ground: GroundSet, label: str | None) -> str:

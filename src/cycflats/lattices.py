@@ -19,11 +19,8 @@ class FiniteLattice:
     """A finite lattice: named elements, order relation, meet/join tables.
 
     down[i] is the bitmask (over element indices) of elements <= element i,
-    including i itself.  meet/join are total tables of element indices.
-    Down-masks are distinct (antisymmetry), so the meet of i and j is the
-    element whose down-mask equals down[i] & down[j], and the join the
-    element whose up-mask equals up[i] & up[j]; the tables are filled by
-    one dict lookup per pair.
+    including i itself.  meet/join are total tables of element indices,
+    filled by one lookup per pair (_bound_lookups).
     """
 
     __slots__ = ("elements", "down", "meet", "join", "bottom", "top")
@@ -127,20 +124,29 @@ def _converse(rel: Sequence[int]) -> list[int]:
     return out
 
 
+def _bound_lookups(down: Sequence[int]):
+    """(up, glb, lub) of a partial order given by its down-masks
+    (reflexive and transitive, in any index order).
+
+    Down-masks are distinct (antisymmetry), so the lower bounds of
+    {i, j} are down[i] & down[j], and a greatest one exists iff that is
+    the down-mask of some element: glb.get(down[i] & down[j]) is the
+    meet, or None.  Likewise lub.get(up[i] & up[j]) is the join, or None.
+    """
+    up = _converse(down)
+    return (up, {d: i for i, d in enumerate(down)},
+            {u: i for i, u in enumerate(up)})
+
+
 def _tables_from_down(down: Sequence[int]):
     """Meet/join tables, as lists of lists, from the down-masks of a
-    partial order (reflexive and transitive, in any index order).
-
-    The lower bounds of {i, j} are down[i] & down[j]; a greatest one
-    exists iff it is the down-mask of some element, found by one dict
-    lookup.  Joins likewise on up-masks.  Raises NotALattice(i, j,
-    reason), with element indices, for the first offending pair in index
-    order; the meet of a pair is checked before its join.
+    partial order, by the lookups of _bound_lookups.  Raises
+    NotALattice(i, j, reason), with element indices, for the first
+    offending pair in index order; the meet of a pair is checked before
+    its join.
     """
     n = len(down)
-    up = _converse(down)
-    glb = {d: i for i, d in enumerate(down)}
-    lub = {u: i for i, u in enumerate(up)}
+    up, glb, lub = _bound_lookups(down)
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -164,10 +170,8 @@ def family_lattice_tables(masks: Sequence[int]):
     NotALattice(mask_x, mask_y, reason) for the first pair, in the order
     given (canonical for Matroid.flats), without a unique
     inclusion-greatest lower or inclusion-least upper member.  Meet and
-    join are members of the family, not intersections and unions: the
-    meet of X and Y is the member whose down-set (members contained in
-    it) equals the members contained in both, found by one dict lookup
-    per pair; the join likewise on up-sets.
+    join are members of the family, not intersections and unions, found
+    by the lookups of _bound_lookups on the family's down-masks.
     """
     try:
         return _tables_from_down(_down_masks(masks))

@@ -8,6 +8,12 @@ four conditions:
   Z2: 0 < r(Y) - r(X) < |Y - X| whenever X is properly contained in Y;
   Z3: r(X) + r(Y) >= r(X v Y) + r(X ^ Y) + |(X n Y) - (X ^ Y)|.
 
+validate decides all four in one sweep over the pairs of members: a
+comparable pair gets Z2 only (its meet and join are its own members, so
+Z0 holds and Z3 holds with equality), an incomparable pair its meet and
+join by one lookup each (Z0), then Z3.  It returns a Matroid or raises
+NotAMatroid naming the first violation; all_violations lists them all.
+
 A validated candidate determines a matroid; the rank of an arbitrary
 subset A is min over members F of r(F) + |A - F|, and independence,
 circuits and closure all derive from that oracle.
@@ -18,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Iterable
 
-from .errors import InvalidParameters, NotALattice, NotAMatroid, TooLarge
+from .errors import InvalidParameters, NotAMatroid, TooLarge
 from .groundsets import GroundSet, bits, popcount, subset_key
-from .lattices import family_lattice_tables
+from .lattices import _bound_lookups, _down_masks
 
 if TYPE_CHECKING:  # numpy is imported by the table functions that use it
     import numpy as np
@@ -110,7 +116,7 @@ class Matroid:
     @classmethod
     def from_labels(cls, labels, sets) -> "Matroid":
         """Validate (labels, [(names, rank), ...]); raise on violation."""
-        return validated(RankedFamily.from_labels(labels, sets))
+        return validate(RankedFamily.from_labels(labels, sets))
 
     def ranked_family(self) -> RankedFamily:
         return RankedFamily(self.ground, dict(zip(self.flats, self.flat_ranks)))
@@ -228,80 +234,69 @@ class Matroid:
         return self.ground.full & ~self.top
 
 
-def validate(candidate: RankedFamily) -> Union[Matroid, AxiomViolation]:
-    """Check conditions Z0-Z3; return a Matroid or the first violation.
+def validate(candidate: RankedFamily) -> Matroid:
+    """The Matroid of a candidate that meets Z0-Z3; otherwise raise
+    NotAMatroid, whose .violation is the first item of all_violations.
 
     Ground-set elements outside the greatest member are isthmuses and
     elements inside the least member are loops; both are permitted.
-    Violations come out in canonical order (Z0, then Z1, then Z2 over
-    canonically ordered pairs, then Z3); use all_violations for the
-    exhaustive-diagnostics list.
     """
-    for v in _violations(candidate):
-        return v
+    violations = all_violations(candidate)
+    if violations:
+        raise NotAMatroid(violations[0])
     return Matroid(candidate.ground, candidate.entries.keys(),
                    candidate.entries.values())
 
 
-def validated(candidate: RankedFamily) -> Matroid:
-    """The Matroid of a candidate, or NotAMatroid naming its first
-    violation (see validate)."""
-    result = validate(candidate)
-    if isinstance(result, AxiomViolation):
-        raise NotAMatroid(result)
-    return result
-
-
 def all_violations(candidate: RankedFamily) -> list[AxiomViolation]:
-    """Every axiom violation of the candidate, in canonical order."""
-    return list(_violations(candidate))
+    """Every axiom violation of the candidate, from one sweep over the
+    pairs i < j of members in canonical order (which puts a proper
+    subset before its supersets; see the module docstring for the rule).
 
-
-def _violations(candidate: RankedFamily):
+    The first pair without a unique meet or join ends the sweep and is
+    the only violation; otherwise Z1 comes first, then the Z2s, then the
+    Z3s, each in pair order.
+    """
     ground = candidate.ground
-    entries = candidate.entries  # sorted and checked by RankedFamily
-    masks = tuple(entries)
-    try:
-        meet, join = family_lattice_tables(masks)
-    except NotALattice as exc:
-        x, y = exc.pair
-        yield AxiomViolation(
-            "Z0", (x, y),
-            f"members {set(ground.names(x)) or '{}'} and "
-            f"{set(ground.names(y)) or '{}'} lack a unique meet or join")
-        return
-    r0 = entries[masks[0]]
-    if r0 != 0:
-        yield AxiomViolation(
-            "Z1", (masks[0],),
-            f"least member {set(ground.names(masks[0])) or '{}'} has rank {r0}, not 0")
+    masks = tuple(candidate.entries)  # sorted and checked by RankedFamily
+    ranks = tuple(candidate.entries.values())
+    down = _down_masks(masks)
+    up, glb, lub = _bound_lookups(down)
+
+    def show(m):
+        return set(ground.names(m)) or '{}'
+
+    z1 = [] if ranks[0] == 0 else [AxiomViolation(
+        "Z1", (masks[0],),
+        f"least member {show(masks[0])} has rank {ranks[0]}, not 0")]
+    z2, z3 = [], []
     n = len(masks)
     for i in range(n):
-        # canonical order puts a proper subset before its superset
+        x, rx, dx, ux = masks[i], ranks[i], down[i], up[i]
         for j in range(i + 1, n):
-            x, y = masks[i], masks[j]
+            y, ry = masks[j], ranks[j]
             if x & ~y == 0:  # X proper subset of Y
-                diff = entries[y] - entries[x]
-                if not 0 < diff < popcount(y & ~x):
-                    yield AxiomViolation(
+                if not 0 < ry - rx < popcount(y & ~x):
+                    z2.append(AxiomViolation(
                         "Z2", (x, y),
-                        f"r(Y)-r(X) = {diff} not strictly between 0 and "
-                        f"|Y-X| = {popcount(y & ~x)} for "
-                        f"X={set(ground.names(x)) or '{}'}, "
-                        f"Y={set(ground.names(y)) or '{}'}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = masks[i], masks[j]
-            mt, jn = masks[meet[i][j]], masks[join[i][j]]
-            lhs = entries[x] + entries[y]
-            extra = popcount((x & y) & ~mt)
-            rhs = entries[jn] + entries[mt] + extra
-            if lhs < rhs:
-                yield AxiomViolation(
+                        f"r(Y)-r(X) = {ry - rx} not strictly between 0 and "
+                        f"|Y-X| = {popcount(y & ~x)} for X={show(x)}, "
+                        f"Y={show(y)}"))
+                continue
+            mt, jn = glb.get(dx & down[j]), lub.get(ux & up[j])
+            if mt is None or jn is None:
+                return [AxiomViolation(
+                    "Z0", (x, y),
+                    f"members {show(x)} and {show(y)} lack a unique meet "
+                    f"or join")]
+            rhs = ranks[jn] + ranks[mt] + popcount(x & y & ~masks[mt])
+            if rx + ry < rhs:
+                z3.append(AxiomViolation(
                     "Z3", (x, y),
-                    f"r(X)+r(Y) = {lhs} < {rhs} = r(XvY)+r(X^Y)+|(XnY)-(X^Y)| "
-                    f"for X={set(ground.names(x)) or '{}'}, "
-                    f"Y={set(ground.names(y)) or '{}'}")
+                    f"r(X)+r(Y) = {rx + ry} < {rhs} = "
+                    f"r(XvY)+r(X^Y)+|(XnY)-(X^Y)| for X={show(x)}, "
+                    f"Y={show(y)}"))
+    return z1 + z2 + z3
 
 
 def _grid_ranks(radices, flats) -> np.ndarray:

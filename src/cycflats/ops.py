@@ -15,7 +15,7 @@ from itertools import combinations
 from .errors import (InvalidParameters, NotRelaxable, OverlappingGroundSets,
                      RankZero, TooLarge)
 from .groundsets import GroundSet, bits, element_classes, popcount
-from .matroid import Matroid, RankedFamily, validated
+from .matroid import Matroid, RankedFamily, validate
 from .lattices import _down_masks, _order_isomorphism
 
 MINOR_SEARCH_CAP = 12  # largest host has_minor searches
@@ -29,7 +29,7 @@ def dual(m: Matroid) -> Matroid:
     full = m.ground.full
     entries = [(full & ~f, popcount(full & ~f) - m.matroid_rank + r)
                for f, r in zip(m.flats, m.flat_ranks)]
-    return validated(RankedFamily(m.ground, entries))
+    return validate(RankedFamily(m.ground, entries))
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
             y |= ((x >> i) & 1) << j
         entries.append((y, r))
     ground = GroundSet(m.ground.labels[i] for i in kept)
-    return validated(RankedFamily(ground, entries))
+    return validate(RankedFamily(ground, entries))
 
 
 def restriction(m: Matroid, keep: int) -> Matroid:
@@ -104,13 +104,13 @@ def relax(m: Matroid, f: int) -> Matroid:
             raise NotRelaxable(
                 f"flat is comparable to {set(m.ground.names(g))}")
     entries = [(g, r) for g, r in zip(m.flats, m.flat_ranks) if g != f]
-    return validated(RankedFamily(m.ground, entries))
+    return validate(RankedFamily(m.ground, entries))
 
 
 def relabel(m: Matroid, prefix: str) -> Matroid:
     """Prefix every ground-set label; structure unchanged."""
     ground = GroundSet(prefix + lab for lab in m.ground.labels)
-    return validated(RankedFamily(ground, zip(m.flats, m.flat_ranks)))
+    return validate(RankedFamily(ground, zip(m.flats, m.flat_ranks)))
 
 
 def direct_sum(m: Matroid, n: Matroid) -> Matroid:
@@ -123,7 +123,7 @@ def direct_sum(m: Matroid, n: Matroid) -> Matroid:
     entries = [(x | (y << shift), rx + ry)
                for x, rx in zip(m.flats, m.flat_ranks)
                for y, ry in zip(n.flats, n.flat_ranks)]
-    return validated(RankedFamily(ground, entries))
+    return validate(RankedFamily(ground, entries))
 
 
 def truncate(m: Matroid) -> Matroid:
@@ -134,7 +134,7 @@ def truncate(m: Matroid) -> Matroid:
     if rank < 0:
         raise RankZero("cannot truncate a rank-0 matroid")
     entries = [(f, r) for f, r in zip(m.flats, m.flat_ranks) if r < rank]
-    return validated(RankedFamily(m.ground, entries + [(m.ground.full, rank)]))
+    return validate(RankedFamily(m.ground, entries + [(m.ground.full, rank)]))
 
 
 def higgs_lift(m: Matroid) -> Matroid:
@@ -145,7 +145,7 @@ def higgs_lift(m: Matroid) -> Matroid:
         raise RankZero("cannot lift a matroid of full rank r(M) = |E|")
     entries = [(f, r + 1) for f, r in zip(m.flats, m.flat_ranks)
                if popcount(f) - r >= 2]
-    return validated(RankedFamily(m.ground, entries + [(0, 0)]))
+    return validate(RankedFamily(m.ground, entries + [(0, 0)]))
 
 
 # -- isomorphism ---------------------------------------------------------

@@ -6,6 +6,7 @@ import io as textio
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
 from cycflats import io
-from cycflats.cli import GEN_PARAMS, main
+from cycflats.cli import GEN_PARAMS, main, make_parser
 
 FX = Path(__file__).parent / "fixtures"
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -65,6 +67,17 @@ class TestQueries:
         code, _, err = run("rank", FX / "u24.json", "--set", "zz")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rank", FX / "u24.json", "--set", "e1,e1"),
+        ("independent", FX / "u24.json", "--set", "e2,e1,e2"),
+        ("minor", FX / "u24.json", "--contract", "e1,e1"),
+        ("minor", FX / "u24.json", "--delete", "e3,e3"),
+        ("relax", FX / "u24.json", "--flat", "e1,e2,e1")])
+    def test_repeated_label_in_set(self, run, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_independent(self, run):
         code, out, _ = run("independent", FX / "u24.json", "--set", "e1,e2")
@@ -173,8 +186,7 @@ class TestTutte:
         prod = cf.free_product(cf.uniform(1, 1, ["a"]), cf.uniform(0, 1, ["b"]))
         prodfile = tmp_path / "prod.json"
         prodfile.write_text(io.emit_matroid(prod))
-        code, conv_out, _ = run("tutte", "--method", "convolution",
-                                FX / "u11.json", FX / "u01.json")
+        code, conv_out, _ = run("tutte", FX / "u11.json", FX / "u01.json")
         assert code == 0
         code, brute_out, _ = run("tutte", prodfile)
         assert code == 0
@@ -190,9 +202,30 @@ class TestTutte:
         assert out == io.emit_poly(cf.tutte_polynomial(m))
 
     def test_wrong_file_count(self, run):
-        code, _, err = run("tutte", "--method", "convolution", FX / "u24.json")
+        code, _, err = run("tutte", *[FX / "u24.json"] * 3)
         assert code == 2
         assert "error:" in err
+
+
+def readme_command_lines():
+    """The argv of each `cycflats ...` line in README's "Command line"
+    block, with its comment and any `>` redirect stripped."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if ">" in words:
+            words = words[:words.index(">")]
+        if words[:1] == ["cycflats"]:
+            yield words[1:]
+
+
+def test_readme_command_lines_parse():
+    argvs = list(readme_command_lines())
+    assert len(argvs) >= 9
+    parser = make_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv).command == argv[0], argv
 
 
 def test_table_free_commands_do_not_import_numpy():

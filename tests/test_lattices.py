@@ -296,7 +296,9 @@ class TestTablesAgainstDefinition:
 
     def test_validate_z0_witness_and_message(self):
         rf = cf.RankedFamily.from_labels("ab", [("", 0), ("a", 0), ("b", 0)])
-        v = cf.validate(rf)
+        with pytest.raises(cf.NotAMatroid) as info:
+            cf.validate(rf)
+        v = info.value.violation
         assert isinstance(v, cf.AxiomViolation)
         f = tuple(rf.entries)
         (i, j), _ = brute_tables(len(f), lambda a, b: f[a] & ~f[b] == 0)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
@@ -14,6 +15,13 @@ def rf(labels, sets):
     return cf.RankedFamily.from_labels(labels, sets)
 
 
+def first_violation(candidate):
+    """The violation that validate raises for an invalid candidate."""
+    with pytest.raises(cf.NotAMatroid) as info:
+        cf.validate(candidate)
+    return info.value.violation
+
+
 class TestValidate:
     def test_u24(self):
         m = cf.validate(rf("abcd", [("", 0), ("abcd", 2)]))
@@ -27,30 +35,31 @@ class TestValidate:
         assert m.isthmuses() == m.ground.full
 
     def test_z0_failure(self):
-        v = cf.validate(rf("abcd", [("ab", 0), ("cd", 0)]))
+        v = first_violation(rf("abcd", [("ab", 0), ("cd", 0)]))
         assert isinstance(v, cf.AxiomViolation)
         assert v.which == "Z0"
 
     def test_z1_failure(self):
-        v = cf.validate(rf("abcd", [("", 1), ("abcd", 2)]))
+        v = first_violation(rf("abcd", [("", 1), ("abcd", 2)]))
         assert isinstance(v, cf.AxiomViolation)
         assert v.which == "Z1"
 
     def test_z2_failure_rank_jump_zero(self):
-        v = cf.validate(rf("abcd", [("", 0), ("abcd", 0)]))
+        v = first_violation(rf("abcd", [("", 0), ("abcd", 0)]))
         assert isinstance(v, cf.AxiomViolation)
         assert v.which == "Z2"
 
     def test_z2_failure_rank_jump_full(self):
         # r(Y) - r(X) = |Y - X| is also forbidden
-        v = cf.validate(rf("ab", [("", 0), ("ab", 2)]))
+        v = first_violation(rf("ab", [("", 0), ("ab", 2)]))
         assert isinstance(v, cf.AxiomViolation)
         assert v.which == "Z2"
 
     def test_z3_failure(self):
         # two lines sharing c, while their lattice meet is the empty set
-        v = cf.validate(rf("abcde",
-                           [("", 0), ("abc", 1), ("cde", 1), ("abcde", 2)]))
+        v = first_violation(rf("abcde",
+                               [("", 0), ("abc", 1), ("cde", 1),
+                                ("abcde", 2)]))
         assert isinstance(v, cf.AxiomViolation)
         assert v.which == "Z3"
         g = cf.GroundSet("abcde")
@@ -67,6 +76,129 @@ class TestValidate:
             back = cf.validate(m.ranked_family())
             assert isinstance(back, cf.Matroid), name
             assert back == m, name
+
+
+# -- the one-sweep validation against the two-pass rule ----------------------
+
+def _violations_two_pass(candidate):
+    """Oracle for all_violations: Z0 from the meet/join tables of
+    family_lattice_tables, then Z1, then Z2 over the comparable pairs and
+    Z3 over every pair, each pass in canonical pair order."""
+    ground = candidate.ground
+    entries = candidate.entries
+    masks = tuple(entries)
+    try:
+        meet, join = cf.family_lattice_tables(masks)
+    except cf.NotALattice as exc:
+        x, y = exc.pair
+        return [cf.AxiomViolation(
+            "Z0", (x, y),
+            f"members {set(ground.names(x)) or '{}'} and "
+            f"{set(ground.names(y)) or '{}'} lack a unique meet or join")]
+    out = []
+    r0 = entries[masks[0]]
+    if r0 != 0:
+        out.append(cf.AxiomViolation(
+            "Z1", (masks[0],),
+            f"least member {set(ground.names(masks[0])) or '{}'} has rank "
+            f"{r0}, not 0"))
+    n = len(masks)
+    for i, j in combinations(range(n), 2):
+        x, y = masks[i], masks[j]
+        if x & ~y == 0:
+            diff = entries[y] - entries[x]
+            if not 0 < diff < popcount(y & ~x):
+                out.append(cf.AxiomViolation(
+                    "Z2", (x, y),
+                    f"r(Y)-r(X) = {diff} not strictly between 0 and "
+                    f"|Y-X| = {popcount(y & ~x)} for "
+                    f"X={set(ground.names(x)) or '{}'}, "
+                    f"Y={set(ground.names(y)) or '{}'}"))
+    for i, j in combinations(range(n), 2):
+        x, y = masks[i], masks[j]
+        mt, jn = masks[meet[i][j]], masks[join[i][j]]
+        lhs = entries[x] + entries[y]
+        rhs = entries[jn] + entries[mt] + popcount((x & y) & ~mt)
+        if lhs < rhs:
+            out.append(cf.AxiomViolation(
+                "Z3", (x, y),
+                f"r(X)+r(Y) = {lhs} < {rhs} = r(XvY)+r(X^Y)+|(XnY)-(X^Y)| "
+                f"for X={set(ground.names(x)) or '{}'}, "
+                f"Y={set(ground.names(y)) or '{}'}"))
+    return out
+
+
+def _perturbed(m, rng):
+    """m's ranked family with one change: a rank shifted by +-1, a random
+    set added at a random rank, or a member dropped."""
+    entries = dict(zip(m.flats, m.flat_ranks))
+    kind = rng.choice(["shift", "add", "drop"])
+    if kind == "shift":
+        f = rng.choice(m.flats)
+        entries[f] += rng.choice([-1, 1])
+    elif kind == "add":
+        s = rng.randrange(1 << len(m.ground))
+        entries[s] = rng.randint(0, popcount(s))
+    elif len(entries) > 1:
+        del entries[rng.choice(m.flats)]
+    return cf.RankedFamily(m.ground, entries)
+
+
+def _differential_bases():
+    for seed in range(300):
+        yield cf.random_matroid(random.Random(seed), 8)
+        yield cf.random_cw2_matroid(random.Random(seed), 8)
+    for lat in cf.all_lattices(5):
+        for variant in ("plain", "sublattice"):
+            yield cf.realize_lattice(lat, variant).matroid
+
+
+class TestOneSweep:
+    def test_matches_two_pass_oracle(self):
+        rng = random.Random(13)
+        firsts = Counter()
+        for m in _differential_bases():
+            for _ in range(6):
+                cand = _perturbed(m, rng)
+                want = _violations_two_pass(cand)
+                assert cf.all_violations(cand) == want, cand
+                if want:
+                    assert first_violation(cand) == want[0], cand
+                    firsts[want[0].which] += 1
+                else:
+                    cf.validate(cand)
+                    firsts["valid"] += 1
+        assert set(firsts) == {"valid", "Z0", "Z1", "Z2", "Z3"}, firsts
+
+    def test_z0_after_a_z2_pair(self):
+        # ({}, {a}) breaks Z2 before ({a}, {b, c}) is found to have no join
+        sets = [("", 0), ("a", 0), ("bc", 1), ("bd", 1)]
+        cand = rf("abcd", sets)
+        g = cand.ground
+        with_top = rf("abcd", sets + [("abcd", 2)])
+        assert (("Z2", (0, g.mask("a")))
+                in [(v.which, v.witness) for v in cf.all_violations(with_top)])
+        vs = cf.all_violations(cand)
+        assert vs == _violations_two_pass(cand)
+        assert [(v.which, v.witness) for v in vs] \
+            == [("Z0", (g.mask("a"), g.mask("bc")))]
+        assert first_violation(cand) == vs[0]
+
+    def test_z0_after_a_z3_pair(self):
+        # (abc, cde) breaks Z3 before (cdf, cdg) is found to have two
+        # least upper members, acdfg and bcdfg
+        sets = [("", 0), ("abc", 1), ("cde", 1), ("cdf", 1), ("cdg", 1),
+                ("acdfg", 2), ("bcdfg", 2), ("abcdefg", 3)]
+        cand = rf("abcdefg", sets)
+        g = cand.ground
+        without = rf("abcdefg", [s for s in sets if s[0] != "bcdfg"])
+        assert (("Z3", (g.mask("abc"), g.mask("cde")))
+                in [(v.which, v.witness) for v in cf.all_violations(without)])
+        vs = cf.all_violations(cand)
+        assert vs == _violations_two_pass(cand)
+        assert [(v.which, v.witness) for v in vs] \
+            == [("Z0", (g.mask("cdf"), g.mask("cdg")))]
+        assert first_violation(cand) == vs[0]
 
 
 # -- graphic matroid oracle for M(K4) ----------------------------------------
