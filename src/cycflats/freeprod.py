@@ -10,17 +10,14 @@ from __future__ import annotations
 
 from itertools import count
 
-from .errors import LabelInUse, OverlappingGroundSets
+from .errors import LabelInUse
 from .groundsets import GroundSet
 from .matroid import Matroid, RankedFamily, validate
 
 
 def free_product(m: Matroid, n: Matroid) -> Matroid:
     """M box N on the concatenated ground set."""
-    if set(m.ground.labels) & set(n.ground.labels):
-        raise OverlappingGroundSets(
-            f"shared labels: {set(m.ground.labels) & set(n.ground.labels)}")
-    ground = GroundSet(m.ground.labels + n.ground.labels)
+    ground = m.ground.concat(n.ground)
     shift = len(m.ground)
     em = m.ground.full
     entries = [(x, rx) for x, rx in zip(m.flats, m.flat_ranks) if x != em]

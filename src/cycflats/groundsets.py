@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import DuplicateSet, UnknownLabel
+from .errors import DuplicateSet, OverlappingGroundSets, UnknownLabel
 
 
 def popcount(mask: int) -> int:
@@ -27,17 +27,36 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def subset_key(mask: int) -> tuple:
-    """Canonical sort key: cardinality, then sorted index tuple."""
-    return (mask.bit_count(), tuple(bits(mask)))
+    """Canonical sort key: cardinality, then sorted index tuple.
+
+    Of two index tuples of one length, the one holding the lowest index
+    where the masks differ comes first.  That is the lesser string of
+    mask's bits from the lowest up, each flipped, with a 1 appended (so
+    no such string is a prefix of another): one bin() call, no tuple.
+    """
+    return (mask.bit_count(),
+            bin(mask ^ ((2 << mask.bit_length()) - 1))[:1:-1])
+
+
+def set_text(names: Iterable[str]) -> str:
+    """Names in the given order, written like a set: {'a', 'b'} or {}."""
+    return "{" + ", ".join(map(repr, names)) + "}"
 
 
 def element_classes(family, support: int) -> dict[int, int]:
     """The elements of support grouped by their up-set {i : x in family[i]}:
     maps each up-set, as a mask over indices of family, to its elements'
-    mask.  Classes come in order of their first element."""
+    mask.  Classes come in order of their first element.
+
+    The up-sets are the columns of the bit matrix with one row per
+    member, last member first: zip transposes its rows as strings.
+    """
+    width = support.bit_length()
+    rows = [format(f & support, f"0{width}b") for f in reversed(family)]
+    ups = [int("".join(col), 2) for col in zip(*rows)] or [0] * width
     classes: dict[int, int] = {}
     for x in bits(support):
-        u = sum(1 << i for i, f in enumerate(family) if (f >> x) & 1)
+        u = ups[width - 1 - x]
         classes[u] = classes.get(u, 0) | (1 << x)
     return classes
 
@@ -65,6 +84,13 @@ class GroundSet:
 
     def __repr__(self) -> str:
         return f"GroundSet({list(self.labels)!r})"
+
+    def concat(self, other: GroundSet) -> GroundSet:
+        """This ground set followed by a disjoint other one."""
+        shared = [lab for lab in self.labels if lab in other.index]
+        if shared:
+            raise OverlappingGroundSets(f"shared labels: {set_text(shared)}")
+        return GroundSet(self.labels + other.labels)
 
     def mask(self, names: Iterable[str]) -> int:
         """Bitmask of the given element names."""

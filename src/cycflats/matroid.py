@@ -14,6 +14,20 @@ Z0 holds and Z3 holds with equality), an incomparable pair its meet and
 join by one lookup each (Z0), then Z3.  It returns a Matroid or raises
 NotAMatroid naming the first violation; all_violations lists them all.
 
+A product is decided one factor at a time.  Let E_1, ..., E_p partition
+the union of the members, Z_i = {X n E_i : X in Z}, 0 the first member
+and r_i(A) = r(A u (0 - E_i)) - r(0).  If Z = Z_1 x ... x Z_p (that is,
+|Z| = |Z_1| ... |Z_p|, as X -> (X n E_i) is injective) and r(X) - r(0)
+= sum of r_i(X n E_i) for every member X, then inclusion, meet and join
+go componentwise, so Z is a lattice iff every Z_i is, and the slacks
+r(Y) - r(X), |Y - X| of Z2 and r(X) + r(Y) - r(XvY) - r(X^Y) -
+|(X n Y) - (X^Y)| of Z3 are sums over the factors, where a factor with
+equal or comparable components adds 0 to the Z3 slack.  Hence Z meets
+Z0-Z3 iff Z1 holds and every (Z_i, r_i) does: a failing pair of Z_i is
+a failing pair of Z once 0 fills in the other components.  So the
+direct sum of m factors of k flats each costs m k^2 pair checks, not
+k^(2m).  Any failure is reported by the whole sweep, with its witnesses.
+
 A validated candidate determines a matroid; the rank of an arbitrary
 subset A is min over members F of r(F) + |A - F|, and independence,
 circuits and closure all derive from that oracle.
@@ -27,7 +41,8 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidParameters, NotAMatroid, TooLarge
-from .groundsets import GroundSet, bits, popcount, subset_key
+from .groundsets import (GroundSet, bits, element_classes, popcount,
+                         set_text, subset_key)
 from .lattices import _bound_lookups, _down_masks
 
 if TYPE_CHECKING:  # numpy is imported by the table functions that use it
@@ -46,15 +61,15 @@ class RankedFamily:
 
     def __init__(self, ground: GroundSet, entries):
         """entries: mapping mask -> rank, or iterable of (mask, rank)."""
-        items = entries.items() if hasattr(entries, "items") else entries
-        ordered = sorted(items, key=lambda kv: subset_key(kv[0]))
+        items = list(entries.items() if hasattr(entries, "items") else entries)
+        given = dict(items)
         self.ground = ground
-        self.entries = dict(ordered)
-        if not self.entries:
+        self.entries = {m: given[m] for m in sorted(given, key=subset_key)}
+        if not given:
             raise InvalidParameters("ranked family must be nonempty")
-        if len(self.entries) != len(ordered):
+        if len(given) != len(items):
             raise InvalidParameters("duplicate subsets in ranked family")
-        for m, r in ordered:
+        for m, r in self.entries.items():
             if m >> len(ground):
                 raise InvalidParameters(
                     f"subset {m:#x} outside ground set {ground.labels}")
@@ -108,7 +123,7 @@ class Matroid:
         self._rank_of = dict(zip(self.flats, self.flat_ranks))
         full = ground.full
         self.matroid_rank = min(
-            r + popcount(full & ~f) for f, r in self._rank_of.items())
+            r + (full & ~f).bit_count() for f, r in self._rank_of.items())
         self._table = None
 
     # -- construction ---------------------------------------------------
@@ -133,10 +148,10 @@ class Matroid:
         return hash((self.ground, self.flats, self.flat_ranks))
 
     def __repr__(self) -> str:
-        shown = [(set(self.ground.names(f)) or "{}", r)
-                 for f, r in zip(self.flats, self.flat_ranks)]
+        shown = ", ".join(f"({set_text(self.ground.names(f))}, {r})"
+                          for f, r in zip(self.flats, self.flat_ranks))
         return (f"Matroid(E={list(self.ground.labels)!r}, "
-                f"rank={self.matroid_rank}, Z={shown!r})")
+                f"rank={self.matroid_rank}, Z=[{shown}])")
 
     # -- structure shortcuts ---------------------------------------------
 
@@ -158,7 +173,7 @@ class Matroid:
 
     def rank(self, a: int) -> int:
         """Rank of an arbitrary subset: min r(F) + |A - F| over members."""
-        return min(r + popcount(a & ~f) for f, r in self._rank_of.items())
+        return min(r + (a & ~f).bit_count() for f, r in self._rank_of.items())
 
     def rank_table(self) -> np.ndarray:
         """Ranks of all 2^n subsets, indexed by mask (cached, uint8).
@@ -178,7 +193,7 @@ class Matroid:
 
     def is_independent(self, i: int) -> bool:
         """True iff |I n X| <= r(X) for every cyclic flat X."""
-        return all(popcount(i & f) <= r for f, r in self._rank_of.items())
+        return all((i & f).bit_count() <= r for f, r in self._rank_of.items())
 
     def rank_support(self, a: int) -> tuple[int, int, int]:
         """r(A), with the intersection and the union of the cyclic flats F
@@ -191,7 +206,7 @@ class Matroid:
         """
         best = inter = union = None
         for f, r in self._rank_of.items():
-            v = r + popcount(a & ~f)
+            v = r + (a & ~f).bit_count()
             if best is None or v < best:
                 best, inter, union = v, f, f
             elif v == best:
@@ -239,32 +254,39 @@ def validate(candidate: RankedFamily) -> Matroid:
     NotAMatroid, whose .violation is the first item of all_violations.
 
     Ground-set elements outside the greatest member are isthmuses and
-    elements inside the least member are loops; both are permitted.
+    elements inside the least member are loops; both are permitted.  A
+    product candidate is decided one factor at a time (_valid_by_factors);
+    every other candidate, and every product that fails, is swept whole.
     """
-    violations = all_violations(candidate)
-    if violations:
-        raise NotAMatroid(violations[0])
+    if not _valid_by_factors(candidate):
+        violations = all_violations(candidate)
+        if violations:
+            raise NotAMatroid(violations[0])
     return Matroid(candidate.ground, candidate.entries.keys(),
                    candidate.entries.values())
 
 
 def all_violations(candidate: RankedFamily) -> list[AxiomViolation]:
     """Every axiom violation of the candidate, from one sweep over the
-    pairs i < j of members in canonical order (which puts a proper
-    subset before its supersets; see the module docstring for the rule).
+    pairs i < j of members in canonical order (see _sweep)."""
+    return _sweep(candidate.ground, tuple(candidate.entries),
+                  tuple(candidate.entries.values()))
+
+
+def _sweep(ground, masks, ranks) -> list[AxiomViolation]:
+    """The violations of the members masks (in an order that puts a
+    proper subset before its supersets) with ranks, by the rule of the
+    module docstring.
 
     The first pair without a unique meet or join ends the sweep and is
     the only violation; otherwise Z1 comes first, then the Z2s, then the
     Z3s, each in pair order.
     """
-    ground = candidate.ground
-    masks = tuple(candidate.entries)  # sorted and checked by RankedFamily
-    ranks = tuple(candidate.entries.values())
     down = _down_masks(masks)
     up, glb, lub = _bound_lookups(down)
 
     def show(m):
-        return set(ground.names(m)) or '{}'
+        return set_text(ground.names(m))
 
     z1 = [] if ranks[0] == 0 else [AxiomViolation(
         "Z1", (masks[0],),
@@ -297,6 +319,57 @@ def all_violations(candidate: RankedFamily) -> list[AxiomViolation]:
                     f"r(XvY)+r(X^Y)+|(XnY)-(X^Y)| for X={show(x)}, "
                     f"Y={show(y)}"))
     return z1 + z2 + z3
+
+
+def _valid_by_factors(candidate: RankedFamily) -> bool:
+    """True iff the candidate is a product of two or more factors of two
+    or more members each, meets Z1, and each factor sweeps clean (the
+    product rule of the module docstring); False leaves it to the sweep.
+
+    Blocks are unions of element classes, joined when two up-sets are
+    not independent (|U n U'| k != |U| |U'|, which never happens across
+    the blocks of a product); the split is then checked exactly.
+    """
+    entries = candidate.entries
+    masks = tuple(entries)
+    k, base, top = len(masks), masks[0], masks[-1]
+    # a product of two nontrivial factors has k >= 4 members, and one
+    # besides 0 and 1 whose complement (1 - X) u 0 is a member too
+    if k < 4 or entries[base] != 0 or not any(
+            ((top & ~x) | base) in entries for x in masks[1:-1]):
+        return False
+    support = 0
+    for x in masks:
+        support |= x
+    classes = list(element_classes(masks, support).items())
+    block = list(range(len(classes)))
+    for a, b in combinations(range(len(classes)), 2):
+        ua, ub = classes[a][0], classes[b][0]
+        if (ua & ub).bit_count() * k != ua.bit_count() * ub.bit_count():
+            old, new = block[b], block[a]
+            block = [new if c == old else c for c in block]
+    parts = {}
+    for (_, e), c in zip(classes, block):
+        parts[c] = parts.get(c, 0) | e
+    factors, size = [], 1
+    for e in parts.values():
+        proj = {x & e for x in masks}
+        if len(proj) > 1:
+            factors.append((e, proj))
+            size *= len(proj)
+    if len(factors) < 2 or size != k:  # X -> (X n E_i) is injective
+        return False
+    # r_i(A) = r(A u (0 - E_i)); the product holds that set
+    ranks = [(e, {a: entries[a | (base & ~e)] for a in proj})
+             for e, proj in factors]
+    if any(r != sum(ri[x & e] for e, ri in ranks)
+           for x, r in entries.items()):
+        return False
+    for _, ri in ranks:
+        fm = sorted(ri, key=int.bit_count)
+        if _sweep(candidate.ground, fm, [ri[a] for a in fm]):
+            return False
+    return True
 
 
 def _grid_ranks(radices, flats) -> np.ndarray:

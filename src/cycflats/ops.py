@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (InvalidParameters, NotRelaxable, OverlappingGroundSets,
-                     RankZero, TooLarge)
-from .groundsets import GroundSet, bits, element_classes, popcount
+from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
+from .groundsets import GroundSet, bits, element_classes, popcount, set_text
 from .matroid import Matroid, RankedFamily, validate
 from .lattices import _down_masks, _order_isomorphism
 
@@ -102,7 +101,7 @@ def relax(m: Matroid, f: int) -> Matroid:
             continue
         if f & ~g == 0 or g & ~f == 0:
             raise NotRelaxable(
-                f"flat is comparable to {set(m.ground.names(g))}")
+                f"flat is comparable to {set_text(m.ground.names(g))}")
     entries = [(g, r) for g, r in zip(m.flats, m.flat_ranks) if g != f]
     return validate(RankedFamily(m.ground, entries))
 
@@ -115,10 +114,7 @@ def relabel(m: Matroid, prefix: str) -> Matroid:
 
 def direct_sum(m: Matroid, n: Matroid) -> Matroid:
     """Direct sum; the lattice of cyclic flats is the product of the two."""
-    if set(m.ground.labels) & set(n.ground.labels):
-        raise OverlappingGroundSets(
-            f"shared labels: {set(m.ground.labels) & set(n.ground.labels)}")
-    ground = GroundSet(m.ground.labels + n.ground.labels)
+    ground = m.ground.concat(n.ground)
     shift = len(m.ground)
     entries = [(x | (y << shift), rx + ry)
                for x, rx in zip(m.flats, m.flat_ranks)

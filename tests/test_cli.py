@@ -243,6 +243,31 @@ def test_table_free_commands_do_not_import_numpy():
     assert done.returncode == 0, done.stderr
 
 
+def test_witness_text_does_not_depend_on_the_hash_seed():
+    # set reprs of names would follow PYTHONHASHSEED; witnesses list
+    # names in ground order
+    commands = [["validate", FX / "invalid_z2.json"],
+                ["relax", FX / "nested_ififif.json", "--flat", "e1,e2"],
+                ["directsum", FX / "mk4.json", FX / "mk4.json"]]
+    script = ("import sys\n"
+              "from cycflats import cli\n"
+              f"for argv in {[[str(a) for a in c] for c in commands]!r}:\n"
+              "    print(cli.main(argv), flush=True)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outs.append((done.stdout, done.stderr))
+    assert outs[0] == outs[1]
+    out, err = outs[0]
+    assert "Y={'a', 'b'}" in out
+    assert "comparable to {'e1', 'e2', 'e3', 'e4'}" in out
+    assert "shared labels: {'12', '13', '14', '23', '24', '34'}" in err
+
+
 class TestAnalysis:
     def test_width_mk4(self, run):
         code, out, _ = run("width", FX / "mk4.json")

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import cycflats as cf
-from cycflats.groundsets import bits, popcount
-from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP, _grid_ranks
+from cycflats import matroid
+from cycflats.groundsets import (bits, element_classes, popcount, set_text,
+                                 subset_key)
+from cycflats.matroid import (CIRCUIT_CAP, ENUM_CAP, _grid_ranks,
+                             _valid_by_factors)
 
 
 def rf(labels, sets):
@@ -84,24 +87,25 @@ def _violations_two_pass(candidate):
     """Oracle for all_violations: Z0 from the meet/join tables of
     family_lattice_tables, then Z1, then Z2 over the comparable pairs and
     Z3 over every pair, each pass in canonical pair order."""
-    ground = candidate.ground
     entries = candidate.entries
     masks = tuple(entries)
+
+    def show(m):
+        return set_text(candidate.ground.names(m))
+
     try:
         meet, join = cf.family_lattice_tables(masks)
     except cf.NotALattice as exc:
         x, y = exc.pair
         return [cf.AxiomViolation(
             "Z0", (x, y),
-            f"members {set(ground.names(x)) or '{}'} and "
-            f"{set(ground.names(y)) or '{}'} lack a unique meet or join")]
+            f"members {show(x)} and {show(y)} lack a unique meet or join")]
     out = []
     r0 = entries[masks[0]]
     if r0 != 0:
         out.append(cf.AxiomViolation(
             "Z1", (masks[0],),
-            f"least member {set(ground.names(masks[0])) or '{}'} has rank "
-            f"{r0}, not 0"))
+            f"least member {show(masks[0])} has rank {r0}, not 0"))
     n = len(masks)
     for i, j in combinations(range(n), 2):
         x, y = masks[i], masks[j]
@@ -111,9 +115,8 @@ def _violations_two_pass(candidate):
                 out.append(cf.AxiomViolation(
                     "Z2", (x, y),
                     f"r(Y)-r(X) = {diff} not strictly between 0 and "
-                    f"|Y-X| = {popcount(y & ~x)} for "
-                    f"X={set(ground.names(x)) or '{}'}, "
-                    f"Y={set(ground.names(y)) or '{}'}"))
+                    f"|Y-X| = {popcount(y & ~x)} for X={show(x)}, "
+                    f"Y={show(y)}"))
     for i, j in combinations(range(n), 2):
         x, y = masks[i], masks[j]
         mt, jn = masks[meet[i][j]], masks[join[i][j]]
@@ -123,8 +126,7 @@ def _violations_two_pass(candidate):
             out.append(cf.AxiomViolation(
                 "Z3", (x, y),
                 f"r(X)+r(Y) = {lhs} < {rhs} = r(XvY)+r(X^Y)+|(XnY)-(X^Y)| "
-                f"for X={set(ground.names(x)) or '{}'}, "
-                f"Y={set(ground.names(y)) or '{}'}"))
+                f"for X={show(x)}, Y={show(y)}"))
     return out
 
 
@@ -199,6 +201,127 @@ class TestOneSweep:
         assert [(v.which, v.witness) for v in vs] \
             == [("Z0", (g.mask("cdf"), g.mask("cdg")))]
         assert first_violation(cand) == vs[0]
+
+
+# -- the product rule against the whole sweep ---------------------------------
+
+def _sum_of(parts):
+    """The direct sum of parts, relabelled apart, and the ground mask of
+    each part inside it."""
+    total, blocks, shift = None, [], 0
+    for i, part in enumerate(parts):
+        part = cf.relabel(part, f"{i}:")
+        blocks.append(part.ground.full << shift)
+        shift += len(part.ground)
+        total = part if total is None else cf.direct_sum(total, part)
+    return total, blocks
+
+
+def _shift_in_factor(m, block, rng):
+    """m's family with every member that shares one projection onto
+    block shifted by +-1: one factor's rank changes, the split stays."""
+    a = rng.choice(sorted({f & block for f in m.flats}))
+    d = rng.choice([-1, 1])
+    return cf.RankedFamily(m.ground, {f: r + d * (f & block == a)
+                                      for f, r in zip(m.flats, m.flat_ranks)})
+
+
+def _shift_all(m):
+    """m's family with every rank one higher: only Z1 breaks."""
+    return cf.RankedFamily(m.ground, {f: r + 1 for f, r in
+                                      zip(m.flats, m.flat_ranks)})
+
+
+def _factor_sums(rng, catalog):
+    """Seeded sums of two and three small random_matroid,
+    random_cw2_matroid and catalog members."""
+    small = [m for m in catalog.values()
+             if len(m.ground) <= 5 and len(m.flats) <= 6]
+    for _ in range(150):
+        pool = [cf.random_matroid(rng, 6), cf.random_cw2_matroid(rng, 6),
+                rng.choice(small)]
+        yield _sum_of(rng.sample(pool, 2))
+        yield _sum_of([rng.choice(pool) for _ in range(3)])
+
+
+def _decided_like_sweep(cand):
+    """validate returns or raises exactly what the whole sweep gives."""
+    want = cf.all_violations(cand)
+    if want:
+        assert first_violation(cand) == want[0], cand
+        return want[0].which
+    assert cf.validate(cand).ranked_family() == cand
+    return "valid"
+
+
+class TestFactorRule:
+    def test_sums_and_perturbations_match_the_sweep(self, catalog):
+        rng = random.Random(14)
+        seen, by_factors = Counter(), 0
+        for m, blocks in _factor_sums(rng, catalog):
+            cands = [m.ranked_family(), _shift_all(m),
+                     _shift_in_factor(m, rng.choice(blocks), rng)]
+            cands += [_perturbed(m, rng) for _ in range(3)]
+            for cand in cands:
+                seen[_decided_like_sweep(cand)] += 1
+            # a sum of two or more factors with two or more flats each
+            # is decided one factor at a time
+            if sum(len({f & b for f in m.flats}) > 1 for b in blocks) > 1:
+                assert _valid_by_factors(m.ranked_family()), m
+                by_factors += 1
+        assert set(seen) == {"valid", "Z0", "Z1", "Z2", "Z3"}, seen
+        assert by_factors >= 150, by_factors
+
+    def test_shift_in_one_factor_keeps_the_split(self, monkeypatch):
+        # a triangle of the middle M(K4) at rank 3: the split and the
+        # additivity survive, that factor's sweep fails, then the whole
+        mk4 = cf.catalog("mk4")
+        m, blocks = _sum_of([mk4, mk4, mk4])
+        triangle = next(f for f in m.flats if f & ~blocks[1] == 0
+                        and f.bit_count() == 3)
+        cand = cf.RankedFamily(m.ground, {
+            f: r + (f & blocks[1] == triangle)
+            for f, r in zip(m.flats, m.flat_ranks)})
+        swept = []
+        sweep = matroid._sweep
+
+        def recorded(ground, masks, ranks):
+            out = sweep(ground, masks, ranks)
+            swept.append((len(masks), bool(out)))
+            return out
+        monkeypatch.setattr(matroid, "_sweep", recorded)
+        assert _decided_like_sweep(cand) == "Z2"
+        # the oracle's sweep, then validate's: two factors and the whole
+        assert swept == [(216, True), (6, False), (6, True), (216, True)]
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """Counts the whole-family sweeps validate runs."""
+        calls = []
+        sweep = matroid.all_violations
+
+        def counted(candidate):
+            calls.append(len(candidate.entries))
+            return sweep(candidate)
+        monkeypatch.setattr(matroid, "all_violations", counted)
+        return calls
+
+    def test_four_copies_of_mk4_skip_the_whole_sweep(self, sweeps):
+        mk4 = cf.catalog("mk4")
+        m, _ = _sum_of([mk4] * 4)
+        assert len(m.flats) == 1296
+        sweeps.clear()  # those of building the copies
+        for fam in (m.ranked_family(), cf.dual(m).ranked_family()):
+            assert cf.validate(fam).ranked_family() == fam
+        assert sweeps == []
+
+    def test_connected_members_are_swept_whole(self, sweeps):
+        fams = [m.ranked_family() for m in
+                (cf.catalog("mk4"), cf.gimenez_family(2, [2, 1]))]
+        sweeps.clear()
+        for fam in fams:
+            cf.validate(fam)
+        assert sweeps == [6, 8]
 
 
 # -- graphic matroid oracle for M(K4) ----------------------------------------
@@ -440,3 +563,49 @@ class TestRankedFamily:
         fam = rf("abc", [("abc", 2), ("", 0), ("ab", 1)])
         g = fam.ground
         assert list(fam.entries) == [0, g.mask("ab"), g.mask("abc")]
+
+
+class TestSubsetKey:
+    @staticmethod
+    def by_tuple(mask):
+        return (popcount(mask), tuple(bits(mask)))
+
+    def test_every_mask_below_2_to_12(self):
+        masks = list(range(1 << 12))
+        random.Random(12).shuffle(masks)
+        assert (sorted(masks, key=subset_key)
+                == sorted(masks, key=self.by_tuple))
+
+    def test_random_masks_up_to_200_bits(self):
+        rng = random.Random(200)
+        masks = [rng.getrandbits(rng.randint(0, 200)) for _ in range(4000)]
+        masks += [m | (1 << b) for m in masks[:500] for b in (0, 199)]
+        assert (sorted(masks, key=subset_key)
+                == sorted(masks, key=self.by_tuple))
+
+
+class TestElementClasses:
+    def test_up_sets_by_definition(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            family = [rng.getrandbits(n + 2) for _ in range(rng.randint(0, 9))]
+            support = rng.getrandbits(n)
+            want = {}
+            for x in bits(support):
+                u = sum(1 << i for i, f in enumerate(family) if f >> x & 1)
+                want[u] = want.get(u, 0) | 1 << x
+            got = element_classes(family, support)
+            assert list(got.items()) == list(want.items())
+
+
+class TestWitnessText:
+    def test_names_in_ground_order(self):
+        g = cf.GroundSet(["b", "a", "c"])
+        assert set_text(g.names(g.mask("abc"))) == "{'b', 'a', 'c'}"
+        assert set_text(()) == "{}"
+
+    def test_matroid_repr(self):
+        m = cf.Matroid.from_labels("ba", [("", 0), ("ab", 1)])
+        assert repr(m) == ("Matroid(E=['b', 'a'], rank=1, "
+                           "Z=[({}, 0), ({'b', 'a'}, 1)])")
