@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
 from .groundsets import GroundSet, bits, popcount
-from .lattices import (FiniteLattice, _converse, _tables_from_down, is_chain,
-                       poset_isomorphic)
+from .lattices import (FiniteLattice, _converse, _order_isomorphism,
+                       _refine_signatures, _tables_from_down, is_chain)
 from .matroid import Matroid, RankedFamily, validate
 from .ops import MinorSpec, direct_sum, dual, minor, truncate
 from .freeprod import free_extension, free_product
@@ -315,9 +315,15 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
     S the whole prefix.  The candidates of each size are taken in the
     order of _scan_number and the first of each isomorphism class is
     kept, so the representatives are those a scan over all 2^C(n,2)
-    relations would keep.  Element names are v0, v1, ...  Raises
+    relations would keep.  Each candidate's _refine_signatures are
+    computed once, and their sorted list, an isomorphism invariant, is
+    its bucket: only candidates of one bucket go to the order-isomorphism
+    search, and only kept lattices get meet/join tables.  Element names
+    are v0, v1, ...  Raises InvalidParameters for a negative max_size and
     TooLarge past LATTICE_CAP = 8 elements.
     """
+    if max_size < 0:
+        raise InvalidParameters(f"need max_size >= 0, got {max_size}")
     if max_size > LATTICE_CAP:
         raise TooLarge(
             f"all_lattices was asked for {max_size} elements, over cap "
@@ -328,16 +334,16 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
     semis: list[list[int]] = [[]]
     for n in range(1, max_size + 1):
         names = [f"v{i}" for i in range(n)]
-        buckets: dict[tuple, list[FiniteLattice]] = {}
+        buckets: dict[tuple, list[tuple]] = {}
         for down in sorted((d + [(1 << n) - 1] for d in semis),
                            key=_scan_number):
-            lat = FiniteLattice(names, down, *_tables_from_down(down))
-            key = tuple(sorted(zip(map(popcount, down),
-                                   map(popcount, _converse(down)))))
-            seen = buckets.setdefault(key, [])
-            if not any(poset_isomorphic(lat, other)[0] for other in seen):
-                seen.append(lat)
-                out.append(lat)
+            sig = _refine_signatures(down)
+            seen = buckets.setdefault(tuple(sorted(sig)), [])
+            if not any(_order_isomorphism(down, other, sig, other_sig)
+                       is not None for other, other_sig in seen):
+                seen.append((down, sig))
+                out.append(FiniteLattice(names, down,
+                                         *_tables_from_down(down)))
         if n < max_size:
             semis = [d + [s | 1 << (n - 1)] for d in semis
                      for s in _strict_down_sets(d)]

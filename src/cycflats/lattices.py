@@ -223,16 +223,19 @@ def _poset_of(obj):
 
 def _refine_signatures(down: Sequence[int], colours=None) -> list:
     """Iterated order-invariant per-element signatures (WL-style),
-    starting from the given node colours, if any."""
+    starting from the given node colours, if any.  Signatures are nested
+    tuples of ints (colours, when given, must be too), so one poset's
+    signatures sort, and their sorted tuple is an isomorphism invariant."""
     n = len(down)
     up = _converse(down)
+    below = [[j for j in bits(d) if j != i] for i, d in enumerate(down)]
+    above = [[j for j in bits(u) if j != i] for i, u in enumerate(up)]
     sig = [(popcount(down[i]), popcount(up[i])) for i in range(n)]
     if colours is not None:
         sig = list(zip(colours, sig))
     for _ in range(n):
-        nxt = [(sig[i],
-                tuple(sorted(sig[j] for j in bits(down[i]) if j != i)),
-                tuple(sorted(sig[j] for j in bits(up[i]) if j != i)))
+        nxt = [(sig[i], tuple(sorted(sig[j] for j in below[i])),
+                tuple(sorted(sig[j] for j in above[i])))
                for i in range(n)]
         if len(set(nxt)) == len(set(sig)):
             sig = nxt
@@ -251,19 +254,22 @@ def poset_isomorphic(a, b):
     """
     items_a, down_a = _poset_of(a)
     items_b, down_b = _poset_of(b)
-    mapping = _order_isomorphism(down_a, down_b)
+    mapping = _order_isomorphism(down_a, down_b, _refine_signatures(down_a),
+                                 _refine_signatures(down_b))
     if mapping is None:
         return False, None
     return True, [(items_a[i], items_b[j]) for i, j in enumerate(mapping)]
 
 
 def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
-                       colours_a=None, colours_b=None, sets_a=None,
+                       sig_a: Sequence, sig_b: Sequence, sets_a=None,
                        sets_b=None):
     """An order isomorphism from poset a to poset b, or None.
 
-    The posets are given by down-masks; colours, when given, are node
-    labels the isomorphism must preserve.  sets_a and sets_b, when given,
+    The posets are given by down-masks, and sig_a and sig_b are their
+    _refine_signatures (seeded with any node colours the isomorphism
+    must preserve); the caller computes them, so a poset compared many
+    times is refined once.  sets_a and sets_b, when given,
     map node masks to labels, and the isomorphism must carry each set of
     sets_a onto a set of sets_b with the same label.  Backtracking search
     pruned by iterated degree/height signatures: each pair is checked
@@ -275,9 +281,7 @@ def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
     n = len(down_a)
     if n != len(down_b):
         return None
-    sig_a = _refine_signatures(down_a, colours_a)
-    sig_b = _refine_signatures(down_b, colours_b)
-    if sorted(map(repr, sig_a)) != sorted(map(repr, sig_b)):
+    if sorted(sig_a) != sorted(sig_b):
         return None
     # process rarest signatures first
     order = sorted(range(n), key=lambda i: (sig_a.count(sig_a[i]), i))

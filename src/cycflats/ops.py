@@ -15,7 +15,7 @@ from itertools import combinations
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
 from .groundsets import GroundSet, bits, element_classes, popcount, set_text
 from .matroid import Matroid, RankedFamily, validate
-from .lattices import _down_masks, _order_isomorphism
+from .lattices import _down_masks, _order_isomorphism, _refine_signatures
 
 MINOR_SEARCH_CAP = 12  # largest host has_minor searches
 
@@ -46,15 +46,32 @@ class MinorSpec:
 def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     """The minor m \\ D / C, with C = spec.contract, D = spec.delete.
 
-    Its cyclic flats come from m's: for F in Z(m) let G = F - D; then
-    G - C is a cyclic flat of the minor, of rank r(G u C) - r(C), iff G
-    is cyclic and G u C is closed in m \\ D.  Every cyclic flat of the
-    minor arises so, and its rank oracle is r'(A) = r(A u C) - r(C).
+    Its cyclic flats are those of _minor_flats, and its rank oracle is
+    r'(A) = r(A u C) - r(C).
     """
     c, d = spec.contract, spec.delete
     full = m.ground.full
     if (c | d) & ~full:
         raise InvalidParameters("minor spec outside ground set")
+    kept = list(bits(full & ~(c | d)))
+    entries = []
+    for x, r in _minor_flats(m, c, d).items():
+        y = 0
+        for j, i in enumerate(kept):
+            y |= ((x >> i) & 1) << j
+        entries.append((y, r))
+    ground = GroundSet(m.ground.labels[i] for i in kept)
+    return validate(RankedFamily(ground, entries))
+
+
+def _minor_flats(m: Matroid, c: int, d: int) -> dict[int, int]:
+    """Z(m \\ D / C) as {mask: rank}, masks over m's ground set, for
+    disjoint C = c and D = d.
+
+    For F in Z(m) let G = F - D; then G - C is a cyclic flat of the
+    minor, of rank r(G u C) - r(C), iff G is cyclic and G u C is closed
+    in m \\ D.  Every cyclic flat of the minor arises so.
+    """
     rc = m.rank(c)
     found = {}
     for f in m.flats:
@@ -65,15 +82,7 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
         if union & ~(g | c | d):
             continue  # cl(G u C) gains an element outside D
         found[g & ~c] = r - rc
-    kept = list(bits(full & ~(c | d)))
-    entries = []
-    for x, r in found.items():
-        y = 0
-        for j, i in enumerate(kept):
-            y |= ((x >> i) & 1) << j
-        entries.append((y, r))
-    ground = GroundSet(m.ground.labels[i] for i in kept)
-    return validate(RankedFamily(ground, entries))
+    return found
 
 
 def restriction(m: Matroid, keep: int) -> Matroid:
@@ -177,8 +186,11 @@ def is_isomorphic(m: Matroid, n: Matroid):
 
     sizes_m = {u: popcount(c) for u, c in classes_m.items()}
     sizes_n = {v: popcount(c) for v, c in classes_n.items()}
-    phi = _order_isomorphism(_down_masks(m.flats), _down_masks(n.flats),
-                             colours_m, colours_n, sizes_m, sizes_n)
+    down_m, down_n = _down_masks(m.flats), _down_masks(n.flats)
+    phi = _order_isomorphism(down_m, down_n,
+                             _refine_signatures(down_m, colours_m),
+                             _refine_signatures(down_n, colours_n),
+                             sizes_m, sizes_n)
     if phi is None:
         return False, None
     witness = {}
@@ -202,7 +214,11 @@ def has_minor(m: Matroid, n: Matroid):
       coloops = (E - D) - inter(E - D) - C, where inter(E - D) is the
                 intersection of the flats attaining r(E - D), so
                 (E - D) - inter(E - D) are the isthmuses of m \\ D.
-    All three are isomorphism invariants, so the witness is unchanged.
+    A candidate that passes has its cyclic flats computed by
+    _minor_flats, with no minor built, and their count and sorted
+    (|F|, r) list are compared with n's.  All of these are isomorphism
+    invariants, so the witness is unchanged; only a candidate that
+    passes every test is built by minor and tested by is_isomorphic.
     Raises TooLarge for a host past MINOR_SEARCH_CAP elements.
     """
     if len(m.ground) > MINOR_SEARCH_CAP:
@@ -217,6 +233,7 @@ def has_minor(m: Matroid, n: Matroid):
         return False, None
     full = m.ground.full
     loops_n, coloops_n = popcount(n.loops()), popcount(n.isthmuses())
+    profile_n = sorted(zip(map(popcount, n.flats), n.flat_ranks))
     removed_size = size_m - size_n
     for c in _masks_by_size(range(size_m), range(removed_size + 1)):
         rc, _, union = m.rank_support(c)
@@ -227,6 +244,10 @@ def has_minor(m: Matroid, n: Matroid):
             if r - rc != n.matroid_rank \
                     or popcount(cl_c & ~(c | d)) != loops_n \
                     or popcount(full & ~(d | inter | c)) != coloops_n:
+                continue
+            flats = _minor_flats(m, c, d)
+            if len(flats) != len(profile_n) or profile_n != sorted(
+                    zip(map(popcount, flats), flats.values())):
                 continue
             cand = minor(m, MinorSpec(c, d))
             ok, _ = is_isomorphic(cand, n)

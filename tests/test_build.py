@@ -4,9 +4,11 @@ from itertools import combinations, product
 import pytest
 
 import cycflats as cf
-from cycflats.build import _chain_plus_one_ok
+from cycflats import build
+from cycflats.build import (_chain_plus_one_ok, _scan_number,
+                            _strict_down_sets)
 from cycflats.groundsets import popcount
-from cycflats.lattices import FiniteLattice, _tables_from_down
+from cycflats.lattices import FiniteLattice, _converse, _tables_from_down
 
 
 def _all_lattices_brute(max_size):
@@ -35,6 +37,40 @@ def _all_lattices_brute(max_size):
                 found.append(lat)
         out += found
     return out
+
+
+def _all_lattices_pairwise(max_size):
+    """Oracle for all_lattices past the brute scan's reach: the same
+    candidates in the same order, each built with its meet/join tables
+    and tested with poset_isomorphic against every lattice kept in its
+    bucket, keyed by the sorted (|down|, |up|) pairs."""
+    out = []
+    semis = [[]]
+    for n in range(1, max_size + 1):
+        names = [f"v{i}" for i in range(n)]
+        buckets = {}
+        for down in sorted((d + [(1 << n) - 1] for d in semis),
+                           key=_scan_number):
+            lat = FiniteLattice(names, down, *_tables_from_down(down))
+            key = tuple(sorted(zip(map(popcount, down),
+                                   map(popcount, _converse(down)))))
+            seen = buckets.setdefault(key, [])
+            if not any(cf.poset_isomorphic(lat, other)[0] for other in seen):
+                seen.append(lat)
+                out.append(lat)
+        if n < max_size:
+            semis = [d + [s | 1 << (n - 1)] for d in semis
+                     for s in _strict_down_sets(d)]
+    return out
+
+
+def _same_lattices(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.elements == b.elements
+        assert a.down == b.down
+        assert a.meet == b.meet
+        assert a.join == b.join
 
 
 def _random_cw2_matroid_brute(rng, max_elems=9):
@@ -300,14 +336,38 @@ class TestAllLattices:
 
     @pytest.mark.parametrize("max_size", range(1, 7))
     def test_matches_brute_scan(self, max_size):
-        got = cf.all_lattices(max_size)
-        want = _all_lattices_brute(max_size)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.elements == b.elements
-            assert a.down == b.down
-            assert a.meet == b.meet
-            assert a.join == b.join
+        _same_lattices(cf.all_lattices(max_size),
+                       _all_lattices_brute(max_size))
+
+    def test_matches_pairwise_dedup_at_seven(self):
+        _same_lattices(cf.all_lattices(7), _all_lattices_pairwise(7))
+
+    def test_matches_pairwise_dedup_at_eight(self, lattices_to_8):
+        _same_lattices(lattices_to_8, _all_lattices_pairwise(8))
+
+    def test_one_refinement_per_candidate(self, monkeypatch):
+        # 4,008 candidates with at most 8 elements, 300 of them kept
+        calls = {}
+
+        def counted(name):
+            fn = getattr(build, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("_refine_signatures", "_tables_from_down"):
+            monkeypatch.setattr(build, name, counted(name))
+        assert len(cf.all_lattices(8)) == 300
+        assert calls == {"_refine_signatures": 4008,
+                         "_tables_from_down": 300}
+
+    def test_sizes_zero_and_negative(self):
+        assert cf.all_lattices(0) == []
+        with pytest.raises(cf.InvalidParameters) as info:
+            cf.all_lattices(-1)
+        assert "got -1" in str(info.value)
 
     def test_cap(self):
         with pytest.raises(cf.TooLarge) as info:

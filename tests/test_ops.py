@@ -555,6 +555,54 @@ class TestHasMinor:
         assert spec == cf.MinorSpec(0, 0b11111111)
         assert built == [spec]
 
+    def test_absent_p2_builds_no_minor(self, monkeypatch):
+        # a minor of a nested matroid is nested, so its chain of cyclic
+        # flats never has P_2's two flats of size 2: every candidate
+        # fails on its flat profile, before minor is called
+        built = []
+
+        def counting_minor(m, spec):
+            built.append(spec)
+            return cf.minor(m, spec)
+
+        monkeypatch.setattr(ops, "minor", counting_minor)
+        rng = random.Random(15)
+        p2 = cf.excluded_minor_pn(2)
+        for _ in range(20):
+            seq = "".join(rng.choice("if") for _ in range(8))
+            host = cf.nested_from_sequence(seq)
+            assert cf.has_minor(host, p2) == (False, None)
+        assert built == []
+
+
+class TestMinorFlats:
+    """ops._minor_flats, the cyclic-flat rule has_minor tests candidates
+    with, against the flats of the minor that minor builds; that minor's
+    rank oracle is checked against the host's on every subset."""
+
+    @staticmethod
+    def _by_labels(ground, flats):
+        return {frozenset(ground.names(x)): r for x, r in flats.items()}
+
+    @pytest.mark.parametrize("kind", ["random", "cw2"])
+    def test_matches_minor(self, kind):
+        rng = random.Random(f"minor-flats:{kind}")
+        checked = 0
+        for seed in range(60):
+            m = (cf.random_matroid(random.Random(seed)) if kind == "random"
+                 else cf.random_cw2_matroid(random.Random(seed), max_elems=8))
+            n = len(m.ground)
+            for _ in range(8):
+                c = rng.getrandbits(n) & m.ground.full
+                d = rng.getrandbits(n) & m.ground.full & ~c
+                got = ops._minor_flats(m, c, d)
+                want = cf.minor(m, cf.MinorSpec(c, d))
+                assert self._by_labels(m.ground, got) == self._by_labels(
+                    want.ground, dict(zip(want.flats, want.flat_ranks)))
+                _check_minor(m, c, d, f"{kind} seed {seed}")
+                checked += 1
+        assert checked == 480
+
 
 def _check_minor(m, c, d, name):
     """The minor's rank is r(A u C) - r(C) on every subset A, and its
