@@ -61,6 +61,21 @@ def element_classes(family, support: int) -> dict[int, int]:
     return classes
 
 
+def class_profile(family, support: int) -> tuple[list[int], list[int]]:
+    """The element classes of element_classes, as a list of element masks
+    in order of their first element, with each member family[i] written
+    as the mask of the classes inside it (bit c set iff class c lies in
+    family[i]).  A set that is a union of classes is so determined by
+    how many elements it takes from each class: its class-count profile.
+    """
+    classes = element_classes(family, support)
+    inside = [0] * len(family)
+    for c, up in enumerate(classes):
+        for i in bits(up):
+            inside[i] |= 1 << c
+    return list(classes.values()), inside
+
+
 class GroundSet:
     """An ordered finite set of distinct element names."""
 

@@ -10,14 +10,14 @@ is_isomorphic), so it has no element cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
-from .groundsets import GroundSet, bits, element_classes, popcount, set_text
+from .groundsets import (GroundSet, bits, class_profile, element_classes,
+                         popcount, set_text)
 from .matroid import Matroid, RankedFamily, validate
 from .lattices import _down_masks, _order_isomorphism, _refine_signatures
 
-MINOR_SEARCH_CAP = 12  # largest host has_minor searches
+MINOR_SEARCH_CAP = 131_072  # most (C, D) profile pairs has_minor visits
 
 
 def dual(m: Matroid) -> Matroid:
@@ -70,14 +70,20 @@ def _minor_flats(m: Matroid, c: int, d: int) -> dict[int, int]:
 
     For F in Z(m) let G = F - D; then G - C is a cyclic flat of the
     minor, of rank r(G u C) - r(C), iff G is cyclic and G u C is closed
-    in m \\ D.  Every cyclic flat of the minor arises so.
+    in m \\ D.  Every cyclic flat of the minor arises so.  A flat F that
+    avoids D is G itself, cyclic, and closed in m \\ D; with C empty it
+    is kept at rank r(F) with no rank computed.
     """
     rc = m.rank(c)
     found = {}
-    for f in m.flats:
+    for f, rf in zip(m.flats, m.flat_ranks):
         g = f & ~d
-        if g & ~m.rank_support(g)[1]:
-            continue  # G has an isthmus
+        if g != f:
+            if g & ~m.rank_support(g)[1]:
+                continue  # G has an isthmus
+        elif not c:
+            found[f] = rf
+            continue
         r, _, union = m.rank_support(g | c)
         if union & ~(g | c | d):
             continue  # cl(G u C) gains an element outside D
@@ -201,67 +207,127 @@ def is_isomorphic(m: Matroid, n: Matroid):
 
 
 def has_minor(m: Matroid, n: Matroid):
-    """Exhaustive search for a minor of m isomorphic to n.
+    """Search for a minor of m isomorphic to n, over element-class orbits.
 
     Returns (bool, MinorSpec | None); the witness is the canonically
-    least (contract, delete) pair found.  Candidates are generated in
-    that order (contract sets by size, then lexicographically; for each,
-    delete sets likewise), so the search stops at the first witness.
-    Before a candidate m \\ D / C is built, its rank, loops and coloops
-    are counted from two rank_support calls on m and compared with n's:
+    least (contract, delete) pair: contract sets by size, then
+    lexicographically by sorted index tuple, and for each, delete sets
+    likewise.
+
+    Elements of one class (element_classes: they lie in the same cyclic
+    flats) are exchanged by automorphisms of m, so a permutation inside
+    classes carries a witness to a witness.  The search visits only the
+    orbit-minimal pairs: C takes the c_K lowest-indexed elements of each
+    class K, and D the d_K lowest of K - C; there is one such pair per
+    pair of class-count profiles (c, d).  The least witness is one of
+    them, since moving an element of C (then of D) to a lower unused one
+    of its class never raises a pair's place in the order; pairs are
+    visited in that order, so the first found is the least witness.
+
+    Each pair is tested first on its rank, loops and coloops, counted
+    from two rank_support calls on m and compared with n's,
       rank    = r(E - D) - r(C);
       loops   = cl(C) - C - D;
       coloops = (E - D) - inter(E - D) - C, where inter(E - D) is the
                 intersection of the flats attaining r(E - D), so
-                (E - D) - inter(E - D) are the isthmuses of m \\ D.
-    A candidate that passes has its cyclic flats computed by
-    _minor_flats, with no minor built, and their count and sorted
-    (|F|, r) list are compared with n's.  All of these are isomorphism
-    invariants, so the witness is unchanged; only a candidate that
-    passes every test is built by minor and tested by is_isomorphic.
-    Raises TooLarge for a host past MINOR_SEARCH_CAP elements.
+                (E - D) - inter(E - D) are the isthmuses of m \\ D;
+    then the count and sorted (|F|, r) list of the cyclic flats of
+    _minor_flats.  These are isomorphism invariants; only a pair that
+    passes them all is built by minor and tested by is_isomorphic.
+
+    The profile pairs are counted before the search (_profile_pairs);
+    raises TooLarge when there are more than MINOR_SEARCH_CAP.
     """
-    if len(m.ground) > MINOR_SEARCH_CAP:
-        raise TooLarge(
-            f"has_minor would search a host of {len(m.ground)} elements, "
-            f"over cap {MINOR_SEARCH_CAP} (MINOR_SEARCH_CAP); for nested "
-            f"matroids, nested_sequence_of and nested_subsequence_minor "
-            f"decide it without a search")
     size_m, size_n = len(m.ground), len(n.ground)
     if size_n > size_m or n.matroid_rank > m.matroid_rank \
             or n.nullity > m.nullity:
         return False, None
+    removed = size_m - size_n
+    classes, _ = class_profile(m.flats, m.ground.full)
+    pairs = _profile_pairs([popcount(k) for k in classes], removed)
+    if pairs > MINOR_SEARCH_CAP:
+        raise TooLarge(
+            f"has_minor would visit {pairs} (contract, delete) class-count "
+            f"profile pairs, over cap {MINOR_SEARCH_CAP} (MINOR_SEARCH_CAP); "
+            f"for nested matroids, nested_sequence_of and "
+            f"nested_subsequence_minor decide it without a search")
     full = m.ground.full
     loops_n, coloops_n = popcount(n.loops()), popcount(n.isthmuses())
     profile_n = sorted(zip(map(popcount, n.flats), n.flat_ranks))
-    removed_size = size_m - size_n
-    for c in _masks_by_size(range(size_m), range(removed_size + 1)):
-        rc, _, union = m.rank_support(c)
-        cl_c = c | union
-        rest = [i for i in range(size_m) if not (c >> i) & 1]
-        for d in _masks_by_size(rest, [removed_size - popcount(c)]):
-            r, inter, _ = m.rank_support(full & ~d)
-            if r - rc != n.matroid_rank \
-                    or popcount(cl_c & ~(c | d)) != loops_n \
-                    or popcount(full & ~(d | inter | c)) != coloops_n:
-                continue
-            flats = _minor_flats(m, c, d)
-            if len(flats) != len(profile_n) or profile_n != sorted(
-                    zip(map(popcount, flats), flats.values())):
-                continue
-            cand = minor(m, MinorSpec(c, d))
-            ok, _ = is_isomorphic(cand, n)
-            if ok:
-                return True, MinorSpec(c, d)
+    last_c = None
+    for c, d in _orbit_pairs(classes, removed):
+        if c != last_c:
+            rc, _, union = m.rank_support(c)
+            cl_c, last_c = c | union, c
+        r, inter, _ = m.rank_support(full & ~d)
+        if r - rc != n.matroid_rank \
+                or popcount(cl_c & ~(c | d)) != loops_n \
+                or popcount(full & ~(d | inter | c)) != coloops_n:
+            continue
+        flats = _minor_flats(m, c, d)
+        if len(flats) != len(profile_n) or profile_n != sorted(
+                zip(map(popcount, flats), flats.values())):
+            continue
+        cand = minor(m, MinorSpec(c, d))
+        ok, _ = is_isomorphic(cand, n)
+        if ok:
+            return True, MinorSpec(c, d)
     return False, None
 
 
-def _masks_by_size(elems, sizes):
-    """Masks of the subsets of elems (ascending indices) with the given
-    sizes, in canonical subset order."""
-    for size in sizes:
-        for combo in combinations(elems, size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            yield mask
+def _profile_pairs(sizes, removed: int) -> int:
+    """The number of class-count profile pairs (c, d) with sum
+    removed, for classes of the given sizes: the coefficient of
+    x^removed in the product over classes K of sum_{t <= |K|} (t + 1) x^t,
+    as t = c_K + d_K elements of K go in t + 1 ways."""
+    poly = [1] + [0] * removed
+    for k in sizes:
+        poly = [sum((t + 1) * poly[i - t] for t in range(min(k, i) + 1))
+                for i in range(removed + 1)]
+    return poly[removed]
+
+
+def _orbit_pairs(classes, removed: int):
+    """The orbit-minimal (C, D) with |C| + |D| = removed, one per pair of
+    class-count profiles, in canonical order: C takes the lowest-indexed
+    elements of each class, and D the lowest of each class minus C.
+
+    For each size of C the pairs are built class by class, grouped by
+    (|C|, |D|) so far.  Each carries its place in the order as one key:
+    C's mask then D's, each with its bits reversed.  Of two sets of one
+    size, the first holds the lowest element where they differ, so it has
+    the larger reversed mask; the pairs are sorted by key, descending.
+    """
+    width = max((k.bit_length() for k in classes), default=0)
+    segs = []  # per class: masks of its t lowest elements, and reversed
+    for k in classes:
+        pre, rev = [0], [0]
+        for i in bits(k):
+            pre.append(pre[-1] | 1 << i)
+            rev.append(rev[-1] | 1 << (width - 1 - i))
+        segs.append((pre, rev))
+    room = [0] * (len(classes) + 1)  # room[k]: elements of classes k, k+1..
+    for k in reversed(range(len(classes))):
+        room[k] = room[k + 1] + popcount(classes[k])
+    for size in range(removed + 1):
+        dsize = removed - size
+        built = {(0, 0): [(0, 0, 0)]}
+        for k, (pre, rev) in enumerate(segs):
+            most = len(pre) - 1
+            grown = {}
+            for (sc, sd), items in built.items():
+                for a in range(min(most, size - sc) + 1):
+                    # what classes after k cannot hold goes to D here
+                    short = size - sc - a + dsize - sd - room[k + 1]
+                    for b in range(max(0, short),
+                                   min(most - a, dsize - sd) + 1):
+                        key = rev[a] << width | (rev[a + b] & ~rev[a])
+                        c_seg, d_seg = pre[a], pre[a + b] & ~pre[a]
+                        grown.setdefault((sc + a, sd + b), []).extend(
+                            [(x | key, c | c_seg, d | d_seg)
+                             for x, c, d in items])
+            built = grown
+        pairs = built.get((size, dsize), [])
+        pairs.sort(reverse=True)
+        for _, c, d in pairs:
+            yield c, d

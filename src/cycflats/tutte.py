@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .errors import TooLarge
-from .groundsets import bits, element_classes, popcount
+from .groundsets import bits, class_profile, popcount
 from .matroid import ENUM_CAP, Matroid, _grid_ranks
 
 
@@ -107,8 +107,8 @@ def _component_rank_gen(m: Matroid, s: int) -> list[list[int]]:
     for f, r in zip(m.flats, m.flat_ranks):
         if r < proj.get(f & s, r + 1):
             proj[f & s] = r
-    classes = list(element_classes(list(proj), s).items())
-    radices = [popcount(c) for _, c in classes]
+    classes, inside = class_profile(list(proj), s)
+    radices = [popcount(c) for c in classes]
     n = popcount(s)
     cells = prod(k + 1 for k in radices)
     if cells > 1 << ENUM_CAP:
@@ -117,8 +117,7 @@ def _component_rank_gen(m: Matroid, s: int) -> list[list[int]]:
             f"connected component of {n} elements, over cap 2^{ENUM_CAP} "
             f"(ENUM_CAP); rank_gen_convolution gives R of a free product "
             f"from its factors")
-    flats = [(sum(1 << c for c, (u, _) in enumerate(classes) if u >> i & 1), r)
-             for i, r in enumerate(proj.values())]
+    flats = list(zip(inside, proj.values()))
     rank = min(r + popcount(s & ~g) for g, r in proj.items())
     # exact sums: int64 holds every sum, at most 2^n, while n <= 62
     dtype = np.int64 if n <= 62 else object

@@ -287,6 +287,29 @@ class TestAnalysis:
         code, out, _ = run("minor-test", FX / "mk4.json", FX / "u24.json")
         assert (code, out) == (1, "minor: false\n")
 
+    def test_minor_test_past_twelve_elements(self, run, tmp_path):
+        # a 16-element nested host has four element classes, so the
+        # search is small and answers rather than exiting 2 (TooLarge)
+        seq = "iiffifffiiffiiff"
+        host = cf.nested_from_sequence(seq)
+        host_doc = tmp_path / "host.json"
+        host_doc.write_text(io.emit_matroid(host))
+        for pat in ("iffifffiiffi", "ffffffiii", "fiffifffiffi"):
+            found = cf.nested_subsequence_minor(pat, seq)[0]
+            pattern = cf.nested_from_sequence(pat)
+            pattern_doc = tmp_path / f"{pat}.json"
+            pattern_doc.write_text(io.emit_matroid(pattern))
+            code, out, err = run("minor-test", host_doc, pattern_doc)
+            assert (code, err) == (0 if found else 1, "")
+            first, _, rest = out.partition("\n")
+            assert first == f"minor: {str(found).lower()}"
+            if found:
+                spec = json.loads(rest)
+                got = cf.minor(host, cf.MinorSpec(
+                    host.ground.mask(spec["contract"]),
+                    host.ground.mask(spec["delete"])))
+                assert cf.is_isomorphic(got, pattern)[0]
+
     def test_iso(self, run, tmp_path):
         other = tmp_path / "relabeled.json"
         other.write_text(io.emit_matroid(cf.relabel(cf.uniform(2, 4), "q")))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
 from cycflats import ops
-from cycflats.groundsets import bits, popcount, subset_key
+from cycflats.groundsets import bits, class_profile, popcount, subset_key
 from cycflats.matroid import ENUM_CAP
 from cycflats.ops import MINOR_SEARCH_CAP
 
@@ -480,13 +480,20 @@ class TestHasMinor:
         assert spec.delete == catalog["u25"].ground.mask(["e1"])
 
     def test_cap(self, catalog):
-        assert MINOR_SEARCH_CAP == 12
-        assert cf.has_minor(cf.uniform(2, 12), catalog["u24"])[0]
+        # the cap counts class-count profile pairs, not host elements
+        assert MINOR_SEARCH_CAP == 131_072
+        found, spec = cf.has_minor(cf.uniform(2, 13), catalog["u24"])
+        assert found  # one class: 10 profile pairs
+        assert spec == cf.MinorSpec(0, 0b111111111)
+        host = functools.reduce(cf.direct_sum, [
+            cf.uniform(1, 2, [f"a{i}", f"b{i}"]) for i in range(10)])
         with pytest.raises(cf.TooLarge) as err:
-            cf.has_minor(cf.uniform(2, 13), catalog["u24"])
-        assert "host of 13 elements" in str(err.value)
-        assert "cap 12 (MINOR_SEARCH_CAP)" in str(err.value)
-        assert "nested_subsequence_minor" in str(err.value)
+            cf.has_minor(host, cf.uniform(1, 2))
+        assert "visit 1377810 (contract, delete) class-count profile " \
+            "pairs" in str(err.value)
+        assert "cap 131072 (MINOR_SEARCH_CAP)" in str(err.value)
+        assert "nested_sequence_of and nested_subsequence_minor" \
+            in str(err.value)
 
     def test_witness_matches_sort_everything_order(self, small_catalog):
         hosts = [m for m in small_catalog.values() if len(m.ground) <= 5]
@@ -575,6 +582,119 @@ class TestHasMinor:
         assert built == []
 
 
+class TestOrbitSearch:
+    """has_minor visits one (C, D) per pair of class-count profiles;
+    _has_minor_pairwise, which visits every pair, is the oracle."""
+
+    PATTERNS = [cf.excluded_minor_pn(2), cf.uniform(2, 4), cf.uniform(1, 3),
+                cf.uniform(0, 1), cf.uniform(1, 1),
+                cf.nested_from_sequence("ifif"),
+                cf.nested_from_sequence("iff")]
+
+    @staticmethod
+    def _hosts(small_catalog):
+        hosts = list(small_catalog.values())
+        hosts += [cf.random_matroid(random.Random(seed), 10)
+                  for seed in range(40)]
+        hosts += [cf.random_cw2_matroid(random.Random(seed), max_elems=8)
+                  for seed in range(30)]
+        rng = random.Random("orbit-hosts")
+        hosts += [cf.nested_from_sequence(
+                      "".join(rng.choice("if") for _ in range(steps)))
+                  for steps in range(4, 11) for _ in range(3)]
+        hosts += [cf.nested_from_sequence("ififififfiif"), cf.uniform(6, 12)]
+        return hosts
+
+    def test_matches_pairwise(self, small_catalog):
+        checked = found = 0
+        for m in self._hosts(small_catalog):
+            assert len(m.ground) <= 12
+            for n in self.PATTERNS:
+                got = cf.has_minor(m, n)
+                assert got == _has_minor_pairwise(m, n), (m, n)
+                checked += 1
+                found += got[0]
+        assert checked > 800 and 200 < found < checked - 200
+
+    @pytest.mark.parametrize("seq, pairs", [(None, 9),
+                                            ("ififififfiif", 4_317)])
+    def test_visited_pairs(self, seq, pairs, monkeypatch):
+        host = cf.uniform(6, 12) if seq is None \
+            else cf.nested_from_sequence(seq)
+        visited = []
+        orbit_pairs = ops._orbit_pairs
+
+        def counting(classes, removed):
+            for pair in orbit_pairs(classes, removed):
+                visited.append(pair)
+                yield pair
+
+        monkeypatch.setattr(ops, "_orbit_pairs", counting)
+        assert cf.has_minor(host, cf.excluded_minor_pn(2)) == (False, None)
+        assert len(visited) == len(set(visited)) == pairs
+
+    def test_orbit_pairs_are_the_orbit_minimal_pairs(self):
+        # every (C, D) that is a prefix of each class, and of each class
+        # minus C, in canonical order, counted by _profile_pairs
+        hosts = [cf.random_matroid(random.Random(seed), 8)
+                 for seed in range(30)]
+        hosts += [cf.nested_from_sequence("iiffifffi"), cf.uniform(3, 7),
+                  cf.excluded_minor_pn(3), cf.catalog("mk4")]
+        for m in hosts:
+            classes, _ = class_profile(m.flats, m.ground.full)
+            size = len(m.ground)
+
+            def prefix(x, k):
+                low = list(bits(k))[:popcount(k & x)]
+                return x & k == sum(1 << i for i in low)
+
+            for removed in range(size + 1):
+                want = [(c, d) for c, d in _pairs_in_order(size, removed)
+                        if all(prefix(c, k) and prefix(d, k & ~c)
+                               for k in classes)]
+                got = list(ops._orbit_pairs(classes, removed))
+                assert got == want
+                assert len(got) == ops._profile_pairs(
+                    [popcount(k) for k in classes], removed)
+
+    def test_cap_takes_every_host_of_twelve(self):
+        # the pair count of any class sizes summing to 12 is at most
+        # C(12, 8) 2^8, reached by twelve classes of one
+        def partitions(n, most):
+            if n == 0:
+                yield []
+            for k in range(min(n, most), 0, -1):
+                for rest in partitions(n - k, k):
+                    yield [k] + rest
+
+        counts = [ops._profile_pairs(sizes, removed)
+                  for sizes in partitions(12, 12) for removed in range(13)]
+        assert max(counts) == 126_720 <= MINOR_SEARCH_CAP
+
+    def test_nested_hosts_past_twelve(self):
+        rng = random.Random("reach")
+        found = 0
+        for _ in range(10):
+            size = rng.randint(16, 20)
+            seq = "".join(rng.choice("if") for _ in range(size))
+            host = cf.nested_from_sequence(seq)
+            for want in (True, False):
+                while True:
+                    k = rng.randint(size - 6, size - 2)
+                    pat = ("".join(seq[i] for i in sorted(
+                               rng.sample(range(size), k))) if want
+                           else "".join(rng.choice("if") for _ in range(k)))
+                    if cf.nested_subsequence_minor(pat, seq)[0] == want:
+                        break
+                pattern = cf.nested_from_sequence(pat)
+                got, spec = cf.has_minor(host, pattern)
+                assert got == want, (seq, pat)
+                if got:
+                    assert cf.is_isomorphic(cf.minor(host, spec), pattern)[0]
+                found += got
+        assert found == 10
+
+
 class TestMinorFlats:
     """ops._minor_flats, the cyclic-flat rule has_minor tests candidates
     with, against the flats of the minor that minor builds; that minor's
@@ -602,6 +722,27 @@ class TestMinorFlats:
                 _check_minor(m, c, d, f"{kind} seed {seed}")
                 checked += 1
         assert checked == 480
+
+    def test_flats_avoiding_d_match_full_rule(self):
+        # a flat avoiding D skips the cyclic test, and with C empty every
+        # rank_support call; _minor_flats_full tests every flat
+        rng = random.Random("minor-flats:untouched")
+        checked = untouched = contract_free = 0
+        for seed in range(150):
+            m = (cf.random_matroid(random.Random(seed)) if seed % 2
+                 else cf.random_cw2_matroid(random.Random(seed), max_elems=9))
+            full, n = m.ground.full, len(m.ground)
+            for _ in range(20):
+                c = 0 if rng.random() < 0.5 else \
+                    rng.getrandbits(n) & rng.getrandbits(n) & full
+                d = rng.getrandbits(n) & rng.getrandbits(n) & full & ~c
+                assert ops._minor_flats(m, c, d) == _minor_flats_full(m, c, d)
+                checked += 1
+                if any(f and not f & d for f in m.flats):
+                    untouched += 1
+                    contract_free += not c
+        assert checked == 3000
+        assert untouched > 1500 and contract_free > 700
 
 
 def _check_minor(m, c, d, name):
@@ -717,3 +858,65 @@ def _has_minor_sorted(m, n):
         if cf.is_isomorphic(cf.minor(m, spec), n)[0]:
             return True, spec
     return False, None
+
+
+def _pairs_in_order(size, removed):
+    """Every disjoint (C, D) with |C| + |D| = removed, in has_minor's
+    canonical order."""
+    for c in _masks_by_size(range(size), range(removed + 1)):
+        rest = [i for i in range(size) if not (c >> i) & 1]
+        for d in _masks_by_size(rest, [removed - popcount(c)]):
+            yield c, d
+
+
+def _has_minor_pairwise(m, n):
+    """Reference: has_minor's filters on every (contract, delete) pair
+    in canonical order, not one pair per class-count profile pair."""
+    size_m, size_n = len(m.ground), len(n.ground)
+    if size_n > size_m or n.matroid_rank > m.matroid_rank \
+            or n.nullity > m.nullity:
+        return False, None
+    full = m.ground.full
+    loops_n, coloops_n = popcount(n.loops()), popcount(n.isthmuses())
+    profile_n = sorted(zip(map(popcount, n.flats), n.flat_ranks))
+    for c, d in _pairs_in_order(size_m, size_m - size_n):
+        rc, _, union = m.rank_support(c)
+        r, inter, _ = m.rank_support(full & ~d)
+        if r - rc != n.matroid_rank \
+                or popcount((c | union) & ~(c | d)) != loops_n \
+                or popcount(full & ~(d | inter | c)) != coloops_n:
+            continue
+        flats = ops._minor_flats(m, c, d)
+        if len(flats) != len(profile_n) or profile_n != sorted(
+                zip(map(popcount, flats), flats.values())):
+            continue
+        if cf.is_isomorphic(cf.minor(m, cf.MinorSpec(c, d)), n)[0]:
+            return True, cf.MinorSpec(c, d)
+    return False, None
+
+
+def _masks_by_size(elems, sizes):
+    """Masks of the subsets of elems (ascending indices) with the given
+    sizes, in canonical subset order."""
+    for size in sizes:
+        for combo in combinations(elems, size):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            yield mask
+
+
+def _minor_flats_full(m, c, d):
+    """Reference: ops._minor_flats with both rank_support tests on every
+    flat, including those that avoid D."""
+    rc = m.rank(c)
+    found = {}
+    for f in m.flats:
+        g = f & ~d
+        if g & ~m.rank_support(g)[1]:
+            continue
+        r, _, union = m.rank_support(g | c)
+        if union & ~(g | c | d):
+            continue
+        found[g & ~c] = r - rc
+    return found
