@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidParameters, NotAMatroid, TooLarge
@@ -176,7 +176,8 @@ class Matroid:
         return min(r + (a & ~f).bit_count() for f, r in self._rank_of.items())
 
     def rank_table(self) -> np.ndarray:
-        """Ranks of all 2^n subsets, indexed by mask (cached, uint8).
+        """Ranks of all 2^n subsets, indexed by mask (cached, read-only,
+        uint8).
 
         The grid of _grid_ranks with every element its own class of one,
         so a profile is a subset and its grid index is its mask.
@@ -188,7 +189,9 @@ class Matroid:
                     f"rank_table would tabulate all subsets of {n} elements, "
                     f"over cap {ENUM_CAP} (ENUM_CAP); rank, closure, minor "
                     f"and dual need no table")
-            self._table = _grid_ranks([1] * n, self._rank_of.items())
+            table = _grid_ranks([1] * n, self._rank_of.items())
+            table.flags.writeable = False
+            self._table = table
         return self._table
 
     def is_independent(self, i: int) -> bool:
@@ -379,40 +382,49 @@ def _grid_ranks(radices, flats) -> np.ndarray:
     Axis c takes t_c = 0..radices[c] (axis 0 varies fastest, so with
     every radix 1 the grid index of a subset is its mask); flats are
     (mask of the axes inside F, r(F)).  Each value is the sum of one part
-    from the low axes and one from the high axes, so the grid is a
-    (high x low) min of outer sums of two short vectors.  Flats with the
-    same low part share one pass: their high parts are folded into one
-    vector first.  Returns the flattened grid in the smallest unsigned
-    dtype that holds the largest candidate value.
+    from the low h = len(radices) // 2 axes and one from the high axes,
+    so the grid is a (high x low) min of outer sums.  A half's parts are
+    products of the flats' rows (1 on each axis outside F) with its digit
+    matrix (axes x cells, the t_c of every cell).  Flats are grouped by
+    their low part; a group's high parts, r(F) included, come from one
+    product, in chunks of at most an eighth of the grid, and only their
+    minimum meets the low part in an outer sum.  So each distinct low
+    part costs two passes over the grid, and the peak is the grid, its
+    scratch copy and at most an eighth of a grid of high parts.
+    Returns the flattened grid in the smallest unsigned dtype that holds
+    the largest candidate value.
     """
     import numpy as np
     flats = list(flats)
-    h = len(radices) // 2
-    low_mask = (1 << h) - 1
-    top = max(r + sum(k for c, k in enumerate(radices) if not inside >> c & 1)
-              for inside, r in flats)
-    dtype = np.min_scalar_type(top)
-
-    def part(axes, inside, base):
-        v = np.full(1, base, dtype=dtype)
-        for c in reversed(range(len(axes))):
-            k = axes[c] + 1
-            step = (np.zeros(k, dtype) if inside >> c & 1
-                    else np.arange(k, dtype=dtype))
-            v = np.add.outer(v, step).ravel()
-        return v
-
-    high_of = {}  # low part of F's inside mask -> min of the high parts
-    for inside, r in flats:
-        b = part(radices[h:], inside >> h, r)
-        low = inside & low_mask
-        if low in high_of:
-            np.minimum(high_of[low], b, out=high_of[low])
-        else:
-            high_of[low] = b
+    axes = len(radices)
+    h = axes // 2
+    # one row per flat: 1 on each axis outside F, then r(F)
+    rows = np.empty((len(flats), axes + 1), np.int64)
+    rows[:, :axes] = (~np.array([f for f, _ in flats], np.int64)[:, None]
+                      >> np.arange(axes) & 1)
+    rows[:, axes] = [r for _, r in flats]
+    dtype = np.min_scalar_type(
+        int((rows @ np.array([*radices, 1], np.int64)).max()))
+    rows = rows.astype(dtype)
+    high_digits = _digits([*radices[h:], 0], dtype)
+    high_digits[-1] = 1  # picks up r(F)
+    low = radices[:h]
+    if low == radices[h:2 * h]:  # as with every radix 1
+        # then the low grid is the high grid's first cells, first axes
+        low_digits = high_digits[:h, :prod(k + 1 for k in low)]
+    else:
+        low_digits = _digits(low, dtype)
+    groups = {}  # low part of F's inside mask -> rows of those flats
+    for i, (inside, _) in enumerate(flats):
+        groups.setdefault(inside & ((1 << h) - 1), []).append(i)
+    chunk = max(1, low_digits.shape[1] // 8)
     best = tmp = None
-    for low, b in high_of.items():
-        a = part(radices[:h], low, 0)
+    for members in groups.values():
+        b = None
+        for s in range(0, len(members), chunk):
+            part = (rows[members[s:s + chunk], h:] @ high_digits).min(axis=0)
+            b = part if b is None else np.minimum(b, part, out=b)
+        a = rows[members[0], :h] @ low_digits
         if best is None:
             best = np.add.outer(b, a)
             tmp = np.empty_like(best)
@@ -420,6 +432,19 @@ def _grid_ranks(radices, flats) -> np.ndarray:
             np.add.outer(b, a, out=tmp)
             np.minimum(best, tmp, out=best)
     return best.ravel()
+
+
+def _digits(radices, dtype) -> np.ndarray:
+    """The (axes x cells) digit matrix of a mixed-radix grid: row c holds
+    t_c at every cell, axis 0 varying fastest."""
+    import numpy as np
+    out = np.empty((len(radices), prod(k + 1 for k in radices)), dtype)
+    stride = 1
+    for c, k in enumerate(radices):
+        out[c].reshape(-1, k + 1, stride)[:] = np.arange(
+            k + 1, dtype=dtype)[:, None]
+        stride *= k + 1
+    return out
 
 
 def cyclic_flats_recompute(m: Matroid) -> RankedFamily:
@@ -430,21 +455,46 @@ def cyclic_flats_recompute(m: Matroid) -> RankedFamily:
     element keeps the rank).  Must reproduce m's family exactly.  Raises
     TooLarge past ENUM_CAP elements, before allocating.
 
-    Viewed as (-1, 2, 2^x), the table pairs each set without x (column
-    0) with the same set plus x (column 1); one comparison of the two
-    decides both tests for x.
+    Every subset is tested for every element x by one comparison of the
+    set without x and the same set plus x (_fixpoint_sweep).  For the
+    high elements x >= h = n // 2 the sweep runs on the table as it is,
+    in rows of 2^x >= 2^h entries.  For the low elements it runs on
+    blocks of 2^16 entries, each transposed from (rows x 2^h) to
+    (2^h x rows), which puts the low bits above the block's rows, so
+    those rows are long too.  Peak memory is three tables: the ranks,
+    the result mask, and one high element's comparisons with their
+    negation.
     """
     import numpy as np
     rt = m.rank_table()
+    n = len(m.ground)
+    h = n // 2
     good = np.ones(len(rt), dtype=bool)
-    for x in range(len(m.ground)):
-        v = rt.reshape(-1, 2, 1 << x)
-        g = good.reshape(-1, 2, 1 << x)
+    _fixpoint_sweep(rt, good, range(h, n), 1)
+    table, mask = rt.reshape(-1, 1 << h), good.reshape(-1, 1 << h)
+    step = max(1, (1 << 16) >> h)
+    for s in range(0, len(table), step):
+        block = np.ascontiguousarray(table[s:s + step].T)
+        keep = np.ones_like(block, dtype=bool)
+        _fixpoint_sweep(block, keep, range(h), block.shape[1])
+        mask[s:s + step] &= keep.T
+    return RankedFamily(m.ground, [(int(f), int(rt[f]))
+                                   for f in np.flatnonzero(good)])
+
+
+def _fixpoint_sweep(ranks, good, elements, unit) -> None:
+    """Clear good[A] unless A is closed and isthmus-free at each x in
+    elements, where adding x to a set adds unit << x to its index.
+
+    Viewed as (-1, 2, unit << x), the arrays pair each set without x
+    (column 0) with the same set plus x (column 1).
+    """
+    for x in elements:
+        v = ranks.reshape(-1, 2, unit << x)
+        g = good.reshape(-1, 2, unit << x)
         up = v[:, 1] > v[:, 0]
         g[:, 0] &= up   # closed: adding x raises the rank
         g[:, 1] &= ~up  # no isthmus: removing x keeps the rank
-    return RankedFamily(m.ground, [(int(f), int(rt[f]))
-                                   for f in np.flatnonzero(good)])
 
 
 @dataclass(frozen=True)

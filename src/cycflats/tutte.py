@@ -188,15 +188,25 @@ def rank_gen_convolution(rm: RankGenMatrix,
 
 
 def tutte_from_rank_gen(rgm: RankGenMatrix) -> dict[tuple[int, int], int]:
-    """Shift a rank-generating matrix to Tutte-polynomial coefficients."""
-    out: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(rgm.coeffs):
-        for j, a in enumerate(row):
-            if not a:
-                continue
-            for p in range(i + 1):
-                cp = comb(i, p) * (-1) ** (i - p)
-                for q in range(j + 1):
-                    term = a * cp * comb(j, q) * (-1) ** (j - q)
-                    out[(p, q)] = out.get((p, q), 0) + term
-    return {pq: c for pq, c in sorted(out.items()) if c}
+    """Shift a rank-generating matrix to Tutte-polynomial coefficients:
+    t(x, y) = R(x-1, y-1), only nonzero terms kept.
+
+    x -> x-1 goes over the rows, then y -> y-1 over the columns, each a
+    binomial pass (_shift_rows): O(r n (r + n)) products of exact ints
+    for an (r+1) x (n+1) matrix.
+    """
+    shifted = zip(*_shift_rows(list(zip(*_shift_rows(rgm.coeffs)))))
+    return {(p, q): c for p, row in enumerate(shifted)
+            for q, c in enumerate(row) if c}
+
+
+def _shift_rows(rows):
+    """Substitute z -> z-1 where row i holds the coefficients of z^i:
+    row p of the result is the sum over i >= p of C(i, p) (-1)^(i-p)
+    times row i."""
+    out = [[0] * len(rows[0]) for _ in rows]
+    for i, row in enumerate(rows):
+        for p in range(i + 1):
+            c = comb(i, p) if (i - p) % 2 == 0 else -comb(i, p)
+            out[p] = [o + c * a for o, a in zip(out[p], row)]
+    return out

@@ -1,7 +1,8 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -409,6 +410,16 @@ class TestRankOracle:
             for a in masks:
                 assert table[a] == m.rank(a), (n, a)
 
+    def test_rank_table_is_read_only(self):
+        m = cf.uniform(2, 4)
+        rt = m.rank_table()
+        family, rgm = cf.cyclic_flats_recompute(m), cf.rank_gen_brute(m)
+        with pytest.raises(ValueError):
+            rt[:] = 0
+        assert m.rank_table() is rt
+        assert cf.cyclic_flats_recompute(m) == family == m.ranked_family()
+        assert cf.rank_gen_brute(m) == rgm
+
     def test_grid_ranks_mixed_radix(self):
         radices = [2, 1, 3, 1, 2]
         flats = [(0b00000, 0), (0b00101, 2), (0b11001, 3), (0b10110, 4),
@@ -421,6 +432,137 @@ class TestRankOracle:
             assert g == min(r + sum(tc for c, tc in enumerate(t)
                                     if not inside >> c & 1)
                             for inside, r in flats), t
+
+
+def _grid_ranks_outer(radices, flats):
+    """Oracle for _grid_ranks: each flat's high part built axis by axis
+    from np.add.outer, folded per low part, then one (high x low) outer
+    sum per distinct low part."""
+    flats = list(flats)
+    h = len(radices) // 2
+    low_mask = (1 << h) - 1
+    top = max(r + sum(k for c, k in enumerate(radices) if not inside >> c & 1)
+              for inside, r in flats)
+    dtype = np.min_scalar_type(top)
+
+    def part(axes, inside, base):
+        v = np.full(1, base, dtype=dtype)
+        for c in reversed(range(len(axes))):
+            k = axes[c] + 1
+            step = (np.zeros(k, dtype) if inside >> c & 1
+                    else np.arange(k, dtype=dtype))
+            v = np.add.outer(v, step).ravel()
+        return v
+
+    high_of = {}
+    for inside, r in flats:
+        b = part(radices[h:], inside >> h, r)
+        low = inside & low_mask
+        if low in high_of:
+            np.minimum(high_of[low], b, out=high_of[low])
+        else:
+            high_of[low] = b
+    best = None
+    for low, b in high_of.items():
+        cell = np.add.outer(b, part(radices[:h], low, 0))
+        best = cell if best is None else np.minimum(best, cell)
+    return best.ravel()
+
+
+def _random_grid(rng, axes, max_cells, max_flats):
+    """Radices of 1-3 on the given number of axes with at most max_cells
+    cells, and up to max_flats distinct inside masks with random ranks."""
+    radices = [rng.randint(1, 3) for _ in range(axes)]
+    while prod(k + 1 for k in radices) > max_cells:
+        radices[rng.randrange(axes)] = 1
+    count = rng.randint(1, min(max_flats, 1 << axes))
+    insides = rng.sample(range(1 << axes), count)
+    return radices, [(f, rng.randint(0, 9)) for f in insides]
+
+
+class TestGridRanksAgainstOuterSums:
+    """_grid_ranks against the outer-sum oracle: same values, same dtype."""
+
+    def assert_same(self, radices, flats):
+        got, want = _grid_ranks(radices, flats), _grid_ranks_outer(radices,
+                                                                   flats)
+        assert got.dtype == want.dtype, (radices, flats)
+        assert np.array_equal(got, want), (radices, flats)
+
+    def test_random_mixed_radices(self):
+        rng = random.Random(5)
+        for axes in range(1, 12):  # odd and even axis counts
+            for _ in range(12):
+                self.assert_same(*_random_grid(rng, axes, 1 << 14, 64))
+
+    def test_single_axis(self):
+        # h = 0: no low axes, as rank_gen builds for U_{r,18}
+        for r in (0, 3, 18):
+            self.assert_same([18], [(0, 0), (1, r)])
+        self.assert_same([3], [(0, 2)])
+
+    def test_many_flats(self):
+        rng = random.Random(864)
+        for count in (1, 2, 200, 864):
+            insides = rng.sample(range(1 << 12), count)
+            self.assert_same([1] * 12,
+                             [(f, rng.randint(0, 12)) for f in insides])
+
+    def test_flats_meeting_both_halves(self):
+        rng = random.Random(3)
+        for axes in (5, 8, 9):
+            h = axes // 2
+            straddle = [f for f in range(1 << axes)
+                        if f & ((1 << h) - 1) and f >> h]
+            for _ in range(5):
+                flats = [(f, rng.randint(0, 5))
+                         for f in rng.sample(straddle, 20)]
+                self.assert_same([rng.randint(1, 2) for _ in range(axes)],
+                                 flats)
+
+    def test_rank_tables(self, catalog):
+        for name, m in catalog.items():
+            self.assert_same([1] * len(m.ground), m._rank_of.items())
+
+
+def _fixpoint_strided(m):
+    """Oracle for cyclic_flats_recompute: for each element x, the table
+    viewed as (-1, 2, 2^x) compares each set without x with the same set
+    plus x."""
+    rt = m.rank_table()
+    good = np.ones(len(rt), dtype=bool)
+    for x in range(len(m.ground)):
+        v = rt.reshape(-1, 2, 1 << x)
+        g = good.reshape(-1, 2, 1 << x)
+        up = v[:, 1] > v[:, 0]
+        g[:, 0] &= up
+        g[:, 1] &= ~up
+    return cf.RankedFamily(m.ground, [(int(f), int(rt[f]))
+                                      for f in np.flatnonzero(good)])
+
+
+class TestFixpointAgainstStridedSweep:
+    def test_catalog(self, catalog):
+        for name, m in catalog.items():
+            want = _fixpoint_strided(m)
+            assert want == m.ranked_family(), name
+            assert cf.cyclic_flats_recompute(m) == want, name
+
+    def test_random_matroids(self):
+        # 0 to 18 elements: random_matroid pieces joined by direct sums
+        # and free products until the drawn size is reached
+        for seed in range(57):
+            rng = random.Random(seed)
+            n, m, i = seed % 19, cf.uniform(0, 0), 0
+            while len(m.ground) < n:
+                i += 1
+                piece = cf.relabel(cf.random_matroid(
+                    rng, n - len(m.ground)), f"p{i}:")
+                join = rng.choice([cf.direct_sum, cf.free_product])
+                m = join(m, piece) if len(m.ground) + len(piece.ground) <= n \
+                    else m
+            assert len(m.ground) == n
+            assert cf.cyclic_flats_recompute(m) == _fixpoint_strided(m), seed
 
 
 class TestIndependence:
@@ -524,6 +666,64 @@ class TestCyclicFlatsRecompute:
         assert f"{ENUM_CAP + 1} elements" in str(err.value)
         assert f"cap {ENUM_CAP} (ENUM_CAP)" in str(err.value)
         assert m._table is None
+
+
+class TestDensePathAtCap:
+    """M(K4) + M(K4) + M(K4) + U_{1,2} + U_{1,2}: ENUM_CAP elements and
+    864 cyclic flats, the largest rank table there is."""
+
+    @staticmethod
+    def big():
+        mk4 = cf.catalog("mk4")
+        m = cf.relabel(mk4, "a:")
+        for part in (cf.relabel(mk4, "b:"), cf.relabel(mk4, "c:"),
+                     cf.uniform(1, 2, ["d1", "d2"]),
+                     cf.uniform(1, 2, ["e1", "e2"])):
+            m = cf.direct_sum(m, part)
+        assert (len(m.ground), len(m.flats)) == (ENUM_CAP, 864)
+        return m
+
+    @staticmethod
+    def peak_over_table(call):
+        """call()'s result and its tracemalloc peak in 2^ENUM_CAP-byte
+        tables."""
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak / (1 << ENUM_CAP)
+
+    def test_rank_table(self):
+        m = self.big()
+        table, peak = self.peak_over_table(m.rank_table)
+        assert peak <= 2.3, peak
+        assert (len(table), table.dtype) == (1 << ENUM_CAP, np.uint8)
+        rng = random.Random(22)
+        for a in [0, m.ground.full] + [rng.getrandbits(ENUM_CAP)
+                                       for _ in range(300)]:
+            assert table[a] == m.rank(a), a
+
+    def test_grid_with_one_low_part(self):
+        # after a first group of one flat, 864 flats inside the high
+        # half: one group, whose high parts only the chunks bound while
+        # the grid and its scratch copy are live
+        n, h = ENUM_CAP, ENUM_CAP // 2
+        rng = random.Random(864)
+        flats = [(1, 5)] + [(f << h, rng.randint(0, 9))
+                            for f in rng.sample(range(1 << (n - h)), 864)]
+        grid, peak = self.peak_over_table(lambda: _grid_ranks([1] * n, flats))
+        assert peak <= 2.3, peak
+        for a in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(50)]:
+            assert grid[a] == min(r + popcount(a & ~f) for f, r in flats), a
+
+    def test_fixpoint(self):
+        m = self.big()
+        family, peak = self.peak_over_table(
+            lambda: cf.cyclic_flats_recompute(m))
+        assert peak <= 3.3, peak
+        assert family == m.ranked_family()
 
 
 class TestBasicStats:

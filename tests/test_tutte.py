@@ -201,6 +201,48 @@ class TestRankGen:
         assert _components(p, p.top & ~p.bottom) == [p.ground.full]
 
 
+def _tutte_shift_quartic(rgm):
+    """Oracle for tutte_from_rank_gen: every coefficient a[i][j] expanded
+    term by term over (p, q) <= (i, j) with binomial signs."""
+    out = {}
+    for i, row in enumerate(rgm.coeffs):
+        for j, a in enumerate(row):
+            if not a:
+                continue
+            for p in range(i + 1):
+                cp = comb(i, p) * (-1) ** (i - p)
+                for q in range(j + 1):
+                    term = a * cp * comb(j, q) * (-1) ** (j - q)
+                    out[(p, q)] = out.get((p, q), 0) + term
+    return {pq: c for pq, c in sorted(out.items()) if c}
+
+
+class TestShiftAgainstQuartic:
+    def assert_same(self, rgm):
+        got, want = tutte_from_rank_gen(rgm), _tutte_shift_quartic(rgm)
+        assert got == want
+        assert list(got) == list(want)  # same (p, q) order
+
+    def test_random_matrices(self):
+        rng = random.Random(63)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+            bound = rng.choice([1, 10, 2 ** 70])  # past 2^63 too
+            self.assert_same(RankGenMatrix(tuple(
+                tuple(rng.choice([0, rng.randint(-bound, bound)])
+                      for _ in range(cols)) for _ in range(rows))))
+
+    def test_rank_gens(self, catalog):
+        for m in catalog.values():
+            self.assert_same(rank_gen_brute(m))
+        self.assert_same(uniform_rank_gen(40, 80))
+
+    def test_zero_and_single_entries(self):
+        for coeffs in (((0,),), ((1,),), ((0, 0), (0, 0)), ((0, 5),),
+                       ((7,), (0,), (2 ** 64,))):
+            self.assert_same(RankGenMatrix(coeffs))
+
+
 class TestTuttePastTheCap:
     def test_four_copies_of_mk4(self):
         m = mk4_sum(4)
