@@ -408,12 +408,7 @@ def _grid_ranks(radices, flats) -> np.ndarray:
     rows = rows.astype(dtype)
     high_digits = _digits([*radices[h:], 0], dtype)
     high_digits[-1] = 1  # picks up r(F)
-    low = radices[:h]
-    if low == radices[h:2 * h]:  # as with every radix 1
-        # then the low grid is the high grid's first cells, first axes
-        low_digits = high_digits[:h, :prod(k + 1 for k in low)]
-    else:
-        low_digits = _digits(low, dtype)
+    low_digits = _digits(radices[:h], dtype)
     groups = {}  # low part of F's inside mask -> rows of those flats
     for i, (inside, _) in enumerate(flats):
         groups.setdefault(inside & ((1 << h) - 1), []).append(i)
