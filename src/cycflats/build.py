@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
 from .groundsets import GroundSet, bits, popcount
-from .lattices import (FiniteLattice, _converse, _order_isomorphism,
-                       _refine_signatures, _tables_from_down, is_chain)
+from .lattices import FiniteLattice, _converse, _tables_from_down, is_chain
 from .matroid import Matroid, RankedFamily, validate
 from .ops import MinorSpec, direct_sum, dual, minor, truncate
 from .freeprod import free_extension, free_product
@@ -312,16 +311,24 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
     bottom 0, so candidates grow one element at a time: the strict
     down-set S of element j holds 0 and meets every earlier down-mask in
     an earlier down-mask (so S is down-closed); the top comes last, with
-    S the whole prefix.  The candidates of each size are taken in the
-    order of _scan_number and the first of each isomorphism class is
-    kept, so the representatives are those a scan over all 2^C(n,2)
-    relations would keep.  Each candidate's _refine_signatures are
-    computed once, and their sorted list, an isomorphism invariant, is
-    its bucket: only candidates of one bucket go to the order-isomorphism
-    search, and only kept lattices get meet/join tables.  Element names
-    are v0, v1, ...  Raises InvalidParameters for a negative max_size and
+    S the whole prefix.  The candidates of each size are every natural
+    labelling of every lattice of that size, each once.
+
+    A candidate is kept iff it is the least natural labelling of its
+    lattice in the order of _scan_number, so the representatives are
+    those a scan over all 2^C(n,2) relations would keep first, and no
+    two candidates are compared.  Two labellings compare as their rows
+    up[i] >> (i + 1), the larger labels above label i, read from
+    i = n - 2 down to 0.  _is_least_labelling places labels in that
+    order, each on a maximal unplaced element, and compares each row as
+    it completes; of twins (same strict down- and up-sets) it tries only
+    one.  Kept lattices are listed in scan order, and only they get
+    meet/join tables.  Element names are v0, v1, ...  Raises
+    InvalidParameters for a max_size that is not a nonnegative int and
     TooLarge past LATTICE_CAP = 8 elements.
     """
+    if not isinstance(max_size, int) or isinstance(max_size, bool):
+        raise InvalidParameters(f"max_size {max_size!r} is not an integer")
     if max_size < 0:
         raise InvalidParameters(f"need max_size >= 0, got {max_size}")
     if max_size > LATTICE_CAP:
@@ -330,23 +337,26 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
             f"{LATTICE_CAP} (LATTICE_CAP); build a larger lattice with "
             f"lattice_from_covers and realize it with realize_lattice")
     out: list[FiniteLattice] = []
-    # naturally labelled meet-semilattices with bottom 0, of size n - 1
-    semis: list[list[int]] = [[]]
+    # naturally labelled meet-semilattices with bottom 0, of size n - 1,
+    # as (down-masks, up-masks)
+    semis: list[tuple[list[int], list[int]]] = [([], [])]
     for n in range(1, max_size + 1):
         names = [f"v{i}" for i in range(n)]
-        buckets: dict[tuple, list[tuple]] = {}
-        for down in sorted((d + [(1 << n) - 1] for d in semis),
-                           key=_scan_number):
-            sig = _refine_signatures(down)
-            seen = buckets.setdefault(tuple(sorted(sig)), [])
-            if not any(_order_isomorphism(down, other, sig, other_sig)
-                       is not None for other, other_sig in seen):
-                seen.append((down, sig))
-                out.append(FiniteLattice(names, down,
-                                         *_tables_from_down(down)))
+        top = 1 << (n - 1)
+        kept = []
+        for prefix, up in semis:
+            down = prefix + [(1 << n) - 1]
+            if _is_least_labelling(down, [u | top for u in up] + [top]):
+                kept.append(down)
+        for down in sorted(kept, key=_scan_number):
+            out.append(FiniteLattice(names, down, *_tables_from_down(down)))
         if n < max_size:
-            semis = [d + [s | 1 << (n - 1)] for d in semis
-                     for s in _strict_down_sets(d)]
+            # element n - 1 with strict down-set s is above each i in s
+            semis = [(prefix + [s | top],
+                      [u | top if s >> i & 1 else u
+                       for i, u in enumerate(up)] + [top])
+                     for prefix, up in semis
+                     for s in _strict_down_sets(prefix)]
     return out
 
 
@@ -357,6 +367,59 @@ def _scan_number(down: list[int]) -> int:
     n = len(down)
     return sum(1 << (i * (2 * n - i - 1) // 2 + j - i - 1)
                for j, d in enumerate(down) for i in bits(d & ~(1 << j)))
+
+
+def _is_least_labelling(down: list[int], up: list[int]) -> bool:
+    """Whether a naturally labelled lattice, given by its down- and
+    up-masks, has the least _scan_number of all its natural labellings.
+
+    Bit p of a scan number stands for the p-th pair (i, j), so the pairs
+    of one i take consecutive bits, those of larger i the higher ones.
+    Two labellings therefore compare as their rows, row i = up[i] >>
+    (i + 1) with bit j - i - 1 for each label j above label i, read as
+    integers from i = n - 2 down to 0.  The top takes label n - 1 in
+    every labelling, and _least_search places the rest.
+    """
+    n = len(down)
+    target = [u >> (i + 1) for i, u in enumerate(up)]
+    return _least_search(down, up, target, [1 << (n - 1)] * n, n - 2,
+                         (1 << (n - 1)) - 1)
+
+
+def _least_search(down: list[int], up: list[int], target: list[int],
+                  above: list[int], i: int, left: int) -> bool:
+    """False iff labels i, i - 1, ..., 0 can go to the unplaced elements
+    (mask left) so that the rows, compared from row i down, are less
+    than the candidate's (target); above[x] has bit j set for each
+    placed label j above element x.
+
+    Label i goes to an element with nothing unplaced above it, so its
+    row is complete.  One whose row is less decides it, one whose row is
+    greater is pruned, and the ties take label i in turn.  Tied elements
+    have the same up-set, and of those with the same strict down-set as
+    well (twins) only one is tried: swapping two twins is an
+    automorphism that fixes every placed element, since none lies below
+    an unplaced one.  Label 0 is the bottom's, the same in every
+    labelling.
+    """
+    if i <= 0:
+        return True
+    ties = {}
+    for x, u in enumerate(up):
+        if u & left == 1 << x:  # x unplaced, nothing unplaced above it
+            row = above[x] >> (i + 1)
+            if row < target[i]:
+                return False
+            if row == target[i]:
+                ties.setdefault(down[x] ^ 1 << x, x)
+    for x in ties.values():
+        placed = above[:]
+        for z in bits(down[x] ^ 1 << x):
+            placed[z] |= 1 << i
+        if not _least_search(down, up, target, placed, i - 1,
+                             left ^ 1 << x):
+            return False
+    return True
 
 
 def _strict_down_sets(down: list[int]) -> list[int]:

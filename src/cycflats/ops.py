@@ -235,6 +235,13 @@ def has_minor(m: Matroid, n: Matroid):
     _minor_flats.  These are isomorphism invariants; only a pair that
     passes them all is built by minor and tested by is_isomorphic.
 
+    The pairs of one C come together.  When r(C) > r(m) - r(n) or
+    |C| - r(C) > nullity(m) - nullity(n), all of them are skipped
+    without the second call, as none can pass the rank test: m/C\\D has
+    rank at most r(m) - r(C) and nullity at most
+    nullity(m) - |C| + r(C), while one that passes has rank r(n) and
+    |n| elements, so nullity nullity(n).
+
     The profile pairs are counted before the search (_profile_pairs);
     raises TooLarge when there are more than MINOR_SEARCH_CAP.
     """
@@ -259,6 +266,10 @@ def has_minor(m: Matroid, n: Matroid):
         if c != last_c:
             rc, _, union = m.rank_support(c)
             cl_c, last_c = c | union, c
+            hopeless = rc > m.matroid_rank - n.matroid_rank \
+                or popcount(c) - rc > m.nullity - n.nullity
+        if hopeless:
+            continue
         r, inter, _ = m.rank_support(full & ~d)
         if r - rc != n.matroid_rank \
                 or popcount(cl_c & ~(c | d)) != loops_n \

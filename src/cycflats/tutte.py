@@ -52,16 +52,21 @@ def _tally(ranks, sizes, rank: int, nullity: int, weights=None):
     """The (corank x nullity) coefficients of R from a grid of ranks and
     one of sizes: each cell adds weights[cell] (or 1) at corank
     rank - r and nullity size - r, tallied by the key nullity*(rank+1) +
-    corank."""
+    corank.  The grid is counted in slices of 2^16 cells, so the keys and
+    bincount's int64 copy of them stay small beside the grids."""
     import numpy as np
     cells = (nullity + 1) * (rank + 1)
     kt = np.min_scalar_type(cells - 1)
-    key = (sizes - ranks).astype(kt) * (rank + 1) + (rank - ranks)
-    if weights is None:
-        counts = np.bincount(key, minlength=cells)
-    else:
-        counts = np.zeros(cells, weights.dtype)
-        np.add.at(counts, key, weights)
+    counts = np.zeros(cells, np.int64 if weights is None else weights.dtype)
+    step = 1 << 16
+    for lo in range(0, len(ranks), step):
+        part = ranks[lo:lo + step]
+        key = (sizes[lo:lo + step] - part).astype(kt) * (rank + 1) \
+            + (rank - part)
+        if weights is None:
+            counts += np.bincount(key, minlength=cells)
+        else:
+            np.add.at(counts, key, weights[lo:lo + step])
     return counts.reshape(nullity + 1, rank + 1).T.tolist()
 
 

@@ -1,13 +1,13 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 import cycflats as cf
-from cycflats import build
-from cycflats.build import (_chain_plus_one_ok, _scan_number,
-                            _strict_down_sets)
-from cycflats.groundsets import popcount
+from cycflats import build, lattices
+from cycflats.build import (_chain_plus_one_ok, _is_least_labelling,
+                            _scan_number, _strict_down_sets)
+from cycflats.groundsets import bits, popcount
 from cycflats.lattices import FiniteLattice, _converse, _tables_from_down
 
 
@@ -62,6 +62,32 @@ def _all_lattices_pairwise(max_size):
             semis = [d + [s | 1 << (n - 1)] for d in semis
                      for s in _strict_down_sets(d)]
     return out
+
+
+def _candidates(size):
+    """The candidates all_lattices tests at one size: every naturally
+    labelled lattice of that many elements, as down-masks."""
+    semis = [[]]
+    for n in range(1, size):
+        semis = [d + [s | 1 << (n - 1)] for d in semis
+                 for s in _strict_down_sets(d)]
+    return [d + [(1 << size) - 1] for d in semis]
+
+
+def _least_scan_brute(down):
+    """Oracle for _is_least_labelling: the least _scan_number over all
+    permutations of the labels that keep every down-set below."""
+    n = len(down)
+    best = None
+    for perm in permutations(range(n)):
+        if any(perm[i] > perm[j] for j in range(n) for i in bits(down[j])):
+            continue
+        moved = [0] * n
+        for j in range(n):
+            moved[perm[j]] = sum(1 << perm[i] for i in bits(down[j]))
+        number = _scan_number(moved)
+        best = number if best is None else min(best, number)
+    return best
 
 
 def _same_lattices(got, want):
@@ -345,29 +371,91 @@ class TestAllLattices:
     def test_matches_pairwise_dedup_at_eight(self, lattices_to_8):
         _same_lattices(lattices_to_8, _all_lattices_pairwise(8))
 
-    def test_one_refinement_per_candidate(self, monkeypatch):
-        # 4,008 candidates with at most 8 elements, 300 of them kept
+    def test_one_labelling_test_per_candidate(self, monkeypatch):
+        # 4,008 candidates with at most 8 elements, 300 of them kept; no
+        # signature refinement or isomorphism search
         calls = {}
 
-        def counted(name):
-            fn = getattr(build, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] = calls.get(name, 0) + 1
                 return fn(*args)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("_refine_signatures", "_tables_from_down"):
-            monkeypatch.setattr(build, name, counted(name))
+        counted(build, "_is_least_labelling")
+        counted(build, "_tables_from_down")
+        counted(lattices, "_refine_signatures")
+        counted(lattices, "_order_isomorphism")
         assert len(cf.all_lattices(8)) == 300
-        assert calls == {"_refine_signatures": 4008,
+        assert calls == {"_is_least_labelling": 4008,
                          "_tables_from_down": 300}
+        assert not hasattr(build, "_refine_signatures")
+        assert not hasattr(build, "_order_isomorphism")
+
+    def test_least_labelling_matches_brute(self):
+        checked = kept = 0
+        for size in range(1, 7):
+            for down in _candidates(size):
+                least = _scan_number(down) == _least_scan_brute(down)
+                assert _is_least_labelling(down, _converse(down)) == least, \
+                    down
+                checked += 1
+                kept += least
+        assert (checked, kept) == (51, 25)
+        rng = random.Random(7)
+        kept = 0
+        for down in rng.sample(_candidates(7), 40):
+            least = _scan_number(down) == _least_scan_brute(down)
+            assert _is_least_labelling(down, _converse(down)) == least, down
+            kept += least
+        assert 0 < kept < 40
+
+    @staticmethod
+    def _search_nodes(down, monkeypatch):
+        nodes = 0
+        search = build._least_search
+
+        def counting(*args):
+            nonlocal nodes
+            nodes += 1
+            return search(*args)
+
+        monkeypatch.setattr(build, "_least_search", counting)
+        return _is_least_labelling(down, _converse(down)), nodes
+
+    def test_twins_searched_once(self, monkeypatch):
+        # M_6: bottom, six atoms, top.  The atoms are twins, so one path
+        # of 7 nodes (labels 6..0) decides it, not one per order of atoms
+        m6 = [1] + [1 | 1 << i for i in range(1, 7)] + [255]
+        assert self._search_nodes(m6, monkeypatch) == (True, 7)
+
+    def test_boolean_lattice_search_is_small(self, monkeypatch):
+        # B_3 has no twins: each of its 6 automorphisms is one path of
+        # rows equal to its least labelling's, 1 + 3 + 6 * 5 = 34 nodes
+        least = [1, 3, 5, 9, 29, 43, 71, 255]
+        assert least in [list(lat.down) for lat in cf.all_lattices(8)]
+        found, nodes = self._search_nodes(least, monkeypatch)
+        assert found and nodes <= 40
+        # coatoms 4, 5, 6 over atoms {1, 2}, {1, 3}, {2, 3}: atom 3 lies
+        # below labels 5 and 6, where the least labelling's atom 3 lies
+        # below 4 and 5, a smaller row
+        other = [1, 3, 5, 9, 23, 43, 77, 255]
+        assert _scan_number(other) > _scan_number(least)
+        assert self._search_nodes(other, monkeypatch)[0] is False
 
     def test_sizes_zero_and_negative(self):
         assert cf.all_lattices(0) == []
         with pytest.raises(cf.InvalidParameters) as info:
             cf.all_lattices(-1)
         assert "got -1" in str(info.value)
+
+    @pytest.mark.parametrize("value", [6.0, "6", None, True])
+    def test_size_not_an_int(self, value):
+        with pytest.raises(cf.InvalidParameters) as info:
+            cf.all_lattices(value)
+        assert repr(value) in str(info.value)
 
     def test_cap(self):
         with pytest.raises(cf.TooLarge) as info:

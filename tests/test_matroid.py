@@ -725,6 +725,14 @@ class TestDensePathAtCap:
         assert peak <= 3.3, peak
         assert family == m.ranked_family()
 
+    def test_rank_gen_brute(self):
+        # the rank table, the |A| grid and slices of keys: no int64 copy
+        # of the whole key grid (11 tables when bincount made one)
+        m = self.big()
+        coeffs, peak = self.peak_over_table(lambda: cf.rank_gen_brute(m))
+        assert peak <= 3.3, peak
+        assert coeffs == cf.rank_gen(m)
+
 
 class TestBasicStats:
     def test_u24(self, catalog):
