@@ -129,9 +129,12 @@ def emit_poly(terms: dict) -> str:
 
 def _load(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 "
+                         f"({exc.reason})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

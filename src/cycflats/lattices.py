@@ -65,8 +65,9 @@ def lattice_from_covers(elements: Sequence[str],
 
     leq is the reflexive-transitive closure of the cover relation; the
     elements may be listed in any order.  Raises InvalidParameters for an
-    empty element list, CyclicCovers if the cover digraph has a cycle and
-    NotALattice if some pair lacks a unique meet or join.
+    empty element list, CyclicCovers if the cover digraph has a cycle (a
+    self-cover included) and NotALattice if some pair lacks a unique meet
+    or join.
     """
     elements = tuple(elements)
     if not elements:
@@ -80,6 +81,8 @@ def lattice_from_covers(elements: Sequence[str],
     for lo, hi in covers:
         if lo not in index or hi not in index:
             raise UnknownLabel(f"unknown cover element in ({lo!r}, {hi!r})")
+        if lo == hi:
+            raise CyclicCovers(f"{lo!r} covers itself")
         edges[index[lo]].append(index[hi])
     # transitive closure by repeated relaxation
     changed = True

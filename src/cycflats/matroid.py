@@ -14,23 +14,38 @@ Z0 holds and Z3 holds with equality), an incomparable pair its meet and
 join by one lookup each (Z0), then Z3.  It returns a Matroid or raises
 NotAMatroid naming the first violation; all_violations lists them all.
 
-A product is decided one factor at a time.  Let E_1, ..., E_p partition
-the union of the members, Z_i = {X n E_i : X in Z}, 0 the first member
-and r_i(A) = r(A u (0 - E_i)) - r(0).  If Z = Z_1 x ... x Z_p (that is,
-|Z| = |Z_1| ... |Z_p|, as X -> (X n E_i) is injective) and r(X) - r(0)
-= sum of r_i(X n E_i) for every member X, then inclusion, meet and join
-go componentwise, so Z is a lattice iff every Z_i is, and the slacks
-r(Y) - r(X), |Y - X| of Z2 and r(X) + r(Y) - r(XvY) - r(X^Y) -
-|(X n Y) - (X^Y)| of Z3 are sums over the factors, where a factor with
-equal or comparable components adds 0 to the Z3 slack.  Hence Z meets
-Z0-Z3 iff Z1 holds and every (Z_i, r_i) does: a failing pair of Z_i is
-a failing pair of Z once 0 fills in the other components.  So the
-direct sum of m factors of k flats each costs m k^2 pair checks, not
-k^(2m).  Any failure is reported by the whole sweep, with its witnesses.
+A product is found from Z alone and decided one factor at a time.  Let
+0 and 1 be the least and greatest members and N = 1 - 0.  A member F
+whose complement G = (1 - F) u 0 is a member too, with r(F) + r(G) =
+r(1), has F - 0 a separator of M|N; every separator S of M|N arises so,
+from F = S u 0, and the connected components of M|N are the atoms these
+separators generate (_product_split, one lookup per member).  Let
+E_1, ..., E_p be those atoms, Z_i = {X n E_i : X in Z} and
+r_i(A) = r(A u 0).  If every member lies between 0 and 1, Z = Z_1 x ...
+x Z_p (that is, |Z| = |Z_1| ... |Z_p|, as X -> (X n E_i) is then
+injective) and r(X) = sum of r_i(X n E_i) for every member X, then
+inclusion, meet and join go componentwise, so Z is a lattice iff every
+Z_i is, and the slacks r(Y) - r(X), |Y - X| of Z2 and r(X) + r(Y) -
+r(XvY) - r(X^Y) - |(X n Y) - (X^Y)| of Z3 are sums over the factors,
+where a factor with equal or comparable components adds 0 to the Z3
+slack.  Hence Z meets Z0-Z3 iff every (Z_i, r_i) does (Z1 included, as
+r_i of the empty set is r(0)): a failing pair of Z_i is a failing pair
+of Z once the empty set fills in the other components.  So the direct
+sum of m factors of k flats each costs m k^2 pair checks, not k^(2m).
+Any failure is reported by the whole sweep, with its witnesses.
 
-A validated candidate determines a matroid; the rank of an arbitrary
-subset A is min over members F of r(F) + |A - F|, and independence,
-circuits and closure all derive from that oracle.
+A valid family always passes that check, so every Matroid keeps its
+factors: each E_i with the pairs (Y, r_i(Y)) for Y in Z_i, one factor
+when M|N is connected and none when 1 = 0.  The rank of an arbitrary
+subset A is then
+
+  r(A) = |A - 1| + sum over i of min over Y in Z_i of
+         r_i(Y) + |(A n E_i) - Y|,
+
+the formula min over members F of r(F) + |A - F| taken factor by
+factor, so it costs sum |Z_i| steps, not prod |Z_i|.  Independence,
+circuits and closure all derive from that oracle, and minors and the
+Tutte polynomial work factor by factor too.
 """
 
 from __future__ import annotations
@@ -41,8 +56,7 @@ from math import comb, prod
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidParameters, NotAMatroid, TooLarge
-from .groundsets import (GroundSet, bits, element_classes, popcount,
-                         set_text, subset_key)
+from .groundsets import GroundSet, bits, popcount, set_text, subset_key
 from .lattices import _bound_lookups, _down_masks
 
 if TYPE_CHECKING:  # numpy is imported by the table functions that use it
@@ -110,20 +124,25 @@ class Matroid:
     """A validated cyclic-flats-with-ranks representation.
 
     Immutable; build via validate() or Matroid.from_labels().  flats and
-    flat_ranks are parallel tuples in canonical subset order.
+    flat_ranks are parallel tuples in canonical subset order; factors
+    holds, for each connected component E_i of the elements between the
+    least and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over Y in Z_i
+    (module docstring), in order of least element.
     """
 
-    __slots__ = ("ground", "flats", "flat_ranks", "_rank_of", "matroid_rank",
-                 "_table")
+    __slots__ = ("ground", "flats", "flat_ranks", "factors", "bottom", "top",
+                 "matroid_rank", "_table")
 
-    def __init__(self, ground, flats, flat_ranks):
+    def __init__(self, ground, flats, flat_ranks, factors):
         self.ground = ground
         self.flats = tuple(flats)
         self.flat_ranks = tuple(flat_ranks)
-        self._rank_of = dict(zip(self.flats, self.flat_ranks))
-        full = ground.full
-        self.matroid_rank = min(
-            r + (full & ~f).bit_count() for f, r in self._rank_of.items())
+        self.factors = factors
+        self.bottom = self.flats[0]  # 0_Z: the least cyclic flat (the loops)
+        self.top = self.flats[-1]    # 1_Z: the union of all circuits
+        # r(E) = r(1_Z) plus one for each isthmus outside 1_Z
+        self.matroid_rank = self.flat_ranks[-1] + popcount(
+            ground.full & ~self.top)
         self._table = None
 
     # -- construction ---------------------------------------------------
@@ -156,24 +175,23 @@ class Matroid:
     # -- structure shortcuts ---------------------------------------------
 
     @property
-    def bottom(self) -> int:
-        """0_Z: the least cyclic flat (the loops)."""
-        return self.flats[0]
-
-    @property
-    def top(self) -> int:
-        """1_Z: the greatest cyclic flat (union of all circuits)."""
-        return self.flats[-1]
-
-    @property
     def nullity(self) -> int:
         return len(self.ground) - self.matroid_rank
 
     # -- rank oracle -----------------------------------------------------
 
     def rank(self, a: int) -> int:
-        """Rank of an arbitrary subset: min r(F) + |A - F| over members."""
-        return min(r + (a & ~f).bit_count() for f, r in self._rank_of.items())
+        """Rank of an arbitrary subset, factor by factor (module
+        docstring)."""
+        rank = (a & ~self.top).bit_count()
+        for e, pairs in self.factors:
+            ae, best = a & e, e.bit_count()  # Y = {} gives at most |E_i|
+            for y, r in pairs:
+                v = r + (ae & ~y).bit_count()
+                if v < best:
+                    best = v
+            rank += best
+        return rank
 
     def rank_table(self) -> np.ndarray:
         """Ranks of all 2^n subsets, indexed by mask (cached, read-only,
@@ -189,14 +207,17 @@ class Matroid:
                     f"rank_table would tabulate all subsets of {n} elements, "
                     f"over cap {ENUM_CAP} (ENUM_CAP); rank, closure, minor "
                     f"and dual need no table")
-            table = _grid_ranks([1] * n, self._rank_of.items())
+            table = _grid_ranks([1] * n, zip(self.flats, self.flat_ranks))
             table.flags.writeable = False
             self._table = table
         return self._table
 
     def is_independent(self, i: int) -> bool:
-        """True iff |I n X| <= r(X) for every cyclic flat X."""
-        return all((i & f).bit_count() <= r for f, r in self._rank_of.items())
+        """True iff |I n X| <= r(X) for every cyclic flat X: I avoids the
+        loops and meets each Y of each factor in at most r_i(Y)."""
+        return not i & self.bottom and all(
+            (i & y).bit_count() <= r
+            for _, pairs in self.factors for y, r in pairs)
 
     def rank_support(self, a: int) -> tuple[int, int, int]:
         """r(A), with the intersection and the union of the cyclic flats F
@@ -205,17 +226,18 @@ class Matroid:
         A is cyclic iff it lies inside the intersection (an element of A
         outside some attaining F is an isthmus of A), and cl(A) is A
         together with the union (x joins A at no cost iff some attaining
-        F contains x).
+        F contains x).  The attaining flats are the unions of 0_Z and
+        one attaining Y of each factor, so the intersection and union are
+        0_Z with those of each factor (_support).
         """
-        best = inter = union = None
-        for f, r in self._rank_of.items():
-            v = r + (a & ~f).bit_count()
-            if best is None or v < best:
-                best, inter, union = v, f, f
-            elif v == best:
-                inter &= f
-                union |= f
-        return best, inter, union
+        rank = (a & ~self.top).bit_count()
+        inter = union = self.bottom
+        for e, pairs in self.factors:
+            r, i, u = _support(pairs, a & e)
+            rank += r
+            inter |= i
+            union |= u
+        return rank, inter, union
 
     def closure(self, a: int) -> int:
         """A together with every x whose addition leaves the rank fixed."""
@@ -227,13 +249,14 @@ class Matroid:
         Such a C is dependent, and a circuit iff C - x is independent for
         every x in C; every circuit C arises so, with X = cl(C).
         """
-        count = sum(comb(popcount(f), r + 1) for f, r in self._rank_of.items())
+        flats = list(zip(self.flats, self.flat_ranks))
+        count = sum(comb(popcount(f), r + 1) for f, r in flats)
         if count > CIRCUIT_CAP:
             raise TooLarge(f"circuits would enumerate {count} candidate "
                            f"subsets, over cap {CIRCUIT_CAP} (CIRCUIT_CAP); "
                            f"is_independent tests one subset directly")
         candidates = set()
-        for f, r in self._rank_of.items():
+        for f, r in flats:
             if popcount(f) >= r + 1:
                 idx = list(bits(f))
                 for combo in combinations(idx, r + 1):
@@ -258,15 +281,21 @@ def validate(candidate: RankedFamily) -> Matroid:
 
     Ground-set elements outside the greatest member are isthmuses and
     elements inside the least member are loops; both are permitted.  A
-    product candidate is decided one factor at a time (_valid_by_factors);
-    every other candidate, and every product that fails, is swept whole.
+    candidate that is the product of two or more factors (_factors) is
+    decided one factor at a time; every other candidate, and every
+    product that fails, is swept whole.  A valid candidate always passes
+    _factors, so the Matroid keeps the factors found either way.
     """
-    if not _valid_by_factors(candidate):
+    entries = candidate.entries
+    factors = _factors(entries)
+    if factors is None or len(factors) < 2 or any(
+            _sweep(candidate.ground, [y for y, _ in pairs],
+                   [r for _, r in pairs]) for _, pairs in factors):
         violations = all_violations(candidate)
         if violations:
             raise NotAMatroid(violations[0])
-    return Matroid(candidate.ground, candidate.entries.keys(),
-                   candidate.entries.values())
+    return Matroid(candidate.ground, entries.keys(), entries.values(),
+                   factors)
 
 
 def all_violations(candidate: RankedFamily) -> list[AxiomViolation]:
@@ -324,55 +353,67 @@ def _sweep(ground, masks, ranks) -> list[AxiomViolation]:
     return z1 + z2 + z3
 
 
-def _valid_by_factors(candidate: RankedFamily) -> bool:
-    """True iff the candidate is a product of two or more factors of two
-    or more members each, meets Z1, and each factor sweeps clean (the
-    product rule of the module docstring); False leaves it to the sweep.
+def _product_split(entries) -> list[int]:
+    """The atoms E_1, ..., E_p of the separators F - 0 of the module
+    docstring, read off a ranked family {mask: rank} in canonical order,
+    in order of least element.  They partition 1 - 0; for a matroid they
+    are the connected components of M restricted to 1 - 0.
 
-    Blocks are unions of element classes, joined when two up-sets are
-    not independent (|U n U'| k != |U| |U'|, which never happens across
-    the blocks of a product); the split is then checked exactly.
+    Each member F is one lookup of its complement (1 - F) u 0.  Every
+    separator splits each part found so far in two.
     """
-    entries = candidate.entries
-    masks = tuple(entries)
-    k, base, top = len(masks), masks[0], masks[-1]
-    # a product of two nontrivial factors has k >= 4 members, and one
-    # besides 0 and 1 whose complement (1 - X) u 0 is a member too
-    if k < 4 or entries[base] != 0 or not any(
-            ((top & ~x) | base) in entries for x in masks[1:-1]):
-        return False
-    support = 0
-    for x in masks:
-        support |= x
-    classes = list(element_classes(masks, support).items())
-    block = list(range(len(classes)))
-    for a, b in combinations(range(len(classes)), 2):
-        ua, ub = classes[a][0], classes[b][0]
-        if (ua & ub).bit_count() * k != ua.bit_count() * ub.bit_count():
-            old, new = block[b], block[a]
-            block = [new if c == old else c for c in block]
-    parts = {}
-    for (_, e), c in zip(classes, block):
-        parts[c] = parts.get(c, 0) | e
-    factors, size = [], 1
-    for e in parts.values():
-        proj = {x & e for x in masks}
-        if len(proj) > 1:
-            factors.append((e, proj))
-            size *= len(proj)
-    if len(factors) < 2 or size != k:  # X -> (X n E_i) is injective
-        return False
-    # r_i(A) = r(A u (0 - E_i)); the product holds that set
-    ranks = [(e, {a: entries[a | (base & ~e)] for a in proj})
-             for e, proj in factors]
-    if any(r != sum(ri[x & e] for e, ri in ranks)
-           for x, r in entries.items()):
-        return False
-    for _, ri in ranks:
-        fm = sorted(ri, key=int.bit_count)
-        if _sweep(candidate.ground, fm, [ri[a] for a in fm]):
-            return False
-    return True
+    base, top = next(iter(entries)), next(reversed(entries))
+    whole, support = entries[top], top & ~base
+    parts = [support] if support else []
+    for f, rf in entries.items():
+        s = f & support
+        if 0 < s < support:
+            rg = entries.get((top & ~f) | base)
+            if rg is not None and rf + rg == whole:
+                parts = [q for p in parts for q in (p & s, p & ~s) if q]
+    return sorted(parts, key=lambda p: p & -p)
+
+
+def _factors(entries):
+    """The factors (E_i, ((Y, r_i(Y)), ...)) of a ranked family over the
+    parts E_i of _product_split, each Z_i ordered by size; None unless
+    every member lies between 0 and 1, Z = Z_1 x ... x Z_p and the ranks
+    add (module docstring).  A family that passes is a product, but its
+    factors are not yet checked against Z0-Z3.
+    """
+    base = next(iter(entries))
+    support = next(reversed(entries)) & ~base
+    if any(x & ~support != base for x in entries):
+        return None
+    split = _product_split(entries)
+    projs, size = [], 1
+    for e in split:
+        proj = sorted({x & e: None for x in entries}, key=int.bit_count)
+        projs.append(proj)
+        size *= len(proj)
+    if size != len(entries):  # X -> (X n E_i)_i is one to one, so onto
+        return None
+    # r_i(Y) = r(Y u 0): the product holds that member
+    ranks = [{y: entries[y | base] for y in proj} for proj in projs]
+    if len(split) > 1 and any(
+            r != sum(ri[x & e] for e, ri in zip(split, ranks))
+            for x, r in entries.items()):
+        return None
+    return tuple((e, tuple(ri.items())) for e, ri in zip(split, ranks))
+
+
+def _support(pairs, a: int) -> tuple[int, int, int]:
+    """min over pairs (Y, r) of r + |A - Y|, with the intersection and
+    the union of the Y that attain it."""
+    best = inter = union = None
+    for y, r in pairs:
+        v = r + (a & ~y).bit_count()
+        if best is None or v < best:
+            best, inter, union = v, y, y
+        elif v == best:
+            inter &= y
+            union |= y
+    return best, inter, union
 
 
 def _grid_ranks(radices, flats) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
 from .groundsets import (GroundSet, bits, class_profile, element_classes,
                          popcount, set_text)
-from .matroid import Matroid, RankedFamily, validate
+from .matroid import Matroid, RankedFamily, _support, validate
 from .lattices import _down_masks, _order_isomorphism, _refine_signatures
 
 MINOR_SEARCH_CAP = 131_072  # most (C, D) profile pairs has_minor visits
@@ -68,23 +68,46 @@ def _minor_flats(m: Matroid, c: int, d: int) -> dict[int, int]:
     """Z(m \\ D / C) as {mask: rank}, masks over m's ground set, for
     disjoint C = c and D = d.
 
-    For F in Z(m) let G = F - D; then G - C is a cyclic flat of the
-    minor, of rank r(G u C) - r(C), iff G is cyclic and G u C is closed
-    in m \\ D.  Every cyclic flat of the minor arises so.  A flat F that
-    avoids D is G itself, cyclic, and closed in m \\ D; with C empty it
-    is kept at rank r(F) with no rank computed.
+    A minor of a direct sum is the sum of the summands' minors, so Z of
+    the minor is the product of the minors' Z over m's factors, with the
+    loops 0_Z - (C u D) in every member; isthmuses lie in no cyclic flat.
+    A factor that C u D misses keeps its pairs, and one it meets gets the
+    rule of _factor_minor_flats.
     """
-    rc = m.rank(c)
+    removed = c | d
+    found = {m.bottom & ~removed: 0}
+    for e, pairs in m.factors:
+        if e & removed:
+            pairs = _factor_minor_flats(pairs, c & e, d & e).items()
+        found = {x | y: rx + ry for x, rx in found.items() for y, ry in pairs}
+    return found
+
+
+def _factor_minor_flats(pairs, c: int, d: int) -> dict[int, int]:
+    """The cyclic flats {mask: rank} of the minor \\ D / C of one factor,
+    given by its pairs (Y, r(Y)), for disjoint C = c and D = d inside it.
+
+    For Y in the factor's Z let G = Y - D; then G - C is a cyclic flat
+    of the minor, of rank r(G u C) - r(C), iff G is cyclic and G u C is
+    closed once D is deleted.  Every cyclic flat of the minor arises so.
+    A Y that avoids D is G itself, cyclic, and closed once D is deleted;
+    with C empty it is kept at rank r(Y) with no rank computed.  With C
+    empty, G u C is G, so the support of G serves both tests.
+    """
+    rc = _support(pairs, c)[0]
     found = {}
-    for f, rf in zip(m.flats, m.flat_ranks):
-        g = f & ~d
-        if g != f:
-            if g & ~m.rank_support(g)[1]:
+    for y, ry in pairs:
+        g = y & ~d
+        if g != y:
+            support = _support(pairs, g)
+            if g & ~support[1]:
                 continue  # G has an isthmus
         elif not c:
-            found[f] = rf
+            found[y] = ry
             continue
-        r, _, union = m.rank_support(g | c)
+        if c:
+            support = _support(pairs, g | c)
+        r, _, union = support
         if union & ~(g | c | d):
             continue  # cl(G u C) gains an element outside D
         found[g & ~c] = r - rc
@@ -107,7 +130,7 @@ def relax(m: Matroid, f: int) -> Matroid:
     Generalizes circuit-hyperplane relaxation; the reduced family is
     guaranteed to satisfy the axioms.
     """
-    if f not in m._rank_of:
+    if f not in m.flats:
         raise NotRelaxable("not a cyclic flat")
     if f == m.bottom or f == m.top:
         raise NotRelaxable("cannot relax the least or greatest cyclic flat")

@@ -7,9 +7,11 @@ polynomial is t(M; x, y) = R(M; x-1, y-1).
 rank_gen computes R from the cyclic flats, with no 2^n table.  Loops and
 coloops factor out as (1+y)^l and (1+x)^c, and R of a direct sum is the
 product of the summands' R, so the rest is split into its connected
-components.  In a component S, r(A) = min over F in Z of
-r(F) + |A - (F n S)| depends only on how many elements A takes from each
-class of elements of S lying in the same sets F n S.  So R(M|S) is a sum
+components: the factors of m, each a component S with the cyclic flats
+Y of M|S and their ranks, which validate found from Z alone (see the
+matroid module).  In a component S, r(A) = min over those Y of
+r(Y) + |A - Y| depends only on how many elements A takes from each
+class of elements of S lying in the same sets Y.  So R(M|S) is a sum
 over the class profiles t, each weighted by prod C(|c|, t_c), the number
 of subsets with that profile.  The grid has prod (|c| + 1) <= 2^|S|
 cells; one over 2^ENUM_CAP cells raises TooLarge before it is built.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .errors import TooLarge
-from .groundsets import bits, class_profile, popcount
+from .groundsets import class_profile, popcount
 from .matroid import ENUM_CAP, Matroid, _grid_ranks
 
 
@@ -79,42 +81,13 @@ def rank_gen_brute(m: Matroid) -> RankGenMatrix:
     return RankGenMatrix(tuple(map(tuple, coeffs)))
 
 
-def _components(m: Matroid, support: int) -> list[int]:
-    """Connected components of m restricted to support, which holds no
-    loop and no coloop.  They are the components of the fundamental
-    graph of a greedy basis B (Krogdahl), which joins each e outside B
-    to every b in its fundamental circuit: b is there iff B - b + e is
-    independent."""
-    basis = 0
-    for x in bits(support):
-        if m.is_independent(basis | 1 << x):
-            basis |= 1 << x
-    parts = []
-    for e in bits(support & ~basis):
-        joined = 1 << e
-        for b in bits(basis):
-            if m.is_independent(basis & ~(1 << b) | 1 << e):
-                joined |= 1 << b
-        keep = []
-        for part in parts:  # parts are disjoint: merge those joined meets
-            if part & joined:
-                joined |= part
-            else:
-                keep.append(part)
-        parts = keep + [joined]
-    return parts
-
-
-def _component_rank_gen(m: Matroid, s: int) -> list[list[int]]:
-    """R(M|S) of a connected component S, summed over class profiles."""
+def _component_rank_gen(e: int, pairs) -> list[list[int]]:
+    """R(M|E) of a connected component E, the factor with the pairs
+    (Y, r(Y)) of its cyclic flats, summed over class profiles."""
     import numpy as np
-    proj = {}  # F n S -> the least r(F)
-    for f, r in zip(m.flats, m.flat_ranks):
-        if r < proj.get(f & s, r + 1):
-            proj[f & s] = r
-    classes, inside = class_profile(list(proj), s)
+    classes, inside = class_profile([y for y, _ in pairs], e)
     radices = [popcount(c) for c in classes]
-    n = popcount(s)
+    n = popcount(e)
     cells = prod(k + 1 for k in radices)
     if cells > 1 << ENUM_CAP:
         raise TooLarge(
@@ -122,8 +95,8 @@ def _component_rank_gen(m: Matroid, s: int) -> list[list[int]]:
             f"connected component of {n} elements, over cap 2^{ENUM_CAP} "
             f"(ENUM_CAP); rank_gen_convolution gives R of a free product "
             f"from its factors")
-    flats = list(zip(inside, proj.values()))
-    rank = min(r + popcount(s & ~g) for g, r in proj.items())
+    flats = list(zip(inside, (r for _, r in pairs)))
+    rank = min(r + popcount(e & ~y) for y, r in pairs)
     # exact sums: int64 holds every sum, at most 2^n, while n <= 62
     dtype = np.int64 if n <= 62 else object
     weights = np.ones(1, dtype)
@@ -152,8 +125,8 @@ def rank_gen(m: Matroid) -> RankGenMatrix:
     loops, coloops = popcount(m.loops()), popcount(m.isthmuses())
     coeffs = _poly_mul([[comb(loops, j) for j in range(loops + 1)]],
                        [[comb(coloops, i)] for i in range(coloops + 1)])
-    for s in _components(m, m.top & ~m.bottom):
-        coeffs = _poly_mul(coeffs, _component_rank_gen(m, s))
+    for e, pairs in m.factors:
+        coeffs = _poly_mul(coeffs, _component_rank_gen(e, pairs))
     return RankGenMatrix(tuple(map(tuple, coeffs)))
 
 

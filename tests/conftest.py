@@ -50,6 +50,21 @@ def build_catalog():
 _CATALOG = build_catalog()
 
 
+def rank_support_scan(m, a):
+    """Oracle for Matroid.rank_support: r(A) = min over every cyclic flat
+    F of r(F) + |A - F|, with the intersection and the union of the F
+    that attain it, from one scan of the whole family."""
+    best = inter = union = None
+    for f, r in zip(m.flats, m.flat_ranks):
+        v = r + (a & ~f).bit_count()
+        if best is None or v < best:
+            best, inter, union = v, f, f
+        elif v == best:
+            inter &= f
+            union |= f
+    return best, inter, union
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return _CATALOG

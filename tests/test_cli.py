@@ -53,6 +53,15 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    def test_not_utf8(self, run, tmp_path):
+        # a UTF-16 byte-order mark: the message names the file
+        doc = tmp_path / "bom.json"
+        doc.write_bytes(b"\xff\xfe{}")
+        code, out, err = run("validate", doc)
+        assert (code, out) == (2, "")
+        assert err == f"error: {doc}: byte 0 is not UTF-8 " \
+            f"(invalid start byte)\n"
+
 
 class TestQueries:
     def test_rank(self, run):
@@ -344,6 +353,13 @@ class TestAnalysis:
         code, out, err = run("realize", doc)
         assert (code, out) == (2, "")
         assert err == "error: a lattice needs at least one element\n"
+
+    def test_realize_self_cover(self, run, tmp_path):
+        doc = tmp_path / "self.json"
+        doc.write_text('{"elements": ["a"], "covers": [["a", "a"]]}')
+        code, out, err = run("realize", doc)
+        assert (code, out) == (2, "")
+        assert err == "error: 'a' covers itself\n"
 
     def test_ingleton(self, run):
         code, out, _ = run("ingleton", FX / "u24.json")

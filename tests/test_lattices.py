@@ -48,6 +48,12 @@ class TestLatticeFromCovers:
         with pytest.raises(cf.CyclicCovers):
             cf.lattice_from_covers(["a", "b"], [("a", "b"), ("b", "a")])
 
+    def test_self_cover(self):
+        with pytest.raises(cf.CyclicCovers, match="'a' covers itself"):
+            cf.lattice_from_covers(["a"], [("a", "a")])
+        with pytest.raises(cf.CyclicCovers, match="'b' covers itself"):
+            cf.lattice_from_covers(["a", "b"], [("a", "b"), ("b", "b")])
+
     def test_not_a_lattice(self):
         # two incomparable maximal elements: no join
         with pytest.raises(cf.NotALattice):

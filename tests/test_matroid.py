@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import cycflats as cf
+from conftest import rank_support_scan
 from cycflats import matroid
 from cycflats.groundsets import (bits, element_classes, popcount, set_text,
                                  subset_key)
-from cycflats.matroid import (CIRCUIT_CAP, ENUM_CAP, _grid_ranks,
-                             _valid_by_factors)
+from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP, _grid_ranks
 
 
 def rf(labels, sets):
@@ -256,7 +256,7 @@ def _decided_like_sweep(cand):
 
 
 class TestFactorRule:
-    def test_sums_and_perturbations_match_the_sweep(self, catalog):
+    def test_sums_and_perturbations_match_the_sweep(self, catalog, sweeps):
         rng = random.Random(14)
         seen, by_factors = Counter(), 0
         for m, blocks in _factor_sums(rng, catalog):
@@ -266,9 +266,11 @@ class TestFactorRule:
             for cand in cands:
                 seen[_decided_like_sweep(cand)] += 1
             # a sum of two or more factors with two or more flats each
-            # is decided one factor at a time
+            # is decided one factor at a time, with no whole sweep
             if sum(len({f & b for f in m.flats}) > 1 for b in blocks) > 1:
-                assert _valid_by_factors(m.ranked_family()), m
+                sweeps.clear()
+                cf.validate(m.ranked_family())
+                assert sweeps == [], m
                 by_factors += 1
         assert set(seen) == {"valid", "Z0", "Z1", "Z2", "Z3"}, seen
         assert by_factors >= 150, by_factors
@@ -360,6 +362,30 @@ class TestRankOracle:
         for mask in range(1 << 6):
             names = [labels[i] for i in bits(mask)]
             assert m.rank(mask) == graphic_rank(names), names
+
+    def test_rank_support_matches_flat_scan(self, catalog):
+        # the factor-by-factor oracle against one scan of all of Z, on
+        # the catalog, products and duals with loops and isthmuses
+        rng = random.Random("rank-support")
+        hosts = list(catalog.values())
+        for seed in range(40):
+            parts = [cf.random_matroid(random.Random(seed), 6),
+                     cf.random_cw2_matroid(random.Random(seed), 5),
+                     rng.choice([cf.uniform(0, 2), cf.uniform(2, 2)])]
+            m, _ = _sum_of(rng.sample(parts, rng.randint(2, 3)))
+            hosts += [m, cf.dual(m)]
+        split = 0
+        for m in hosts:
+            n = len(m.ground)
+            split += len(m.factors) > 1
+            for a in [0, m.ground.full] + [rng.getrandbits(n)
+                                           for _ in range(40)]:
+                want = rank_support_scan(m, a)
+                assert m.rank_support(a) == want, (m, a)
+                assert m.rank(a) == want[0], (m, a)
+                assert m.closure(a) == a | want[2], (m, a)
+                assert m.is_independent(a) == (want[0] == popcount(a))
+        assert split > 30, split
 
     def test_u36_rank_formula(self, catalog):
         m = catalog["u36"]
@@ -522,7 +548,8 @@ class TestGridRanksAgainstOuterSums:
 
     def test_rank_tables(self, catalog):
         for name, m in catalog.items():
-            self.assert_same([1] * len(m.ground), m._rank_of.items())
+            self.assert_same([1] * len(m.ground),
+                             list(zip(m.flats, m.flat_ranks)))
 
 
 def _fixpoint_strided(m):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
+from conftest import rank_support_scan
 from cycflats import ops
 from cycflats.groundsets import bits, class_profile, popcount, subset_key
 from cycflats.matroid import ENUM_CAP
@@ -636,7 +637,8 @@ class TestOrbitSearch:
     def test_hopeless_contract_sets_skip_rank_support(self, monkeypatch):
         # of the 4,317 pairs over 379 sets C, the 1,137 pairs of a C with
         # r(C) > r(M) - r(P_2) or |C| - r(C) > n(M) - n(P_2) make no
-        # rank_support call on E - D: 8,834 calls without the skip
+        # rank_support call on E - D; one call per C, one per other pair
+        # (_minor_flats reads the factors' pairs, not rank_support)
         host = cf.nested_from_sequence("ififififfiif")
         calls = []
         rank_support = cf.Matroid.rank_support
@@ -647,7 +649,7 @@ class TestOrbitSearch:
 
         monkeypatch.setattr(cf.Matroid, "rank_support", counting)
         assert cf.has_minor(host, cf.excluded_minor_pn(2)) == (False, None)
-        assert len(calls) == 8_834 - 1_137
+        assert len(calls) == 379 + 4_317 - 1_137
 
     def test_orbit_pairs_are_the_orbit_minimal_pairs(self):
         # every (C, D) that is a prefix of each class, and of each class
@@ -720,13 +722,32 @@ class TestMinorFlats:
     def _by_labels(ground, flats):
         return {frozenset(ground.names(x)): r for x, r in flats.items()}
 
-    @pytest.mark.parametrize("kind", ["random", "cw2"])
+    @staticmethod
+    def _host(kind, seed):
+        """A random or cw2 matroid, or a direct sum of two to four
+        pieces (those two, a loop, an isthmus), some of them dualised."""
+        if kind == "random":
+            return cf.random_matroid(random.Random(seed))
+        if kind == "cw2":
+            return cf.random_cw2_matroid(random.Random(seed), max_elems=8)
+        rng = random.Random(f"minor-flats:sum:{seed}")
+        pieces = [cf.random_matroid(random.Random(seed), 6),
+                  cf.random_cw2_matroid(random.Random(seed), 5),
+                  cf.uniform(0, 1), cf.uniform(1, 1)]
+        rng.shuffle(pieces)
+        m = None
+        for j, piece in enumerate(pieces[:rng.randint(2, 4)]):
+            piece = cf.relabel(piece if rng.random() < 0.7
+                               else cf.dual(piece), f"{j}:")
+            m = piece if m is None else cf.direct_sum(m, piece)
+        return m
+
+    @pytest.mark.parametrize("kind", ["random", "cw2", "product"])
     def test_matches_minor(self, kind):
         rng = random.Random(f"minor-flats:{kind}")
         checked = 0
         for seed in range(60):
-            m = (cf.random_matroid(random.Random(seed)) if kind == "random"
-                 else cf.random_cw2_matroid(random.Random(seed), max_elems=8))
+            m = self._host(kind, seed)
             n = len(m.ground)
             for _ in range(8):
                 c = rng.getrandbits(n) & m.ground.full
@@ -741,11 +762,13 @@ class TestMinorFlats:
 
     def test_flats_avoiding_d_match_full_rule(self):
         # a flat avoiding D skips the cyclic test, and with C empty every
-        # rank_support call; _minor_flats_full tests every flat
+        # rank computation; a factor that C u D misses keeps its flats;
+        # _minor_flats_full tests every flat of the whole family
         rng = random.Random("minor-flats:untouched")
-        checked = untouched = contract_free = 0
-        for seed in range(150):
-            m = (cf.random_matroid(random.Random(seed)) if seed % 2
+        checked = untouched = contract_free = factor_kept = 0
+        for seed in range(210):
+            m = (self._host("product", seed) if seed >= 150
+                 else cf.random_matroid(random.Random(seed)) if seed % 2
                  else cf.random_cw2_matroid(random.Random(seed), max_elems=9))
             full, n = m.ground.full, len(m.ground)
             for _ in range(20):
@@ -757,8 +780,36 @@ class TestMinorFlats:
                 if any(f and not f & d for f in m.flats):
                     untouched += 1
                     contract_free += not c
-        assert checked == 3000
-        assert untouched > 1500 and contract_free > 700
+                factor_kept += seed >= 150 and any(
+                    not e & (c | d) for e, _ in m.factors)
+        assert checked == 4200
+        assert untouched > 1500 and contract_free > 700 and factor_kept > 200
+
+    def test_deletion_scans_each_flat_once(self, monkeypatch):
+        # with C empty, a Y meeting D takes one _support call, whose
+        # intersection is the isthmus test and whose union the closure
+        # test; a Y avoiding D takes none, and a factor D misses none
+        rng = random.Random("minor-flats:scans")
+        calls = []
+        support = ops._support
+
+        def counting(pairs, a):
+            calls.append(a)
+            return support(pairs, a)
+
+        monkeypatch.setattr(ops, "_support", counting)
+        mk4 = cf.catalog("mk4")
+        hosts = [mk4, cf.direct_sum(cf.relabel(mk4, "a"), cf.uniform(2, 4))]
+        hosts += [cf.random_matroid(random.Random(seed), 8)
+                  for seed in range(20)]
+        for m in hosts:
+            for _ in range(5):
+                d = rng.getrandbits(len(m.ground)) & m.ground.full
+                calls.clear()
+                ops._minor_flats(m, 0, d)
+                met = [pairs for e, pairs in m.factors if e & d]
+                assert len(calls) == sum(
+                    1 + sum(1 for y, _ in pairs if y & d) for pairs in met)
 
 
 def _check_minor(m, c, d, name):
@@ -923,15 +974,16 @@ def _masks_by_size(elems, sizes):
 
 
 def _minor_flats_full(m, c, d):
-    """Reference: ops._minor_flats with both rank_support tests on every
-    flat, including those that avoid D."""
-    rc = m.rank(c)
+    """Reference: the rule of ops._factor_minor_flats on the whole family
+    of m, with both tests on every flat, including those that avoid D,
+    and r, intersections and unions by the flat scan."""
+    rc = rank_support_scan(m, c)[0]
     found = {}
     for f in m.flats:
         g = f & ~d
-        if g & ~m.rank_support(g)[1]:
+        if g & ~rank_support_scan(m, g)[1]:
             continue
-        r, _, union = m.rank_support(g | c)
+        r, _, union = rank_support_scan(m, g | c)
         if union & ~(g | c | d):
             continue
         found[g & ~c] = r - rc

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
 from cycflats.matroid import ENUM_CAP
-from cycflats.tutte import (RankGenMatrix, _components, rank_gen,
-                            rank_gen_brute, rank_gen_convolution,
-                            tutte_from_rank_gen, tutte_polynomial)
+from cycflats.groundsets import bits
+from cycflats.tutte import (RankGenMatrix, rank_gen, rank_gen_brute,
+                            rank_gen_convolution, tutte_from_rank_gen,
+                            tutte_polynomial)
 
 
 def poly_mul(p, q):
@@ -195,10 +196,123 @@ class TestRankGen:
 
     def test_components(self):
         m = mk4_sum(3)
-        parts = _components(m, m.top & ~m.bottom)
-        assert sorted(parts) == [0o77 << (6 * i) for i in range(3)]
+        parts = [e for e, _ in m.factors]
+        assert parts == [0o77 << (6 * i) for i in range(3)]
+        assert sorted(_components(m, m.top & ~m.bottom)) == parts
         p = cf.free_product(cf.catalog("mk4"), cf.relabel(cf.catalog("mk4"), "r:"))
+        assert [e for e, _ in p.factors] == [p.ground.full]
         assert _components(p, p.top & ~p.bottom) == [p.ground.full]
+
+    def test_sum_makes_no_independence_test(self, monkeypatch):
+        # the components are the factors validate found, not a basis search
+        m = cf.direct_sum(mk4_sum(2), cf.uniform(1, 3))
+        calls = []
+        is_independent = cf.Matroid.is_independent
+
+        def counting(self, i):
+            calls.append(i)
+            return is_independent(self, i)
+
+        monkeypatch.setattr(cf.Matroid, "is_independent", counting)
+        t_u13 = tutte_from_rank_gen(uniform_rank_gen(1, 3))
+        t_k4 = tutte_polynomial(cf.catalog("mk4"))
+        assert tutte_polynomial(m) == poly_mul(poly_mul(t_k4, t_k4), t_u13)
+        assert calls == []
+
+
+def _components(m, support):
+    """Oracle: the connected components of m restricted to support, which
+    holds no loop and no coloop.  They are the components of the
+    fundamental graph of a greedy basis B (Krogdahl), which joins each e
+    outside B to every b in its fundamental circuit: b is there iff
+    B - b + e is independent."""
+    basis = 0
+    for x in bits(support):
+        if m.is_independent(basis | 1 << x):
+            basis |= 1 << x
+    parts = []
+    for e in bits(support & ~basis):
+        joined = 1 << e
+        for b in bits(basis):
+            if m.is_independent(basis & ~(1 << b) | 1 << e):
+                joined |= 1 << b
+        keep = []
+        for part in parts:  # parts are disjoint: merge those joined meets
+            if part & joined:
+                joined |= part
+            else:
+                keep.append(part)
+        parts = keep + [joined]
+    return parts
+
+
+def _pieces(rng):
+    """Small random pieces for sums: random and cw2 matroids, their
+    duals, loops U_{0,k} and coloops U_{k,k}."""
+    m = (cf.random_matroid(rng, 8) if rng.random() < 0.6
+         else cf.random_cw2_matroid(rng, 7))
+    roll = rng.random()
+    if roll < 0.25:
+        return cf.dual(m)
+    if roll < 0.35:
+        k = rng.randint(1, 2)
+        return cf.uniform(0, k) if rng.random() < 0.5 else cf.uniform(k, k)
+    return m
+
+
+class TestProductSplit:
+    """Matroid.factors, the split validate reads off Z alone, against the
+    Krogdahl components of the elements between 0_Z and 1_Z."""
+
+    @staticmethod
+    def _check(m):
+        parts = [e for e, _ in m.factors]
+        want = _components(m, m.top & ~m.bottom)
+        assert parts == sorted(want, key=lambda p: p & -p), m
+        # each factor's pairs are its projections of Z at r(Y u 0_Z)
+        flats = dict(zip(m.flats, m.flat_ranks))
+        for e, pairs in m.factors:
+            assert sorted(pairs) == sorted(
+                {(f & e, flats[(f & e) | m.bottom]) for f in m.flats}), m
+
+    def test_sums_match_krogdahl(self):
+        rng = random.Random("product-split")
+        checked = split = 0
+        for i in range(300):
+            pieces = [_pieces(rng) for _ in range(rng.choice([1, 2, 2, 3]))]
+            m = None
+            for j, piece in enumerate(pieces):
+                piece = cf.relabel(piece, f"{j}:")
+                if m is None:
+                    m = piece
+                elif rng.random() < 0.8:
+                    m = cf.direct_sum(m, piece)
+                else:
+                    m = cf.free_product(m, piece)
+            for host in (m, cf.dual(m)):
+                self._check(host)
+                checked += 1
+                split += len(host.factors) > 1
+        assert checked == 600 and split > 200, split
+
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4])
+    def test_sum_of_connected_pieces(self, copies):
+        pieces = [cf.catalog("mk4"), cf.uniform(2, 5), cf.excluded_minor_pn(3),
+                  cf.nested_from_sequence("ffiifif")][:copies]
+        m = None
+        for j, piece in enumerate(pieces):
+            piece = cf.relabel(piece, f"{j}:")
+            assert len(piece.factors) == 1
+            m = piece if m is None else cf.direct_sum(m, piece)
+        m = cf.direct_sum(cf.direct_sum(cf.uniform(0, 2, ["l1", "l2"]), m),
+                          cf.uniform(1, 1, ["c1"]))
+        assert len(m.factors) == copies
+        self._check(m)
+
+    def test_no_factors_without_circuits(self):
+        for m in (cf.uniform(0, 3), cf.uniform(3, 3), cf.uniform(0, 0),
+                  cf.direct_sum(cf.uniform(0, 2), cf.uniform(2, 2, "xy"))):
+            assert m.top == m.bottom and m.factors == ()
 
 
 def _tutte_shift_quartic(rgm):
