@@ -11,8 +11,8 @@ transversality test.
 
 from .errors import *  # noqa: F401,F403
 from .groundsets import GroundSet, bits, popcount, subset_key
-from .lattices import (FiniteLattice, family_lattice_tables, is_chain,
-                       lattice_from_covers, poset_isomorphic, width_of_family)
+from .lattices import (FiniteLattice, is_chain, lattice_from_covers,
+                       poset_isomorphic, width_of_family)
 from .matroid import (AxiomViolation, BasicStats, Matroid, RankedFamily,
                       all_violations, basic_stats, cyclic_flats_recompute,
                       validate)

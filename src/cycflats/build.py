@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
 from .groundsets import GroundSet, bits, popcount
-from .lattices import FiniteLattice, _converse, _tables_from_down, is_chain
+from .lattices import FiniteLattice, _converse, is_chain
 from .matroid import Matroid, RankedFamily, validate
 from .ops import MinorSpec, direct_sum, dual, minor, truncate
 from .freeprod import free_extension, free_product
@@ -322,8 +322,8 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
     i = n - 2 down to 0.  _is_least_labelling places labels in that
     order, each on a maximal unplaced element, and compares each row as
     it completes; of twins (same strict down- and up-sets) it tries only
-    one.  Kept lattices are listed in scan order, and only they get
-    meet/join tables.  Element names are v0, v1, ...  Raises
+    one.  Kept lattices are listed in scan order, each built from its
+    down-masks alone.  Element names are v0, v1, ...  Raises
     InvalidParameters for a max_size that is not a nonnegative int and
     TooLarge past LATTICE_CAP = 8 elements.
     """
@@ -349,7 +349,7 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
             if _is_least_labelling(down, [u | top for u in up] + [top]):
                 kept.append(down)
         for down in sorted(kept, key=_scan_number):
-            out.append(FiniteLattice(names, down, *_tables_from_down(down)))
+            out.append(FiniteLattice(names, down))
         if n < max_size:
             # element n - 1 with strict down-set s is above each i in s
             semis = [(prefix + [s | top],

@@ -1,9 +1,9 @@
 """Finite lattices and poset machinery.
 
 Covers two flavors of input: abstract lattices given by cover relations,
-and families of sets ordered by inclusion.  Provides meet/join tables,
-chain and width computations (Dilworth duality via bipartite matching),
-and poset isomorphism with a witness bijection.
+and families of sets ordered by inclusion.  A lattice stores only its
+down-masks.  Provides chain and width computations (Dilworth duality via
+bipartite matching), and poset isomorphism with a witness bijection.
 """
 
 from __future__ import annotations
@@ -16,21 +16,18 @@ from .groundsets import bits, popcount
 
 
 class FiniteLattice:
-    """A finite lattice: named elements, order relation, meet/join tables.
+    """A finite lattice: named elements and their order.
 
     down[i] is the bitmask (over element indices) of elements <= element i,
-    including i itself.  meet/join are total tables of element indices,
-    filled by one lookup per pair (_bound_lookups).
+    including i itself; bottom and top are element indices.  Nothing else
+    is stored: meet, join and covers are derived from down.
     """
 
-    __slots__ = ("elements", "down", "meet", "join", "bottom", "top")
+    __slots__ = ("elements", "down", "bottom", "top")
 
-    def __init__(self, elements: Sequence[str], down: Sequence[int],
-                 meet: Sequence[Sequence[int]], join: Sequence[Sequence[int]]):
+    def __init__(self, elements: Sequence[str], down: Sequence[int]):
         self.elements = tuple(elements)
         self.down = tuple(down)
-        self.meet = tuple(tuple(row) for row in meet)
-        self.join = tuple(tuple(row) for row in join)
         n = len(self.elements)
         self.bottom = min(range(n), key=lambda i: popcount(self.down[i]))
         self.top = max(range(n), key=lambda i: popcount(self.down[i]))
@@ -42,17 +39,27 @@ class FiniteLattice:
         i, j = self.elements.index(x), self.elements.index(y)
         return bool((self.down[j] >> i) & 1)
 
+    def meet(self, x: str, y: str) -> str:
+        """The element whose down-mask is down[x] & down[y]."""
+        i, j = self.elements.index(x), self.elements.index(y)
+        return self.elements[self.down.index(self.down[i] & self.down[j])]
+
+    def join(self, x: str, y: str) -> str:
+        """The common upper bound of x and y with the fewest elements
+        below it."""
+        pair = (1 << self.elements.index(x)) | (1 << self.elements.index(y))
+        return self.elements[min(
+            (k for k, d in enumerate(self.down) if d & pair == pair),
+            key=lambda k: popcount(self.down[k]))]
+
     def covers(self) -> list[tuple[str, str]]:
         """Cover pairs (lower, upper), in element order."""
+        strict = [d & ~(1 << j) for j, d in enumerate(self.down)]
         out = []
-        n = len(self.elements)
-        for j in range(n):
-            for i in bits(self.down[j] & ~(1 << j)):
-                strictly_between = any(
-                    (self.down[j] >> k) & 1 and (self.down[k] >> i) & 1
-                    for k in bits(self.down[j] & ~(1 << j) & ~(1 << i)))
-                if not strictly_between:
-                    out.append((self.elements[i], self.elements[j]))
+        for j, lower in enumerate(strict):
+            for k in bits(strict[j]):  # i < k < j rules i out
+                lower &= ~strict[k]
+            out += [(self.elements[i], self.elements[j]) for i in bits(lower)]
         return out
 
     def __repr__(self) -> str:
@@ -102,12 +109,8 @@ def lattice_from_covers(elements: Sequence[str],
                 raise CyclicCovers(
                     f"cycle through {elements[i]!r} and {elements[j]!r}")
     down = _converse(up)
-    try:
-        meet, join = _tables_from_down(down)
-    except NotALattice as exc:
-        i, j = exc.pair
-        raise NotALattice(elements[i], elements[j], exc.reason) from None
-    return FiniteLattice(elements, down, meet, join)
+    _check_lattice(elements, down)
+    return FiniteLattice(elements, down)
 
 
 def _down_masks(masks: Sequence[int]) -> list[int]:
@@ -141,29 +144,23 @@ def _bound_lookups(down: Sequence[int]):
             {u: i for i, u in enumerate(up)})
 
 
-def _tables_from_down(down: Sequence[int]):
-    """Meet/join tables, as lists of lists, from the down-masks of a
-    partial order, by the lookups of _bound_lookups.  Raises
-    NotALattice(i, j, reason), with element indices, for the first
-    offending pair in index order; the meet of a pair is checked before
-    its join.
+def _check_lattice(items: Sequence, down: Sequence[int]):
+    """The (up, glb, lub) of _bound_lookups for a partial order given by
+    its down-masks, once every pair has a meet and a join.  Otherwise
+    raises NotALattice(items[i], items[j], reason) for the first
+    offending pair (i, j) in index order, the meet of a pair checked
+    before its join; items name the elements (names or masks).
     """
-    n = len(down)
     up, glb, lub = _bound_lookups(down)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
+    n = len(down)
     for i in range(n):
         di, ui = down[i], up[i]
-        for j in range(i, n):
-            m = glb.get(di & down[j])
-            if m is None:
-                raise NotALattice(i, j, "no unique meet")
-            jn = lub.get(ui & up[j])
-            if jn is None:
-                raise NotALattice(i, j, "no unique join")
-            meet[i][j] = meet[j][i] = m
-            join[i][j] = join[j][i] = jn
-    return meet, join
+        for j in range(i + 1, n):
+            if di & down[j] not in glb:
+                raise NotALattice(items[i], items[j], "no unique meet")
+            if ui & up[j] not in lub:
+                raise NotALattice(items[i], items[j], "no unique join")
+    return up, glb, lub
 
 
 def family_lattice_tables(masks: Sequence[int]):
@@ -174,13 +171,13 @@ def family_lattice_tables(masks: Sequence[int]):
     given (canonical for Matroid.flats), without a unique
     inclusion-greatest lower or inclusion-least upper member.  Meet and
     join are members of the family, not intersections and unions, found
-    by the lookups of _bound_lookups on the family's down-masks.
+    by the lookups of _bound_lookups on the family's down-masks.  Only
+    tests call it; it stays here because the benchmark tracer spans it.
     """
-    try:
-        return _tables_from_down(_down_masks(masks))
-    except NotALattice as exc:
-        i, j = exc.pair
-        raise NotALattice(masks[i], masks[j], exc.reason) from None
+    down = _down_masks(masks)
+    up, glb, lub = _check_lattice(masks, down)
+    return ([[glb[a & b] for b in down] for a in down],
+            [[lub[a & b] for b in up] for a in up])
 
 
 def is_chain(masks: Sequence[int]) -> bool:

@@ -244,27 +244,24 @@ class Matroid:
         return a | self.rank_support(a)[2]
 
     def circuits(self) -> list[int]:
-        """All minimal C contained in some member X with |C| = r(X) + 1.
+        """All minimal C among the loops and the (r_i(Y) + 1)-subsets of
+        each Y of each factor.
 
         Such a C is dependent, and a circuit iff C - x is independent for
-        every x in C; every circuit C arises so, with X = cl(C).
+        every x in C.  A circuit that is not a loop lies in one component
+        E_i, and C is such a subset of Y = cl(C) n E_i.
         """
-        flats = list(zip(self.flats, self.flat_ranks))
-        count = sum(comb(popcount(f), r + 1) for f, r in flats)
+        ys = [(y, r + 1) for _, pairs in self.factors for y, r in pairs]
+        count = popcount(self.bottom) + sum(comb(popcount(y), k)
+                                            for y, k in ys)
         if count > CIRCUIT_CAP:
             raise TooLarge(f"circuits would enumerate {count} candidate "
                            f"subsets, over cap {CIRCUIT_CAP} (CIRCUIT_CAP); "
                            f"is_independent tests one subset directly")
-        candidates = set()
-        for f, r in flats:
-            if popcount(f) >= r + 1:
-                idx = list(bits(f))
-                for combo in combinations(idx, r + 1):
-                    m = 0
-                    for i in combo:
-                        m |= 1 << i
-                    candidates.add(m)
-        return [c for c in sorted(candidates, key=subset_key)
+        found = {1 << x for x in bits(self.bottom)}
+        found.update(sum(1 << i for i in c)
+                     for y, k in ys for c in combinations(bits(y), k))
+        return [c for c in sorted(found, key=subset_key)
                 if all(self.is_independent(c & ~(1 << x)) for x in bits(c))]
 
     def loops(self) -> int:

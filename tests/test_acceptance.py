@@ -115,9 +115,9 @@ def test_criterion_05_lattice_realization():
         sub = cf.realize_lattice(lat, "sublattice")
         assert cf.poset_isomorphic(sub.matroid.flats, lat)[0]
         flat_of = dict(sub.witness)
-        for i, xe in enumerate(lat.elements):
-            for j, ye in enumerate(lat.elements):
-                expect = flat_of[lat.elements[lat.meet[i][j]]]
+        for xe in lat.elements:
+            for ye in lat.elements:
+                expect = flat_of[lat.meet(xe, ye)]
                 assert flat_of[xe] & flat_of[ye] == expect
     report(5, f"all {len(lats)} lattices on <= 5 elements realized")
 

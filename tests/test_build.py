@@ -8,7 +8,7 @@ from cycflats import build, lattices
 from cycflats.build import (_chain_plus_one_ok, _is_least_labelling,
                             _scan_number, _strict_down_sets)
 from cycflats.groundsets import bits, popcount
-from cycflats.lattices import FiniteLattice, _converse, _tables_from_down
+from cycflats.lattices import FiniteLattice, _check_lattice, _converse
 
 
 def _all_lattices_brute(max_size):
@@ -29,10 +29,10 @@ def _all_lattices_brute(max_size):
             for i, j in rel:
                 down[j] |= 1 << i
             try:
-                meet, join = _tables_from_down(down)
+                _check_lattice(range(n), down)
             except cf.NotALattice:
                 continue
-            lat = FiniteLattice([f"v{i}" for i in range(n)], down, meet, join)
+            lat = FiniteLattice([f"v{i}" for i in range(n)], down)
             if not any(cf.poset_isomorphic(lat, seen)[0] for seen in found):
                 found.append(lat)
         out += found
@@ -41,8 +41,8 @@ def _all_lattices_brute(max_size):
 
 def _all_lattices_pairwise(max_size):
     """Oracle for all_lattices past the brute scan's reach: the same
-    candidates in the same order, each built with its meet/join tables
-    and tested with poset_isomorphic against every lattice kept in its
+    candidates in the same order, each built from its down-masks and
+    tested with poset_isomorphic against every lattice kept in its
     bucket, keyed by the sorted (|down|, |up|) pairs."""
     out = []
     semis = [[]]
@@ -51,7 +51,7 @@ def _all_lattices_pairwise(max_size):
         buckets = {}
         for down in sorted((d + [(1 << n) - 1] for d in semis),
                            key=_scan_number):
-            lat = FiniteLattice(names, down, *_tables_from_down(down))
+            lat = FiniteLattice(names, down)
             key = tuple(sorted(zip(map(popcount, down),
                                    map(popcount, _converse(down)))))
             seen = buckets.setdefault(key, [])
@@ -95,8 +95,6 @@ def _same_lattices(got, want):
     for a, b in zip(got, want):
         assert a.elements == b.elements
         assert a.down == b.down
-        assert a.meet == b.meet
-        assert a.join == b.join
 
 
 def _random_cw2_matroid_brute(rng, max_elems=9):
@@ -175,9 +173,7 @@ class TestRealizeLattice:
             assert ok, lat.elements
             flat_of = dict(real.witness)
             for x, y in product(lat.elements, repeat=2):
-                xm = flat_of[x] & flat_of[y]
-                i, j = lat.elements.index(x), lat.elements.index(y)
-                assert xm == flat_of[lat.elements[lat.meet[i][j]]]
+                assert flat_of[x] & flat_of[y] == flat_of[lat.meet(x, y)]
 
     def test_every_lattice_to_eight_is_realized(self, lattices_to_8):
         # the paper's first theorem on all 300 lattices with <= 8 elements
@@ -189,10 +185,10 @@ class TestRealizeLattice:
                 ok, _ = cf.poset_isomorphic(m.flats, lat)
                 assert ok, (variant, lat)
                 if variant == "sublattice":
-                    flat_of = [f for _, f in real.witness]
-                    for i, j in product(range(len(lat)), repeat=2):
-                        assert (flat_of[i] & flat_of[j]
-                                == flat_of[lat.meet[i][j]]), lat
+                    flat_of = dict(real.witness)
+                    for x, y in product(lat.elements, repeat=2):
+                        assert (flat_of[x] & flat_of[y]
+                                == flat_of[lat.meet(x, y)]), lat
 
     def test_witness_lists_the_flats(self):
         lat = cf.lattice_from_covers(
@@ -373,7 +369,7 @@ class TestAllLattices:
 
     def test_one_labelling_test_per_candidate(self, monkeypatch):
         # 4,008 candidates with at most 8 elements, 300 of them kept; no
-        # signature refinement or isomorphism search
+        # lattice check, signature refinement or isomorphism search
         calls = {}
 
         def counted(module, name):
@@ -385,12 +381,13 @@ class TestAllLattices:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(build, "_is_least_labelling")
-        counted(build, "_tables_from_down")
+        counted(lattices, "_check_lattice")
+        counted(lattices, "_bound_lookups")
         counted(lattices, "_refine_signatures")
         counted(lattices, "_order_isomorphism")
         assert len(cf.all_lattices(8)) == 300
-        assert calls == {"_is_least_labelling": 4008,
-                         "_tables_from_down": 300}
+        assert calls == {"_is_least_labelling": 4008}
+        assert not hasattr(lattices, "_tables_from_down")
         assert not hasattr(build, "_refine_signatures")
         assert not hasattr(build, "_order_isomorphism")
 

@@ -99,6 +99,17 @@ class TestQueries:
         assert code == 0
         assert len(json.loads(out)["circuits"]) == 7
 
+    def test_circuits_of_three_copies_of_mk4(self, run, tmp_path):
+        mk4 = cf.catalog("mk4")
+        m = cf.direct_sum(cf.direct_sum(cf.relabel(mk4, "a:"),
+                                        cf.relabel(mk4, "b:")),
+                          cf.relabel(mk4, "c:"))
+        path = tmp_path / "mk4x3.json"
+        path.write_text(io.emit_matroid(m))
+        code, out, _ = run("circuits", path)
+        assert code == 0
+        assert len(json.loads(out)["circuits"]) == 21
+
     def test_circuits_over_cap(self, run, tmp_path):
         path = tmp_path / "u10_40.json"
         path.write_text(io.emit_matroid(cf.uniform(10, 40)))

@@ -1,10 +1,11 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import cycflats as cf
-from cycflats.lattices import _tables_from_down
+from cycflats.groundsets import bits
+from cycflats.lattices import FiniteLattice, family_lattice_tables
 
 
 def fam(labels, *sets):
@@ -33,8 +34,8 @@ class TestLatticeFromCovers:
             [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
         assert lat.leq("0", "1")
         assert not lat.leq("a", "b")
-        assert lat.elements[lat.meet[1][2]] == "0"
-        assert lat.elements[lat.join[1][2]] == "1"
+        assert lat.meet("a", "b") == "0"
+        assert lat.join("a", "b") == "1"
 
     def test_m3_is_a_lattice(self):
         lat = cf.lattice_from_covers(
@@ -42,7 +43,7 @@ class TestLatticeFromCovers:
             [("0", "a"), ("0", "b"), ("0", "c"),
              ("a", "1"), ("b", "1"), ("c", "1")])
         assert len(lat) == 5
-        assert lat.elements[lat.join[1][2]] == "1"
+        assert lat.join("a", "b") == "1"
 
     def test_cyclic_covers(self):
         with pytest.raises(cf.CyclicCovers):
@@ -68,13 +69,13 @@ class TestLatticeFromCovers:
 class TestFamilyLatticeTables:
     def test_two_chain(self):
         f = fam("ab", "", "ab")
-        meet, join = cf.family_lattice_tables(f)
+        meet, join = family_lattice_tables(f)
         assert f[meet[0][1]] == 0
         assert f[join[0][1]] == 0b11
 
     def test_p2_family(self):
         f = fam("abcd", "", "ab", "cd", "abcd")
-        meet, join = cf.family_lattice_tables(f)
+        meet, join = family_lattice_tables(f)
         i, j = f.index(0b0011), f.index(0b1100)
         assert f[meet[i][j]] == 0
         assert f[join[i][j]] == 0b1111
@@ -82,7 +83,7 @@ class TestFamilyLatticeTables:
     def test_no_bottom(self):
         f = fam("abc", "ab", "bc")
         with pytest.raises(cf.NotALattice) as info:
-            cf.family_lattice_tables(f)
+            family_lattice_tables(f)
         assert info.value.pair == (0b011, 0b110)
         assert info.value.reason == "no unique meet"
 
@@ -157,7 +158,7 @@ class TestMeetJoinAlgebra:
             fam("abcde", "", "a", "ab", "cd", "abcde"),
         ]
         for f in families:
-            meet, join = cf.family_lattice_tables(f)
+            meet, join = family_lattice_tables(f)
             n = len(f)
             for i in range(n):
                 assert meet[i][i] == i and join[i][i] == i
@@ -216,13 +217,44 @@ def brute_tables_of_down(down):
     return brute_tables(len(down), lambda a, b: bool((down[b] >> a) & 1))
 
 
+def assert_meets_joins(lat, meet, join):
+    """lat.meet and lat.join name the elements of the index tables."""
+    e = lat.elements
+    for x in range(len(e)):
+        for y in range(len(e)):
+            assert lat.meet(e[x], e[y]) == e[meet[x][y]]
+            assert lat.join(e[x], e[y]) == e[join[x][y]]
+
+
+def covers_brute(lat):
+    """Oracle for FiniteLattice.covers: (i, j) for i < j with no element
+    strictly between, scanning every k, in element order."""
+    out = []
+    for j in range(len(lat)):
+        for i in bits(lat.down[j] & ~(1 << j)):
+            strictly_between = any(
+                (lat.down[j] >> k) & 1 and (lat.down[k] >> i) & 1
+                for k in bits(lat.down[j] & ~(1 << j) & ~(1 << i)))
+            if not strictly_between:
+                out.append((lat.elements[i], lat.elements[j]))
+    return out
+
+
 def assert_tables_match(down, expected):
+    """lattice_from_covers on the order of down, under names in index
+    order, raises for the pair of expected or gives its tables."""
+    names = [f"x{i}" for i in range(len(down))]
+    covers = FiniteLattice(names, down).covers()
     if isinstance(expected[1], str):
         with pytest.raises(cf.NotALattice) as info:
-            _tables_from_down(down)
-        assert (info.value.pair, info.value.reason) == expected
+            cf.lattice_from_covers(names, covers)
+        (i, j), reason = expected
+        assert (info.value.pair, info.value.reason) == (
+            (names[i], names[j]), reason)
     else:
-        assert _tables_from_down(down) == expected
+        lat = cf.lattice_from_covers(names, covers)
+        assert lat.down == tuple(down)
+        assert_meets_joins(lat, *expected)
 
 
 class TestTablesAgainstDefinition:
@@ -236,7 +268,7 @@ class TestTablesAgainstDefinition:
             f = canonical(masks)
             expected = brute_tables(len(f), lambda a, b: f[a] & ~f[b] == 0)
             try:
-                tables = cf.family_lattice_tables(f)
+                tables = family_lattice_tables(f)
             except cf.NotALattice as exc:
                 outcomes[False] += 1
                 (i, j), reason = expected
@@ -268,29 +300,32 @@ class TestTablesAgainstDefinition:
                 failures[expected[1]] += 1
         assert min(failures.values()) > 10
 
-    def test_all_lattices_five(self):
-        lats = cf.all_lattices(5)
-        assert len(lats) == 1 + 1 + 1 + 2 + 5
+    def test_all_lattices_six(self):
+        lats = cf.all_lattices(6)
+        assert len(lats) == 1 + 1 + 1 + 2 + 5 + 15
         for lat in lats:
-            meet, join = brute_tables_of_down(lat.down)
-            assert lat.meet == tuple(map(tuple, meet))
-            assert lat.join == tuple(map(tuple, join))
+            assert_meets_joins(lat, *brute_tables_of_down(lat.down))
 
     def test_covers_in_reverse_topological_order(self):
-        for lat in cf.all_lattices(5):
+        for lat in cf.all_lattices(6):
             names = list(reversed(lat.elements))  # tops first
             rev = cf.lattice_from_covers(names, lat.covers())
-            meet, join = brute_tables_of_down(rev.down)
-            assert rev.meet == tuple(map(tuple, meet))
-            assert rev.join == tuple(map(tuple, join))
-            for x in range(len(lat)):
-                for y in range(len(lat)):
-                    rx = names.index(lat.elements[x])
-                    ry = names.index(lat.elements[y])
-                    assert (rev.elements[rev.meet[rx][ry]]
-                            == lat.elements[lat.meet[x][y]])
-                    assert (rev.elements[rev.join[rx][ry]]
-                            == lat.elements[lat.join[x][y]])
+            assert_meets_joins(rev, *brute_tables_of_down(rev.down))
+            for x, y in product(lat.elements, repeat=2):
+                assert rev.meet(x, y) == lat.meet(x, y)
+                assert rev.join(x, y) == lat.join(x, y)
+
+    def test_covers_match_brute(self):
+        lats = cf.all_lattices(7)
+        assert len(lats) == 78
+        for lat in lats:
+            assert lat.covers() == covers_brute(lat)
+            rev = cf.lattice_from_covers(reversed(lat.elements), lat.covers())
+            assert rev.covers() == covers_brute(rev)
+
+    def test_only_the_down_masks_are_stored(self):
+        assert FiniteLattice.__slots__ == ("elements", "down", "bottom",
+                                           "top")
 
     def test_not_a_lattice_in_reverse_order_names_first_pair(self):
         names = ["b", "a", "0"]

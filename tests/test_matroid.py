@@ -12,6 +12,7 @@ from conftest import rank_support_scan
 from cycflats import matroid
 from cycflats.groundsets import (bits, element_classes, popcount, set_text,
                                  subset_key)
+from cycflats.lattices import family_lattice_tables
 from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP, _grid_ranks
 
 
@@ -95,7 +96,7 @@ def _violations_two_pass(candidate):
         return set_text(candidate.ground.names(m))
 
     try:
-        meet, join = cf.family_lattice_tables(masks)
+        meet, join = family_lattice_tables(masks)
     except cf.NotALattice as exc:
         x, y = exc.pair
         return [cf.AxiomViolation(
@@ -658,12 +659,42 @@ class TestCircuits:
         m = catalog["u01+u11"]
         assert [m.ground.names(c) for c in m.circuits()] == [("a1",)]
 
+    def test_three_copies_of_mk4(self):
+        mk4 = cf.catalog("mk4")
+        copies = [cf.relabel(mk4, p) for p in ("a:", "b:", "c:")]
+        m = cf.direct_sum(cf.direct_sum(copies[0], copies[1]), copies[2])
+        got = {frozenset(m.ground.names(c)) for c in m.circuits()}
+        want = {frozenset(c.ground.names(x)) for c in copies
+                for x in c.circuits()}
+        assert len(got) == 21
+        assert got == want
+
+    def test_matches_every_flat_rule(self):
+        # seeded random matroids and sums of two, with loops and isthmuses
+        rng = random.Random(11)
+        for t in range(150):
+            m = cf.random_matroid(rng, 8)
+            if t % 2:
+                m = cf.direct_sum(m, cf.relabel(cf.random_matroid(rng, 6),
+                                                "s:"))
+            assert m.circuits() == _circuits_every_flat(m), m
+
     def test_candidate_cap(self):
         # U_{10,40} would enumerate every 11-subset of its 40 elements
         with pytest.raises(cf.TooLarge) as err:
             cf.uniform(10, 40).circuits()
         assert f"{comb(40, 11)} candidate" in str(err.value)
         assert f"cap {CIRCUIT_CAP}" in str(err.value)
+
+
+def _circuits_every_flat(m):
+    """Oracle for Matroid.circuits: the minimal (r(X) + 1)-subsets of
+    every cyclic flat X, in subset_key order."""
+    candidates = {sum(1 << i for i in combo)
+                  for f, r in zip(m.flats, m.flat_ranks)
+                  for combo in combinations(bits(f), r + 1)}
+    return [c for c in sorted(candidates, key=subset_key)
+            if all(m.is_independent(c & ~(1 << x)) for x in bits(c))]
 
 
 class TestCyclicFlatsRecompute:

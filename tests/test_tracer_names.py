@@ -4,6 +4,8 @@ functions by (module, name); a rename in cycflats must not orphan one."""
 import importlib
 from pathlib import Path
 
+import cycflats as cf
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -24,3 +26,15 @@ def test_every_traced_name_resolves():
             assert hasattr(obj, attr), f"cycflats.{mod}.{name} is gone"
             obj = getattr(obj, attr)
         assert callable(obj), f"cycflats.{mod}.{name}"
+
+
+def test_lattice_reads_of_the_workloads_resolve():
+    """perfbench/checks.py and perfbench/w_cli.py read lat.elements,
+    lat.down, lat.covers() and len(lat) from all_lattices(5)."""
+    for lat in cf.all_lattices(5):
+        k = len(lat)
+        assert len(lat.elements) == len(lat.down) == k
+        assert all(isinstance(d, int) and (d >> i) & 1
+                   for i, d in enumerate(lat.down))
+        assert all(lo in lat.elements and hi in lat.elements
+                   for lo, hi in lat.covers())
