@@ -16,7 +16,7 @@ from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
 from .groundsets import GroundSet, bits, popcount
 from .lattices import FiniteLattice, _converse, is_chain
 from .matroid import Matroid, RankedFamily, validate
-from .ops import MinorSpec, direct_sum, dual, minor, truncate
+from .ops import MinorSpec, direct_sum, dual, truncate
 from .freeprod import free_extension, free_product
 
 
@@ -278,20 +278,18 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
     for j in range(1, k):
         delete |= fsets[j]
     raw = MinorSpec(isets[k + 1], delete)
-    raw_minor = minor(m, raw)
-    extra_contract_n = raw_minor.matroid_rank - k
-    extra_delete_n = raw_minor.nullity - 2
+    rank = m.rank(m.ground.full & ~delete) - m.rank(raw.contract)
+    kept = list(bits(m.ground.full & ~(raw.contract | delete)))
+    extra_contract_n = rank - k
+    extra_delete_n = len(kept) - rank - 2
     extra_contract = extra_delete = 0
-    taken = 0
-    for lab in raw_minor.ground.labels:
-        bit = 1 << m.ground.index[lab]
+    for taken, i in enumerate(kept):
         if taken < extra_contract_n:
-            extra_contract |= bit
+            extra_contract |= 1 << i
         elif taken < extra_contract_n + extra_delete_n:
-            extra_delete |= bit
+            extra_delete |= 1 << i
         else:
             break
-        taken += 1
     trimmed = MinorSpec(raw.contract | extra_contract,
                         raw.delete | extra_delete)
     return ChainMinor(raw, trimmed)

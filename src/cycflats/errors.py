@@ -43,9 +43,9 @@ class TooLarge(CycflatsError):
     """A call exceeds a size cap: matroid.ENUM_CAP (elements, and cells
     of a class-profile grid), matroid.CIRCUIT_CAP (candidate subsets),
     ops.MINOR_SEARCH_CAP (class-count profile pairs of has_minor),
-    widths.ANTICHAIN_CAP (cyclic flats) or build.LATTICE_CAP (lattice
-    elements).  The message names the cap, the size asked for and any
-    route around it."""
+    widths.ANTICHAIN_CAP (a bound on the rank calls of the antichain
+    search) or build.LATTICE_CAP (lattice elements).  The message names
+    the cap, the size asked for and any route around it."""
 
 
 class NotNested(CycflatsError):

@@ -1,7 +1,8 @@
 """Canonical document formats.
 
 Matroid:    {"ground": ["a", ...], "cyclic_flats": [{"set": [...], "rank": n}, ...]}
-Lattice:    {"elements": [...], "covers": [["lower", "upper"], ...]}
+Lattice:    {"elements": [...], "covers": [["lower", "upper"], ...]}, read
+            only: no command prints a lattice
 Polynomial: {"terms": [{"x": p, "y": q, "c": n}, ...]}
 
 All arrays are canonically sorted, so emit(parse(text)) reproduces a
@@ -81,13 +82,6 @@ def emit_matroid(m) -> str:
 
 # -- lattices ------------------------------------------------------------
 
-def lattice_to_doc(lat: FiniteLattice) -> dict:
-    idx = {e: i for i, e in enumerate(lat.elements)}
-    covers = sorted(lat.covers(), key=lambda p: (idx[p[0]], idx[p[1]]))
-    return {"elements": list(lat.elements),
-            "covers": [list(p) for p in covers]}
-
-
 def doc_to_lattice(doc) -> FiniteLattice:
     if not isinstance(doc, dict) or set(doc) != {"elements", "covers"}:
         raise ParseError("lattice document needs exactly the fields "
@@ -110,10 +104,6 @@ def doc_to_lattice(doc) -> FiniteLattice:
 
 def parse_lattice(path) -> FiniteLattice:
     return doc_to_lattice(_load(path))
-
-
-def emit_lattice(lat: FiniteLattice) -> str:
-    return _dump(lattice_to_doc(lat))
 
 
 # -- polynomials ---------------------------------------------------------

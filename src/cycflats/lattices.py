@@ -305,22 +305,31 @@ def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
                 return False
         return True
 
-    def search(pos: int, live) -> bool:
-        if pos == n:
-            return True
+    # a loop over positions, not recursion, so deep posets do not
+    # exhaust the stack; tried[pos] is the next candidate j for order[pos]
+    tried = [0] * n
+    lives = [live]  # lives[pos]: the sets still open before order[pos]
+    pos = 0
+    while pos < n:
         i = order[pos]
-        for j in range(n):
-            if not used[j] and sig_b[j] == sig_a[i] and ok(i, j):
-                narrowed = [[v for v in vs if (v >> j) & 1 == (u >> i) & 1]
-                            for (u, _), vs in zip(marked, live)]
-                if not all(narrowed):
-                    continue
-                mapping[i] = j
-                used[j] = True
-                if search(pos + 1, narrowed):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    return mapping if search(0, live) else None
+        for j in range(tried[pos], n):
+            if used[j] or sig_b[j] != sig_a[i] or not ok(i, j):
+                continue
+            narrowed = [[v for v in vs if (v >> j) & 1 == (u >> i) & 1]
+                        for (u, _), vs in zip(marked, lives[pos])]
+            if all(narrowed):
+                break
+        else:
+            if pos == 0:
+                return None
+            tried[pos] = 0
+            lives.pop()
+            pos -= 1
+            i = order[pos]
+            used[mapping[i]] = False
+            mapping[i] = -1
+            continue
+        mapping[i], used[j], tried[pos] = j, True, j + 1
+        lives.append(narrowed)
+        pos += 1
+    return mapping

@@ -238,35 +238,25 @@ def has_minor(m: Matroid, n: Matroid):
     likewise.
 
     Elements of one class (element_classes: they lie in the same cyclic
-    flats) are exchanged by automorphisms of m, so a permutation inside
-    classes carries a witness to a witness.  The search visits only the
-    orbit-minimal pairs: C takes the c_K lowest-indexed elements of each
-    class K, and D the d_K lowest of K - C; there is one such pair per
-    pair of class-count profiles (c, d).  The least witness is one of
-    them, since moving an element of C (then of D) to a lower unused one
-    of its class never raises a pair's place in the order; pairs are
-    visited in that order, so the first found is the least witness.
+    flats) are exchanged by automorphisms of m, so only the orbit-minimal
+    pairs are tried, one per pair of class-count profiles: for each size
+    of C, the contract sets C of _orbit_sets(classes, 0, |C|), and for
+    each C the delete sets D of _orbit_sets(classes, C, |m| - |n| - |C|).
+    Moving an element of C (then of D) to a lower unused one of its class
+    never raises a pair's place in the order, and both walks follow it,
+    so the first pair found is the least witness.
 
-    Each pair is tested first on its rank, loops and coloops, counted
-    from two rank_support calls on m and compared with n's,
-      rank    = r(E - D) - r(C);
-      loops   = cl(C) - C - D;
-      coloops = (E - D) - inter(E - D) - C, where inter(E - D) is the
-                intersection of the flats attaining r(E - D), so
-                (E - D) - inter(E - D) are the isthmuses of m \\ D;
-    then the count and sorted (|F|, r) list of the cyclic flats of
-    _minor_flats.  These are isomorphism invariants; only a pair that
-    passes them all is built by minor and tested by is_isomorphic.
+    A C with r(C) > r(m) - r(n) or |C| - r(C) > nullity(m) - nullity(n)
+    is skipped before any D, as m / C \\ D has rank at most r(m) - r(C)
+    and nullity at most nullity(m) - |C| + r(C).  Each pair is tested on
+    its rank r(E - D) - r(C), loops cl(C) - C - D and coloops
+    (E - D) - inter(E - D) - C, inter(E - D) being the intersection of
+    the flats attaining r(E - D); then on the count and sorted (|F|, r)
+    list of the cyclic flats of _minor_flats.  Only a pair that passes
+    is built by minor and tested by is_isomorphic.
 
-    The pairs of one C come together.  When r(C) > r(m) - r(n) or
-    |C| - r(C) > nullity(m) - nullity(n), all of them are skipped
-    without the second call, as none can pass the rank test: m/C\\D has
-    rank at most r(m) - r(C) and nullity at most
-    nullity(m) - |C| + r(C), while one that passes has rank r(n) and
-    |n| elements, so nullity nullity(n).
-
-    The profile pairs are counted before the search (_profile_pairs);
-    raises TooLarge when there are more than MINOR_SEARCH_CAP.
+    Raises TooLarge when the profile pairs (_profile_pairs) are more
+    than MINOR_SEARCH_CAP.
     """
     size_m, size_n = len(m.ground), len(n.ground)
     if size_n > size_m or n.matroid_rank > m.matroid_rank \
@@ -284,28 +274,24 @@ def has_minor(m: Matroid, n: Matroid):
     full = m.ground.full
     loops_n, coloops_n = popcount(n.loops()), popcount(n.isthmuses())
     profile_n = sorted(zip(map(popcount, n.flats), n.flat_ranks))
-    last_c = None
-    for c, d in _orbit_pairs(classes, removed):
-        if c != last_c:
+    for size in range(removed + 1):
+        for c in _orbit_sets(classes, 0, size):
             rc, _, union = m.rank_support(c)
-            cl_c, last_c = c | union, c
-            hopeless = rc > m.matroid_rank - n.matroid_rank \
-                or popcount(c) - rc > m.nullity - n.nullity
-        if hopeless:
-            continue
-        r, inter, _ = m.rank_support(full & ~d)
-        if r - rc != n.matroid_rank \
-                or popcount(cl_c & ~(c | d)) != loops_n \
-                or popcount(full & ~(d | inter | c)) != coloops_n:
-            continue
-        flats = _minor_flats(m, c, d)
-        if len(flats) != len(profile_n) or profile_n != sorted(
-                zip(map(popcount, flats), flats.values())):
-            continue
-        cand = minor(m, MinorSpec(c, d))
-        ok, _ = is_isomorphic(cand, n)
-        if ok:
-            return True, MinorSpec(c, d)
+            if rc > m.matroid_rank - n.matroid_rank \
+                    or size - rc > m.nullity - n.nullity:
+                continue
+            for d in _orbit_sets(classes, c, removed - size):
+                r, inter, _ = m.rank_support(full & ~d)
+                if r - rc != n.matroid_rank \
+                        or popcount(union & ~(c | d)) != loops_n \
+                        or popcount(full & ~(d | inter | c)) != coloops_n:
+                    continue
+                flats = _minor_flats(m, c, d)
+                if len(flats) != len(profile_n) or profile_n != sorted(
+                        zip(map(popcount, flats), flats.values())):
+                    continue
+                if is_isomorphic(minor(m, MinorSpec(c, d)), n)[0]:
+                    return True, MinorSpec(c, d)
     return False, None
 
 
@@ -321,47 +307,36 @@ def _profile_pairs(sizes, removed: int) -> int:
     return poly[removed]
 
 
-def _orbit_pairs(classes, removed: int):
-    """The orbit-minimal (C, D) with |C| + |D| = removed, one per pair of
-    class-count profiles, in canonical order: C takes the lowest-indexed
-    elements of each class, and D the lowest of each class minus C.
+def _orbit_sets(classes, avoid: int, size: int) -> list[int]:
+    """The sets of size elements outside avoid that take, from each class
+    K, the lowest-indexed elements of K - avoid, in canonical order.
 
-    For each size of C the pairs are built class by class, grouped by
-    (|C|, |D|) so far.  Each carries its place in the order as one key:
-    C's mask then D's, each with its bits reversed.  Of two sets of one
-    size, the first holds the lowest element where they differ, so it has
-    the larger reversed mask; the pairs are sorted by key, descending.
+    A recursive walk over the elements outside avoid, in index order,
+    that tries each element in before out, and takes an element only
+    after the one of its class just below it.  room counts the elements
+    still takeable: once one is left out, no later one of its class is.
     """
-    width = max((k.bit_length() for k in classes), default=0)
-    segs = []  # per class: masks of its t lowest elements, and reversed
+    below = {}  # element -> the element of its class just below it, or -1
+    tail = {}   # element -> the elements of its class from it upward
     for k in classes:
-        pre, rev = [0], [0]
+        k &= ~avoid
+        prev, left = -1, popcount(k)
         for i in bits(k):
-            pre.append(pre[-1] | 1 << i)
-            rev.append(rev[-1] | 1 << (width - 1 - i))
-        segs.append((pre, rev))
-    room = [0] * (len(classes) + 1)  # room[k]: elements of classes k, k+1..
-    for k in reversed(range(len(classes))):
-        room[k] = room[k + 1] + popcount(classes[k])
-    for size in range(removed + 1):
-        dsize = removed - size
-        built = {(0, 0): [(0, 0, 0)]}
-        for k, (pre, rev) in enumerate(segs):
-            most = len(pre) - 1
-            grown = {}
-            for (sc, sd), items in built.items():
-                for a in range(min(most, size - sc) + 1):
-                    # what classes after k cannot hold goes to D here
-                    short = size - sc - a + dsize - sd - room[k + 1]
-                    for b in range(max(0, short),
-                                   min(most - a, dsize - sd) + 1):
-                        key = rev[a] << width | (rev[a + b] & ~rev[a])
-                        c_seg, d_seg = pre[a], pre[a + b] & ~pre[a]
-                        grown.setdefault((sc + a, sd + b), []).extend(
-                            [(x | key, c | c_seg, d | d_seg)
-                             for x, c, d in items])
-            built = grown
-        pairs = built.get((size, dsize), [])
-        pairs.sort(reverse=True)
-        for _, c, d in pairs:
-            yield c, d
+            below[i], tail[i] = prev, left
+            prev, left = i, left - 1
+    order = sorted(below)
+    found = []
+
+    def walk(j: int, taken: int, left: int, room: int):
+        if not left:
+            found.append(taken)
+            return
+        while room >= left:
+            i, j = order[j], j + 1
+            if below[i] < 0 or (taken >> below[i]) & 1:
+                walk(j, taken | 1 << i, left - 1, room - 1)
+                walk(j, taken, left, room - tail[i])
+                return
+
+    walk(0, 0, size, len(order))
+    return found

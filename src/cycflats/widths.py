@@ -15,6 +15,7 @@ has, so the search starts at size 3.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from .errors import TooLarge
 from .groundsets import popcount
@@ -22,7 +23,7 @@ from .lattices import width_of_family
 from .matroid import Matroid
 from .ops import dual
 
-ANTICHAIN_CAP = 24  # most cyclic flats ingleton_transversal searches
+ANTICHAIN_CAP = 2 ** 20  # most rank calls ingleton_transversal may make
 
 
 def cyclic_width(m: Matroid) -> int:
@@ -36,14 +37,19 @@ def ingleton_transversal(m: Matroid):
     Returns (True, None) or (False, witness) where witness is the first
     violating antichain in canonical order (size ascending, then lexicographic
     over the canonically ordered flats), as a tuple of flat masks.
-    Raises TooLarge past ANTICHAIN_CAP cyclic flats.
+
+    An antichain of s flats costs 2^s rank calls, so with k cyclic flats
+    and width w the search makes at most sum_{s=3..w} C(k, s) 2^s; raises
+    TooLarge when that bound is over ANTICHAIN_CAP.
     """
     flats = m.flats
-    if len(flats) > ANTICHAIN_CAP:
-        raise TooLarge(
-            f"ingleton_transversal would search antichains of {len(flats)} "
-            f"cyclic flats, over cap {ANTICHAIN_CAP} (ANTICHAIN_CAP)")
     width = width_of_family(flats)
+    work = sum(comb(len(flats), s) << s for s in range(3, width + 1))
+    if work > ANTICHAIN_CAP:
+        raise TooLarge(
+            f"ingleton_transversal would make up to {work} rank calls on "
+            f"antichains of 3 to {width} of {len(flats)} cyclic flats, over "
+            f"cap {ANTICHAIN_CAP} (ANTICHAIN_CAP)")
     for size in range(3, width + 1):
         for combo in combinations(flats, size):
             if any(a & ~b == 0 or b & ~a == 0

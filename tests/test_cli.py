@@ -2,10 +2,12 @@
 and a property test of the 0/1/2 exit-code contract."""
 
 import contextlib
+import importlib
 import io as textio
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -248,6 +250,21 @@ def test_readme_command_lines_parse():
         assert parser.parse_args(argv).command == argv[0], argv
 
 
+def test_readme_cap_table():
+    # each row of README's size-cap table opens its Value cell with the
+    # value of the module constant it names
+    section = README.read_text().split("### Size caps", 1)[1]
+    rows = [line.split("|")[1:3] for line in section.split("\n## ", 1)[0]
+            .splitlines() if line.startswith("| `")]
+    assert len(rows) == 5
+    for name, value in rows:
+        module, constant = name.strip(" `").split(".")
+        want = getattr(importlib.import_module(f"cycflats.{module}"),
+                       constant)
+        got = re.match(r"[\d,]+", value.strip()).group().replace(",", "")
+        assert int(got) == want, name
+
+
 def test_table_free_commands_do_not_import_numpy():
     script = (
         "import sys\n"
@@ -348,6 +365,19 @@ class TestAnalysis:
         assert code == 0
         assert out.startswith("isomorphic: true\n")
 
+    def test_iso_four_mk4(self, run, tmp_path):
+        # 1,296 cyclic flats: deeper than the interpreter's recursion limit
+        mk4 = cf.catalog("mk4")
+        m = mk4
+        for j in range(1, 4):
+            m = cf.direct_sum(m, cf.relabel(mk4, f"{j}:"))
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        left.write_text(io.emit_matroid(m))
+        right.write_text(io.emit_matroid(cf.relabel(m, "q")))
+        code, out, _ = run("iso", left, right)
+        assert code == 0
+        assert out.startswith("isomorphic: true\n")
+
     def test_realize(self, run):
         code, out, _ = run("realize", FX / "lattice_b2.json")
         assert code == 0
@@ -437,6 +467,15 @@ class TestGen:
         assert err.count("\n") == 1
 
 
+def _emit_lattice(lat) -> str:
+    """Canonical text of a lattice document: elements in order, covers
+    sorted by element index."""
+    idx = {e: i for i, e in enumerate(lat.elements)}
+    covers = sorted(lat.covers(), key=lambda p: (idx[p[0]], idx[p[1]]))
+    doc = {"elements": list(lat.elements), "covers": [list(p) for p in covers]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
 class TestDeterminism:
     def test_byte_identical_round_trip(self, run):
         for name in ["u24.json", "mk4.json", "p2.json", "nested_ifif.json"]:
@@ -445,7 +484,7 @@ class TestDeterminism:
 
     def test_lattice_round_trip(self):
         text = (FX / "lattice_b2.json").read_text()
-        assert io.emit_lattice(io.parse_lattice(FX / "lattice_b2.json")) == text
+        assert _emit_lattice(io.parse_lattice(FX / "lattice_b2.json")) == text
 
     def test_repeated_runs_identical(self, run):
         outs = {run("tutte", FX / "mk4.json")[1] for _ in range(3)}

@@ -4,7 +4,8 @@ from itertools import combinations, product
 import pytest
 
 import cycflats as cf
-from cycflats.groundsets import bits
+from cycflats import lattices, ops
+from cycflats.groundsets import bits, popcount
 from cycflats.lattices import FiniteLattice, family_lattice_tables
 
 
@@ -124,6 +125,12 @@ class TestPosetIsomorphic:
         assert ok
         assert witness == list(zip(c1, c2))  # items are the masks
 
+    def test_long_chain(self):
+        # 1,000 nodes: deeper than the interpreter's recursion limit
+        chain = [(1 << i) - 1 for i in range(1000)]
+        assert cf.poset_isomorphic(chain, chain) == (
+            True, list(zip(chain, chain)))
+
     def test_chain_vs_b2(self):
         b2 = cf.lattice_from_covers(
             ["0", "a", "b", "1"],
@@ -148,6 +155,102 @@ class TestPosetIsomorphic:
             assert cf.poset_isomorphic(f, f)[0]
         for f1, f2 in combinations(fams, 2):
             assert cf.poset_isomorphic(f1, f2)[0] == cf.poset_isomorphic(f2, f1)[0]
+
+
+class TestOrderIsomorphismLoop:
+    """_order_isomorphism walks positions in a loop; the recursive search
+    it replaced is the oracle, so every mapping, and every witness built
+    from one, must be the same."""
+
+    @staticmethod
+    def _both(*args):
+        got = lattices._order_isomorphism(*args)
+        assert got == _order_isomorphism_recursive(*args)
+        return got
+
+    def test_families(self):
+        # the first pair backtracks into a position and must try its
+        # candidates from the first again
+        rng = random.Random("order-iso")
+        pairs = [([3, 5, 9, 17, 6, 26, 15, 27, 29, 30, 31],
+                  [9, 6, 10, 12, 24, 21, 23, 27, 29, 30, 31])]
+        for _ in range(3000):
+            n = rng.randint(3, 7)
+            a = canonical({rng.randrange(1 << n)
+                           for _ in range(rng.randint(4, 12))})
+            perm = rng.sample(range(n), n)
+            b = canonical({sum(1 << perm[i] for i in bits(x)) for x in a}) \
+                if rng.random() < 0.5 else \
+                canonical({rng.randrange(1 << n) for _ in range(len(a))})
+            pairs.append((a, b))
+        found = 0
+        for a, b in pairs:
+            down_a, down_b = lattices._down_masks(a), lattices._down_masks(b)
+            sig_a = lattices._refine_signatures(down_a)
+            sig_b = lattices._refine_signatures(down_b)
+            if sorted(sig_a) == sorted(sig_b):
+                found += self._both(down_a, down_b, sig_a, sig_b) is not None
+        assert found > 1000
+
+    def test_matroids(self, monkeypatch):
+        # is_isomorphic also passes the element classes as sets
+        monkeypatch.setattr(ops, "_order_isomorphism", self._both)
+        rng = random.Random("order-iso:matroids")
+        found = 0
+        for seed in range(150):
+            m = cf.random_matroid(random.Random(seed), 8)
+            labels = list(m.ground.labels)
+            rng.shuffle(labels)
+            names = dict(zip(m.ground.labels, labels))
+            n = cf.Matroid.from_labels(labels, [
+                ([names[x] for x in m.ground.names(f)], r)
+                for f, r in zip(m.flats, m.flat_ranks)])
+            other = cf.random_matroid(random.Random(seed + 1000), 8)
+            found += cf.is_isomorphic(m, n)[0]
+            cf.is_isomorphic(m, other)
+        assert found == 150
+
+
+def _order_isomorphism_recursive(down_a, down_b, sig_a, sig_b, sets_a=None,
+                                 sets_b=None):
+    """Reference: the recursive search of _order_isomorphism, one call
+    per position, candidates in the same order."""
+    n = len(down_a)
+    if n != len(down_b) or sorted(sig_a) != sorted(sig_b):
+        return None
+    order = sorted(range(n), key=lambda i: (sig_a.count(sig_a[i]), i))
+    mapping = [-1] * n
+    used = [False] * n
+    marked = list((sets_a or {}).items())
+    live = [[v for v, lab_b in (sets_b or {}).items()
+             if lab_b == lab and popcount(v) == popcount(u)]
+            for u, lab in marked]
+    if not all(live):
+        return None
+
+    def ok(i, j):
+        return all(
+            ((down_a[i] >> k) & 1) == ((down_b[j] >> mapping[k]) & 1)
+            and ((down_a[k] >> i) & 1) == ((down_b[mapping[k]] >> j) & 1)
+            for k in range(n) if mapping[k] >= 0)
+
+    def search(pos, live):
+        if pos == n:
+            return True
+        i = order[pos]
+        for j in range(n):
+            if not used[j] and sig_b[j] == sig_a[i] and ok(i, j):
+                narrowed = [[v for v in vs if (v >> j) & 1 == (u >> i) & 1]
+                            for (u, _), vs in zip(marked, live)]
+                if not all(narrowed):
+                    continue
+                mapping[i], used[j] = j, True
+                if search(pos + 1, narrowed):
+                    return True
+                mapping[i], used[j] = -1, False
+        return False
+
+    return mapping if search(0, live) else None
 
 
 class TestMeetJoinAlgebra:

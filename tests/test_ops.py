@@ -617,22 +617,34 @@ class TestOrbitSearch:
                 found += got[0]
         assert checked > 800 and 200 < found < checked - 200
 
-    @pytest.mark.parametrize("seq, pairs", [(None, 9),
-                                            ("ififififfiif", 4_317)])
-    def test_visited_pairs(self, seq, pairs, monkeypatch):
+    @pytest.mark.parametrize("seq, pairs, c_sets, d_sets",
+                             [(None, 9, 9, 5),
+                              ("ififififfiif", 4_317, 379, 3_180)],
+                             ids=["None-9", "ififififfiif-4317"])
+    def test_visited_pairs(self, seq, pairs, c_sets, d_sets, monkeypatch):
+        # the walks give pairs orbit-minimal pairs over every C; has_minor
+        # lists no D for a hopeless C, so it lists fewer D sets than that
         host = cf.uniform(6, 12) if seq is None \
             else cf.nested_from_sequence(seq)
-        visited = []
-        orbit_pairs = ops._orbit_pairs
+        pattern = cf.excluded_minor_pn(2)
+        classes, _ = class_profile(host.flats, host.ground.full)
+        removed = len(host.ground) - len(pattern.ground)
+        contract = [(size, c) for size in range(removed + 1)
+                    for c in ops._orbit_sets(classes, 0, size)]
+        assert len(contract) == c_sets
+        assert sum(len(ops._orbit_sets(classes, c, removed - size))
+                   for size, c in contract) == pairs
+        listed = []
+        orbit_sets = ops._orbit_sets
 
-        def counting(classes, removed):
-            for pair in orbit_pairs(classes, removed):
-                visited.append(pair)
-                yield pair
+        def counting(classes, avoid, size):
+            sets = orbit_sets(classes, avoid, size)
+            listed.extend(sets)
+            return sets
 
-        monkeypatch.setattr(ops, "_orbit_pairs", counting)
-        assert cf.has_minor(host, cf.excluded_minor_pn(2)) == (False, None)
-        assert len(visited) == len(set(visited)) == pairs
+        monkeypatch.setattr(ops, "_orbit_sets", counting)
+        assert cf.has_minor(host, pattern) == (False, None)
+        assert len(listed) == c_sets + d_sets
 
     def test_hopeless_contract_sets_skip_rank_support(self, monkeypatch):
         # of the 4,317 pairs over 379 sets C, the 1,137 pairs of a C with
@@ -652,8 +664,9 @@ class TestOrbitSearch:
         assert len(calls) == 379 + 4_317 - 1_137
 
     def test_orbit_pairs_are_the_orbit_minimal_pairs(self):
-        # every (C, D) that is a prefix of each class, and of each class
-        # minus C, in canonical order, counted by _profile_pairs
+        # the C sets of each size, then the D sets of each C, are every
+        # (C, D) that is a prefix of each class, and of each class minus
+        # C, in canonical order, counted by _profile_pairs
         hosts = [cf.random_matroid(random.Random(seed), 8)
                  for seed in range(30)]
         hosts += [cf.nested_from_sequence("iiffifffi"), cf.uniform(3, 7),
@@ -670,7 +683,10 @@ class TestOrbitSearch:
                 want = [(c, d) for c, d in _pairs_in_order(size, removed)
                         if all(prefix(c, k) and prefix(d, k & ~c)
                                for k in classes)]
-                got = list(ops._orbit_pairs(classes, removed))
+                got = [(c, d) for c_size in range(removed + 1)
+                       for c in ops._orbit_sets(classes, 0, c_size)
+                       for d in ops._orbit_sets(classes, c,
+                                                removed - c_size)]
                 assert got == want
                 assert len(got) == ops._profile_pairs(
                     [popcount(k) for k in classes], removed)

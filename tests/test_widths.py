@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -74,14 +75,32 @@ class TestIngleton:
                 cf.ingleton_transversal(m)[0], name
 
     def test_flat_count_cap(self, catalog):
+        # the cap bounds the rank calls, sum_{s=3..w} C(k, s) 2^s over k
+        # flats of width w, not k: two M(K4) and the realization of M_22
+        # both raise before the search
         mk4 = catalog["mk4"]
-        m = cf.direct_sum(mk4, cf.relabel(mk4, "r:"))
-        assert len(m.flats) == 36 > ANTICHAIN_CAP
-        for call in (cf.ingleton_transversal, cf.bitransversal_cert):
-            with pytest.raises(cf.TooLarge) as err:
-                call(m)
-            assert "36 cyclic flats" in str(err.value)
-            assert f"cap {ANTICHAIN_CAP} (ANTICHAIN_CAP)" in str(err.value)
+        atoms = [f"a{i}" for i in range(22)]
+        m22 = cf.lattice_from_covers(
+            ["0", *atoms, "1"],
+            [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+        for m, k in ((cf.direct_sum(mk4, cf.relabel(mk4, "r:")), 36),
+                     (cf.realize_lattice(m22, "sublattice").matroid, 24)):
+            width = cf.cyclic_width(m)
+            bound = sum(comb(k, s) << s for s in range(3, width + 1))
+            assert len(m.flats) == k and bound > ANTICHAIN_CAP
+            for call in (cf.ingleton_transversal, cf.bitransversal_cert):
+                with pytest.raises(cf.TooLarge) as err:
+                    call(m)
+                assert f"up to {bound} rank calls" in str(err.value)
+                assert f"to {width} of {k} cyclic flats" in str(err.value)
+                assert f"cap {ANTICHAIN_CAP} (ANTICHAIN_CAP)" in str(err.value)
+
+    def test_long_chain_under_cap(self):
+        # 31 cyclic flats of width 1: no antichain to search
+        m = cf.nested_from_sequence("if" * 30)
+        assert len(m.flats) == 31
+        assert cf.ingleton_transversal(m) == (True, None)
+        assert cf.bitransversal_cert(m)
 
 
 class TestBitransversal:
