@@ -311,10 +311,12 @@ def _orbit_sets(classes, avoid: int, size: int) -> list[int]:
     """The sets of size elements outside avoid that take, from each class
     K, the lowest-indexed elements of K - avoid, in canonical order.
 
-    A recursive walk over the elements outside avoid, in index order,
-    that tries each element in before out, and takes an element only
-    after the one of its class just below it.  room counts the elements
-    still takeable: once one is left out, no later one of its class is.
+    A walk over the elements outside avoid, in index order, that tries
+    each element in before out, and takes an element only after the one
+    of its class just below it.  room counts the elements still
+    takeable: once one is left out, no later one of its class is.  The
+    walk follows the in branch and stacks the out branch, so it needs no
+    recursion however many elements a set takes.
     """
     below = {}  # element -> the element of its class just below it, or -1
     tail = {}   # element -> the elements of its class from it upward
@@ -326,17 +328,14 @@ def _orbit_sets(classes, avoid: int, size: int) -> list[int]:
             prev, left = i, left - 1
     order = sorted(below)
     found = []
-
-    def walk(j: int, taken: int, left: int, room: int):
-        if not left:
-            found.append(taken)
-            return
-        while room >= left:
+    stack = [(0, 0, size, len(order))]
+    while stack:
+        j, taken, left, room = stack.pop()
+        while left and room >= left:
             i, j = order[j], j + 1
             if below[i] < 0 or (taken >> below[i]) & 1:
-                walk(j, taken | 1 << i, left - 1, room - 1)
-                walk(j, taken, left, room - tail[i])
-                return
-
-    walk(0, 0, size, len(order))
+                stack.append((j, taken, left, room - tail[i]))
+                taken, left, room = taken | 1 << i, left - 1, room - 1
+        if not left:
+            found.append(taken)
     return found

@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import cycflats as cf
 from cycflats import io
 from cycflats.cli import GEN_PARAMS, main, make_parser
+from cycflats.widths import ANTICHAIN_CAP
 
 FX = Path(__file__).parent / "fixtures"
 README = Path(__file__).parent.parent / "README.md"
@@ -409,6 +411,27 @@ class TestAnalysis:
         assert code == 1
         assert out.startswith("transversal-condition: false\n")
         assert len(json.loads(out.split("\n", 1)[1])["antichain"]) == 4
+
+    def test_ingleton_over_cap(self, run, tmp_path):
+        # the M_22 realization (24 cyclic flats, width 22) and four M(K4)
+        # (1,296 flats) exit 2 on the cap, after only the width
+        atoms = [f"a{i}" for i in range(22)]
+        m22 = cf.lattice_from_covers(
+            ["0", *atoms, "1"],
+            [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+        mk4 = cf.catalog("mk4")
+        four = mk4
+        for j in range(1, 4):
+            four = cf.direct_sum(four, cf.relabel(mk4, f"{j}:"))
+        for m in (cf.realize_lattice(m22, "sublattice").matroid, four):
+            path = tmp_path / "m.json"
+            path.write_text(io.emit_matroid(m))
+            start = time.perf_counter()
+            code, out, err = run("ingleton", path)
+            assert time.perf_counter() - start < 5
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ingleton_transversal would make")
+            assert err.endswith(f"cap {ANTICHAIN_CAP} (ANTICHAIN_CAP)\n")
 
     def test_bitransversal(self, run):
         code, out, _ = run("bitransversal", FX / "u24.json")

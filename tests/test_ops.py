@@ -631,9 +631,10 @@ class TestOrbitSearch:
         removed = len(host.ground) - len(pattern.ground)
         contract = [(size, c) for size in range(removed + 1)
                     for c in ops._orbit_sets(classes, 0, size)]
-        assert len(contract) == c_sets
-        assert sum(len(ops._orbit_sets(classes, c, removed - size))
-                   for size, c in contract) == pairs
+        assert len(contract) == len(set(contract)) == c_sets
+        visited = [(c, d) for size, c in contract
+                   for d in ops._orbit_sets(classes, c, removed - size)]
+        assert len(visited) == len(set(visited)) == pairs
         listed = []
         orbit_sets = ops._orbit_sets
 
@@ -645,6 +646,13 @@ class TestOrbitSearch:
         monkeypatch.setattr(ops, "_orbit_sets", counting)
         assert cf.has_minor(host, pattern) == (False, None)
         assert len(listed) == c_sets + d_sets
+
+    @pytest.mark.parametrize("size", [1_000, 3_000])
+    def test_one_class_past_the_recursion_limit(self, size):
+        # U_{2,n} is one class: the first C is empty and its first D the
+        # lowest n - 4 elements, a walk longer than the recursion limit
+        got = cf.has_minor(cf.uniform(2, size), cf.uniform(2, 4))
+        assert got == (True, cf.MinorSpec(0, (1 << size - 4) - 1))
 
     def test_hopeless_contract_sets_skip_rank_support(self, monkeypatch):
         # of the 4,317 pairs over 379 sets C, the 1,137 pairs of a C with
