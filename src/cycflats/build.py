@@ -107,6 +107,16 @@ def nested_from_sequence(seq: str) -> Matroid:
     """
     if any(c not in "if" for c in seq):
         raise InvalidParameters(f"sequence must be over 'i'/'f': {seq!r}")
+    return validate(RankedFamily(_nested_ground(len(seq)), _nested_chain(seq)))
+
+
+def _nested_ground(n: int) -> GroundSet:
+    return GroundSet(f"e{pos}" for pos in range(1, n + 1))
+
+
+def _nested_chain(seq: str) -> list[tuple[int, int]]:
+    """The chain of cyclic flats of nested_from_sequence(seq) as (mask,
+    rank) pairs, bottom first, for a sequence over 'i'/'f'."""
     chain = [(0, 0)]  # the empty matroid
     rank = 0
     for pos, step in enumerate(seq):
@@ -116,8 +126,7 @@ def nested_from_sequence(seq: str) -> Matroid:
         if chain[-1][0] == (1 << pos) - 1:
             chain.pop()  # E(M) is no longer closed
         chain.append(((2 << pos) - 1, rank))
-    labels = [f"e{pos}" for pos in range(1, len(seq) + 1)]
-    return validate(RankedFamily(GroundSet(labels), chain))
+    return chain
 
 
 def nested_sequence_of(m: Matroid) -> str:
@@ -465,10 +474,63 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
     """A random valid matroid of cyclic width at most 2: a random chain
     plus, when possible, one extra incomparable cyclic flat.
 
-    The chain f_0 c ... c f_t (ranks r_i) is the nested matroid of a
-    random i/f sequence, and up to 400 of its shuffled (s, rho)
-    candidates are tried in turn.  One incomparable to some f_i is
-    decided from the chain in O(k) (Z0-Z3 of chain u {(s, rho)}):
+    Each of up to 20 tries draws the chain f_0 c ... c f_t (ranks r_i) of
+    the nested matroid of a random i/f sequence on n elements.  A chain
+    of fewer than 3 members is skipped with no further draws: every s
+    with f_0 c s c f_t is comparable to both members.  Otherwise up to
+    400 of the n * 2^(n-1) candidates (s, rho), 1 <= rho <= |s|, are
+    drawn one at a time, uniformly without replacement (_draw_indices),
+    and the first that passes _chain_plus_one_ok is returned through
+    validate, which stays the gate.  The draws are an ordered uniform
+    sample of the candidates, as a shuffle of all of them would give, so
+    the law of the result does not depend on how they are drawn, though
+    a shuffling sampler maps each seed to another matroid.  After 20
+    failed tries the last chain is returned (cyclic width 1).
+    """
+    for _ in range(20):
+        n = rng.randint(2, max_elems)
+        seq = "".join(rng.choice("if") for _ in range(n))
+        chain = _nested_chain(seq)
+        if len(chain) < 3:
+            continue  # no candidate is incomparable to a member
+        flats, ranks = zip(*chain)
+        total = n << (n - 1)
+        for i in _draw_indices(rng, total, min(400, total)):
+            s, rho = _candidate(i, n)
+            if _chain_plus_one_ok(flats, ranks, s, rho):
+                return validate(RankedFamily(_nested_ground(n),
+                                             chain + [(s, rho)]))
+    return nested_from_sequence(seq)  # fallback: the last chain
+
+
+def _draw_indices(rng: random.Random, total: int, count: int):
+    """count distinct indices of range(total), an ordered uniform sample
+    without replacement, one rng.randrange call each: a partial
+    Fisher-Yates shuffle (Durstenfeld 1964) of range(total) whose moved
+    slots are kept in a dict, so nothing of size total is built."""
+    moved: dict[int, int] = {}
+    for k in range(count):
+        j = rng.randrange(k, total)
+        pick = moved.get(j, j)
+        moved[j] = moved.get(k, k)
+        yield pick
+
+
+def _candidate(i: int, n: int) -> tuple[int, int]:
+    """The i-th (s, rho), 0 <= i < n * 2^(n-1), of the pairs of a nonempty
+    s of n elements and 1 <= rho <= |s|: each is one element e of s, so
+    i gives e = i >> (n-1) and the rest of s in its low n-1 bits, and
+    rho = 1 + |{x in s : x < e}|."""
+    e = i >> (n - 1)
+    rest = i & ((1 << (n - 1)) - 1)
+    low = rest & ((1 << e) - 1)
+    return low | (1 << e) | ((rest ^ low) << 1), 1 + low.bit_count()
+
+
+def _chain_plus_one_ok(chain, ranks, s: int, rho: int) -> bool:
+    """Whether a valid chain of cyclic flats with their ranks, plus
+    (s, rho), satisfies Z0-Z3 with s incomparable to some member, in
+    O(k):
       Z0: f_0 c s c f_t;
       Z2: 0 < rho - r_i < |s - f_i| for each f_i c s, and
           0 < r_i - rho < |f_i - s| for each s c f_i;
@@ -476,32 +538,8 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
           s (the meet and join of s with every incomparable f_i),
           rho + r_i >= r(hi) + r(lo) + |(s n f_i) - lo| for each f_i
           strictly between them; comparable pairs meet Z3 with equality.
-    The first candidate that passes is returned through validate, which
-    stays the gate: the rule agrees with validate, so each seed gives the
-    matroid that validating every candidate would, and a disagreement
-    raises NotAMatroid.
+    An s comparable to every member (a member among them) gives False.
     """
-    for _ in range(20):
-        length = rng.randint(2, max_elems)
-        seq = "".join(rng.choice("if") for _ in range(length))
-        m = nested_from_sequence(seq)
-        n = len(m.ground)
-        candidates = [(s, rho) for s in range(1, 1 << n)
-                      for rho in range(1, popcount(s) + 1)]
-        rng.shuffle(candidates)
-        base = list(zip(m.flats, m.flat_ranks))
-        for s, rho in candidates[:400]:
-            if all(s & ~f == 0 or f & ~s == 0 for f in m.flats):
-                continue  # a member, or comparable to every member
-            if _chain_plus_one_ok(m.flats, m.flat_ranks, s, rho):
-                return validate(RankedFamily(m.ground, base + [(s, rho)]))
-    return m  # fallback: the chain itself (cyclic width 1)
-
-
-def _chain_plus_one_ok(chain, ranks, s: int, rho: int) -> bool:
-    """Whether a valid chain of cyclic flats with their ranks, plus
-    (s, rho) for an s incomparable to some member, satisfies Z0-Z3: the
-    O(k) rule of random_cw2_matroid."""
     if chain[0] & ~s or s & ~chain[-1]:
         return False  # no meet with the bottom or no join with the top
     lo = hi = None
@@ -518,6 +556,8 @@ def _chain_plus_one_ok(chain, ranks, s: int, rho: int) -> bool:
                 hi = (f, r)
         else:
             between.append((f, r))
+    if not between:
+        return False  # s is comparable to every member
     (lo_f, lo_r), (_, hi_r) = lo, hi
     return all(rho + r >= hi_r + lo_r + popcount(s & f & ~lo_f)
                for f, r in between)

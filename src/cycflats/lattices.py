@@ -8,6 +8,7 @@ bipartite matching), and poset isomorphism with a witness bijection.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Sequence
 
 from .errors import (CyclicCovers, DuplicateSet, InvalidParameters, NotALattice,
@@ -284,7 +285,8 @@ def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
     if sorted(sig_a) != sorted(sig_b):
         return None
     # process rarest signatures first
-    order = sorted(range(n), key=lambda i: (sig_a.count(sig_a[i]), i))
+    freq = Counter(sig_a)
+    order = sorted(range(n), key=lambda i: (freq[sig_a[i]], i))
     mapping = [-1] * n
     used = [False] * n
     marked = list((sets_a or {}).items())

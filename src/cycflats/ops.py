@@ -53,15 +53,31 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     full = m.ground.full
     if (c | d) & ~full:
         raise InvalidParameters("minor spec outside ground set")
-    kept = list(bits(full & ~(c | d)))
+    keep = full & ~(c | d)
+    runs = _runs(keep)
     entries = []
     for x, r in _minor_flats(m, c, d).items():
         y = 0
-        for j, i in enumerate(kept):
-            y |= ((x >> i) & 1) << j
+        for run, shift in runs:
+            y |= (x & run) >> shift
         entries.append((y, r))
-    ground = GroundSet(m.ground.labels[i] for i in kept)
+    ground = GroundSet(m.ground.labels[i] for i in bits(keep))
     return validate(RankedFamily(ground, entries))
+
+
+def _runs(keep: int) -> list[tuple[int, int]]:
+    """keep's runs of consecutive set bits, as (run mask, shift) pairs:
+    the bits of x in keep, packed down to the low bits in order, are the
+    union of (x & run) >> shift over the runs."""
+    runs = []
+    packed = 0  # the kept bits below the current run
+    while keep:
+        low = keep & -keep
+        run = keep & ~(keep + low)  # the carry clears the run
+        runs.append((run, low.bit_length() - 1 - packed))
+        packed += run.bit_count()
+        keep ^= run
+    return runs
 
 
 def _minor_flats(m: Matroid, c: int, d: int) -> dict[int, int]:

@@ -784,6 +784,30 @@ class TestMinorFlats:
                 checked += 1
         assert checked == 480
 
+    @pytest.mark.parametrize("kind", ["random", "cw2", "product"])
+    def test_minor_packs_like_the_bit_loop(self, kind):
+        # minor moves each kept flat to the minor's ground set one run of
+        # kept bits at a time; moving it one bit at a time gives the same
+        rng = random.Random(f"minor-flats:pack:{kind}")
+        for seed in range(60):
+            m = self._host(kind, seed)
+            n = len(m.ground)
+            for _ in range(8):
+                c = rng.getrandbits(n) & m.ground.full
+                d = rng.getrandbits(n) & m.ground.full & ~c
+                kept = list(bits(m.ground.full & ~(c | d)))
+                entries = []
+                for x, r in ops._minor_flats(m, c, d).items():
+                    y = 0
+                    for j, i in enumerate(kept):
+                        y |= ((x >> i) & 1) << j
+                    entries.append((y, r))
+                want = cf.validate(cf.RankedFamily(
+                    cf.GroundSet(m.ground.labels[i] for i in kept), entries))
+                got = cf.minor(m, cf.MinorSpec(c, d))
+                assert (got.ground, got.flats, got.flat_ranks) \
+                    == (want.ground, want.flats, want.flat_ranks)
+
     def test_flats_avoiding_d_match_full_rule(self):
         # a flat avoiding D skips the cyclic test, and with C empty every
         # rank computation; a factor that C u D misses keeps its flats;
