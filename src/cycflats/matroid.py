@@ -123,11 +123,13 @@ class AxiomViolation:
 class Matroid:
     """A validated cyclic-flats-with-ranks representation.
 
-    Immutable; build via validate() or Matroid.from_labels().  flats and
-    flat_ranks are parallel tuples in canonical subset order; factors
-    holds, for each connected component E_i of the elements between the
-    least and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over Y in Z_i
-    (module docstring), in order of least element.
+    Immutable; build via validate() or Matroid.from_labels().  The
+    constructor itself checks nothing: ops.relabel and ops.direct_sum
+    call it on data read off operands that validate has already passed.
+    flats and flat_ranks are parallel tuples in canonical subset order;
+    factors holds, for each connected component E_i of the elements
+    between the least and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over
+    Y in Z_i (module docstring), in order of least element.
     """
 
     __slots__ = ("ground", "flats", "flat_ranks", "factors", "bottom", "top",

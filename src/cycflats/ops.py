@@ -5,6 +5,12 @@ truncation and the Higgs lift each follow one rule on the cyclic flats,
 so they never enumerate subsets and work past ENUM_CAP.  Isomorphism
 is a search over the lattices of cyclic flats, not the ground sets (see
 is_isomorphic), so it has no element cap.
+
+Each operation whose result is a new family of cyclic flats returns
+validate's verdict on it.  Two assemble their result from operands that
+are validated already: relabel keeps every mask, and direct_sum puts
+together the factors of its two summands, each checked when its summand
+was validated.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
 from .groundsets import (GroundSet, bits, class_profile, element_classes,
-                         popcount, set_text)
+                         popcount, set_text, subset_key)
 from .matroid import Matroid, RankedFamily, _support, validate
 from .lattices import _down_masks, _order_isomorphism, _refine_signatures
 
@@ -161,19 +167,34 @@ def relax(m: Matroid, f: int) -> Matroid:
 
 
 def relabel(m: Matroid, prefix: str) -> Matroid:
-    """Prefix every ground-set label; structure unchanged."""
+    """Prefix every ground-set label; structure unchanged.
+
+    Every mask keeps its index, so m's flats, ranks and factors carry
+    over as they are, with no second validation.
+    """
     ground = GroundSet(prefix + lab for lab in m.ground.labels)
-    return validate(RankedFamily(ground, zip(m.flats, m.flat_ranks)))
+    return Matroid(ground, m.flats, m.flat_ranks, m.factors)
 
 
 def direct_sum(m: Matroid, n: Matroid) -> Matroid:
-    """Direct sum; the lattice of cyclic flats is the product of the two."""
+    """Direct sum; the lattice of cyclic flats is the product of the two.
+
+    Its cyclic flats are the X u Y, X in Z(m) and Y in Z(n) (Y moved past
+    m's elements), at rank r(X) + r(Y), and its factors are m's followed
+    by n's.  validate would decide the product factor by factor (matroid
+    module docstring), and each of these factors passed that check when
+    m or n was validated, so the sum is built with no second validation.
+    """
     ground = m.ground.concat(n.ground)
     shift = len(m.ground)
-    entries = [(x | (y << shift), rx + ry)
-               for x, rx in zip(m.flats, m.flat_ranks)
-               for y, ry in zip(n.flats, n.flat_ranks)]
-    return validate(RankedFamily(ground, entries))
+    ranks = {x | (y << shift): rx + ry
+             for x, rx in zip(m.flats, m.flat_ranks)
+             for y, ry in zip(n.flats, n.flat_ranks)}
+    flats = sorted(ranks, key=subset_key)
+    factors = m.factors + tuple(
+        (e << shift, tuple((y << shift, r) for y, r in pairs))
+        for e, pairs in n.factors)
+    return Matroid(ground, flats, [ranks[f] for f in flats], factors)
 
 
 def truncate(m: Matroid) -> Matroid:

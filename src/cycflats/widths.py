@@ -40,16 +40,20 @@ def ingleton_transversal(m: Matroid):
 
     An antichain of s flats costs 2^s rank calls, so with k cyclic flats
     and width w the search makes at most sum_{s=3..w} C(k, s) 2^s; raises
-    TooLarge when that bound is over ANTICHAIN_CAP.
+    TooLarge when that bound is over ANTICHAIN_CAP.  The sum stops at the
+    first size s that takes it over the cap, and the message gives the
+    sum up to s, a lower bound that stays a few digits long.
     """
     flats = m.flats
     width = width_of_family(flats)
-    work = sum(comb(len(flats), s) << s for s in range(3, width + 1))
-    if work > ANTICHAIN_CAP:
-        raise TooLarge(
-            f"ingleton_transversal would make up to {work} rank calls on "
-            f"antichains of 3 to {width} of {len(flats)} cyclic flats, over "
-            f"cap {ANTICHAIN_CAP} (ANTICHAIN_CAP)")
+    work = 0
+    for size in range(3, width + 1):
+        work += comb(len(flats), size) << size
+        if work > ANTICHAIN_CAP:
+            raise TooLarge(
+                f"ingleton_transversal would make {work} or more rank calls "
+                f"on antichains of 3 to {width} of {len(flats)} cyclic "
+                f"flats, over cap {ANTICHAIN_CAP} (ANTICHAIN_CAP)")
     for size in range(3, width + 1):
         for combo in combinations(flats, size):
             if any(a & ~b == 0 or b & ~a == 0
