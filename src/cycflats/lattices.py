@@ -4,6 +4,10 @@ Covers two flavors of input: abstract lattices given by cover relations,
 and families of sets ordered by inclusion.  A lattice stores only its
 down-masks.  Provides chain and width computations (Dilworth duality via
 bipartite matching), and poset isomorphism with a witness bijection.
+One search, _order_isomorphism, decides isomorphism of posets whose
+nodes carry colours: poset_isomorphic colours none, and
+ops.is_isomorphic adds a node per element class, below the cyclic
+flats that hold it, to a matroid's lattice of cyclic flats.
 """
 
 from __future__ import annotations
@@ -191,10 +195,11 @@ def width_of_family(masks: Sequence[int]) -> int:
     """Maximum size of an antichain of distinct sets under inclusion.
 
     Computes a minimum chain cover via maximum bipartite matching on the
-    strict-comparability relation (Dilworth duality).
+    strict-comparability relation (Dilworth duality).  A repeated mask
+    raises DuplicateSet.
     """
     n = len(masks)
-    up = _converse(_down_masks(masks))
+    up = _converse(_poset_of(masks)[1])
     adj = [list(bits(up[i] & ~(1 << i))) for i in range(n)]
     match_r = [-1] * n
 
@@ -216,72 +221,82 @@ def width_of_family(masks: Sequence[int]) -> int:
 
 def _poset_of(obj):
     """Normalize a FiniteLattice or a sequence of distinct masks to
-    (items, down_masks): items are element names or the masks."""
+    (items, down_masks): items are element names or the masks.  A
+    repeated mask raises DuplicateSet."""
     if isinstance(obj, FiniteLattice):
         return obj.elements, obj.down
+    if len(set(obj)) < len(obj):
+        twice = next(x for x, c in Counter(obj).items() if c > 1)
+        raise DuplicateSet(f"mask {twice:#b} appears twice in the family")
     return obj, _down_masks(obj)
 
 
-def _refine_signatures(down: Sequence[int], colours=None) -> list:
-    """Iterated order-invariant per-element signatures (WL-style),
-    starting from the given node colours, if any.  Signatures are nested
-    tuples of ints (colours, when given, must be too), so one poset's
-    signatures sort, and their sorted tuple is an isomorphism invariant."""
-    n = len(down)
-    up = _converse(down)
-    below = [[j for j in bits(d) if j != i] for i, d in enumerate(down)]
-    above = [[j for j in bits(u) if j != i] for i, u in enumerate(up)]
-    sig = [(popcount(down[i]), popcount(up[i])) for i in range(n)]
-    if colours is not None:
-        sig = list(zip(colours, sig))
-    for _ in range(n):
-        nxt = [(sig[i], tuple(sorted(sig[j] for j in below[i])),
-                tuple(sorted(sig[j] for j in above[i])))
-               for i in range(n)]
-        if len(set(nxt)) == len(set(sig)):
-            sig = nxt
-            break
-        sig = nxt
-    return sig
+def _refine_signatures(down_a: Sequence[int], down_b: Sequence[int],
+                       colours_a: Sequence, colours_b: Sequence):
+    """(sig_a, sig_b): iterated order-invariant node signatures (WL-style)
+    of two posets, refined side by side from their node colours.
+
+    A node's first signature is its colour and the sizes of its down- and
+    up-set; each round adds the sorted signatures of the nodes strictly
+    below and strictly above it, up to the first round that splits no
+    class.  A round names its signature tuples by small ints from one
+    dict for both posets, so each poset's sorted names are an invariant.
+    """
+    names: dict = {}
+    sigs, links = [], []
+    for down, colours in ((down_a, colours_a), (down_b, colours_b)):
+        below, above = [[] for _ in down], [[] for _ in down]
+        for i, d in enumerate(down):
+            for j in bits(d & ~(1 << i)):
+                below[i].append(j)
+                above[j].append(i)
+        sigs.append([names.setdefault((c, len(lo), len(hi)), len(names))
+                     for c, lo, hi in zip(colours, below, above)])
+        links.append(list(zip(below, above)))
+    while True:
+        count, names = len(names), {}
+        nxt = [[names.setdefault((s, tuple(sorted(map(sig.__getitem__, lo))),
+                                  tuple(sorted(map(sig.__getitem__, hi)))),
+                                 len(names))
+                for s, (lo, hi) in zip(sig, link)]
+               for sig, link in zip(sigs, links)]
+        if len(names) == count:
+            return sigs
+        sigs = nxt
 
 
 def poset_isomorphic(a, b):
     """Order-isomorphism test with a witness bijection.
 
     Each argument is a FiniteLattice or a sequence of distinct masks
-    ordered by inclusion, such as Matroid.flats.  Returns (True,
-    witness) with witness a list of (item_a, item_b) pairs, items being
-    element names or masks, or (False, None).
+    ordered by inclusion, such as Matroid.flats; a repeated mask raises
+    DuplicateSet.  Returns (True, witness) with witness a list of
+    (item_a, item_b) pairs, items being element names or masks, or
+    (False, None).
     """
     items_a, down_a = _poset_of(a)
     items_b, down_b = _poset_of(b)
-    mapping = _order_isomorphism(down_a, down_b, _refine_signatures(down_a),
-                                 _refine_signatures(down_b))
+    mapping = _order_isomorphism(down_a, down_b, [0] * len(a), [0] * len(b))
     if mapping is None:
         return False, None
     return True, [(items_a[i], items_b[j]) for i, j in enumerate(mapping)]
 
 
 def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
-                       sig_a: Sequence, sig_b: Sequence, sets_a=None,
-                       sets_b=None):
-    """An order isomorphism from poset a to poset b, or None.
+                       colours_a: Sequence, colours_b: Sequence):
+    """An order isomorphism from poset a to poset b that keeps the node
+    colours (hashable, one per node), or None.
 
-    The posets are given by down-masks, and sig_a and sig_b are their
-    _refine_signatures (seeded with any node colours the isomorphism
-    must preserve); the caller computes them, so a poset compared many
-    times is refined once.  sets_a and sets_b, when given,
-    map node masks to labels, and the isomorphism must carry each set of
-    sets_a onto a set of sets_b with the same label.  Backtracking search
-    pruned by iterated degree/height signatures: each pair is checked
-    against every node already assigned.  Each set U of sets_a keeps the
-    sets V of sets_b it may still go to: same label, |V| = |U|, and for
-    each assigned i -> j, j in V iff i in U; a branch where some U has
-    none left is dropped.  A complete mapping leaves U only image(U).
+    The posets are given by down-masks.  Backtracking search pruned by
+    _refine_signatures: each node, rarest signature first, goes to a
+    node of its signature whose order relations with every node already
+    assigned match.  poset_isomorphic and is_isomorphic (which adds
+    element-class nodes) both call it.
     """
     n = len(down_a)
     if n != len(down_b):
         return None
+    sig_a, sig_b = _refine_signatures(down_a, down_b, colours_a, colours_b)
     if sorted(sig_a) != sorted(sig_b):
         return None
     # process rarest signatures first
@@ -289,49 +304,34 @@ def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
     order = sorted(range(n), key=lambda i: (freq[sig_a[i]], i))
     mapping = [-1] * n
     used = [False] * n
-    marked = list((sets_a or {}).items())
-    live = [[v for v, lab_b in (sets_b or {}).items()
-             if lab_b == lab and popcount(v) == popcount(u)]
-            for u, lab in marked]
-    if not all(live):
-        return None
 
-    def ok(i: int, j: int) -> bool:
-        for k in range(n):
+    def ok(i: int, j: int, pos: int) -> bool:
+        di, dj = down_a[i], down_b[j]
+        for k in order[:pos]:
             m = mapping[k]
-            if m < 0:
-                continue
-            if bool((down_a[i] >> k) & 1) != bool((down_b[j] >> m) & 1):
-                return False
-            if bool((down_a[k] >> i) & 1) != bool((down_b[m] >> j) & 1):
+            if (di >> k) & 1 != (dj >> m) & 1 \
+                    or (down_a[k] >> i) & 1 != (down_b[m] >> j) & 1:
                 return False
         return True
 
     # a loop over positions, not recursion, so deep posets do not
     # exhaust the stack; tried[pos] is the next candidate j for order[pos]
     tried = [0] * n
-    lives = [live]  # lives[pos]: the sets still open before order[pos]
     pos = 0
     while pos < n:
         i = order[pos]
         for j in range(tried[pos], n):
-            if used[j] or sig_b[j] != sig_a[i] or not ok(i, j):
-                continue
-            narrowed = [[v for v in vs if (v >> j) & 1 == (u >> i) & 1]
-                        for (u, _), vs in zip(marked, lives[pos])]
-            if all(narrowed):
+            if not used[j] and sig_b[j] == sig_a[i] and ok(i, j, pos):
                 break
         else:
             if pos == 0:
                 return None
             tried[pos] = 0
-            lives.pop()
             pos -= 1
             i = order[pos]
             used[mapping[i]] = False
             mapping[i] = -1
             continue
         mapping[i], used[j], tried[pos] = j, True, j + 1
-        lives.append(narrowed)
         pos += 1
     return mapping

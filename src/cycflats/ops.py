@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
-from .groundsets import (GroundSet, bits, class_profile, element_classes,
-                         popcount, set_text, subset_key)
+from .groundsets import (GroundSet, bits, class_profile, popcount, set_text,
+                         subset_key)
 from .matroid import Matroid, RankedFamily, _support, validate
-from .lattices import _down_masks, _order_isomorphism, _refine_signatures
+from .lattices import _down_masks, _order_isomorphism
 
 MINOR_SEARCH_CAP = 131_072  # most (C, D) profile pairs has_minor visits
 
@@ -224,46 +224,44 @@ def higgs_lift(m: Matroid) -> Matroid:
 def is_isomorphic(m: Matroid, n: Matroid):
     """Isomorphism of matroids, with a label bijection witness.
 
-    m and n are isomorphic iff some lattice isomorphism phi from Z(m) to
-    Z(n) keeps |F| and r(F) and, for each class of elements of m sharing
-    one up-set U of Z(m), sends U to the up-set of a class of n of the
-    same size.  Mapping the elements class by class then carries each
-    flat, the union of the classes whose up-set contains it, onto its
-    image.  The search keeps, for each class of m, the classes of n its
-    up-set may still go to, and drops a partial phi that leaves a class
-    none; that prunes only mappings the complete check would reject, so
-    the first phi found, and the witness, are those of checking each
-    complete phi.  Returns (bool, witness) where witness maps labels of
-    m to labels of n.
+    A matroid is determined by its cyclic flats and their ranks, so m
+    and n are isomorphic iff some lattice isomorphism of Z(m) onto Z(n)
+    keeps |F| and r(F) and sends each element class (the elements lying
+    in the same cyclic flats) to a class of the same size.  Each matroid
+    becomes one coloured poset of its cyclic flats and its classes
+    (_class_poset), and an order isomorphism of the two posets is
+    exactly such a lattice isomorphism.  Returns (bool, witness) where
+    witness maps the labels of each class of m, in order, to those of
+    the class its node goes to.
     """
-    if len(m.ground) != len(n.ground):
+    if (len(m.ground), m.matroid_rank, len(m.flats)) \
+            != (len(n.ground), n.matroid_rank, len(n.flats)):
         return False, None
-    if m.matroid_rank != n.matroid_rank or len(m.flats) != len(n.flats):
+    classes_m, inside_m = class_profile(m.flats, m.ground.full)
+    classes_n, inside_n = class_profile(n.flats, n.ground.full)
+    if sorted(map(popcount, classes_m)) != sorted(map(popcount, classes_n)):
         return False, None
-    colours_m = [(popcount(f), r) for f, r in zip(m.flats, m.flat_ranks)]
-    colours_n = [(popcount(f), r) for f, r in zip(n.flats, n.flat_ranks)]
-    if sorted(colours_m) != sorted(colours_n):
-        return False, None
-    classes_m = element_classes(m.flats, m.ground.full)
-    classes_n = element_classes(n.flats, n.ground.full)
-
-    def image(u: int, phi) -> int:
-        return sum(1 << phi[i] for i in bits(u))
-
-    sizes_m = {u: popcount(c) for u, c in classes_m.items()}
-    sizes_n = {v: popcount(c) for v, c in classes_n.items()}
-    down_m, down_n = _down_masks(m.flats), _down_masks(n.flats)
-    phi = _order_isomorphism(down_m, down_n,
-                             _refine_signatures(down_m, colours_m),
-                             _refine_signatures(down_n, colours_n),
-                             sizes_m, sizes_n)
+    down_m, colours_m = _class_poset(m, classes_m, inside_m)
+    down_n, colours_n = _class_poset(n, classes_n, inside_n)
+    phi = _order_isomorphism(down_m, down_n, colours_m, colours_n)
     if phi is None:
         return False, None
-    witness = {}
-    for u, c in classes_m.items():
-        witness.update(zip(m.ground.names(c),
-                           n.ground.names(classes_n[image(u, phi)])))
-    return True, witness
+    k = len(m.flats)
+    return True, {x: y for c, elems in enumerate(classes_m)
+                  for x, y in zip(m.ground.names(elems),
+                                  n.ground.names(classes_n[phi[k + c] - k]))}
+
+
+def _class_poset(m: Matroid, classes, inside) -> tuple[list[int], list]:
+    """(down-masks, colours) of m's poset for is_isomorphic, from the
+    class_profile of its cyclic flats: node i < k = |Z(m)| is flat i,
+    coloured (|F|, r(F)), and node k + c is class c, coloured (-1, |c|),
+    below the flats that hold it.  No flat colour has a negative size."""
+    k = len(m.flats)
+    down = [d | c << k for d, c in zip(_down_masks(m.flats), inside)]
+    down += [1 << (k + c) for c in range(len(classes))]
+    colours = [(popcount(f), r) for f, r in zip(m.flats, m.flat_ranks)]
+    return down, colours + [(-1, popcount(c)) for c in classes]
 
 
 def has_minor(m: Matroid, n: Matroid):

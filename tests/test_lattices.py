@@ -5,7 +5,7 @@ import pytest
 
 import cycflats as cf
 from cycflats import lattices, ops
-from cycflats.groundsets import bits, popcount
+from cycflats.groundsets import bits, element_classes
 from cycflats.lattices import FiniteLattice, family_lattice_tables
 
 
@@ -100,6 +100,10 @@ class TestWidth:
     def test_two_blocks(self):
         assert cf.width_of_family(fam("abcd", "", "ab", "cd", "abcd")) == 2
 
+    def test_repeated_mask_raises(self):
+        with pytest.raises(cf.DuplicateSet):
+            cf.width_of_family([1, 1, 1])
+
     def test_matching_equals_brute_on_random_families(self):
         rng = random.Random(0)
         for _ in range(50):
@@ -145,6 +149,12 @@ class TestPosetIsomorphic:
         m = cf.realize_lattice(b2).matroid
         assert cf.poset_isomorphic(m.flats, b2)[0]
 
+    def test_repeated_mask_raises(self):
+        with pytest.raises(cf.DuplicateSet):
+            cf.poset_isomorphic([0, 1, 1], [0, 1, 1])
+        with pytest.raises(cf.DuplicateSet):
+            cf.poset_isomorphic([0, 1], [0, 2, 2])
+
     def test_reflexive_and_symmetric_on_random_families(self):
         rng = random.Random(1)
         fams = []
@@ -186,15 +196,19 @@ class TestOrderIsomorphismLoop:
         found = 0
         for a, b in pairs:
             down_a, down_b = lattices._down_masks(a), lattices._down_masks(b)
-            sig_a = lattices._refine_signatures(down_a)
-            sig_b = lattices._refine_signatures(down_b)
-            if sorted(sig_a) == sorted(sig_b):
-                found += self._both(down_a, down_b, sig_a, sig_b) is not None
+            found += self._both(down_a, down_b, [0] * len(a),
+                                [0] * len(b)) is not None
         assert found > 1000
 
     def test_matroids(self, monkeypatch):
-        # is_isomorphic also passes the element classes as sets
-        monkeypatch.setattr(ops, "_order_isomorphism", self._both)
+        # is_isomorphic searches posets of flats and element-class nodes
+        sizes = []
+
+        def both(down_a, *rest):
+            sizes.append(len(down_a))
+            return self._both(down_a, *rest)
+
+        monkeypatch.setattr(ops, "_order_isomorphism", both)
         rng = random.Random("order-iso:matroids")
         found = 0
         for seed in range(150):
@@ -206,27 +220,35 @@ class TestOrderIsomorphismLoop:
                 ([names[x] for x in m.ground.names(f)], r)
                 for f, r in zip(m.flats, m.flat_ranks)])
             other = cf.random_matroid(random.Random(seed + 1000), 8)
+            sizes.clear()
             found += cf.is_isomorphic(m, n)[0]
+            classes = len(element_classes(m.flats, m.ground.full))
+            assert sizes == [len(m.flats) + classes]
             cf.is_isomorphic(m, other)
         assert found == 150
 
+    def test_colours_are_named_across_both_posets(self):
+        # one node each: only the colours differ, so signatures named
+        # poset by poset would both be 0
+        assert lattices._order_isomorphism([1], [1], [(1, 0)],
+                                           [(2, 0)]) is None
+        assert lattices._order_isomorphism([1], [1], [(1, 0)],
+                                           [(1, 0)]) == [0]
 
-def _order_isomorphism_recursive(down_a, down_b, sig_a, sig_b, sets_a=None,
-                                 sets_b=None):
+
+def _order_isomorphism_recursive(down_a, down_b, colours_a, colours_b):
     """Reference: the recursive search of _order_isomorphism, one call
     per position, candidates in the same order."""
     n = len(down_a)
-    if n != len(down_b) or sorted(sig_a) != sorted(sig_b):
+    if n != len(down_b):
+        return None
+    sig_a, sig_b = lattices._refine_signatures(down_a, down_b, colours_a,
+                                               colours_b)
+    if sorted(sig_a) != sorted(sig_b):
         return None
     order = sorted(range(n), key=lambda i: (sig_a.count(sig_a[i]), i))
     mapping = [-1] * n
     used = [False] * n
-    marked = list((sets_a or {}).items())
-    live = [[v for v, lab_b in (sets_b or {}).items()
-             if lab_b == lab and popcount(v) == popcount(u)]
-            for u, lab in marked]
-    if not all(live):
-        return None
 
     def ok(i, j):
         return all(
@@ -234,23 +256,19 @@ def _order_isomorphism_recursive(down_a, down_b, sig_a, sig_b, sets_a=None,
             and ((down_a[k] >> i) & 1) == ((down_b[mapping[k]] >> j) & 1)
             for k in range(n) if mapping[k] >= 0)
 
-    def search(pos, live):
+    def search(pos):
         if pos == n:
             return True
         i = order[pos]
         for j in range(n):
             if not used[j] and sig_b[j] == sig_a[i] and ok(i, j):
-                narrowed = [[v for v in vs if (v >> j) & 1 == (u >> i) & 1]
-                            for (u, _), vs in zip(marked, live)]
-                if not all(narrowed):
-                    continue
                 mapping[i], used[j] = j, True
-                if search(pos + 1, narrowed):
+                if search(pos + 1):
                     return True
                 mapping[i], used[j] = -1, False
         return False
 
-    return mapping if search(0, live) else None
+    return mapping if search(0) else None
 
 
 class TestMeetJoinAlgebra:

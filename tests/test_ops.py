@@ -448,6 +448,24 @@ class TestIsomorphism:
                 else:
                     assert witness is None
 
+    def test_loops_and_isthmuses_keep_their_class(self):
+        # two loops (in every cyclic flat) and two isthmuses (in none):
+        # classes of one size that only their places in the poset tell
+        # apart
+        m = cf.direct_sum(cf.direct_sum(cf.uniform(0, 2, ["l1", "l2"]),
+                                        cf.uniform(1, 3, ["p1", "p2", "p3"])),
+                          cf.uniform(2, 2, ["t1", "t2"]))
+        assert popcount(m.loops()) == popcount(m.isthmuses()) == 2
+        for seed in range(6):
+            n = shuffled(m, random.Random(seed))
+            ok, witness = cf.is_isomorphic(m, n)
+            assert ok
+            apply_witness(m, n, witness)
+            def image(mask):
+                return {witness[x] for x in m.ground.names(mask)}
+            assert image(m.loops()) == set(n.ground.names(n.loops()))
+            assert image(m.isthmuses()) == set(n.ground.names(n.isthmuses()))
+
 
 KINDS = ("random", "cw2", "plain", "sublattice")
 
