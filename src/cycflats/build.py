@@ -306,33 +306,42 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
 
 # -- exhaustive small lattices -------------------------------------------
 
-LATTICE_CAP = 8  # OEIS A006966: 222 lattices of 8 elements, 1,078 of 9
+LATTICE_CAP = 10  # OEIS A006966: 5,994 lattices of 10 elements, 37,622 of 11
 
 
 def all_lattices(max_size: int) -> list[FiniteLattice]:
     """Every lattice with 1..max_size elements, up to isomorphism.
 
-    Only naturally labelled lattices are built: i <= j in the order
-    implies i <= j as indices (every lattice has such a labelling).  Each
-    prefix {0..j} of one is a down-set, hence a meet-semilattice with
-    bottom 0, so candidates grow one element at a time: the strict
-    down-set S of element j holds 0 and meets every earlier down-mask in
-    an earlier down-mask (so S is down-closed); the top comes last, with
-    S the whole prefix.  The candidates of each size are every natural
-    labelling of every lattice of that size, each once.
+    Each lattice is listed once, in its least natural labelling: i <= j
+    in the order implies i <= j as labels, and of all such labellings it
+    has the least rows up[i] >> (i + 1) (the larger labels above label
+    i), read as integers from i = n - 2 down to 0.  This is the first
+    labelling a scan over all 2^C(n,2) relations would meet.  Element
+    names are v0, v1, ...; each size is listed in that scan order.
 
-    A candidate is kept iff it is the least natural labelling of its
-    lattice in the order of _scan_number, so the representatives are
-    those a scan over all 2^C(n,2) relations would keep first, and no
-    two candidates are compared.  Two labellings compare as their rows
-    up[i] >> (i + 1), the larger labels above label i, read from
-    i = n - 2 down to 0.  _is_least_labelling places labels in that
-    order, each on a maximal unplaced element, and compares each row as
-    it completes; of twins (same strict down- and up-sets) it tries only
-    one.  Kept lattices are listed in scan order, each built from its
-    down-masks alone.  Element names are v0, v1, ...  Raises
+    The lattices of 1 and 2 elements are the chains.  Those of n >= 3
+    elements are generated from the least labellings of n - 1 elements
+    (orderly generation, McKay 1998): a child inserts a new atom at
+    label 1, moves the old labels >= 1 up by one, and puts the atom
+    below exactly the old elements of a set S (_atom_up_sets).  S is
+    up-closed, holds the top, and meets each principal up-set of a
+    non-bottom element in a principal up-set, the up-set of that
+    element's join with the atom; these are exactly the S for which the
+    child is a lattice.  A child is kept iff _is_least_labelling says it
+    is least.
+
+    Complete and free of duplicates: in a least labelling of n >= 3
+    elements label 1 is an atom (only label 0 can lie below it), and it
+    is in no row but the bottom's, which is the same in every labelling.
+    Deleting it leaves a lattice of n - 1 elements (an atom that is not
+    the top is no other pair's meet or join, and pairs it was the meet of
+    now meet in the bottom) whose rows are the remaining ones, and that
+    labelling is least too: a smaller one, with the atom put back at
+    label 1, would make the child smaller.  So every lattice of n
+    elements is the child of exactly one kept parent with exactly one S,
+    and only its least labelling is kept.  Raises
     InvalidParameters for a max_size that is not a nonnegative int and
-    TooLarge past LATTICE_CAP = 8 elements.
+    TooLarge past LATTICE_CAP = 10 elements.
     """
     if not isinstance(max_size, int) or isinstance(max_size, bool):
         raise InvalidParameters(f"max_size {max_size!r} is not an integer")
@@ -344,44 +353,73 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
             f"{LATTICE_CAP} (LATTICE_CAP); build a larger lattice with "
             f"lattice_from_covers and realize it with realize_lattice")
     out: list[FiniteLattice] = []
-    # naturally labelled meet-semilattices with bottom 0, of size n - 1,
-    # as (down-masks, up-masks)
-    semis: list[tuple[list[int], list[int]]] = [([], [])]
+    # the least labellings of n elements, as (down-masks, up-masks)
+    level: list[tuple[list[int], list[int]]] = []
     for n in range(1, max_size + 1):
+        if n == 1:
+            level = [([1], [1])]
+        elif n == 2:
+            level = [([1, 3], [3, 2])]
+        else:
+            level = [child for down, up in level
+                     for child in _atom_children(down, up)]
+            # up[i] is row i << (i + 1) | 1 << i, so the up-masks from
+            # label n - 1 down compare as the rows
+            level.sort(key=lambda lat: lat[1][::-1])
         names = [f"v{i}" for i in range(n)]
-        top = 1 << (n - 1)
-        kept = []
-        for prefix, up in semis:
-            down = prefix + [(1 << n) - 1]
-            if _is_least_labelling(down, [u | top for u in up] + [top]):
-                kept.append(down)
-        for down in sorted(kept, key=_scan_number):
-            out.append(FiniteLattice(names, down))
-        if n < max_size:
-            # element n - 1 with strict down-set s is above each i in s
-            semis = [(prefix + [s | top],
-                      [u | top if s >> i & 1 else u
-                       for i, u in enumerate(up)] + [top])
-                     for prefix, up in semis
-                     for s in _strict_down_sets(prefix)]
+        out += [FiniteLattice(names, down) for down, _ in level]
     return out
 
 
-def _scan_number(down: list[int]) -> int:
-    """The number of a naturally labelled order in the scan over all
-    relations: bit p is set iff the p-th pair (i, j) of
-    combinations(range(n), 2) has i < j in the order."""
-    n = len(down)
-    return sum(1 << (i * (2 * n - i - 1) // 2 + j - i - 1)
-               for j, d in enumerate(down) for i in bits(d & ~(1 << j)))
+def _atom_children(down: list[int], up: list[int]):
+    """The children of a least-labelled lattice (down- and up-masks) that
+    are least labellings: for each S of _atom_up_sets, the new atom at
+    label 1 below the elements of S, the old labels >= 1 moved up by
+    one."""
+    full = (1 << (len(down) + 1)) - 1
+    moved_down = [(d & ~1) << 1 | 1 for d in down[1:]]
+    moved_up = [u << 1 for u in up[1:]]
+    for s in _atom_up_sets(up):
+        child_down = [1, 3] + [d | 2 if s >> j & 1 else d
+                               for j, d in enumerate(moved_down, 1)]
+        child_up = [full, s << 1 | 2] + moved_up
+        if _is_least_labelling(child_down, child_up):
+            yield child_down, child_up
+
+
+def _atom_up_sets(up: list[int]) -> list[int]:
+    """The strict up-sets S a new atom may take in a naturally labelled
+    lattice (its up-masks) so that the result is a lattice: S is
+    up-closed, holds the top, and for each non-bottom y, S & up[y] is
+    some up[z] (z is the join of y and the atom).  The elements are
+    decided from the top down, so all above x are decided before x; x
+    may join S only if everything above it has, and an x left out needs
+    S & up[x] to be principal.  An S meeting this for every y also gives
+    meets: two members of S whose meet m is not the bottom have S &
+    up[m] principal, generated below both, so m is in S."""
+    n = len(up)
+    principal = set(up)
+    sets = [1 << (n - 1)]
+    for x in range(n - 2, 0, -1):
+        above = up[x] ^ 1 << x
+        grown = []
+        for s in sets:
+            if s & up[x] in principal:
+                grown.append(s)
+            if above & ~s == 0:
+                grown.append(s | 1 << x)
+        sets = grown
+    return sets
 
 
 def _is_least_labelling(down: list[int], up: list[int]) -> bool:
     """Whether a naturally labelled lattice, given by its down- and
-    up-masks, has the least _scan_number of all its natural labellings.
+    up-masks, comes first in scan order of all its natural labellings.
 
-    Bit p of a scan number stands for the p-th pair (i, j), so the pairs
-    of one i take consecutive bits, those of larger i the higher ones.
+    A scan over all relations numbers a labelling by bit p for the p-th
+    pair (i, j) of combinations(range(n), 2), set iff i < j in the order,
+    so the pairs of one i take consecutive bits, those of larger i the
+    higher ones.
     Two labellings therefore compare as their rows, row i = up[i] >>
     (i + 1) with bit j - i - 1 for each label j above label i, read as
     integers from i = n - 2 down to 0.  The top takes label n - 1 in
@@ -427,19 +465,6 @@ def _least_search(down: list[int], up: list[int], target: list[int],
                              left ^ 1 << x):
             return False
     return True
-
-
-def _strict_down_sets(down: list[int]) -> list[int]:
-    """Strict down-sets S that a new element may take on top of a
-    naturally labelled meet-semilattice prefix (its down-masks) so that
-    the result is one too: S holds 0 and meets each down-mask in a
-    down-mask of the prefix.  That makes S down-closed: for i in S,
-    down[i] & S holds i and lies below i, so it is down[i]."""
-    if not down:
-        return [0]  # the bottom
-    masks = set(down)
-    return [s for s in range(1, 1 << len(down), 2)
-            if all(d & s in masks for d in down)]
 
 
 # -- seeded random generators --------------------------------------------

@@ -33,9 +33,9 @@ class FiniteLattice:
     def __init__(self, elements: Sequence[str], down: Sequence[int]):
         self.elements = tuple(elements)
         self.down = tuple(down)
-        n = len(self.elements)
-        self.bottom = min(range(n), key=lambda i: popcount(self.down[i]))
-        self.top = max(range(n), key=lambda i: popcount(self.down[i]))
+        sizes = [d.bit_count() for d in self.down]
+        self.bottom = sizes.index(min(sizes))
+        self.top = sizes.index(max(sizes))
 
     def __len__(self) -> int:
         return len(self.elements)

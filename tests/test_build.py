@@ -6,10 +6,32 @@ import pytest
 
 import cycflats as cf
 from cycflats import build, lattices
-from cycflats.build import (_chain_plus_one_ok, _is_least_labelling,
-                            _scan_number, _strict_down_sets)
+from cycflats.build import (_atom_up_sets, _chain_plus_one_ok,
+                            _is_least_labelling)
 from cycflats.groundsets import bits, popcount
 from cycflats.lattices import FiniteLattice, _check_lattice, _converse
+
+
+def _scan_number(down):
+    """The number of a naturally labelled order in the scan over all
+    relations: bit p is set iff the p-th pair (i, j) of
+    combinations(range(n), 2) has i < j in the order."""
+    n = len(down)
+    return sum(1 << (i * (2 * n - i - 1) // 2 + j - i - 1)
+               for j, d in enumerate(down) for i in bits(d & ~(1 << j)))
+
+
+def _strict_down_sets(down):
+    """Strict down-sets S that a new element may take on top of a
+    naturally labelled meet-semilattice prefix (its down-masks) so that
+    the result is one too: S holds 0 and meets each down-mask in a
+    down-mask of the prefix.  That makes S down-closed: for i in S,
+    down[i] & S holds i and lies below i, so it is down[i]."""
+    if not down:
+        return [0]  # the bottom
+    masks = set(down)
+    return [s for s in range(1, 1 << len(down), 2)
+            if all(d & s in masks for d in down)]
 
 
 def _all_lattices_brute(max_size):
@@ -163,6 +185,11 @@ def _chain_plus_one_cases(m):
 @pytest.fixture(scope="module")
 def lattices_to_8():
     return cf.all_lattices(8)
+
+
+@pytest.fixture(scope="module")
+def lattices_to_10():
+    return cf.all_lattices(10)
 
 
 class _LoggedRandom(random.Random):
@@ -408,6 +435,42 @@ class TestAllLattices:
         # OEIS A006966
         assert sizes == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 
+    @pytest.mark.parametrize("size, count", [(9, 1078), (10, 5994)])
+    def test_counts_past_eight_match_oeis(self, lattices_to_10, size, count):
+        # OEIS A006966.  Each is a lattice and no two are isomorphic
+        # (poset_isomorphic within buckets of equal (|down|, |up|)
+        # profiles), so with this count every lattice is listed once
+        listed = [lat for lat in lattices_to_10 if len(lat) == size]
+        assert len(listed) == count
+        buckets = {}
+        for lat in listed:
+            _check_lattice(range(size), lat.down)
+            key = tuple(sorted(zip(map(popcount, lat.down),
+                                   map(popcount, _converse(lat.down)))))
+            seen = buckets.setdefault(key, [])
+            assert not any(cf.poset_isomorphic(lat, other)[0]
+                           for other in seen)
+            seen.append(lat)
+
+    def test_ten_extends_eight(self, lattices_to_10, lattices_to_8):
+        _same_lattices(lattices_to_10[:len(lattices_to_8)], lattices_to_8)
+
+    def test_atom_up_sets_match_brute(self):
+        # every set of non-bottom elements that a new atom may lie below,
+        # kept iff the poset with the atom passes the lattice check
+        for lat in cf.all_lattices(7)[1:]:
+            n = len(lat)
+            want = []
+            for s in range(2, 1 << n, 2):
+                down = [d | (s >> j & 1) << n for j, d in enumerate(lat.down)]
+                try:
+                    _check_lattice(range(n + 1), down + [1 | 1 << n])
+                except cf.NotALattice:
+                    continue
+                want.append(s)
+            assert sorted(_atom_up_sets(_converse(lat.down))) == want, \
+                lat.down
+
     @pytest.mark.parametrize("max_size", range(1, 7))
     def test_matches_brute_scan(self, max_size):
         _same_lattices(cf.all_lattices(max_size),
@@ -420,8 +483,9 @@ class TestAllLattices:
         _same_lattices(lattices_to_8, _all_lattices_pairwise(8))
 
     def test_one_labelling_test_per_candidate(self, monkeypatch):
-        # 4,008 candidates with at most 8 elements, 300 of them kept; no
-        # lattice check, signature refinement or isomorphism search
+        # 694 children of kept lattices with 3 to 8 elements, 298 of them
+        # kept (the chains of 1 and 2 are seeded); no lattice check,
+        # signature refinement or isomorphism search
         calls = {}
 
         def counted(module, name):
@@ -438,7 +502,7 @@ class TestAllLattices:
         counted(lattices, "_refine_signatures")
         counted(lattices, "_order_isomorphism")
         assert len(cf.all_lattices(8)) == 300
-        assert calls == {"_is_least_labelling": 4008}
+        assert calls == {"_is_least_labelling": 694}
         assert not hasattr(lattices, "_tables_from_down")
         assert not hasattr(build, "_refine_signatures")
         assert not hasattr(build, "_order_isomorphism")
@@ -508,10 +572,10 @@ class TestAllLattices:
 
     def test_cap(self):
         with pytest.raises(cf.TooLarge) as info:
-            cf.all_lattices(9)
+            cf.all_lattices(11)
         message = str(info.value)
-        assert "cap 8 (LATTICE_CAP)" in message
-        assert "asked for 9" in message
+        assert "cap 10 (LATTICE_CAP)" in message
+        assert "asked for 11" in message
         assert "lattice_from_covers" in message
 
     def test_pairwise_non_isomorphic(self):
