@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
 from .groundsets import GroundSet, bits, popcount
-from .lattices import FiniteLattice, _converse, is_chain
-from .matroid import Matroid, RankedFamily, validate
+from .lattices import FiniteLattice, _check_lattice, is_chain
+from .matroid import Matroid, RankedFamily, _assemble, validate
 from .ops import MinorSpec, direct_sum, dual, truncate
 from .freeprod import free_extension, free_product
 
@@ -54,11 +54,18 @@ def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
     V_z = {y : y not >= z}.  sublattice: each z gets its own block S_z of
     |V_z| + 1 fresh points and the flat for z is the union of the blocks
     below z; this variant additionally satisfies F_x n F_y = F_{x ^ y}.
+
+    Either family is the lattice of cyclic flats of a matroid whenever
+    lat is a lattice (the source paper's realization of every lattice),
+    so once lat is checked (_check_order and lattices._check_lattice,
+    NotALattice naming the first pair without a unique meet or join) the
+    matroid is assembled with no validation of its own.
     """
     if variant not in ("plain", "sublattice"):
         raise InvalidParameters(f"unknown variant {variant!r}")
+    _check_order(lat)
+    up = _check_lattice(lat.elements, lat.down)[0]
     k = len(lat)
-    up = _converse(lat.down)
     v = [((1 << k) - 1) & ~u for u in up]  # V_z as lattice-index mask
 
     if variant == "plain":
@@ -92,8 +99,25 @@ def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
                 mask |= block[y]
             entries.append((mask, popcount(v[z])))
             witness.append((lat.elements[z], mask))
-    m = validate(RankedFamily(GroundSet(labels), entries))
+    m = _assemble(GroundSet(labels), entries)
     return Realization(m, tuple(witness))
+
+
+def _check_order(lat: FiniteLattice) -> None:
+    """Raise InvalidParameters unless lat.down is a partial order of its
+    elements: each down[i] holds i, no index past them and the down-mask
+    of each element it holds, and no two are equal.  A FiniteLattice
+    built directly is not checked."""
+    down = lat.down
+    k = len(down)
+    for i, d in enumerate(down):
+        if d >> k or not d >> i & 1 or any(down[j] & ~d for j in bits(d)):
+            raise InvalidParameters(
+                f"down-mask of {lat.elements[i]!r} is not that of a "
+                f"partial order")
+    if len(set(down)) != k:
+        raise InvalidParameters(
+            f"down-masks of {lat.elements!r} repeat: not antisymmetric")
 
 
 # -- nested matroids ----------------------------------------------------

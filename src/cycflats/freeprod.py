@@ -3,7 +3,12 @@
 For matroids M, N on disjoint ground sets the cyclic flats of the free
 product are the proper cyclic flats of M together with E(M) u Y for the
 nonempty cyclic flats Y of N; E(M) itself belongs iff M has no isthmuses
-and N has no loops.  Ranks carry over, shifted by r(M) on the N side.
+and N has no loops.  Ranks carry over, shifted by r(M) on the N side
+(Crapo & Schmitt, The free product of matroids, European J. Combin. 26,
+2005).  The free product of two matroids is a matroid, so that family is
+assembled (matroid._assemble) with no second validation; the one-element
+operands of free_extension and free_coextension are assembled the same
+way.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from itertools import count
 
 from .errors import LabelInUse
 from .groundsets import GroundSet
-from .matroid import Matroid, RankedFamily, validate
+from .matroid import Matroid, _assemble
 
 
 def free_product(m: Matroid, n: Matroid) -> Matroid:
@@ -25,7 +30,7 @@ def free_product(m: Matroid, n: Matroid) -> Matroid:
                 for y, ry in zip(n.flats, n.flat_ranks) if y != 0]
     if m.isthmuses() == 0 and n.loops() == 0:
         entries.append((em, m.matroid_rank))
-    return validate(RankedFamily(ground, entries))
+    return _assemble(ground, entries)
 
 
 def _new_label(ground: GroundSet, label: str | None) -> str:
@@ -40,7 +45,7 @@ def _new_label(ground: GroundSet, label: str | None) -> str:
 def free_extension(m: Matroid, label: str | None = None) -> Matroid:
     """M + e: add an element as freely as possible (M box U_{0,1})."""
     label = _new_label(m.ground, label)
-    point = Matroid.from_labels([label], [([label], 0)])  # U_{0,1}
+    point = _assemble(GroundSet([label]), [(1, 0)])  # U_{0,1}
     return free_product(m, point)
 
 
@@ -48,5 +53,5 @@ def free_coextension(m: Matroid, label: str | None = None) -> Matroid:
     """The dual operation: U_{1,1} box M; every nonempty cyclic flat is
     augmented by the new element and all ranks increase by 1."""
     label = _new_label(m.ground, label)
-    point = Matroid.from_labels([label], [([], 0)])  # U_{1,1}
+    point = _assemble(GroundSet([label]), [(0, 0)])  # U_{1,1}
     return free_product(point, m)

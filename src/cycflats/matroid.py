@@ -123,9 +123,12 @@ class AxiomViolation:
 class Matroid:
     """A validated cyclic-flats-with-ranks representation.
 
-    Immutable; build via validate() or Matroid.from_labels().  The
-    constructor itself checks nothing: ops.relabel and ops.direct_sum
-    call it on data read off operands that validate has already passed.
+    Immutable; build via validate() or Matroid.from_labels() at the
+    boundary.  The constructor itself checks nothing: ops.relabel and
+    ops.direct_sum call it on data read off operands that validate has
+    already passed, and the operations whose result is a matroid by
+    theorem (the ops and freeprod modules, build.realize_lattice) go
+    through _assemble, which finds the factors with no second sweep.
     flats and flat_ranks are parallel tuples in canonical subset order;
     factors holds, for each connected component E_i of the elements
     between the least and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over
@@ -295,6 +298,24 @@ def validate(candidate: RankedFamily) -> Matroid:
             raise NotAMatroid(violations[0])
     return Matroid(candidate.ground, entries.keys(), entries.values(),
                    factors)
+
+
+def _assemble(ground: GroundSet, entries) -> Matroid:
+    """The Matroid of (mask, rank) pairs that meet Z0-Z3 by theorem: the
+    result of an operation on validated operands, by that operation's
+    rule.
+
+    The masks are distinct and inside ground.  They are put in canonical
+    order and their factors found (_factors), with no sweep and no
+    RankedFamily checks.  A valid family always passes _factors, so a
+    None there means the rule was broken: the family then goes to
+    validate, which raises NotAMatroid with a witness.
+    """
+    ordered = dict(sorted(entries, key=lambda item: subset_key(item[0])))
+    factors = _factors(ordered)
+    if factors is None:
+        return validate(RankedFamily(ground, ordered))
+    return Matroid(ground, ordered.keys(), ordered.values(), factors)
 
 
 def all_violations(candidate: RankedFamily) -> list[AxiomViolation]:

@@ -6,11 +6,14 @@ so they never enumerate subsets and work past ENUM_CAP.  Isomorphism
 is a search over the lattices of cyclic flats, not the ground sets (see
 is_isomorphic), so it has no element cap.
 
-Each operation whose result is a new family of cyclic flats returns
-validate's verdict on it.  Two assemble their result from operands that
-are validated already: relabel keeps every mask, and direct_sum puts
-together the factors of its two summands, each checked when its summand
-was validated.
+No operation here validates its result a second time: its operand
+was validated, and the result is a matroid by the rule it follows.
+relabel keeps every mask, and direct_sum puts together the factors of
+its two summands, each checked when its summand was validated.  dual,
+minor, relax, truncate and higgs_lift each build a new family of cyclic
+flats by the standard rule for that operation (cited in each docstring)
+and pass it to matroid._assemble, which finds its factors with no sweep
+over pairs.  validate stays the gate for families from outside.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
 from .groundsets import (GroundSet, bits, class_profile, popcount, set_text,
                          subset_key)
-from .matroid import Matroid, RankedFamily, _support, validate
+from .matroid import Matroid, _assemble, _support
 from .lattices import _down_masks, _order_isomorphism
 
 MINOR_SEARCH_CAP = 131_072  # most (C, D) profile pairs has_minor visits
@@ -29,12 +32,15 @@ MINOR_SEARCH_CAP = 131_072  # most (C, D) profile pairs has_minor visits
 def dual(m: Matroid) -> Matroid:
     """The dual matroid: cyclic flats are the complements of m's.
 
-    r*(E - X) = |E - X| - r(M) + r(X).  An involution.
+    r*(E - X) = |E - X| - r(M) + r(X).  An involution.  A set is a
+    cyclic flat of M* iff its complement is one of M (flats and cyclic
+    sets swap under complement), so the family is a matroid's with no
+    second validation.
     """
     full = m.ground.full
     entries = [(full & ~f, popcount(full & ~f) - m.matroid_rank + r)
                for f, r in zip(m.flats, m.flat_ranks)]
-    return validate(RankedFamily(m.ground, entries))
+    return _assemble(m.ground, entries)
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,9 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     """The minor m \\ D / C, with C = spec.contract, D = spec.delete.
 
     Its cyclic flats are those of _minor_flats, and its rank oracle is
-    r'(A) = r(A u C) - r(C).
+    r'(A) = r(A u C) - r(C).  A minor of a matroid is a matroid and
+    _minor_flats lists exactly its cyclic flats, so they are packed onto
+    the kept elements with no second validation.
     """
     c, d = spec.contract, spec.delete
     full = m.ground.full
@@ -68,7 +76,7 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
             y |= (x & run) >> shift
         entries.append((y, r))
     ground = GroundSet(m.ground.labels[i] for i in bits(keep))
-    return validate(RankedFamily(ground, entries))
+    return _assemble(ground, entries)
 
 
 def _runs(keep: int) -> list[tuple[int, int]]:
@@ -149,8 +157,10 @@ def contraction(m: Matroid, away: int) -> Matroid:
 def relax(m: Matroid, f: int) -> Matroid:
     """Drop a cyclic flat comparable only to the least and greatest ones.
 
-    Generalizes circuit-hyperplane relaxation; the reduced family is
-    guaranteed to satisfy the axioms.
+    Generalizes circuit-hyperplane relaxation.  Such a flat is the meet
+    or join of no other pair, so the rest is still a lattice with the
+    same meets, joins and ranks, and meets Z0-Z3 as m's family does; it
+    is assembled with no second validation.
     """
     if f not in m.flats:
         raise NotRelaxable("not a cyclic flat")
@@ -163,7 +173,7 @@ def relax(m: Matroid, f: int) -> Matroid:
             raise NotRelaxable(
                 f"flat is comparable to {set_text(m.ground.names(g))}")
     entries = [(g, r) for g, r in zip(m.flats, m.flat_ranks) if g != f]
-    return validate(RankedFamily(m.ground, entries))
+    return _assemble(m.ground, entries)
 
 
 def relabel(m: Matroid, prefix: str) -> Matroid:
@@ -200,23 +210,26 @@ def direct_sum(m: Matroid, n: Matroid) -> Matroid:
 def truncate(m: Matroid) -> Matroid:
     """Truncation: the cyclic flats F with r(F) < r(M) - 1, and E at rank
     r(M) - 1, as the rank min(r(A), r(M) - 1) keeps sets below r(M) - 1
-    and makes E the only flat above, with no isthmus."""
+    and makes E the only flat above, with no isthmus.  That rank is a
+    matroid's, so the family is assembled with no second validation."""
     rank = m.matroid_rank - 1
     if rank < 0:
         raise RankZero("cannot truncate a rank-0 matroid")
     entries = [(f, r) for f, r in zip(m.flats, m.flat_ranks) if r < rank]
-    return validate(RankedFamily(m.ground, entries + [(m.ground.full, rank)]))
+    return _assemble(m.ground, entries + [(m.ground.full, rank)])
 
 
 def higgs_lift(m: Matroid) -> Matroid:
     """The Higgs lift: the cyclic flats F with |F| - r(F) >= 2 at rank
     r(F) + 1, and the empty set at rank 0, as the dual of truncate's
-    rule on M* (E - F is kept iff r*(E - F) < r(M*) - 1)."""
+    rule on M* (E - F is kept iff r*(E - F) < r(M*) - 1).  The lift is
+    the dual of a truncation, a matroid, so the family is assembled with
+    no second validation."""
     if m.nullity == 0:
         raise RankZero("cannot lift a matroid of full rank r(M) = |E|")
     entries = [(f, r + 1) for f, r in zip(m.flats, m.flat_ranks)
                if popcount(f) - r >= 2]
-    return validate(RankedFamily(m.ground, entries + [(0, 0)]))
+    return _assemble(m.ground, entries + [(0, 0)])
 
 
 # -- isomorphism ---------------------------------------------------------

@@ -8,7 +8,7 @@ rank_gen computes R from the cyclic flats, with no 2^n table.  Loops and
 coloops factor out as (1+y)^l and (1+x)^c, and R of a direct sum is the
 product of the summands' R, so the rest is split into its connected
 components: the factors of m, each a component S with the cyclic flats
-Y of M|S and their ranks, which validate found from Z alone (see the
+Y of M|S and their ranks, found from Z alone (matroid._factors, see the
 matroid module).  In a component S, r(A) = min over those Y of
 r(Y) + |A - Y| depends only on how many elements A takes from each
 class of elements of S lying in the same sets Y.  So R(M|S) is a sum

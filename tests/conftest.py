@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 
 import cycflats as cf
@@ -63,6 +66,52 @@ def rank_support_scan(m, a):
             inter &= f
             union |= f
     return best, inter, union
+
+
+def same_matroid(got, want):
+    """got and want agree on every stored field, factors included."""
+    assert got.ground == want.ground
+    assert got.flats == want.flats
+    assert got.flat_ranks == want.flat_ranks
+    assert got.factors == want.factors
+    assert (got.bottom, got.top, got.matroid_rank) == (
+        want.bottom, want.top, want.matroid_rank)
+
+
+def agrees_with_validate(m):
+    """m, built with no sweep, is what validate makes of its family."""
+    same_matroid(m, cf.validate(m.ranked_family()))
+
+
+def summands():
+    """U_{0,0}, the loops U_{0,2}, the isthmuses U_{2,2}, U_{1,3}, M(K4),
+    two of their sums, and 40 seeds each of the two random generators."""
+    fixed = [cf.uniform(0, 0), cf.uniform(0, 2), cf.uniform(2, 2),
+             cf.uniform(1, 3), cf.catalog("mk4")]
+    fixed += [cf.direct_sum(cf.relabel(fixed[1], "s"), fixed[3]),
+              cf.direct_sum(cf.relabel(fixed[4], "s"), fixed[2])]
+    rand = [gen(random.Random(seed)) for seed in range(40)
+            for gen in (cf.random_matroid, cf.random_cw2_matroid)]
+    return fixed, rand
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The families validate is called on from inside the library while
+    the test runs: every cycflats module that holds validate gets a spy
+    that logs the family and passes it on.  cf.validate, the package's
+    name, is left alone, so a test's own oracle calls are not logged."""
+    calls = []
+    real = cf.matroid.validate
+
+    def spy(family):
+        calls.append(family)
+        return real(family)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cycflats.") and hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

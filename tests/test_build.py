@@ -10,6 +10,7 @@ from cycflats.build import (_atom_up_sets, _chain_plus_one_ok,
                             _is_least_labelling)
 from cycflats.groundsets import bits, popcount
 from cycflats.lattices import FiniteLattice, _check_lattice, _converse
+from conftest import agrees_with_validate
 
 
 def _scan_number(down):
@@ -260,7 +261,7 @@ class TestRealizeLattice:
             for variant in ("plain", "sublattice"):
                 real = cf.realize_lattice(lat, variant)
                 m = real.matroid
-                assert isinstance(cf.validate(m.ranked_family()), cf.Matroid)
+                agrees_with_validate(m)
                 ok, _ = cf.poset_isomorphic(m.flats, lat)
                 assert ok, (variant, lat)
                 if variant == "sublattice":
@@ -281,6 +282,27 @@ class TestRealizeLattice:
         lat = cf.lattice_from_covers(["z"], [])
         with pytest.raises(cf.InvalidParameters):
             cf.realize_lattice(lat, "fancy")
+
+    @pytest.mark.parametrize("variant", ["plain", "sublattice"])
+    def test_poset_without_a_join(self, variant):
+        # b and c lie above a and below nothing: no join, found before
+        # any matroid is built
+        lat = FiniteLattice(["a", "b", "c"], [1, 3, 5])
+        with pytest.raises(cf.NotALattice) as info:
+            cf.realize_lattice(lat, variant)
+        assert info.value.pair == ("b", "c")
+        assert info.value.reason == "no unique join"
+
+    @pytest.mark.parametrize("down", [
+        [1, 0],        # b does not lie below itself
+        [1, 3, 6],     # c holds b but not a, which b holds
+        [3, 3],        # a and b lie below each other
+        [1, 7],        # b holds an index past the elements
+    ])
+    def test_down_masks_not_an_order(self, down):
+        names = ["a", "b", "c"][:len(down)]
+        with pytest.raises(cf.InvalidParameters):
+            cf.realize_lattice(FiniteLattice(names, down))
 
 
 def _nested_by_fold(seq):

@@ -1,9 +1,11 @@
+import random
 from itertools import product
 
 import pytest
 
 import cycflats as cf
 from cycflats.groundsets import popcount
+from conftest import agrees_with_validate, summands
 
 
 def fp_rank_check(m, n, x, y):
@@ -31,6 +33,16 @@ def shifted_pairs(m, n):
 
 
 class TestFreeProduct:
+    def test_matches_validate(self):
+        # every ordered pair of fixed summands, and 40 seeded random pairs
+        fixed, rand = summands()
+        rng = random.Random(7)
+        pairs = list(product(fixed, repeat=2))
+        pairs += [tuple(rng.sample(rand, 2)) for _ in range(40)]
+        for m, n in pairs:
+            agrees_with_validate(
+                cf.free_product(cf.relabel(m, "a:"), cf.relabel(n, "b:")))
+
     def test_overlap_rejected(self, catalog):
         with pytest.raises(cf.OverlappingGroundSets):
             cf.free_product(catalog["u24"], catalog["u12"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
-from conftest import rank_support_scan
+from conftest import rank_support_scan, same_matroid, summands
 from cycflats import ops
 from cycflats.groundsets import bits, class_profile, popcount, subset_key
 from cycflats.matroid import ENUM_CAP
@@ -173,16 +173,6 @@ class TestRelax:
                 cf.relax(m, a1)
 
 
-def _same_matroid(got, want):
-    """got and want agree on every stored field, factors included."""
-    assert got.ground == want.ground
-    assert got.flats == want.flats
-    assert got.flat_ranks == want.flat_ranks
-    assert got.factors == want.factors
-    assert (got.bottom, got.top, got.matroid_rank) == (
-        want.bottom, want.top, want.matroid_rank)
-
-
 class TestRelabel:
     def test_prefix(self, catalog):
         m = catalog["u24"]
@@ -195,7 +185,7 @@ class TestRelabel:
         # family on the new ground set, on the whole catalog
         for m in catalog.values():
             got = cf.relabel(m, "q:")
-            _same_matroid(got, cf.validate(cf.RankedFamily(
+            same_matroid(got, cf.validate(cf.RankedFamily(
                 got.ground, zip(m.flats, m.flat_ranks))))
 
 
@@ -209,23 +199,11 @@ def _validated_sum(m, n):
          for y, ry in zip(n.flats, n.flat_ranks)]))
 
 
-def _summands():
-    """U_{0,0}, the loops U_{0,2}, the isthmuses U_{2,2}, U_{1,3}, M(K4),
-    two of their sums, and 40 seeds each of the two random generators."""
-    fixed = [cf.uniform(0, 0), cf.uniform(0, 2), cf.uniform(2, 2),
-             cf.uniform(1, 3), cf.catalog("mk4")]
-    fixed += [cf.direct_sum(cf.relabel(fixed[1], "s"), fixed[3]),
-              cf.direct_sum(cf.relabel(fixed[4], "s"), fixed[2])]
-    rand = [gen(random.Random(seed)) for seed in range(40)
-            for gen in (cf.random_matroid, cf.random_cw2_matroid)]
-    return fixed, rand
-
-
 class TestDirectSum:
     def test_matches_validate(self):
         # every pair of fixed summands, each fixed summand on either side
         # of 8 random ones, and 40 seeded random pairs
-        fixed, rand = _summands()
+        fixed, rand = summands()
         rng = random.Random(0)
         pairs = list(product(fixed, repeat=2))
         pairs += [(f, r) for f in fixed for r in rand[:8]]
@@ -233,19 +211,15 @@ class TestDirectSum:
         pairs += [tuple(rng.sample(rand, 2)) for _ in range(40)]
         for m, n in pairs:
             m, n = cf.relabel(m, "a:"), cf.relabel(n, "b:")
-            _same_matroid(cf.direct_sum(m, n), _validated_sum(m, n))
+            same_matroid(cf.direct_sum(m, n), _validated_sum(m, n))
 
-    def test_three_mk4_without_validate(self, catalog, monkeypatch):
+    def test_three_mk4_without_validate(self, catalog, validate_calls):
         # the sum is read off its summands' factors: no validate at all
         parts = [cf.relabel(catalog["mk4"], p) for p in "abc"]
-        calls = []
-        monkeypatch.setattr(
-            ops, "validate", lambda fam: calls.append(fam) or cf.validate(fam))
         s = cf.direct_sum(cf.direct_sum(parts[0], parts[1]), parts[2])
-        assert calls == []
+        assert validate_calls == []
         assert len(s.flats) == 216 and len(s.factors) == 3
-        monkeypatch.undo()
-        _same_matroid(s, _validated_sum(
+        same_matroid(s, _validated_sum(
             _validated_sum(parts[0], parts[1]), parts[2]))
 
     def test_rank_additive(self, catalog):
