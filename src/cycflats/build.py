@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
 from .groundsets import GroundSet, bits, popcount
-from .lattices import FiniteLattice, _check_lattice, is_chain
+from .lattices import FiniteLattice, _converse, _least_lattice, is_chain
 from .matroid import Matroid, RankedFamily, _assemble, validate
 from .ops import MinorSpec, direct_sum, dual, truncate
 from .freeprod import free_extension, free_product
@@ -57,67 +57,31 @@ def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
 
     Either family is the lattice of cyclic flats of a matroid whenever
     lat is a lattice (the source paper's realization of every lattice),
-    so once lat is checked (_check_order and lattices._check_lattice,
-    NotALattice naming the first pair without a unique meet or join) the
-    matroid is assembled with no validation of its own.
+    and a FiniteLattice is checked when it is built, so the matroid is
+    assembled with no check or validation of its own.
     """
     if variant not in ("plain", "sublattice"):
         raise InvalidParameters(f"unknown variant {variant!r}")
-    _check_order(lat)
-    up = _check_lattice(lat.elements, lat.down)[0]
     k = len(lat)
-    v = [((1 << k) - 1) & ~u for u in up]  # V_z as lattice-index mask
-
+    v = [((1 << k) - 1) & ~u for u in _converse(lat.down)]  # V_z
     if variant == "plain":
-        base = [i for i in range(k) if i != lat.top]
-        labels = [lat.elements[i] for i in base] \
-            + [f"s:{lat.elements[i]}" for i in range(k)]
-        pos = {i: p for p, i in enumerate(base)}
-        entries = []
-        witness = []
-        for z in range(k):
-            mask = 0
-            for y in bits(v[z]):
-                mask |= 1 << pos[y]
-            for x in bits(lat.down[z]):
-                mask |= 1 << (len(base) + x)
-            entries.append((mask, popcount(v[z])))
-            witness.append((lat.elements[z], mask))
+        names = [e for i, e in enumerate(lat.elements) if i != lat.top]
+        labels = names + [f"s:{e}" for e in lat.elements]
+        # B's positions are the lattice indices with the top's taken
+        # out: no V_z holds the top, so the bits above it move down one
+        low = (1 << lat.top) - 1
+        masks = [vz & low | (vz >> 1 & ~low) | d << len(names)
+                 for vz, d in zip(v, lat.down)]
     else:
-        labels = []
-        block = []
-        for z in range(k):
-            start = len(labels)
-            size = popcount(v[z]) + 1
-            labels += [f"{lat.elements[z]}:{t}" for t in range(size)]
-            block.append(((1 << size) - 1) << start)
-        entries = []
-        witness = []
-        for z in range(k):
-            mask = 0
-            for y in bits(lat.down[z]):
-                mask |= block[y]
-            entries.append((mask, popcount(v[z])))
-            witness.append((lat.elements[z], mask))
-    m = _assemble(GroundSet(labels), entries)
-    return Realization(m, tuple(witness))
-
-
-def _check_order(lat: FiniteLattice) -> None:
-    """Raise InvalidParameters unless lat.down is a partial order of its
-    elements: each down[i] holds i, no index past them and the down-mask
-    of each element it holds, and no two are equal.  A FiniteLattice
-    built directly is not checked."""
-    down = lat.down
-    k = len(down)
-    for i, d in enumerate(down):
-        if d >> k or not d >> i & 1 or any(down[j] & ~d for j in bits(d)):
-            raise InvalidParameters(
-                f"down-mask of {lat.elements[i]!r} is not that of a "
-                f"partial order")
-    if len(set(down)) != k:
-        raise InvalidParameters(
-            f"down-masks of {lat.elements!r} repeat: not antisymmetric")
+        labels, block = [], []
+        for name, vz in zip(lat.elements, v):
+            size = popcount(vz) + 1
+            block.append(((1 << size) - 1) << len(labels))
+            labels += [f"{name}:{t}" for t in range(size)]
+        masks = [sum(block[y] for y in bits(d)) for d in lat.down]
+    m = _assemble(GroundSet(labels),
+                  [(mask, popcount(vz)) for mask, vz in zip(masks, v)])
+    return Realization(m, tuple(zip(lat.elements, masks)))
 
 
 # -- nested matroids ----------------------------------------------------
@@ -390,8 +354,8 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
             # up[i] is row i << (i + 1) | 1 << i, so the up-masks from
             # label n - 1 down compare as the rows
             level.sort(key=lambda lat: lat[1][::-1])
-        names = [f"v{i}" for i in range(n)]
-        out += [FiniteLattice(names, down) for down, _ in level]
+        names = tuple(f"v{i}" for i in range(n))
+        out += [_least_lattice(names, down) for down, _ in level]
     return out
 
 

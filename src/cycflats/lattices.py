@@ -2,8 +2,10 @@
 
 Covers two flavors of input: abstract lattices given by cover relations,
 and families of sets ordered by inclusion.  A lattice stores only its
-down-masks.  Provides chain and width computations (Dilworth duality via
-bipartite matching), and poset isomorphism with a witness bijection.
+down-masks and checks, when it is built, that they form one; no other
+module decides that.  Provides chain and width computations (Dilworth
+duality via bipartite matching), and poset isomorphism with a witness
+bijection.
 One search, _order_isomorphism, decides isomorphism of posets whose
 nodes carry colours: poset_isomorphic colours none, and
 ops.is_isomorphic adds a node per element class, below the cyclic
@@ -26,16 +28,37 @@ class FiniteLattice:
     down[i] is the bitmask (over element indices) of elements <= element i,
     including i itself; bottom and top are element indices.  Nothing else
     is stored: meet, join and covers are derived from down.
+
+    Checked when built: InvalidParameters for no elements, unequal counts
+    of names and down-masks, or down-masks that are no partial order;
+    DuplicateSet for a repeated name; NotALattice for the first pair
+    without a unique meet or join (_check_lattice).
     """
 
     __slots__ = ("elements", "down", "bottom", "top")
 
     def __init__(self, elements: Sequence[str], down: Sequence[int]):
-        self.elements = tuple(elements)
-        self.down = tuple(down)
-        sizes = [d.bit_count() for d in self.down]
-        self.bottom = sizes.index(min(sizes))
-        self.top = sizes.index(max(sizes))
+        elements, down = tuple(elements), tuple(down)
+        k = len(down)
+        if not elements:
+            raise InvalidParameters("a lattice needs at least one element")
+        if len(elements) != k:
+            raise InvalidParameters(
+                f"{len(elements)} element names but {k} down-masks")
+        if len(set(elements)) != k:
+            raise DuplicateSet(f"duplicate element names: {elements}")
+        # reflexive, transitive, no index past the elements, antisymmetric
+        for i, d in enumerate(down):
+            if d >> k or not d >> i & 1 or any(down[j] & ~d for j in bits(d)):
+                raise InvalidParameters(
+                    f"down-mask of {elements[i]!r} is not that of a "
+                    f"partial order")
+        if len(set(down)) != k:
+            raise InvalidParameters(
+                f"down-masks of {elements!r} repeat: not antisymmetric")
+        _, glb, lub = _check_lattice(elements, down)
+        self.elements, self.down = elements, down
+        self.bottom, self.top = lub[(1 << k) - 1], glb[(1 << k) - 1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -71,31 +94,36 @@ class FiniteLattice:
         return f"FiniteLattice({list(self.elements)!r}, covers={self.covers()!r})"
 
 
+def _least_lattice(elements: Sequence[str],
+                   down: Sequence[int]) -> FiniteLattice:
+    """A FiniteLattice, unchecked, from the down-masks of a lattice in a
+    natural labelling (bottom 0, top last), such as all_lattices's."""
+    lat = object.__new__(FiniteLattice)
+    lat.elements, lat.down = tuple(elements), tuple(down)
+    lat.bottom, lat.top = 0, len(lat.down) - 1
+    return lat
+
+
 def lattice_from_covers(elements: Sequence[str],
                         covers: Iterable[tuple[str, str]]) -> FiniteLattice:
     """Build a FiniteLattice from element names and cover pairs.
 
     leq is the reflexive-transitive closure of the cover relation; the
-    elements may be listed in any order.  Raises InvalidParameters for an
-    empty element list, CyclicCovers if the cover digraph has a cycle (a
-    self-cover included) and NotALattice if some pair lacks a unique meet
-    or join.
+    elements may be listed in any order.  Raises UnknownLabel for a
+    cover naming no element and CyclicCovers if the cover digraph has a
+    cycle (a self-cover included); FiniteLattice then checks the rest
+    (no elements, a repeated name, a pair without a unique meet or join).
     """
     elements = tuple(elements)
-    if not elements:
-        raise InvalidParameters("a lattice needs at least one element")
     index = {e: i for i, e in enumerate(elements)}
-    if len(index) != len(elements):
-        raise DuplicateSet(f"duplicate element names: {elements}")
     n = len(elements)
     up = [1 << i for i in range(n)]  # up[i]: mask of j with i <= j
-    edges = [[] for _ in range(n)]
     for lo, hi in covers:
         if lo not in index or hi not in index:
             raise UnknownLabel(f"unknown cover element in ({lo!r}, {hi!r})")
         if lo == hi:
             raise CyclicCovers(f"{lo!r} covers itself")
-        edges[index[lo]].append(index[hi])
+        up[index[lo]] |= 1 << index[hi]
     # transitive closure by repeated relaxation
     changed = True
     while changed:
@@ -103,8 +131,7 @@ def lattice_from_covers(elements: Sequence[str],
         for i in range(n):
             acc = up[i]
             for j in bits(up[i]):
-                for k in edges[j]:
-                    acc |= up[k]
+                acc |= up[j]
             if acc != up[i]:
                 up[i] = acc
                 changed = True
@@ -113,9 +140,7 @@ def lattice_from_covers(elements: Sequence[str],
             if j != i and (up[j] >> i) & 1:
                 raise CyclicCovers(
                     f"cycle through {elements[i]!r} and {elements[j]!r}")
-    down = _converse(up)
-    _check_lattice(elements, down)
-    return FiniteLattice(elements, down)
+    return FiniteLattice(elements, _converse(up))
 
 
 def _down_masks(masks: Sequence[int]) -> list[int]:
@@ -202,21 +227,30 @@ def width_of_family(masks: Sequence[int]) -> int:
     up = _converse(_poset_of(masks)[1])
     adj = [list(bits(up[i] & ~(1 << i))) for i in range(n)]
     match_r = [-1] * n
-
-    def try_kuhn(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_r[j] < 0 or try_kuhn(match_r[j], seen):
-                    match_r[j] = i
-                    return True
-        return False
-
-    matched = 0
-    for i in range(n):
-        if try_kuhn(i, [False] * n):
-            matched += 1
-    return n - matched
+    for root in range(n):
+        # Kuhn's augmenting path from root, on a stack, not recursion:
+        # level t holds the untried edges of root (t = 0) or of the
+        # match of path[t - 1], the node level t - 1 took
+        seen = [False] * n
+        stack, path = [iter(adj[root])], []
+        while stack:
+            for j in stack[-1]:
+                if not seen[j]:
+                    seen[j] = True
+                    path.append(j)
+                    if match_r[j] < 0:
+                        i = root  # flip: each j takes the node before it
+                        for r in path:
+                            match_r[r], i = i, match_r[r]
+                        stack = []
+                    else:
+                        stack.append(iter(adj[match_r[j]]))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+    return n - sum(i >= 0 for i in match_r)
 
 
 def _poset_of(obj):

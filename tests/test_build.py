@@ -285,11 +285,11 @@ class TestRealizeLattice:
 
     @pytest.mark.parametrize("variant", ["plain", "sublattice"])
     def test_poset_without_a_join(self, variant):
-        # b and c lie above a and below nothing: no join, found before
-        # any matroid is built
-        lat = FiniteLattice(["a", "b", "c"], [1, 3, 5])
+        # b and c lie above a and below nothing: no join, found when
+        # the FiniteLattice is built
         with pytest.raises(cf.NotALattice) as info:
-            cf.realize_lattice(lat, variant)
+            cf.realize_lattice(FiniteLattice(["a", "b", "c"], [1, 3, 5]),
+                               variant)
         assert info.value.pair == ("b", "c")
         assert info.value.reason == "no unique join"
 
@@ -303,6 +303,20 @@ class TestRealizeLattice:
         names = ["a", "b", "c"][:len(down)]
         with pytest.raises(cf.InvalidParameters):
             cf.realize_lattice(FiniteLattice(names, down))
+
+    def test_realize_checks_nothing(self, lattices_to_8, monkeypatch):
+        # a FiniteLattice is checked when it is built, so realizing one
+        # makes no lattice or order check
+        calls = []
+        for module in (lattices, build):
+            monkeypatch.setattr(module, "_check_lattice",
+                                lambda *args: calls.append(args),
+                                raising=False)
+        for lat in lattices_to_8[:40]:
+            cf.realize_lattice(lat)
+            cf.realize_lattice(lat, "sublattice")
+        assert calls == []
+        assert not hasattr(build, "_check_order")
 
 
 def _nested_by_fold(seq):

@@ -1,6 +1,7 @@
 """End-to-end tests: every subcommand against committed fixture files,
 and a property test of the 0/1/2 exit-code contract."""
 
+import ast
 import contextlib
 import importlib
 import io as textio
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
-from cycflats import io
+from cycflats import io, lattices
 from cycflats.cli import GEN_PARAMS, main, make_parser
 from cycflats.widths import ANTICHAIN_CAP
 
@@ -252,6 +253,33 @@ def test_readme_command_lines_parse():
         assert parser.parse_args(argv).command == argv[0], argv
 
 
+def test_readme_python_blocks():
+    # README's ```python blocks run in one namespace, and each bare
+    # expression gives the value its comment states
+    seen = []
+
+    class Record(ast.NodeTransformer):
+        def visit_Expr(self, node):
+            call = ast.parse("seen.append(None)").body[0]
+            call.value.args[0] = node.value
+            return ast.copy_location(call, node)
+
+    ns = {"seen": seen}
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        tree = ast.fix_missing_locations(Record().visit(ast.parse(block)))
+        exec(compile(tree, "README.md", "exec"), ns)
+    rank, circuits, cyclic_width, width, which = seen
+    m, d = ns["m"], ns["d"]
+    assert rank == 2
+    assert len(circuits) == 4 and {c.bit_count() for c in circuits} == {3}
+    assert (d.flats, d.flat_ranks) == (m.flats, m.flat_ranks)
+    assert ns["t"] == {(0, 1): 2, (0, 2): 1, (1, 0): 2, (2, 0): 1}
+    assert cyclic_width == width == 4
+    assert which == "Z2"
+
+
 def test_readme_cap_table():
     # each row of README's size-cap table opens its Value cell with the
     # value of the module constant it names
@@ -389,6 +417,24 @@ class TestAnalysis:
         code, out2, _ = run("realize", "--sublattice", FX / "lattice_b2.json")
         assert code == 0
         assert out2 != out
+
+    def test_realize_checks_the_lattice_once(self, run, monkeypatch):
+        # parsing builds the FiniteLattice, which checks it; realizing
+        # it checks nothing again.  Every cycflats module that holds
+        # _check_lattice gets the counting spy
+        calls = []
+        check = lattices._check_lattice
+
+        def counted(*args):
+            calls.append(args[0])
+            return check(*args)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cycflats.") and hasattr(module,
+                                                        "_check_lattice"):
+                monkeypatch.setattr(module, "_check_lattice", counted)
+        code, _, _ = run("realize", FX / "lattice_b2.json")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_realize_empty_lattice(self, run, tmp_path):
         doc = tmp_path / "empty.json"

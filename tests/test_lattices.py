@@ -67,6 +67,39 @@ class TestLatticeFromCovers:
         assert sorted(lat.covers()) == sorted(pairs)
 
 
+class TestFiniteLatticeChecks:
+    def test_no_elements(self):
+        with pytest.raises(cf.InvalidParameters,
+                           match="a lattice needs at least one element"):
+            FiniteLattice([], [])
+
+    @pytest.mark.parametrize("names, down", [
+        (["a", "b", "c"], [1, 3]),
+        (["a", "b"], [1, 3, 7]),
+    ])
+    def test_counts_differ(self, names, down):
+        with pytest.raises(cf.InvalidParameters, match="element names but"):
+            FiniteLattice(names, down)
+
+    def test_repeated_name(self):
+        with pytest.raises(cf.DuplicateSet):
+            FiniteLattice(["a", "a"], [1, 3])
+
+    def test_bottom_and_top_from_the_order(self):
+        lat = FiniteLattice(["1", "a", "0"], [7, 6, 4])
+        assert (lat.bottom, lat.top) == (2, 0)
+
+    def test_public_matches_trusted_on_every_lattice_to_eight(self):
+        # all_lattices builds through the unchecked _least_lattice
+        lats = cf.all_lattices(8)
+        assert len(lats) == 300
+        for lat in lats:
+            checked = FiniteLattice(lat.elements, lat.down)
+            assert (checked.elements, checked.down) == (lat.elements,
+                                                        lat.down)
+            assert (checked.bottom, checked.top) == (lat.bottom, lat.top)
+
+
 class TestFamilyLatticeTables:
     def test_two_chain(self):
         f = fam("ab", "", "ab")
@@ -103,6 +136,19 @@ class TestWidth:
     def test_repeated_mask_raises(self):
         with pytest.raises(cf.DuplicateSet):
             cf.width_of_family([1, 1, 1])
+
+    @pytest.mark.parametrize("size", [500, 1200])
+    def test_long_augmenting_path(self, size):
+        # {f} takes {e_0, f}, already matched to {e_0}, so its augmenting
+        # path runs through {e_0, e_1}, ..., {e_(size-1), e_size}: size
+        # steps, past the recursion limit at 1,200.  The size + 1
+        # singletons are an antichain, and the chains {e_(i-1)} c
+        # {e_(i-1), e_i} with {f} c {e_0, f} cover the family
+        f = 1 << (size + 1)
+        masks = [1 << i for i in range(size)] + [f, 1 | f] \
+            + [3 << (i - 1) for i in range(1, size + 1)]
+        assert len(masks) == 2 * size + 2
+        assert cf.width_of_family(masks) == size + 1
 
     def test_matching_equals_brute_on_random_families(self):
         rng = random.Random(0)
@@ -350,14 +396,20 @@ def assert_meets_joins(lat, meet, join):
 def covers_brute(lat):
     """Oracle for FiniteLattice.covers: (i, j) for i < j with no element
     strictly between, scanning every k, in element order."""
+    return covers_of_down(lat.elements, lat.down)
+
+
+def covers_of_down(names, down):
+    """covers_brute on the down-masks of any partial order, named by
+    names in index order."""
     out = []
-    for j in range(len(lat)):
-        for i in bits(lat.down[j] & ~(1 << j)):
+    for j in range(len(down)):
+        for i in bits(down[j] & ~(1 << j)):
             strictly_between = any(
-                (lat.down[j] >> k) & 1 and (lat.down[k] >> i) & 1
-                for k in bits(lat.down[j] & ~(1 << j) & ~(1 << i)))
+                (down[j] >> k) & 1 and (down[k] >> i) & 1
+                for k in bits(down[j] & ~(1 << j) & ~(1 << i)))
             if not strictly_between:
-                out.append((lat.elements[i], lat.elements[j]))
+                out.append((names[i], names[j]))
     return out
 
 
@@ -365,7 +417,7 @@ def assert_tables_match(down, expected):
     """lattice_from_covers on the order of down, under names in index
     order, raises for the pair of expected or gives its tables."""
     names = [f"x{i}" for i in range(len(down))]
-    covers = FiniteLattice(names, down).covers()
+    covers = covers_of_down(names, down)
     if isinstance(expected[1], str):
         with pytest.raises(cf.NotALattice) as info:
             cf.lattice_from_covers(names, covers)
