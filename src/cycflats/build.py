@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
 from .groundsets import GroundSet, bits, popcount
-from .lattices import FiniteLattice, _converse, _least_lattice, is_chain
+from .lattices import FiniteLattice, _converse, _least_lattices, is_chain
 from .matroid import Matroid, RankedFamily, _assemble, validate
 from .ops import MinorSpec, direct_sum, dual, truncate
 from .freeprod import free_extension, free_product
@@ -354,8 +354,8 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
             # up[i] is row i << (i + 1) | 1 << i, so the up-masks from
             # label n - 1 down compare as the rows
             level.sort(key=lambda lat: lat[1][::-1])
-        names = tuple(f"v{i}" for i in range(n))
-        out += [_least_lattice(names, down) for down, _ in level]
+        out += _least_lattices([f"v{i}" for i in range(n)],
+                               (down for down, _ in level))
     return out
 
 

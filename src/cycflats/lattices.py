@@ -22,12 +22,24 @@ from .errors import (CyclicCovers, DuplicateSet, InvalidParameters, NotALattice,
 from .groundsets import bits, popcount
 
 
+class _Names(tuple):
+    """The element names of a lattice, in index order, with index_of:
+    name -> index."""
+
+    def __new__(cls, names: Iterable[str]):
+        self = super().__new__(cls, names)
+        self.index_of = {x: i for i, x in enumerate(self)}
+        return self
+
+
 class FiniteLattice:
     """A finite lattice: named elements and their order.
 
     down[i] is the bitmask (over element indices) of elements <= element i,
     including i itself; bottom and top are element indices.  Nothing else
-    is stored: meet, join and covers are derived from down.
+    is stored: meet, join and covers are derived from down.  elements is
+    a tuple that also maps each name to its index (_Names), so leq, meet
+    and join look names up in O(1).
 
     Checked when built: InvalidParameters for no elements, unequal counts
     of names and down-masks, or down-masks that are no partial order;
@@ -38,14 +50,14 @@ class FiniteLattice:
     __slots__ = ("elements", "down", "bottom", "top")
 
     def __init__(self, elements: Sequence[str], down: Sequence[int]):
-        elements, down = tuple(elements), tuple(down)
+        elements, down = _Names(elements), tuple(down)
         k = len(down)
         if not elements:
             raise InvalidParameters("a lattice needs at least one element")
         if len(elements) != k:
             raise InvalidParameters(
                 f"{len(elements)} element names but {k} down-masks")
-        if len(set(elements)) != k:
+        if len(elements.index_of) != k:
             raise DuplicateSet(f"duplicate element names: {elements}")
         # reflexive, transitive, no index past the elements, antisymmetric
         for i, d in enumerate(down):
@@ -63,19 +75,27 @@ class FiniteLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _at(self, x: str) -> int:
+        """The index of the element named x; UnknownLabel if none is."""
+        try:
+            return self.elements.index_of[x]
+        except KeyError:
+            raise UnknownLabel(
+                f"{x!r} is not an element of the lattice") from None
+
     def leq(self, x: str, y: str) -> bool:
-        i, j = self.elements.index(x), self.elements.index(y)
+        i, j = self._at(x), self._at(y)
         return bool((self.down[j] >> i) & 1)
 
     def meet(self, x: str, y: str) -> str:
         """The element whose down-mask is down[x] & down[y]."""
-        i, j = self.elements.index(x), self.elements.index(y)
-        return self.elements[self.down.index(self.down[i] & self.down[j])]
+        d = self.down[self._at(x)] & self.down[self._at(y)]
+        return self.elements[self.down.index(d)]
 
     def join(self, x: str, y: str) -> str:
         """The common upper bound of x and y with the fewest elements
         below it."""
-        pair = (1 << self.elements.index(x)) | (1 << self.elements.index(y))
+        pair = (1 << self._at(x)) | (1 << self._at(y))
         return self.elements[min(
             (k for k, d in enumerate(self.down) if d & pair == pair),
             key=lambda k: popcount(self.down[k]))]
@@ -94,14 +114,18 @@ class FiniteLattice:
         return f"FiniteLattice({list(self.elements)!r}, covers={self.covers()!r})"
 
 
-def _least_lattice(elements: Sequence[str],
-                   down: Sequence[int]) -> FiniteLattice:
-    """A FiniteLattice, unchecked, from the down-masks of a lattice in a
-    natural labelling (bottom 0, top last), such as all_lattices's."""
-    lat = object.__new__(FiniteLattice)
-    lat.elements, lat.down = tuple(elements), tuple(down)
-    lat.bottom, lat.top = 0, len(lat.down) - 1
-    return lat
+def _least_lattices(elements: Sequence[str],
+                    downs: Iterable[Sequence[int]]) -> list[FiniteLattice]:
+    """FiniteLattices, unchecked, from the down-masks of lattices in a
+    natural labelling (bottom 0, top last), such as all_lattices's; they
+    share one _Names of the given element names."""
+    names, out = _Names(elements), []
+    for down in downs:
+        lat = object.__new__(FiniteLattice)
+        lat.elements, lat.down = names, tuple(down)
+        lat.bottom, lat.top = 0, len(lat.down) - 1
+        out.append(lat)
+    return out
 
 
 def lattice_from_covers(elements: Sequence[str],

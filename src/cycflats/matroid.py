@@ -51,6 +51,7 @@ Tutte polynomial work factor by factor too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 from typing import TYPE_CHECKING, Iterable
@@ -63,6 +64,9 @@ if TYPE_CHECKING:  # numpy is imported by the table functions that use it
     import numpy as np
 
 ENUM_CAP = 22  # largest ground set given a 2^n rank table
+# entries of one step of _grid_ranks, an eighth of a 2^ENUM_CAP grid:
+# a grid of more cells takes one group of flats a step
+_STEP_ENTRIES = 1 << (ENUM_CAP - 3)
 # candidate subsets circuits() may test; on a uniform matroid every
 # candidate is a circuit, so this also bounds the length of its result
 CIRCUIT_CAP = 10_000
@@ -446,19 +450,29 @@ def _grid_ranks(radices, flats) -> np.ndarray:
     from the low h = len(radices) // 2 axes and one from the high axes,
     so the grid is a (high x low) min of outer sums.  A half's parts are
     products of the flats' rows (1 on each axis outside F) with its digit
-    matrix (axes x cells, the t_c of every cell).  Flats are grouped by
-    their low part; a group's high parts, r(F) included, come from one
-    product, in chunks of at most an eighth of the grid, and only their
-    minimum meets the low part in an outer sum.  So each distinct low
-    part costs two passes over the grid, and the peak is the grid, its
-    scratch copy and at most an eighth of a grid of high parts.
-    Returns the flattened grid in the smallest unsigned dtype that holds
-    the largest candidate value.
+    matrix (_digits).  Flats are sorted into groups by their low part; a
+    group's high parts, r(F) included, are folded to their minimum
+    (_run_minima), and only that minimum meets the group's low part.
+
+    The groups go through in steps of at most _STEP_ENTRIES // cells
+    groups (at least one), each step one broadcast sum of its groups'
+    high and low parts and one min; the high parts come from products
+    of at most _STEP_ENTRIES entries.  So a grid whose groups times
+    cells fit in _STEP_ENTRIES, as every Tutte factor of a few classes
+    does, takes a fixed number of numpy calls however many flats and
+    groups it has, and a 2^ENUM_CAP grid takes one group a step, with a
+    peak of the grid, one step's sums and an eighth of a grid of high
+    parts.  Returns the flattened grid in the smallest unsigned dtype
+    that holds the largest candidate value.
     """
     import numpy as np
-    flats = list(flats)
     axes = len(radices)
     h = axes // 2
+    low_mask = (1 << h) - 1
+    flats = sorted(flats, key=lambda f: f[0] & low_mask)
+    # bounds[g]: the first flat of group g; bounds[-1]: the flat count
+    bounds = [i for i, (f, _) in enumerate(flats)
+              if not i or (f ^ flats[i - 1][0]) & low_mask] + [len(flats)]
     # one row per flat: 1 on each axis outside F, then r(F)
     rows = np.empty((len(flats), axes + 1), np.int64)
     rows[:, :axes] = (~np.array([f for f, _ in flats], np.int64)[:, None]
@@ -467,39 +481,58 @@ def _grid_ranks(radices, flats) -> np.ndarray:
     dtype = np.min_scalar_type(
         int((rows @ np.array([*radices, 1], np.int64)).max()))
     rows = rows.astype(dtype)
-    high_digits = _digits([*radices[h:], 0], dtype)
-    high_digits[-1] = 1  # picks up r(F)
-    low_digits = _digits(radices[:h], dtype)
-    groups = {}  # low part of F's inside mask -> rows of those flats
-    for i, (inside, _) in enumerate(flats):
-        groups.setdefault(inside & ((1 << h) - 1), []).append(i)
-    chunk = max(1, low_digits.shape[1] // 8)
-    best = tmp = None
-    for members in groups.values():
-        b = None
-        for s in range(0, len(members), chunk):
-            part = (rows[members[s:s + chunk], h:] @ high_digits).min(axis=0)
-            b = part if b is None else np.minimum(b, part, out=b)
-        a = rows[members[0], :h] @ low_digits
+    high_digits = _digits(tuple(radices[h:]), dtype)  # its ones add r(F)
+    low_digits = _digits(tuple(radices[:h]), dtype)[:h]
+    step = max(1, _STEP_ENTRIES
+               // (high_digits.shape[1] * low_digits.shape[1]))
+    chunk = max(1, _STEP_ENTRIES // high_digits.shape[1])
+    best = sums = None
+    for g in range(0, len(bounds) - 1, step):
+        cut = bounds[g:g + step + 1]
+        high = _run_minima(rows[:, h:], high_digits, cut, chunk)
+        low = (rows[cut[:-1], :h] @ low_digits)[:, None]
         if best is None:
-            best = np.add.outer(b, a)
-            tmp = np.empty_like(best)
-        else:
-            np.add.outer(b, a, out=tmp)
-            np.minimum(best, tmp, out=best)
+            stack = high[:, :, None] + low
+            best = stack[0] if len(stack) == 1 else stack.min(axis=0)
+            continue
+        if sums is None:
+            sums = np.empty((step, *best.shape), dtype)
+        stack = np.add(high[:, :, None], low, out=sums[:len(high)])
+        np.minimum(best, stack[0] if len(stack) == 1 else stack.min(axis=0),
+                   out=best)
     return best.ravel()
 
 
-def _digits(radices, dtype) -> np.ndarray:
-    """The (axes x cells) digit matrix of a mixed-radix grid: row c holds
-    t_c at every cell, axis 0 varying fastest."""
+def _run_minima(rows, digits, bounds, chunk) -> np.ndarray:
+    """Row g: the minimum over bounds[g] <= i < bounds[g + 1] of
+    rows[i] @ digits, from products of at most chunk rows; a run split
+    between two products is folded by one more minimum."""
     import numpy as np
-    out = np.empty((len(radices), prod(k + 1 for k in radices)), dtype)
+    parts = []
+    for s in range(bounds[0], bounds[-1], chunk):
+        e = min(s + chunk, bounds[-1])
+        part = np.minimum.reduceat(
+            rows[s:e] @ digits, [0] + [b - s for b in bounds if s < b < e])
+        if s not in bounds:  # the run at s began in the last product
+            np.minimum(part[0], parts[-1][-1], out=part[0])
+            parts[-1] = parts[-1][:-1]
+        parts.append(part)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+@lru_cache(maxsize=64)
+def _digits(radices: tuple[int, ...], dtype) -> np.ndarray:
+    """The ((axes + 1) x cells) digit matrix of a mixed-radix grid: row
+    c holds t_c at every cell, axis 0 varying fastest, and the last row
+    is all ones (read-only, cached)."""
+    import numpy as np
+    out = np.ones((len(radices) + 1, prod(k + 1 for k in radices)), dtype)
     stride = 1
     for c, k in enumerate(radices):
         out[c].reshape(-1, k + 1, stride)[:] = np.arange(
             k + 1, dtype=dtype)[:, None]
         stride *= k + 1
+    out.flags.writeable = False
     return out
 
 

@@ -16,6 +16,16 @@ over the class profiles t, each weighted by prod C(|c|, t_c), the number
 of subsets with that profile.  The grid has prod (|c| + 1) <= 2^|S|
 cells; one over 2^ENUM_CAP cells raises TooLarge before it is built.
 
+Each factor costs a fixed number of numpy calls, however many flats it
+has: one batched matroid._grid_ranks call for its ranks, one pass over
+the axes for |A| and the weights (_profile_sizes, which rank_gen_brute
+shares) and one tally.  The factors multiply by Kronecker substitution
+(_poly_product), one np.convolve each, and tutte_from_rank_gen shifts R
+by two signed Pascal matrix products.  Both run in int64 while their
+sums provably fit and on Python ints (object arrays) past that, so R
+and t stay exact: U_{40,80} has a grid of 81 cells and coefficients
+past 2^63.
+
 rank_gen_brute enumerates all 2^n subsets and is the oracle.  The
 free-product convolution combines two matrices coefficientwise.
 """
@@ -23,6 +33,7 @@ free-product convolution combines two matrices coefficientwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 
 from .errors import TooLarge
@@ -51,8 +62,8 @@ class RankGenMatrix:
 
 
 def _tally(ranks, sizes, rank: int, nullity: int, weights=None):
-    """The (corank x nullity) coefficients of R from a grid of ranks and
-    one of sizes: each cell adds weights[cell] (or 1) at corank
+    """The (corank x nullity) coefficient array of R from a grid of ranks
+    and one of sizes: each cell adds weights[cell] (or 1) at corank
     rank - r and nullity size - r, tallied by the key nullity*(rank+1) +
     corank.  The grid is counted in slices of 2^16 cells, so the keys and
     bincount's int64 copy of them stay small beside the grids."""
@@ -69,22 +80,43 @@ def _tally(ranks, sizes, rank: int, nullity: int, weights=None):
             counts += np.bincount(key, minlength=cells)
         else:
             np.add.at(counts, key, weights[lo:lo + step])
-    return counts.reshape(nullity + 1, rank + 1).T.tolist()
+    return counts.reshape(nullity + 1, rank + 1).T
+
+
+def _profile_sizes(radices, dtype=None):
+    """|A| at every profile t of the grid of _grid_ranks, and, given a
+    dtype, the number of subsets with that profile, the product of
+    C(radices[c], t_c) (None without one).  Both are built in one pass,
+    each axis in turn slower than those before it, so axis 0 varies
+    fastest."""
+    import numpy as np
+    sizes = np.zeros(1, np.min_scalar_type(sum(radices)))
+    weights = None if dtype is None else np.ones(1, dtype)
+    for k in radices:
+        sizes = np.add.outer(np.arange(k + 1, dtype=sizes.dtype), sizes).ravel()
+        if weights is not None:
+            row = np.array([comb(k, t) for t in range(k + 1)], dtype)
+            weights = np.multiply.outer(row, weights).ravel()
+    return sizes, weights
+
+
+def _matrix(coeffs) -> RankGenMatrix:
+    """The RankGenMatrix of an integer array, as tuples of Python ints."""
+    return RankGenMatrix(tuple(map(tuple, coeffs.tolist())))
 
 
 def rank_gen_brute(m: Matroid) -> RankGenMatrix:
     """Exact coefficient matrix by enumerating all 2^|E| subsets."""
     n = len(m.ground)
-    rt = m.rank_table()
-    sizes = _grid_ranks([1] * n, [(0, 0)])  # |A|: its rank in U_{n,n}
-    coeffs = _tally(rt, sizes, m.matroid_rank, n - m.matroid_rank)
-    return RankGenMatrix(tuple(map(tuple, coeffs)))
+    ranks = m.rank_table()  # first, so its build peak never meets the sizes
+    return _matrix(_tally(ranks, _profile_sizes([1] * n)[0], m.matroid_rank,
+                          n - m.matroid_rank))
 
 
-def _component_rank_gen(e: int, pairs) -> list[list[int]]:
+def _component_rank_gen(e: int, pairs, dtype):
     """R(M|E) of a connected component E, the factor with the pairs
-    (Y, r(Y)) of its cyclic flats, summed over class profiles."""
-    import numpy as np
+    (Y, r(Y)) of its cyclic flats, summed over class profiles, as an
+    array of dtype (int64 or object)."""
     classes, inside = class_profile([y for y, _ in pairs], e)
     radices = [popcount(c) for c in classes]
     n = popcount(e)
@@ -95,39 +127,47 @@ def _component_rank_gen(e: int, pairs) -> list[list[int]]:
             f"connected component of {n} elements, over cap 2^{ENUM_CAP} "
             f"(ENUM_CAP); rank_gen_convolution gives R of a free product "
             f"from its factors")
-    flats = list(zip(inside, (r for _, r in pairs)))
     rank = min(r + popcount(e & ~y) for y, r in pairs)
-    # exact sums: int64 holds every sum, at most 2^n, while n <= 62
-    dtype = np.int64 if n <= 62 else object
-    weights = np.ones(1, dtype)
-    for k in reversed(radices):
-        row = np.array([comb(k, t) for t in range(k + 1)], dtype)
-        weights = np.multiply.outer(weights, row).ravel()
-    return _tally(_grid_ranks(radices, flats), _grid_ranks(radices, [(0, 0)]),
-                  rank, n - rank, weights)
+    # with every class a single element each profile is one subset
+    sizes, weights = _profile_sizes(radices,
+                                    None if cells == 1 << n else dtype)
+    ranks = _grid_ranks(radices, zip(inside, (r for _, r in pairs)))
+    return _tally(ranks, sizes, rank, n - rank, weights).astype(dtype,
+                                                                copy=False)
 
 
-def _poly_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Product of two polynomials in x, y given as coefficient matrices."""
-    out = [[0] * (len(a[0]) + len(b[0]) - 1) for _ in range(len(a) + len(b) - 1)]
-    for i, row_a in enumerate(a):
-        for j, x in enumerate(row_a):
-            if x:
-                for k, row_b in enumerate(b):
-                    for l, y in enumerate(row_b):
-                        out[i + k][j + l] += x * y
-    return out
+def _poly_product(factors, dtype):
+    """The product of polynomials in x, y given as coefficient arrays,
+    by Kronecker substitution: with c columns in the product, row i,
+    column j of a factor is the coefficient of z^(c i + j).  No column
+    of the product reaches c, so no term spills into the next row, and
+    one np.convolve per factor multiplies."""
+    import numpy as np
+    rows = 1 + sum(a.shape[0] - 1 for a in factors)
+    cols = 1 + sum(a.shape[1] - 1 for a in factors)
+    out = np.ones(1, dtype)
+    for a in factors:
+        padded = np.zeros((a.shape[0], cols), dtype)
+        padded[:, :a.shape[1]] = a
+        out = np.convolve(out, padded.ravel())
+    return out[:rows * cols].reshape(rows, cols)
 
 
 def rank_gen(m: Matroid) -> RankGenMatrix:
     """Exact coefficient matrix from the cyclic flats (module docstring):
-    (1+y)^loops (1+x)^coloops times R of each connected component."""
+    (1+y)^loops (1+x)^coloops times R of each connected component.
+
+    Every coefficient is at least 0 and they sum to 2^n, so every sum
+    of the product is at most 2^n: int64 holds them while n <= 62, and
+    Python ints (object arrays) do past that."""
+    import numpy as np
+    dtype = np.int64 if len(m.ground) <= 62 else object
     loops, coloops = popcount(m.loops()), popcount(m.isthmuses())
-    coeffs = _poly_mul([[comb(loops, j) for j in range(loops + 1)]],
-                       [[comb(coloops, i)] for i in range(coloops + 1)])
-    for e, pairs in m.factors:
-        coeffs = _poly_mul(coeffs, _component_rank_gen(e, pairs))
-    return RankGenMatrix(tuple(map(tuple, coeffs)))
+    factors = [np.multiply.outer(
+        np.array([comb(coloops, i) for i in range(coloops + 1)], dtype),
+        np.array([comb(loops, j) for j in range(loops + 1)], dtype))]
+    factors += [_component_rank_gen(e, pairs, dtype) for e, pairs in m.factors]
+    return _matrix(_poly_product(factors, dtype))
 
 
 def tutte_polynomial(m: Matroid) -> dict[tuple[int, int], int]:
@@ -167,24 +207,30 @@ def rank_gen_convolution(rm: RankGenMatrix,
 
 def tutte_from_rank_gen(rgm: RankGenMatrix) -> dict[tuple[int, int], int]:
     """Shift a rank-generating matrix to Tutte-polynomial coefficients:
-    t(x, y) = R(x-1, y-1), only nonzero terms kept.
+    t(x, y) = R(x-1, y-1), only nonzero terms kept, in (p, q) order.
 
-    x -> x-1 goes over the rows, then y -> y-1 over the columns, each a
-    binomial pass (_shift_rows): O(r n (r + n)) products of exact ints
-    for an (r+1) x (n+1) matrix.
+    With P_k the k x k signed Pascal matrix, P[p][i] = C(i, p) (-1)^(i-p),
+    x -> x-1 is P_rows @ a and y -> y-1 is @ P_cols^T: two matrix
+    products.  Every sum there is at most sum |a[i][j]| C(i, p) C(j, q)
+    <= sum |a| 2^(rows + cols - 2) in absolute value, so int64 holds
+    them below 2^63 and Python ints (object arrays) do past it.
     """
-    shifted = zip(*_shift_rows(list(zip(*_shift_rows(rgm.coeffs)))))
-    return {(p, q): c for p, row in enumerate(shifted)
-            for q, c in enumerate(row) if c}
+    import numpy as np
+    rows, cols = len(rgm.coeffs), len(rgm.coeffs[0])
+    bound = max(1, sum(abs(c) for row in rgm.coeffs for c in row))
+    dtype = np.int64 if bound << (rows + cols - 2) < 1 << 63 else object
+    t = (_signed_pascal(rows, dtype) @ np.array(rgm.coeffs, dtype)
+         @ _signed_pascal(cols, dtype).T)
+    p, q = np.nonzero(t)
+    return dict(zip(zip(p.tolist(), q.tolist()), t[p, q].tolist()))
 
 
-def _shift_rows(rows):
-    """Substitute z -> z-1 where row i holds the coefficients of z^i:
-    row p of the result is the sum over i >= p of C(i, p) (-1)^(i-p)
-    times row i."""
-    out = [[0] * len(rows[0]) for _ in rows]
-    for i, row in enumerate(rows):
-        for p in range(i + 1):
-            c = comb(i, p) if (i - p) % 2 == 0 else -comb(i, p)
-            out[p] = [o + c * a for o, a in zip(out[p], row)]
+@lru_cache(maxsize=64)
+def _signed_pascal(k: int, dtype):
+    """The k x k matrix of C(i, p) (-1)^(i-p) at row p, column i
+    (read-only, cached)."""
+    import numpy as np
+    out = np.array([[comb(i, p) * (-1) ** (i - p) if i >= p else 0
+                     for i in range(k)] for p in range(k)], dtype)
+    out.flags.writeable = False
     return out

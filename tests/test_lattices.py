@@ -6,7 +6,8 @@ import pytest
 import cycflats as cf
 from cycflats import lattices, ops
 from cycflats.groundsets import bits, element_classes
-from cycflats.lattices import FiniteLattice, family_lattice_tables
+from cycflats.lattices import (FiniteLattice, _least_lattices,
+                               family_lattice_tables)
 
 
 def fam(labels, *sets):
@@ -89,8 +90,21 @@ class TestFiniteLatticeChecks:
         lat = FiniteLattice(["1", "a", "0"], [7, 6, 4])
         assert (lat.bottom, lat.top) == (2, 0)
 
+    def test_names_on_a_chain(self):
+        # the checked and the trusted constructor answer alike, and an
+        # unknown name is an UnknownLabel on either side of each call
+        for lat in (FiniteLattice(["0", "a", "1"], [1, 3, 7]),
+                    *_least_lattices(["0", "a", "1"], [[1, 3, 7]])):
+            assert lat.leq("0", "a") and lat.leq("a", "1")
+            assert not lat.leq("1", "a")
+            assert (lat.meet("a", "1"), lat.join("0", "a")) == ("a", "a")
+            for call in (lat.leq, lat.meet, lat.join):
+                for x, y in (("zz", "a"), ("a", "zz")):
+                    with pytest.raises(cf.UnknownLabel, match="'zz'"):
+                        call(x, y)
+
     def test_public_matches_trusted_on_every_lattice_to_eight(self):
-        # all_lattices builds through the unchecked _least_lattice
+        # all_lattices builds through the unchecked _least_lattices
         lats = cf.all_lattices(8)
         assert len(lats) == 300
         for lat in lats:

@@ -522,6 +522,30 @@ class TestGridRanksAgainstOuterSums:
             for _ in range(12):
                 self.assert_same(*_random_grid(rng, axes, 1 << 14, 64))
 
+    def test_more_flats_than_cells(self):
+        # every inside mask on 1-6 axes, each with two ranks: more flats
+        # than cells, and groups of up to 2^4 flats sharing a low part
+        rng = random.Random(64)
+        for axes in range(1, 7):
+            for radices in ([1] * axes, [rng.randint(1, 3) for _ in
+                                         range(axes)]):
+                flats = [(f, rng.randint(0, 9)) for f in range(1 << axes)
+                         for _ in range(2)]
+                rng.shuffle(flats)
+                self.assert_same(radices, flats)
+
+    @pytest.mark.parametrize("entries", [1, 5, 24, 64])
+    def test_small_steps(self, monkeypatch, entries):
+        # a step budget of a few entries splits groups across steps and
+        # runs of flats across products, as 2^ENUM_CAP grids do
+        monkeypatch.setattr(matroid, "_STEP_ENTRIES", entries)
+        rng = random.Random(entries)
+        for axes in range(1, 9):
+            for _ in range(6):
+                self.assert_same(*_random_grid(rng, axes, 1 << 10, 200))
+            self.assert_same([1] * axes, [(f, rng.randint(0, 9))
+                                          for f in range(1 << axes)])
+
     def test_single_axis(self):
         # h = 0: no low axes, as rank_gen builds for U_{r,18}
         for r in (0, 3, 18):

@@ -2,13 +2,14 @@ import random
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
-from cycflats.matroid import ENUM_CAP
-from cycflats.groundsets import bits
-from cycflats.tutte import (RankGenMatrix, rank_gen, rank_gen_brute,
+from cycflats.matroid import ENUM_CAP, _grid_ranks
+from cycflats.groundsets import bits, class_profile, popcount
+from cycflats.tutte import (RankGenMatrix, _tally, rank_gen, rank_gen_brute,
                             rank_gen_convolution, tutte_from_rank_gen,
                             tutte_polynomial)
 
@@ -38,6 +39,117 @@ def total(rgm):
 
 def transpose(rgm):
     return RankGenMatrix(tuple(zip(*rgm.coeffs)))
+
+
+def _component_rank_gen_loops(e, pairs):
+    """Oracle for a factor of rank_gen: R(M|E) summed over class profiles
+    by two _grid_ranks calls, one for the ranks and one for |A| (the
+    rank of A when no class lies in a flat), with the weights built
+    apart, as a list of rows."""
+    classes, inside = class_profile([y for y, _ in pairs], e)
+    radices = [popcount(c) for c in classes]
+    n = popcount(e)
+    flats = list(zip(inside, (r for _, r in pairs)))
+    rank = min(r + popcount(e & ~y) for y, r in pairs)
+    dtype = np.int64 if n <= 62 else object
+    weights = np.ones(1, dtype)
+    for k in reversed(radices):
+        row = np.array([comb(k, t) for t in range(k + 1)], dtype)
+        weights = np.multiply.outer(weights, row).ravel()
+    return _tally(_grid_ranks(radices, flats), _grid_ranks(radices, [(0, 0)]),
+                  rank, n - rank, weights).tolist()
+
+
+def _poly_mul(a, b):
+    """Product of two polynomials in x, y given as coefficient matrices,
+    one product of Python ints per pair of nonzero terms."""
+    out = [[0] * (len(a[0]) + len(b[0]) - 1) for _ in range(len(a) + len(b) - 1)]
+    for i, row_a in enumerate(a):
+        for j, x in enumerate(row_a):
+            if x:
+                for k, row_b in enumerate(b):
+                    for l, y in enumerate(row_b):
+                        out[i + k][j + l] += x * y
+    return out
+
+
+def rank_gen_loops(m):
+    """Oracle for rank_gen: the same factors multiplied by _poly_mul."""
+    loops, coloops = popcount(m.loops()), popcount(m.isthmuses())
+    coeffs = _poly_mul([[comb(loops, j) for j in range(loops + 1)]],
+                       [[comb(coloops, i)] for i in range(coloops + 1)])
+    for e, pairs in m.factors:
+        coeffs = _poly_mul(coeffs, _component_rank_gen_loops(e, pairs))
+    return RankGenMatrix(tuple(map(tuple, coeffs)))
+
+
+def _shift_rows(rows):
+    """Substitute z -> z-1 where row i holds the coefficients of z^i:
+    row p of the result is the sum over i >= p of C(i, p) (-1)^(i-p)
+    times row i."""
+    out = [[0] * len(rows[0]) for _ in rows]
+    for i, row in enumerate(rows):
+        for p in range(i + 1):
+            c = comb(i, p) if (i - p) % 2 == 0 else -comb(i, p)
+            out[p] = [o + c * a for o, a in zip(out[p], row)]
+    return out
+
+
+def tutte_shift_loops(rgm):
+    """Oracle for tutte_from_rank_gen: x -> x-1 over the rows, then
+    y -> y-1 over the columns, each a binomial pass of Python ints."""
+    shifted = zip(*_shift_rows(list(zip(*_shift_rows(rgm.coeffs)))))
+    return {(p, q): c for p, row in enumerate(shifted)
+            for q, c in enumerate(row) if c}
+
+
+class TestAgainstLoops:
+    """rank_gen and tutte_from_rank_gen against the loop oracles above:
+    the per-factor grids, the Kronecker product and the Pascal shift."""
+
+    @staticmethod
+    def assert_same(m):
+        rgm = rank_gen(m)
+        assert rgm == rank_gen_loops(m), m
+        assert all(type(c) is int for row in rgm.coeffs for c in row)
+        t = tutte_from_rank_gen(rgm)
+        assert t == tutte_shift_loops(rgm), m
+        assert list(t) == sorted(t)
+        assert all(type(c) is int for c in t.values())
+
+    def test_catalog_sums_and_free_products(self, catalog):
+        names = ["empty", "u01", "u11", "u13", "u24", "u23+u11", "u01+u11",
+                 "nested:ififif", "p3", "mk4", "gimenez2:swap", "lattice7"]
+        for an, bn in product(names, repeat=2):
+            a, b = catalog[an], cf.relabel(catalog[bn], "r:")
+            for m in (cf.direct_sum(a, b), cf.free_product(a, b)):
+                self.assert_same(m)
+
+    def test_random_matroids(self):
+        for seed in range(40):
+            m = cf.random_matroid(random.Random(seed), 16)
+            self.assert_same(m)
+            self.assert_same(cf.dual(m))
+
+    def test_random_cw2_matroids(self):
+        for seed in range(40):
+            self.assert_same(cf.random_cw2_matroid(random.Random(seed), 10))
+
+    def test_sums_of_random_pieces(self):
+        rng = random.Random("pieces")
+        for i in range(40):
+            m = cf.random_matroid(rng, 8)
+            for j in range(rng.randint(1, 3)):
+                piece = cf.relabel(cf.random_cw2_matroid(rng, 7), f"{i}.{j}:")
+                m = cf.direct_sum(m, piece)
+            self.assert_same(m)
+
+    def test_past_int64(self):
+        # 70 elements: every factor product runs on Python ints
+        m = cf.direct_sum(cf.uniform(30, 62), cf.relabel(cf.catalog("mk4"), "k:"))
+        m = cf.direct_sum(m, cf.uniform(1, 2, ["l1", "l2"]))
+        assert len(m.ground) == 70
+        self.assert_same(m)
 
 
 class TestRankGenBrute:
@@ -165,6 +277,14 @@ class TestRankGen:
         assert "u01+u11" in catalog and "empty" in catalog
         for name, m in catalog.items():
             assert rank_gen(m) == rank_gen_brute(m), name
+
+    @pytest.mark.parametrize("n", [62, 63])
+    def test_uniform_at_the_int64_line(self, n):
+        # every sum is at most 2^n: int64 at n = 62, Python ints past it
+        rgm = rank_gen(cf.uniform(31, n))
+        assert rgm == uniform_rank_gen(31, n)
+        assert total(rgm) == 1 << n
+        assert all(type(c) is int for row in rgm.coeffs for c in row)
 
     def test_random_matroids(self):
         for seed in range(60):
@@ -351,9 +471,21 @@ class TestShiftAgainstQuartic:
             self.assert_same(rank_gen_brute(m))
         self.assert_same(uniform_rank_gen(40, 80))
 
+    def test_entries_in_int64_sums_past_it(self):
+        # entries below 2^50 fit int64, but sum |a| 2^(rows + cols - 2)
+        # does not: the shift must not run in int64
+        rng = random.Random(50)
+        for _ in range(20):
+            coeffs = tuple(tuple(rng.randint(-2 ** 50, 2 ** 50)
+                                 for _ in range(12)) for _ in range(12))
+            self.assert_same(RankGenMatrix(coeffs))
+        corner = RankGenMatrix(((0,) * 12,) * 11 + ((0,) * 11 + (2 ** 50,),))
+        self.assert_same(corner)  # t[5][5] = 2^50 C(11, 5)^2 > 2^63
+        assert tutte_from_rank_gen(corner)[(5, 5)] == 2 ** 50 * 462 ** 2
+
     def test_zero_and_single_entries(self):
         for coeffs in (((0,),), ((1,),), ((0, 0), (0, 0)), ((0, 5),),
-                       ((7,), (0,), (2 ** 64,))):
+                       ((7,), (0,), (2 ** 64,)), ((0,) * 70,) * 70):
             self.assert_same(RankGenMatrix(coeffs))
 
 
