@@ -13,9 +13,8 @@ from .errors import *  # noqa: F401,F403
 from .groundsets import GroundSet, bits, popcount, subset_key
 from .lattices import (FiniteLattice, is_chain, lattice_from_covers,
                        poset_isomorphic, width_of_family)
-from .matroid import (AxiomViolation, BasicStats, Matroid, RankedFamily,
-                      all_violations, basic_stats, cyclic_flats_recompute,
-                      validate)
+from .matroid import (AxiomViolation, Matroid, RankedFamily, all_violations,
+                      cyclic_flats_recompute, validate)
 from .ops import (MinorSpec, contraction, direct_sum, dual, has_minor,
                   higgs_lift, is_isomorphic, minor, relabel, relax,
                   restriction, truncate)

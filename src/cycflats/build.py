@@ -458,8 +458,11 @@ def _least_search(down: list[int], up: list[int], target: list[int],
 # -- seeded random generators --------------------------------------------
 
 def random_matroid(rng: random.Random, max_elems: int = 10) -> Matroid:
-    """A random valid matroid built by composing constructions."""
-    n = rng.randint(1, max(2, max_elems // 2))
+    """A random valid matroid of at most max_elems >= 1 elements, built
+    by composing constructions."""
+    if max_elems < 1:
+        raise InvalidParameters(f"need max_elems >= 1, got {max_elems}")
+    n = rng.randint(1, min(max_elems, max(2, max_elems // 2)))
     r = rng.randint(0, n)
     m = uniform(r, n, [f"g{i}" for i in range(1, n + 1)])
     serial = n
@@ -498,8 +501,11 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
     sample of the candidates, as a shuffle of all of them would give, so
     the law of the result does not depend on how they are drawn, though
     a shuffling sampler maps each seed to another matroid.  After 20
-    failed tries the last chain is returned (cyclic width 1).
+    failed tries the last chain is returned (cyclic width 1).  Needs
+    max_elems >= 2.
     """
+    if max_elems < 2:
+        raise InvalidParameters(f"need max_elems >= 2, got {max_elems}")
     for _ in range(20):
         n = rng.randint(2, max_elems)
         seq = "".join(rng.choice("if") for _ in range(n))

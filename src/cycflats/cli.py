@@ -3,19 +3,41 @@
 Exit codes: 0 = success / true, 1 = false or axiom/precondition
 violation (with a diagnostic on stdout), 2 = input error (message on
 stderr).  All output is canonically sorted and deterministic.
+
+Each subcommand is declared once, by command() beside its handler;
+make_parser lists them in the order they are declared.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import build, io, ops, tutte, widths
 from .errors import (ChainTooShort, CycflatsError, InvalidParameters,
                      NotAMatroid, NotNested, NotRelaxable, RankZero)
 from .freeprod import free_product
-from .matroid import Matroid, basic_stats, cyclic_flats_recompute, validate
+from .matroid import Matroid, cyclic_flats_recompute, validate
+
+# subcommand name -> (help, add_argument calls, handler), in parser order
+COMMANDS: dict[str, tuple] = {}
+
+
+def command(name, help, *arguments):
+    """Declare the decorated handler as subcommand name, with its help
+    line and its arguments, each made by arg()."""
+    def declare(fn):
+        COMMANDS[name] = (help, arguments, fn)
+        return fn
+    return declare
+
+
+def arg(*flags, **options):
+    """The flags and options of one add_argument call, for command()."""
+    return flags, options
+
+
+FILE, LEFT, RIGHT = arg("file"), arg("left"), arg("right")
 
 
 def _load_matroid(path) -> Matroid:
@@ -33,9 +55,29 @@ def _parse_set(ground, text: str) -> int:
 
 
 def _print_doc(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(io._dump(doc))
 
 
+def _emit(m: Matroid) -> int:
+    sys.stdout.write(io.emit_matroid(m))
+    return 0
+
+
+def _verdict(label: str, ok: bool, doc=None) -> int:
+    """Print "label: true" or "label: false", then doc if one is given;
+    exit 0 iff ok."""
+    print(f"{label}: {'true' if ok else 'false'}")
+    if doc is not None:
+        _print_doc(doc)
+    return 0 if ok else 1
+
+
+def _spec_doc(ground, spec: ops.MinorSpec) -> dict:
+    return {"contract": list(ground.names(spec.contract)),
+            "delete": list(ground.names(spec.delete))}
+
+
+@command("validate", "check the Z0-Z3 conditions", FILE)
 def cmd_validate(args) -> int:
     try:
         m = validate(io.parse_matroid(args.file))
@@ -46,12 +88,16 @@ def cmd_validate(args) -> int:
     return 0
 
 
+@command("rank", "rank of a subset", FILE,
+         arg("--set", required=True, help="comma-separated labels"))
 def cmd_rank(args) -> int:
     m = _load_matroid(args.file)
     print(m.rank(_parse_set(m.ground, args.set)))
     return 0
 
 
+@command("independent", "independence of a subset", FILE,
+         arg("--set", required=True))
 def cmd_independent(args) -> int:
     m = _load_matroid(args.file)
     ok = m.is_independent(_parse_set(m.ground, args.set))
@@ -59,12 +105,15 @@ def cmd_independent(args) -> int:
     return 0 if ok else 1
 
 
+@command("circuits", "all circuits", FILE)
 def cmd_circuits(args) -> int:
     m = _load_matroid(args.file)
     _print_doc({"circuits": [list(m.ground.names(c)) for c in m.circuits()]})
     return 0
 
 
+@command("cyclic-flats",
+         "recompute cyclic flats and report the fixpoint check", FILE)
 def cmd_cyclic_flats(args) -> int:
     m = _load_matroid(args.file)
     recomputed = cyclic_flats_recompute(m)
@@ -76,23 +125,30 @@ def cmd_cyclic_flats(args) -> int:
     return 1
 
 
+@command("stats", "rank, nullity, loops, isthmuses", FILE)
 def cmd_stats(args) -> int:
-    s = basic_stats(_load_matroid(args.file))
-    _print_doc({"rank": s.rank, "nullity": s.nullity,
-                "loops": list(s.loops), "isthmuses": list(s.isthmuses),
-                "n_cyclic_flats": s.n_cyclic_flats})
+    m = _load_matroid(args.file)
+    _print_doc({"rank": m.matroid_rank, "nullity": m.nullity,
+                "loops": list(m.ground.names(m.loops())),
+                "isthmuses": list(m.ground.names(m.isthmuses())),
+                "n_cyclic_flats": len(m.flats)})
     return 0
 
 
-def _emit(m: Matroid) -> int:
-    sys.stdout.write(io.emit_matroid(m))
-    return 0
+def cmd_one_matroid(args) -> int:
+    """dual, truncate and lift: the operation on the file's matroid.  It
+    is looked up when the command runs, so perfbench's tracer, which
+    rebinds the library's functions, sees the call."""
+    op = {"dual": ops.dual, "truncate": ops.truncate,
+          "lift": ops.higgs_lift}[args.command]
+    return _emit(op(_load_matroid(args.file)))
 
 
-def cmd_dual(args) -> int:
-    return _emit(ops.dual(_load_matroid(args.file)))
+command("dual", "dual matroid", FILE)(cmd_one_matroid)
 
 
+@command("minor", "contract/delete minor", FILE,
+         arg("--contract", default=""), arg("--delete", default=""))
 def cmd_minor(args) -> int:
     m = _load_matroid(args.file)
     spec = ops.MinorSpec(_parse_set(m.ground, args.contract),
@@ -100,29 +156,34 @@ def cmd_minor(args) -> int:
     return _emit(ops.minor(m, spec))
 
 
+@command("relax", "drop a relaxable cyclic flat", FILE,
+         arg("--flat", required=True))
 def cmd_relax(args) -> int:
     m = _load_matroid(args.file)
     return _emit(ops.relax(m, _parse_set(m.ground, args.flat)))
 
 
-def cmd_directsum(args) -> int:
-    return _emit(ops.direct_sum(_load_matroid(args.left),
-                                _load_matroid(args.right)))
+def cmd_two_matroids(args) -> int:
+    """directsum and freeprod: the operation on the two files' matroids,
+    looked up when the command runs (as in cmd_one_matroid)."""
+    op = {"directsum": ops.direct_sum,
+          "freeprod": free_product}[args.command]
+    return _emit(op(_load_matroid(args.left), _load_matroid(args.right)))
 
 
-def cmd_freeprod(args) -> int:
-    return _emit(free_product(_load_matroid(args.left),
-                              _load_matroid(args.right)))
+command("directsum", "direct sum of two matroids", LEFT, RIGHT)(
+    cmd_two_matroids)
+command("freeprod", "free product of two matroids", LEFT, RIGHT)(
+    cmd_two_matroids)
+command("truncate", "truncation", FILE)(cmd_one_matroid)
+command("lift", "Higgs lift", FILE)(cmd_one_matroid)
 
 
-def cmd_truncate(args) -> int:
-    return _emit(ops.truncate(_load_matroid(args.file)))
-
-
-def cmd_lift(args) -> int:
-    return _emit(ops.higgs_lift(_load_matroid(args.file)))
-
-
+@command("tutte", "Tutte polynomial",
+         arg("files", nargs="+",
+             help="one matroid file: T(M) from its cyclic flats; two "
+                  "factor files: T(M box N) from the factors' rank "
+                  "generating matrices"))
 def cmd_tutte(args) -> int:
     if len(args.files) == 1:
         poly = tutte.tutte_polynomial(_load_matroid(args.files[0]))
@@ -138,79 +199,70 @@ def cmd_tutte(args) -> int:
     return 0
 
 
+@command("width", "cyclic width", FILE)
 def cmd_width(args) -> int:
     print(widths.cyclic_width(_load_matroid(args.file)))
     return 0
 
 
+@command("nested", "nested test and i/f sequence", FILE)
 def cmd_nested(args) -> int:
     m = _load_matroid(args.file)
     try:
         seq = build.nested_sequence_of(m)
     except NotNested:
-        print("nested: false")
-        return 1
-    print("nested: true")
+        return _verdict("nested", False)
+    _verdict("nested", True)
     print(f"sequence: {seq}")
     return 0
 
 
+@command("minor-test", "search for a minor", arg("host"), arg("pattern"))
 def cmd_minor_test(args) -> int:
     m = _load_matroid(args.host)
-    n = _load_matroid(args.pattern)
-    found, spec = ops.has_minor(m, n)
-    if not found:
-        print("minor: false")
-        return 1
-    print("minor: true")
-    _print_doc({"contract": list(m.ground.names(spec.contract)),
-                "delete": list(m.ground.names(spec.delete))})
-    return 0
+    found, spec = ops.has_minor(m, _load_matroid(args.pattern))
+    return _verdict("minor", found,
+                    _spec_doc(m.ground, spec) if found else None)
 
 
+@command("iso", "isomorphism with witness", LEFT, RIGHT)
 def cmd_iso(args) -> int:
     ok, witness = ops.is_isomorphic(_load_matroid(args.left),
                                     _load_matroid(args.right))
-    if not ok:
-        print("isomorphic: false")
-        return 1
-    print("isomorphic: true")
-    _print_doc({"witness": dict(sorted(witness.items()))})
-    return 0
+    return _verdict("isomorphic", ok,
+                    {"witness": dict(sorted(witness.items()))} if ok else None)
 
 
+@command("realize", "matroid whose cyclic-flat lattice matches a given "
+         "lattice", FILE, arg("--sublattice", action="store_true"))
 def cmd_realize(args) -> int:
     lat = io.parse_lattice(args.file)
     variant = "sublattice" if args.sublattice else "plain"
     return _emit(build.realize_lattice(lat, variant).matroid)
 
 
+@command("ingleton", "transversality condition", FILE)
 def cmd_ingleton(args) -> int:
     m = _load_matroid(args.file)
     ok, witness = widths.ingleton_transversal(m)
-    if ok:
-        print("transversal-condition: true")
-        return 0
-    print("transversal-condition: false")
-    _print_doc({"antichain": [list(m.ground.names(f)) for f in witness]})
-    return 1
+    return _verdict("transversal-condition", ok, None if ok else
+                    {"antichain": [list(m.ground.names(f)) for f in witness]})
 
 
+@command("bitransversal", "transversality of the matroid and its dual",
+         FILE)
 def cmd_bitransversal(args) -> int:
-    ok = widths.bitransversal_cert(_load_matroid(args.file))
-    print("bitransversal: true" if ok else "bitransversal: false")
-    return 0 if ok else 1
+    return _verdict("bitransversal",
+                    widths.bitransversal_cert(_load_matroid(args.file)))
 
 
+@command("chain-minor", "uniform minor extracted from a chain of cyclic "
+         "flats", FILE, arg("--k", type=int, required=True))
 def cmd_chain_minor(args) -> int:
     m = _load_matroid(args.file)
     cm = build.uniform_minor_from_chain(m, args.k)
-    _print_doc({
-        "raw": {"contract": list(m.ground.names(cm.raw.contract)),
-                "delete": list(m.ground.names(cm.raw.delete))},
-        "trimmed": {"contract": list(m.ground.names(cm.trimmed.contract)),
-                    "delete": list(m.ground.names(cm.trimmed.delete))},
-    })
+    _print_doc({"raw": _spec_doc(m.ground, cm.raw),
+                "trimmed": _spec_doc(m.ground, cm.trimmed)})
     return 0
 
 
@@ -218,6 +270,9 @@ GEN_PARAMS = {"uniform": "R N", "pn": "N", "gimenez": "N [SIGMA]",
               "nested": "[SEQ]", "catalog": "NAME"}
 
 
+@command("gen", "generators: " + " | ".join(
+             f"{kind} {params}" for kind, params in GEN_PARAMS.items()),
+         arg("kind", choices=list(GEN_PARAMS)), arg("params", nargs="*"))
 def cmd_gen(args) -> int:
     usage = GEN_PARAMS[args.kind].split()
     if not (sum(not u.startswith("[") for u in usage)
@@ -236,10 +291,8 @@ def cmd_gen(args) -> int:
         m = build.gimenez_family(n, sigma)
     elif args.kind == "nested":
         m = build.nested_from_sequence(args.params[0] if args.params else "")
-    elif args.kind == "catalog":
+    else:  # catalog; argparse's choices reject any other kind
         m = build.catalog(args.params[0])
-    else:
-        raise CycflatsError(f"unknown generator {args.kind!r}")
     return _emit(m)
 
 
@@ -248,78 +301,11 @@ def make_parser() -> argparse.ArgumentParser:
         prog="cycflats",
         description="Matroids represented by cyclic flats and ranks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    for name, (help, arguments, fn) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("validate", cmd_validate, help="check the Z0-Z3 conditions")
-    p.add_argument("file")
-    p = add("rank", cmd_rank, help="rank of a subset")
-    p.add_argument("file")
-    p.add_argument("--set", required=True, help="comma-separated labels")
-    p = add("independent", cmd_independent, help="independence of a subset")
-    p.add_argument("file")
-    p.add_argument("--set", required=True)
-    p = add("circuits", cmd_circuits, help="all circuits")
-    p.add_argument("file")
-    p = add("cyclic-flats", cmd_cyclic_flats,
-            help="recompute cyclic flats and report the fixpoint check")
-    p.add_argument("file")
-    p = add("stats", cmd_stats, help="rank, nullity, loops, isthmuses")
-    p.add_argument("file")
-    p = add("dual", cmd_dual, help="dual matroid")
-    p.add_argument("file")
-    p = add("minor", cmd_minor, help="contract/delete minor")
-    p.add_argument("file")
-    p.add_argument("--contract", default="")
-    p.add_argument("--delete", default="")
-    p = add("relax", cmd_relax, help="drop a relaxable cyclic flat")
-    p.add_argument("file")
-    p.add_argument("--flat", required=True)
-    p = add("directsum", cmd_directsum, help="direct sum of two matroids")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("freeprod", cmd_freeprod, help="free product of two matroids")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("truncate", cmd_truncate, help="truncation")
-    p.add_argument("file")
-    p = add("lift", cmd_lift, help="Higgs lift")
-    p.add_argument("file")
-    p = add("tutte", cmd_tutte, help="Tutte polynomial")
-    p.add_argument("files", nargs="+",
-                   help="one matroid file: T(M) from its cyclic flats; two "
-                        "factor files: T(M box N) from the factors' rank "
-                        "generating matrices")
-    p = add("width", cmd_width, help="cyclic width")
-    p.add_argument("file")
-    p = add("nested", cmd_nested, help="nested test and i/f sequence")
-    p.add_argument("file")
-    p = add("minor-test", cmd_minor_test, help="search for a minor")
-    p.add_argument("host")
-    p.add_argument("pattern")
-    p = add("iso", cmd_iso, help="isomorphism with witness")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("realize", cmd_realize,
-            help="matroid whose cyclic-flat lattice matches a given lattice")
-    p.add_argument("file")
-    p.add_argument("--sublattice", action="store_true")
-    p = add("ingleton", cmd_ingleton, help="transversality condition")
-    p.add_argument("file")
-    p = add("bitransversal", cmd_bitransversal,
-            help="transversality of the matroid and its dual")
-    p.add_argument("file")
-    p = add("chain-minor", cmd_chain_minor,
-            help="uniform minor extracted from a chain of cyclic flats")
-    p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
-    p = add("gen", cmd_gen, help="generators: " + " | ".join(
-        f"{kind} {params}" for kind, params in GEN_PARAMS.items()))
-    p.add_argument("kind", choices=list(GEN_PARAMS))
-    p.add_argument("params", nargs="*")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -330,10 +316,7 @@ def main(argv=None) -> int:
     except (NotRelaxable, NotNested, ChainTooShort, RankZero) as exc:
         print(f"violation: {exc}")
         return 1
-    except CycflatsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CycflatsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,6 +38,11 @@ def subset_key(mask: int) -> tuple:
             bin(mask ^ ((2 << mask.bit_length()) - 1))[:1:-1])
 
 
+def outside(mask: int) -> UnknownLabel:
+    """The error for a mask with a bit outside its ground set."""
+    return UnknownLabel(f"mask {mask:#x} outside ground set")
+
+
 def set_text(names: Iterable[str]) -> str:
     """Names in the given order, written like a set: {'a', 'b'} or {}."""
     return "{" + ", ".join(map(repr, names)) + "}"
@@ -120,6 +125,6 @@ class GroundSet:
     def names(self, mask: int) -> tuple[str, ...]:
         """Element names of a bitmask, in ground-set order."""
         if mask >> len(self.labels):
-            raise UnknownLabel(f"mask {mask:#x} outside ground set")
+            raise outside(mask)
         return tuple(self.labels[i] for i in bits(mask))
 

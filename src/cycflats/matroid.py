@@ -57,7 +57,8 @@ from math import comb, prod
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidParameters, NotAMatroid, TooLarge
-from .groundsets import GroundSet, bits, popcount, set_text, subset_key
+from .groundsets import (GroundSet, bits, outside, popcount, set_text,
+                         subset_key)
 from .lattices import _bound_lookups, _down_masks
 
 if TYPE_CHECKING:  # numpy is imported by the table functions that use it
@@ -136,7 +137,10 @@ class Matroid:
     flats and flat_ranks are parallel tuples in canonical subset order;
     factors holds, for each connected component E_i of the elements
     between the least and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over
-    Y in Z_i (module docstring), in order of least element.
+    Y in Z_i (module docstring), in order of least element.  The
+    oracles rank, rank_support, closure and is_independent raise
+    UnknownLabel for a mask outside the ground set: one that is negative
+    or has a bit at or past |E|.
     """
 
     __slots__ = ("ground", "flats", "flat_ranks", "factors", "bottom", "top",
@@ -192,6 +196,8 @@ class Matroid:
     def rank(self, a: int) -> int:
         """Rank of an arbitrary subset, factor by factor (module
         docstring)."""
+        if a & ~self.ground.full:
+            raise outside(a)
         rank = (a & ~self.top).bit_count()
         for e, pairs in self.factors:
             ae, best = a & e, e.bit_count()  # Y = {} gives at most |E_i|
@@ -224,6 +230,8 @@ class Matroid:
     def is_independent(self, i: int) -> bool:
         """True iff |I n X| <= r(X) for every cyclic flat X: I avoids the
         loops and meets each Y of each factor in at most r_i(Y)."""
+        if i & ~self.ground.full:
+            raise outside(i)
         return not i & self.bottom and all(
             (i & y).bit_count() <= r
             for _, pairs in self.factors for y, r in pairs)
@@ -239,6 +247,8 @@ class Matroid:
         one attaining Y of each factor, so the intersection and union are
         0_Z with those of each factor (_support).
         """
+        if a & ~self.ground.full:
+            raise outside(a)
         rank = (a & ~self.top).bit_count()
         inter = union = self.bottom
         for e, pairs in self.factors:
@@ -584,22 +594,3 @@ def _fixpoint_sweep(ranks, good, elements, unit) -> None:
         up = v[:, 1] > v[:, 0]
         g[:, 0] &= up   # closed: adding x raises the rank
         g[:, 1] &= ~up  # no isthmus: removing x keeps the rank
-
-
-@dataclass(frozen=True)
-class BasicStats:
-    rank: int
-    nullity: int
-    loops: tuple[str, ...]
-    isthmuses: tuple[str, ...]
-    n_cyclic_flats: int
-
-
-def basic_stats(m: Matroid) -> BasicStats:
-    return BasicStats(
-        rank=m.matroid_rank,
-        nullity=m.nullity,
-        loops=m.ground.names(m.loops()),
-        isthmuses=m.ground.names(m.isthmuses()),
-        n_cyclic_flats=len(m.flats),
-    )

@@ -146,6 +146,8 @@ def _factor_minor_flats(pairs, c: int, d: int) -> dict[int, int]:
 
 def restriction(m: Matroid, keep: int) -> Matroid:
     """m restricted to the subset keep (delete everything else)."""
+    if keep & ~m.ground.full:
+        raise InvalidParameters("restriction outside ground set")
     return minor(m, MinorSpec(0, m.ground.full & ~keep))
 
 

@@ -631,6 +631,22 @@ class TestRandomGenerators:
             assert isinstance(m, cf.Matroid)
             assert len(m.ground) <= 10
 
+    def test_random_matroid_size_edges(self):
+        # max_elems = 1 gives one-element matroids; less is an error
+        for s in range(30):
+            assert len(cf.random_matroid(random.Random(s), 1).ground) == 1
+        for bad in (0, -1):
+            with pytest.raises(cf.InvalidParameters, match=">= 1"):
+                cf.random_matroid(random.Random(0), bad)
+
+    def test_random_cw2_size_edges(self):
+        for s in range(30):
+            m = cf.random_cw2_matroid(random.Random(s), 2)
+            assert len(m.ground) == 2
+        for bad in (1, 0):
+            with pytest.raises(cf.InvalidParameters, match=">= 2"):
+                cf.random_cw2_matroid(random.Random(0), bad)
+
     def test_random_cw2(self):
         for s in range(25):
             m = cf.random_cw2_matroid(random.Random(s))

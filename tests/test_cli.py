@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
-from cycflats import io, lattices
+from cycflats import cli, io, lattices
 from cycflats.cli import GEN_PARAMS, main, make_parser
 from cycflats.widths import ANTICHAIN_CAP
 
@@ -134,6 +134,30 @@ class TestQueries:
         assert code == 0
         assert doc == {"rank": 2, "nullity": 2, "loops": [],
                        "isthmuses": [], "n_cyclic_flats": 3}
+
+
+class TestStats:
+    def stats(self, run, tmp_path, m):
+        path = tmp_path / "m.json"
+        path.write_text(io.emit_matroid(m))
+        code, out, _ = run("stats", path)
+        assert code == 0
+        return json.loads(out)
+
+    def test_u24(self, run, tmp_path, catalog):
+        assert self.stats(run, tmp_path, catalog["u24"]) == {
+            "rank": 2, "nullity": 2, "loops": [], "isthmuses": [],
+            "n_cyclic_flats": 2}
+
+    def test_loops_and_isthmuses(self, run, tmp_path, catalog):
+        assert self.stats(run, tmp_path, catalog["u01+u11"]) == {
+            "rank": 1, "nullity": 1, "loops": ["a1"], "isthmuses": ["b1"],
+            "n_cyclic_flats": 1}
+
+    def test_free_matroid(self, run, tmp_path, catalog):
+        assert self.stats(run, tmp_path, catalog["u33"]) == {
+            "rank": 3, "nullity": 0, "loops": [],
+            "isthmuses": ["e1", "e2", "e3"], "n_cyclic_flats": 1}
 
 
 class TestOperations:
@@ -278,6 +302,13 @@ def test_readme_python_blocks():
     assert ns["t"] == {(0, 1): 2, (0, 2): 1, (1, 0): 2, (2, 0): 1}
     assert cyclic_width == width == 4
     assert which == "Z2"
+
+
+def test_readme_names_every_subcommand():
+    # README's "Subcommands:" sentence lists the parser's commands in order
+    sentence = README.read_text().split("Subcommands:", 1)[1]
+    names = re.findall(r"`([^`]+)`", sentence.split(".", 1)[0])
+    assert names == list(cli.COMMANDS)
 
 
 def test_readme_cap_table():
@@ -628,11 +659,6 @@ valid_matroid_docs = st.one_of(
 documents = st.one_of(some_labels.flatmap(_matroid_docs), valid_matroid_docs,
                       some_labels.flatmap(_lattice_docs), any_json)
 
-COMMANDS = [
-    "validate", "rank", "independent", "circuits", "cyclic-flats", "stats",
-    "dual", "minor", "relax", "directsum", "freeprod", "truncate", "lift",
-    "tutte", "width", "nested", "minor-test", "iso", "realize", "ingleton",
-    "bitransversal", "chain-minor", "gen"]
 FILES = [str(FX / name) for name in (
     "u24.json", "mk4.json", "p2.json", "nested_ifif.json", "invalid_z2.json",
     "bad_schema.json", "lattice_b2.json", "missing.json")]
@@ -641,7 +667,7 @@ OPTIONS = [
     "--method", "brute", "convolution", "--sublattice", "12", "12,13", "e1",
     "a1,b1", "0", "1", "2", "3", "-1", "x", "2,1", "if"]
 argvs = st.builds(lambda command, files, rest: [command] + files + rest,
-                  st.sampled_from(COMMANDS),
+                  st.sampled_from(list(cli.COMMANDS)),
                   st.lists(st.sampled_from(FILES), min_size=1, max_size=2),
                   st.lists(st.sampled_from(OPTIONS), max_size=2))
 

@@ -617,6 +617,19 @@ class TestFixpointAgainstStridedSweep:
             assert cf.cyclic_flats_recompute(m) == _fixpoint_strided(m), seed
 
 
+class TestMasksOutsideTheGroundSet:
+    # a negative mask, or one with a bit at or past |E|, names no subset
+    @pytest.mark.parametrize("oracle", ["rank", "rank_support",
+                                        "is_independent", "closure"])
+    def test_oracle_raises(self, catalog, oracle):
+        u12, mk4 = cf.uniform(1, 2), catalog["mk4"]
+        for m, a in [(u12, -1), (u12, -2), (u12, 1 << 2), (u12, 1 << 5),
+                     (mk4, 0b1000_0111), (mk4, -1 << 6)]:
+            with pytest.raises(cf.UnknownLabel,
+                               match=f"^mask {a:#x} outside ground set$"):
+                getattr(m, oracle)(a)
+
+
 class TestIndependence:
     def test_matches_rank(self, small_catalog):
         for name, m in small_catalog.items():
@@ -814,25 +827,6 @@ class TestDensePathAtCap:
         coeffs, peak = self.peak_over_table(lambda: cf.rank_gen_brute(m))
         assert peak <= 3.3, peak
         assert coeffs == cf.rank_gen(m)
-
-
-class TestBasicStats:
-    def test_u24(self, catalog):
-        s = cf.basic_stats(catalog["u24"])
-        assert (s.rank, s.nullity, s.loops, s.isthmuses) == (2, 2, (), ())
-        assert s.n_cyclic_flats == 2
-
-    def test_loops_and_isthmuses(self, catalog):
-        s = cf.basic_stats(catalog["u01+u11"])
-        assert s.loops == ("a1",)
-        assert s.isthmuses == ("b1",)
-        assert (s.rank, s.nullity) == (1, 1)
-
-    def test_free_matroid(self, catalog):
-        s = cf.basic_stats(catalog["u33"])
-        assert s.loops == ()
-        assert len(s.isthmuses) == 3
-        assert s.n_cyclic_flats == 1
 
 
 class TestRankedFamily:

@@ -60,6 +60,12 @@ class TestMinor:
         with pytest.raises(cf.InvalidParameters):
             cf.minor(catalog["u24"], cf.MinorSpec(1 << 5, 0))
 
+    def test_restriction_outside_ground(self, catalog):
+        m = catalog["u24"]
+        for keep in (1 << 4, -1, m.ground.full | 1 << 7):
+            with pytest.raises(cf.InvalidParameters):
+                cf.restriction(m, keep)
+
     def test_uniform_delete(self, catalog):
         m = catalog["u25"]
         got = cf.restriction(m, m.ground.mask(["e1", "e2", "e3", "e4"]))
