@@ -66,7 +66,11 @@ def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
     v = [((1 << k) - 1) & ~u for u in _converse(lat.down)]  # V_z
     if variant == "plain":
         names = [e for i, e in enumerate(lat.elements) if i != lat.top]
-        labels = names + [f"s:{e}" for e in lat.elements]
+        prefix = "s:"  # lengthened while a satellite takes a name of B
+        labels = names + [prefix + e for e in lat.elements]
+        while len(set(labels)) < len(labels):
+            prefix = "s" + prefix
+            labels = names + [prefix + e for e in lat.elements]
         # B's positions are the lattice indices with the top's taken
         # out: no V_z holds the top, so the bits above it move down one
         low = (1 << lat.top) - 1

@@ -48,37 +48,33 @@ def set_text(names: Iterable[str]) -> str:
     return "{" + ", ".join(map(repr, names)) + "}"
 
 
-def element_classes(family, support: int) -> dict[int, int]:
-    """The elements of support grouped by their up-set {i : x in family[i]}:
-    maps each up-set, as a mask over indices of family, to its elements'
-    mask.  Classes come in order of their first element.
-
-    The up-sets are the columns of the bit matrix with one row per
-    member, last member first: zip transposes its rows as strings.
-    """
-    width = support.bit_length()
-    rows = [format(f & support, f"0{width}b") for f in reversed(family)]
-    ups = [int("".join(col), 2) for col in zip(*rows)] or [0] * width
-    classes: dict[int, int] = {}
-    for x in bits(support):
-        u = ups[width - 1 - x]
-        classes[u] = classes.get(u, 0) | (1 << x)
-    return classes
+def atoms(support: int, sets) -> list[int]:
+    """The atoms of the partition of support that sets generate (the
+    maximal subsets that each set holds whole or misses), in order of
+    their least element: each set splits every part it cuts in two."""
+    parts = [support] if support else []
+    for s in sets:
+        s &= support
+        if 0 < s < support:
+            for i in range(len(parts)):
+                p, q = parts[i], parts[i] & s
+                if 0 < q < p:
+                    parts[i] = q
+                    parts.append(p ^ q)
+    return sorted(parts, key=lambda p: p & -p)
 
 
 def class_profile(family, support: int) -> tuple[list[int], list[int]]:
-    """The element classes of element_classes, as a list of element masks
-    in order of their first element, with each member family[i] written
-    as the mask of the classes inside it (bit c set iff class c lies in
-    family[i]).  A set that is a union of classes is so determined by
-    how many elements it takes from each class: its class-count profile.
+    """The element classes of support under family (its atoms: elements
+    lying in the same members), as element masks in order of their first
+    element, with each member family[i] written as the mask of the
+    classes inside it (bit c set iff class c lies in family[i]).  A set
+    that is a union of classes is so determined by how many elements it
+    takes from each class: its class-count profile.
     """
-    classes = element_classes(family, support)
-    inside = [0] * len(family)
-    for c, up in enumerate(classes):
-        for i in bits(up):
-            inside[i] |= 1 << c
-    return list(classes.values()), inside
+    classes = atoms(support, family)
+    class_bits = [(p, 1 << c) for c, p in enumerate(classes)]
+    return classes, [sum(b for p, b in class_bits if p & f) for f in family]
 
 
 class GroundSet:

@@ -18,21 +18,23 @@ A product is found from Z alone and decided one factor at a time.  Let
 0 and 1 be the least and greatest members and N = 1 - 0.  A member F
 whose complement G = (1 - F) u 0 is a member too, with r(F) + r(G) =
 r(1), has F - 0 a separator of M|N; every separator S of M|N arises so,
-from F = S u 0, and the connected components of M|N are the atoms these
-separators generate (_product_split, one lookup per member).  Let
-E_1, ..., E_p be those atoms, Z_i = {X n E_i : X in Z} and
-r_i(A) = r(A u 0).  If every member lies between 0 and 1, Z = Z_1 x ...
-x Z_p (that is, |Z| = |Z_1| ... |Z_p|, as X -> (X n E_i) is then
-injective) and r(X) = sum of r_i(X n E_i) for every member X, then
-inclusion, meet and join go componentwise, so Z is a lattice iff every
-Z_i is, and the slacks r(Y) - r(X), |Y - X| of Z2 and r(X) + r(Y) -
-r(XvY) - r(X^Y) - |(X n Y) - (X^Y)| of Z3 are sums over the factors,
-where a factor with equal or comparable components adds 0 to the Z3
-slack.  Hence Z meets Z0-Z3 iff every (Z_i, r_i) does (Z1 included, as
-r_i of the empty set is r(0)): a failing pair of Z_i is a failing pair
-of Z once the empty set fills in the other components.  So the direct
-sum of m factors of k flats each costs m k^2 pair checks, not k^(2m).
-Any failure is reported by the whole sweep, with its witnesses.
+from F = S u 0, and the connected components of M|N are the atoms of
+the partition of N that these separators generate (_product_split: one
+lookup per member that cuts N, then groundsets.atoms, the rule that
+also gives the element classes).  Let E_1, ..., E_p be those atoms,
+Z_i = {X n E_i : X in Z} and r_i(A) = r(A u 0).  If every member lies
+between 0 and 1, Z = Z_1 x ... x Z_p (that is, |Z| = |Z_1| ... |Z_p|,
+as X -> (X n E_i) is then injective) and r(X) = sum of r_i(X n E_i)
+for every member X, then inclusion, meet and join go componentwise, so
+Z is a lattice iff every Z_i is, and the slacks r(Y) - r(X), |Y - X|
+of Z2 and r(X) + r(Y) - r(XvY) - r(X^Y) - |(X n Y) - (X^Y)| of Z3 are
+sums over the factors, where a factor with equal or comparable
+components adds 0 to the Z3 slack.  Hence Z meets Z0-Z3 iff every
+(Z_i, r_i) does (Z1 included, as r_i of the empty set is r(0)): a
+failing pair of Z_i is a failing pair of Z once the empty set fills in
+the other components.  So the direct sum of m factors of k flats each
+costs m k^2 pair checks, not k^(2m).  Any failure is reported by the
+whole sweep, with its witnesses.
 
 A valid family always passes that check, so every Matroid keeps its
 factors: each E_i with the pairs (Y, r_i(Y)) for Y in Z_i, one factor
@@ -57,8 +59,8 @@ from math import comb, prod
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidParameters, NotAMatroid, TooLarge
-from .groundsets import (GroundSet, bits, outside, popcount, set_text,
-                         subset_key)
+from .groundsets import (GroundSet, atoms, bits, outside, popcount,
+                         set_text, subset_key)
 from .lattices import _bound_lookups, _down_masks
 
 if TYPE_CHECKING:  # numpy is imported by the table functions that use it
@@ -388,24 +390,20 @@ def _sweep(ground, masks, ranks) -> list[AxiomViolation]:
 
 
 def _product_split(entries) -> list[int]:
-    """The atoms E_1, ..., E_p of the separators F - 0 of the module
-    docstring, read off a ranked family {mask: rank} in canonical order,
-    in order of least element.  They partition 1 - 0; for a matroid they
-    are the connected components of M restricted to 1 - 0.
+    """The atoms E_1, ..., E_p (groundsets.atoms) that the separators
+    F - 0 of the module docstring generate in 1 - 0, read off a ranked
+    family {mask: rank} in canonical order.  For a matroid they are the
+    connected components of M restricted to 1 - 0.
 
-    Each member F is one lookup of its complement (1 - F) u 0.  Every
-    separator splits each part found so far in two.
+    A member F that cuts 1 - 0 costs one lookup, of its complement
+    (1 - F) u 0.
     """
     base, top = next(iter(entries)), next(reversed(entries))
     whole, support = entries[top], top & ~base
-    parts = [support] if support else []
-    for f, rf in entries.items():
-        s = f & support
-        if 0 < s < support:
-            rg = entries.get((top & ~f) | base)
-            if rg is not None and rf + rg == whole:
-                parts = [q for p in parts for q in (p & s, p & ~s) if q]
-    return sorted(parts, key=lambda p: p & -p)
+    return atoms(support, [
+        f for f, rf in entries.items()
+        if 0 < f & support < support
+        and entries.get((top & ~f) | base) == whole - rf])
 
 
 def _factors(entries):

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
-from .groundsets import (GroundSet, bits, class_profile, popcount, set_text,
-                         subset_key)
+from .groundsets import (GroundSet, atoms, bits, class_profile, popcount,
+                         set_text, subset_key)
 from .matroid import Matroid, _assemble, _support
 from .lattices import _down_masks, _order_isomorphism
 
@@ -287,14 +287,15 @@ def has_minor(m: Matroid, n: Matroid):
     lexicographically by sorted index tuple, and for each, delete sets
     likewise.
 
-    Elements of one class (element_classes: they lie in the same cyclic
-    flats) are exchanged by automorphisms of m, so only the orbit-minimal
-    pairs are tried, one per pair of class-count profiles: for each size
-    of C, the contract sets C of _orbit_sets(classes, 0, |C|), and for
-    each C the delete sets D of _orbit_sets(classes, C, |m| - |n| - |C|).
-    Moving an element of C (then of D) to a lower unused one of its class
-    never raises a pair's place in the order, and both walks follow it,
-    so the first pair found is the least witness.
+    Elements of one class (groundsets.atoms of the cyclic flats: they
+    lie in the same cyclic flats) are exchanged by automorphisms of m,
+    so only the orbit-minimal pairs are tried, one per pair of
+    class-count profiles: for each size of C, the contract sets C of
+    _orbit_sets(classes, 0, |C|), and for each C the delete sets D of
+    _orbit_sets(classes, C, |m| - |n| - |C|).  Moving an element of C
+    (then of D) to a lower unused one of its class never raises a pair's
+    place in the order, and both walks follow it, so the first pair
+    found is the least witness.
 
     A C with r(C) > r(m) - r(n) or |C| - r(C) > nullity(m) - nullity(n)
     is skipped before any D, as m / C \\ D has rank at most r(m) - r(C)
@@ -313,7 +314,7 @@ def has_minor(m: Matroid, n: Matroid):
             or n.nullity > m.nullity:
         return False, None
     removed = size_m - size_n
-    classes, _ = class_profile(m.flats, m.ground.full)
+    classes = atoms(m.ground.full, m.flats)
     pairs = _profile_pairs([popcount(k) for k in classes], removed)
     if pairs > MINOR_SEARCH_CAP:
         raise TooLarge(

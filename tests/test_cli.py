@@ -618,6 +618,31 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
 
+PARSE_ERRORS = [
+    ("validate", {"ground": "ab", "cyclic_flats": []},
+     "'ground' must be an array of strings"),
+    ("validate", {"ground": ["a"], "cyclic_flats": [{"set": ["a"]}]},
+     "cyclic_flats[0] needs fields 'set' and 'rank'"),
+    ("validate", {"ground": ["a"], "cyclic_flats": [
+        {"set": [], "rank": 0}, {"set": ["a"], "rank": "1"}]},
+     "cyclic_flats[1].rank must be an integer"),
+    ("realize", {"elements": ["a", 1], "covers": []},
+     "'elements' must be an array of strings"),
+    ("validate", '{"ground": ["a"],\n "cyclic_flats": [}',
+     "{path}: line 2: Expecting value"),
+]
+
+
+class TestParseErrorMessages:
+    @pytest.mark.parametrize("command,doc,message", PARSE_ERRORS)
+    def test_message(self, run, tmp_path, command, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run(command, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(path=path)}\n"
+
+
 # -- property: main() keeps the 0/1/2 exit-code contract --------------------
 
 LABELS = ["a", "b", "c", "d", "e"]

@@ -5,7 +5,7 @@ import pytest
 
 import cycflats as cf
 from cycflats import lattices, ops
-from cycflats.groundsets import bits, element_classes
+from cycflats.groundsets import atoms, bits
 from cycflats.lattices import (FiniteLattice, _least_lattices,
                                family_lattice_tables)
 
@@ -46,6 +46,11 @@ class TestLatticeFromCovers:
              ("a", "1"), ("b", "1"), ("c", "1")])
         assert len(lat) == 5
         assert lat.join("a", "b") == "1"
+
+    def test_unknown_cover_element(self):
+        with pytest.raises(cf.UnknownLabel,
+                           match=r"^unknown cover element in \('a', 'z'\)$"):
+            cf.lattice_from_covers(["a", "b"], [("a", "b"), ("a", "z")])
 
     def test_cyclic_covers(self):
         with pytest.raises(cf.CyclicCovers):
@@ -209,6 +214,15 @@ class TestPosetIsomorphic:
         m = cf.realize_lattice(b2).matroid
         assert cf.poset_isomorphic(m.flats, b2)[0]
 
+    def test_crowns_run_out_of_candidates(self):
+        # singletons under triples, as two 4-cycles against one 8-cycle:
+        # every node has one refined signature, so the search tries each
+        # candidate for the first node and fails
+        singles = ["a", "b", "c", "d"]
+        two = fam("abcdwxyz", *singles, "abw", "abx", "cdy", "cdz")
+        one = fam("abcdwxyz", *singles, "abw", "bcx", "cdy", "daz")
+        assert cf.poset_isomorphic(two, one) == (False, None)
+
     def test_repeated_mask_raises(self):
         with pytest.raises(cf.DuplicateSet):
             cf.poset_isomorphic([0, 1, 1], [0, 1, 1])
@@ -282,7 +296,7 @@ class TestOrderIsomorphismLoop:
             other = cf.random_matroid(random.Random(seed + 1000), 8)
             sizes.clear()
             found += cf.is_isomorphic(m, n)[0]
-            classes = len(element_classes(m.flats, m.ground.full))
+            classes = len(atoms(m.ground.full, m.flats))
             assert sizes == [len(m.flats) + classes]
             cf.is_isomorphic(m, other)
         assert found == 150

@@ -10,7 +10,7 @@ import pytest
 import cycflats as cf
 from conftest import rank_support_scan
 from cycflats import matroid
-from cycflats.groundsets import (bits, element_classes, popcount, set_text,
+from cycflats.groundsets import (bits, class_profile, popcount, set_text,
                                  subset_key)
 from cycflats.lattices import family_lattice_tables
 from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP, _grid_ranks
@@ -843,6 +843,12 @@ class TestRankedFamily:
         with pytest.raises(cf.InvalidParameters):
             rf("ab", [("", 0.5)])
 
+    def test_subset_outside_ground_rejected(self):
+        with pytest.raises(cf.InvalidParameters,
+                           match=r"^subset 0x4 outside ground set "
+                                 r"\('a', 'b'\)$"):
+            cf.RankedFamily(cf.GroundSet("ab"), [(0, 0), (0b100, 1)])
+
     def test_canonical_order(self):
         fam = rf("abc", [("abc", 2), ("", 0), ("ab", 1)])
         g = fam.ground
@@ -879,8 +885,26 @@ class TestElementClasses:
             for x in bits(support):
                 u = sum(1 << i for i, f in enumerate(family) if f >> x & 1)
                 want[u] = want.get(u, 0) | 1 << x
-            got = element_classes(family, support)
-            assert list(got.items()) == list(want.items())
+            classes, inside = class_profile(family, support)
+            assert classes == list(want.values())
+            assert inside == [
+                sum(1 << c for c, u in enumerate(want) if u >> i & 1)
+                for i in range(len(family))]
+
+
+class TestGroundSet:
+    def test_duplicate_labels(self):
+        with pytest.raises(cf.DuplicateSet,
+                           match=r"^duplicate labels in ground set: "
+                                 r"\('a', 'b', 'a'\)$"):
+            cf.GroundSet("aba")
+
+    def test_names_outside(self):
+        g = cf.GroundSet("ab")
+        assert g.names(0b11) == ("a", "b")
+        with pytest.raises(cf.UnknownLabel,
+                           match="^mask 0x4 outside ground set$"):
+            g.names(0b100)
 
 
 class TestWitnessText:

@@ -401,6 +401,17 @@ class TestIsomorphism:
         assert cf.is_isomorphic(host(3, [2, 3, 1]),
                                 host(3, [3, 1, 2])) == (False, None)
 
+    def test_sparse_paving_rank_4_pair(self):
+        # eight circuit-hyperplanes each; every node of either poset has
+        # one refined signature, so the search decides it
+        def paving(quads):
+            return cf.Matroid.from_labels("01234567", [("", 0)] + [
+                (q, 3) for q in quads.split()] + [("01234567", 4)])
+
+        m = paving("0147 0156 0257 0346 1237 1246 2345 3567")
+        n = paving("0167 0257 0347 0456 1237 1256 1346 2345")
+        assert cf.is_isomorphic(m, n) == (False, None)
+
     def test_past_former_element_cap(self):
         # 18 elements and 216 flats; 29 elements
         k4 = cf.catalog("mk4")

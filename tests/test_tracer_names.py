@@ -2,18 +2,25 @@
 functions by (module, name); a rename in cycflats must not orphan one."""
 
 import importlib
+import sys
 from pathlib import Path
 
 import cycflats as cf
+import cycflats.cli  # noqa: F401  (loads every module install() rebinds)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def tracer_lists():
-    """SPANNED and COUNTED from the tracer's source, executed without
-    importing it as a module (so no bytecode is written next to it)."""
+def tracer_namespace():
+    """The tracer's source, executed without importing it as a module
+    (so no bytecode is written next to it)."""
     namespace = {"__name__": "perfbench_tracer"}
     exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    return namespace
+
+
+def tracer_lists():
+    namespace = tracer_namespace()
     return namespace["SPANNED"], namespace["COUNTED"]
 
 
@@ -38,3 +45,27 @@ def test_lattice_reads_of_the_workloads_resolve():
                    for i, d in enumerate(lat.down))
         assert all(lo in lat.elements and hi in lat.elements
                    for lo, hi in lat.covers())
+
+
+def test_installed_hooks_count_and_uninstall_restores():
+    """The hooks read matroid.AxiomViolation and Matroid._table; a traced
+    run of catalog("mk4") and its rank table counts one validate call
+    and 2^6 table entries, and uninstall puts every binding back."""
+    tracer = tracer_namespace()["Tracer"]()
+    modules = {name: dict(vars(mod)) for name, mod in sys.modules.items()
+               if name == "cycflats" or name.startswith("cycflats.")}
+    methods = dict(vars(cf.Matroid))
+    tracer.install()
+    try:
+        cf.catalog("mk4").rank_table()
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["matroid.validate"] == 1
+    assert tracer.calls["matroid.Matroid.rank_table"] == 1
+    assert tracer.extra["matroid.Matroid.rank_table.entries"] == 64
+    for name, before in modules.items():
+        after = vars(sys.modules[name])
+        assert all(after[attr] is value for attr, value in before.items()), \
+            name
+    assert all(vars(cf.Matroid)[attr] is value
+               for attr, value in methods.items())
