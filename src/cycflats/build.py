@@ -265,13 +265,7 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
     isets, fsets = [0], [chain[0]]  # j = 0: X_0 is all loops (free part)
     for j in range(1, k + 2):
         diff = chain[j] & ~chain[j - 1]
-        ni = ranks[j] - ranks[j - 1]
-        iset = 0
-        for x in bits(diff):
-            if ni == 0:
-                break
-            iset |= 1 << x
-            ni -= 1
+        iset = _lowest(diff, ranks[j] - ranks[j - 1])
         isets.append(iset)
         fsets.append(diff & ~iset)
     delete = m.ground.full & ~chain[k + 1]  # restrict to X_{k+1}
@@ -280,20 +274,22 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
         delete |= fsets[j]
     raw = MinorSpec(isets[k + 1], delete)
     rank = m.rank(m.ground.full & ~delete) - m.rank(raw.contract)
-    kept = list(bits(m.ground.full & ~(raw.contract | delete)))
-    extra_contract_n = rank - k
-    extra_delete_n = len(kept) - rank - 2
-    extra_contract = extra_delete = 0
-    for taken, i in enumerate(kept):
-        if taken < extra_contract_n:
-            extra_contract |= 1 << i
-        elif taken < extra_contract_n + extra_delete_n:
-            extra_delete |= 1 << i
-        else:
-            break
+    kept = m.ground.full & ~(raw.contract | delete)
+    extra_contract = _lowest(kept, rank - k)
+    extra_delete = _lowest(kept & ~extra_contract, popcount(kept) - rank - 2)
     trimmed = MinorSpec(raw.contract | extra_contract,
                         raw.delete | extra_delete)
     return ChainMinor(raw, trimmed)
+
+
+def _lowest(mask: int, t: int) -> int:
+    """The t lowest elements of mask (all of them if it has fewer)."""
+    out = 0
+    for _ in range(t):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
 
 
 # -- exhaustive small lattices -------------------------------------------

@@ -9,7 +9,11 @@ bijection.
 One search, _order_isomorphism, decides isomorphism of posets whose
 nodes carry colours: poset_isomorphic colours none, and
 ops.is_isomorphic adds a node per element class, below the cyclic
-flats that hold it, to a matroid's lattice of cyclic flats.
+flats that hold it, to a matroid's lattice of cyclic flats.  It is an
+individualization-refinement search: _refine_signatures splits the
+nodes of both posets by their order relations, and where equal
+signatures remain, one node is given a fresh colour against each
+candidate in turn and both posets are refined again.
 """
 
 from __future__ import annotations
@@ -289,10 +293,22 @@ def _poset_of(obj):
     return obj, _down_masks(obj)
 
 
-def _refine_signatures(down_a: Sequence[int], down_b: Sequence[int],
+def _links(down: Sequence[int]) -> list[tuple[list[int], list[int]]]:
+    """(below, above) of each node of a poset given by its down-masks:
+    the nodes strictly below it and those strictly above it."""
+    below, above = [[] for _ in down], [[] for _ in down]
+    for i, d in enumerate(down):
+        for j in bits(d & ~(1 << i)):
+            below[i].append(j)
+            above[j].append(i)
+    return list(zip(below, above))
+
+
+def _refine_signatures(links_a: Sequence, links_b: Sequence,
                        colours_a: Sequence, colours_b: Sequence):
     """(sig_a, sig_b): iterated order-invariant node signatures (WL-style)
-    of two posets, refined side by side from their node colours.
+    of two posets, given by their _links, refined side by side from any
+    node colouring.
 
     A node's first signature is its colour and the sizes of its down- and
     up-set; each round adds the sorted signatures of the nodes strictly
@@ -301,16 +317,10 @@ def _refine_signatures(down_a: Sequence[int], down_b: Sequence[int],
     dict for both posets, so each poset's sorted names are an invariant.
     """
     names: dict = {}
-    sigs, links = [], []
-    for down, colours in ((down_a, colours_a), (down_b, colours_b)):
-        below, above = [[] for _ in down], [[] for _ in down]
-        for i, d in enumerate(down):
-            for j in bits(d & ~(1 << i)):
-                below[i].append(j)
-                above[j].append(i)
-        sigs.append([names.setdefault((c, len(lo), len(hi)), len(names))
-                     for c, lo, hi in zip(colours, below, above)])
-        links.append(list(zip(below, above)))
+    links = (links_a, links_b)
+    sigs = [[names.setdefault((c, len(lo), len(hi)), len(names))
+             for c, (lo, hi) in zip(colours, link)]
+            for colours, link in zip((colours_a, colours_b), links)]
     while True:
         count, names = len(names), {}
         nxt = [[names.setdefault((s, tuple(sorted(map(sig.__getitem__, lo))),
@@ -345,51 +355,41 @@ def _order_isomorphism(down_a: Sequence[int], down_b: Sequence[int],
     """An order isomorphism from poset a to poset b that keeps the node
     colours (hashable, one per node), or None.
 
-    The posets are given by down-masks.  Backtracking search pruned by
-    _refine_signatures: each node, rarest signature first, goes to a
-    node of its signature whose order relations with every node already
-    assigned match.  poset_isomorphic and is_isomorphic (which adds
-    element-class nodes) both call it.
+    The posets are given by down-masks.  Individualization-refinement
+    (McKay & Piperno, Practical graph isomorphism II, 2014), on a stack:
+    each step refines both posets together from a pair of colourings
+    (_refine_signatures) and drops the branch if their multisets of
+    signatures differ.  When every signature is unique, equal signatures
+    pair up, and that map is the answer iff it sends each down-set onto
+    the down-set of the image.  Otherwise the smallest class of equal
+    signatures (the least signature on ties) is split: its lowest node
+    i of a takes a fresh colour, -1, together with each node j of b in
+    the class, lowest j first.  poset_isomorphic and is_isomorphic
+    (which adds element-class nodes) both call it.
     """
-    n = len(down_a)
-    if n != len(down_b):
+    if len(down_a) != len(down_b):
         return None
-    sig_a, sig_b = _refine_signatures(down_a, down_b, colours_a, colours_b)
-    if sorted(sig_a) != sorted(sig_b):
-        return None
-    # process rarest signatures first
-    freq = Counter(sig_a)
-    order = sorted(range(n), key=lambda i: (freq[sig_a[i]], i))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def ok(i: int, j: int, pos: int) -> bool:
-        di, dj = down_a[i], down_b[j]
-        for k in order[:pos]:
-            m = mapping[k]
-            if (di >> k) & 1 != (dj >> m) & 1 \
-                    or (down_a[k] >> i) & 1 != (down_b[m] >> j) & 1:
-                return False
-        return True
-
-    # a loop over positions, not recursion, so deep posets do not
-    # exhaust the stack; tried[pos] is the next candidate j for order[pos]
-    tried = [0] * n
-    pos = 0
-    while pos < n:
-        i = order[pos]
-        for j in range(tried[pos], n):
-            if not used[j] and sig_b[j] == sig_a[i] and ok(i, j, pos):
-                break
-        else:
-            if pos == 0:
-                return None
-            tried[pos] = 0
-            pos -= 1
-            i = order[pos]
-            used[mapping[i]] = False
-            mapping[i] = -1
+    links_a, links_b = _links(down_a), _links(down_b)
+    stack = [(colours_a, colours_b)]
+    while stack:
+        sig_a, sig_b = _refine_signatures(links_a, links_b, *stack.pop())
+        if sorted(sig_a) != sorted(sig_b):
             continue
-        mapping[i], used[j], tried[pos] = j, True, j + 1
-        pos += 1
-    return mapping
+        cell = min(((c, s) for s, c in Counter(sig_a).items() if c > 1),
+                   default=None)
+        if cell is None:
+            node_b = {s: j for j, s in enumerate(sig_b)}
+            phi = [node_b[s] for s in sig_a]
+            # a stable discrete refinement implies this; checking it keeps
+            # every answer right whatever the refinement does
+            if all(sum(1 << phi[k] for k in bits(d)) == down_b[j]
+                   for d, j in zip(down_a, phi)):
+                return phi
+            continue
+        _, s = cell
+        i = sig_a.index(s)
+        for j in reversed([j for j, t in enumerate(sig_b) if t == s]):
+            fresh_a, fresh_b = list(sig_a), list(sig_b)
+            fresh_a[i] = fresh_b[j] = -1
+            stack.append((fresh_a, fresh_b))
+    return None

@@ -114,6 +114,21 @@ def validate_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """One entry per lattices._refine_signatures call while the test
+    runs: each node of the isomorphism search refines once."""
+    calls = []
+    real = cf.lattices._refine_signatures
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cf.lattices, "_refine_signatures", spy)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return _CATALOG

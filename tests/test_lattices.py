@@ -5,7 +5,7 @@ import pytest
 
 import cycflats as cf
 from cycflats import lattices, ops
-from cycflats.groundsets import atoms, bits
+from cycflats.groundsets import atoms, bits, popcount
 from cycflats.lattices import (FiniteLattice, _least_lattices,
                                family_lattice_tables)
 
@@ -18,6 +18,20 @@ def fam(labels, *sets):
 
 def canonical(masks):
     return sorted(masks, key=cf.subset_key)
+
+
+def _translates(v, block):
+    """The singletons of Z_v and the translates of block mod v, in
+    canonical order."""
+    return canonical({1 << x for x in range(v)}
+                     | {sum(1 << (x + t) % v for x in block)
+                        for t in range(v)})
+
+
+def _most_shared(family):
+    """The most points that two blocks (members of size > 1) share."""
+    blocks = [x for x in family if x & (x - 1)]
+    return max(popcount(x & y) for x, y in combinations(blocks, 2))
 
 
 class TestLatticeFromCovers:
@@ -216,12 +230,39 @@ class TestPosetIsomorphic:
 
     def test_crowns_run_out_of_candidates(self):
         # singletons under triples, as two 4-cycles against one 8-cycle:
-        # every node has one refined signature, so the search tries each
-        # candidate for the first node and fails
+        # every node has one refined signature, so the search
+        # individualizes a node against each candidate and every branch
+        # fails
         singles = ["a", "b", "c", "d"]
         two = fam("abcdwxyz", *singles, "abw", "abx", "cdy", "cdz")
         one = fam("abcdwxyz", *singles, "abw", "bcx", "cdy", "daz")
         assert cf.poset_isomorphic(two, one) == (False, None)
+
+    @pytest.mark.parametrize("v, plane, circulant", [
+        (7, [0, 1, 3], [0, 1, 2]),           # Fano plane
+        (13, [0, 1, 3, 9], [0, 1, 2, 4]),    # PG(2,3)
+    ])
+    def test_projective_plane_against_circulant(self, v, plane, circulant,
+                                                refine_calls):
+        # both families are the singletons of Z_v under the translates of
+        # a block: every node has one refined signature.  Two lines of a
+        # projective plane share at most one point, while the circulant's
+        # blocks i and i + 1 share two, so no isomorphism exists
+        a, b = _translates(v, plane), _translates(v, circulant)
+        assert _most_shared(a) == 1 and _most_shared(b) == 2
+        assert cf.poset_isomorphic(a, b) == (False, None)
+        assert 0 < len(refine_calls) <= 20
+        rng = random.Random(v)
+        for f in (a, b):
+            perm = rng.sample(range(v), v)
+            copy = [sum(1 << perm[i] for i in bits(x)) for x in f]
+            rng.shuffle(copy)
+            ok, witness = cf.poset_isomorphic(f, copy)
+            assert ok
+            assert [x for x, _ in witness] == f
+            assert sorted(y for _, y in witness) == sorted(copy)
+            for (x, y), (z, w) in product(witness, repeat=2):
+                assert (x & ~z == 0) == (y & ~w == 0)
 
     def test_repeated_mask_raises(self):
         with pytest.raises(cf.DuplicateSet):
@@ -242,9 +283,9 @@ class TestPosetIsomorphic:
 
 
 class TestOrderIsomorphismLoop:
-    """_order_isomorphism walks positions in a loop; the recursive search
-    it replaced is the oracle, so every mapping, and every witness built
-    from one, must be the same."""
+    """_order_isomorphism is an individualization-refinement search; the
+    recursive backtracking search it replaced is the oracle, so every
+    mapping, and every witness built from one, must be the same."""
 
     @staticmethod
     def _both(*args):
@@ -301,6 +342,41 @@ class TestOrderIsomorphismLoop:
             cf.is_isomorphic(m, other)
         assert found == 150
 
+    def test_symmetric_matroids(self, monkeypatch, refine_calls):
+        # matroids with many automorphisms, each against a shuffled copy:
+        # refinement alone leaves equal signatures in every pair, so each
+        # search individualizes nodes
+        sizes, deep = [], 0
+
+        def both(down_a, *rest):
+            sizes.append(len(down_a))
+            return self._both(down_a, *rest)
+
+        monkeypatch.setattr(ops, "_order_isomorphism", both)
+        k4 = cf.catalog("mk4")
+        hosts = [cf.catalog(name) for name in ("mk4", "u24", "p2", "p3")]
+        hosts.append(cf.direct_sum(cf.relabel(k4, "a"), cf.relabel(k4, "b")))
+        hosts += [cf.realize_lattice(lat, variant).matroid
+                  for lat in cf.all_lattices(5)
+                  for variant in ("plain", "sublattice")]
+        hosts += [cf.random_cw2_matroid(random.Random(seed), 9)
+                  for seed in range(100)]
+        rng = random.Random("order-iso:symmetric")
+        for m in hosts:
+            labels = list(m.ground.labels)
+            rng.shuffle(labels)
+            names = dict(zip(m.ground.labels, labels))
+            n = cf.Matroid.from_labels(labels, [
+                ([names[x] for x in m.ground.names(f)], r)
+                for f, r in zip(m.flats, m.flat_ranks)])
+            sizes.clear()
+            refine_calls.clear()
+            assert cf.is_isomorphic(m, n)[0]
+            classes = len(atoms(m.ground.full, m.flats))
+            assert sizes == [len(m.flats) + classes]
+            deep += len(refine_calls) > 1
+        assert (len(hosts), deep) == (125, 125)
+
     def test_colours_are_named_across_both_posets(self):
         # one node each: only the colours differ, so signatures named
         # poset by poset would both be 0
@@ -316,8 +392,8 @@ def _order_isomorphism_recursive(down_a, down_b, colours_a, colours_b):
     n = len(down_a)
     if n != len(down_b):
         return None
-    sig_a, sig_b = lattices._refine_signatures(down_a, down_b, colours_a,
-                                               colours_b)
+    sig_a, sig_b = lattices._refine_signatures(
+        lattices._links(down_a), lattices._links(down_b), colours_a, colours_b)
     if sorted(sig_a) != sorted(sig_b):
         return None
     order = sorted(range(n), key=lambda i: (sig_a.count(sig_a[i]), i))

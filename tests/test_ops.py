@@ -412,6 +412,18 @@ class TestIsomorphism:
         n = paving("0167 0257 0347 0456 1237 1256 1346 2345")
         assert cf.is_isomorphic(m, n) == (False, None)
 
+    def test_sparse_paving_pair_refines_few_times(self, refine_calls):
+        # the pair above: individualizing a node and refining again
+        # decides each branch, so the search refines a handful of times
+        def paving(quads):
+            return cf.Matroid.from_labels("01234567", [("", 0)] + [
+                (q, 3) for q in quads.split()] + [("01234567", 4)])
+
+        m = paving("0147 0156 0257 0346 1237 1246 2345 3567")
+        n = paving("0167 0257 0347 0456 1237 1256 1346 2345")
+        assert cf.is_isomorphic(m, n) == (False, None)
+        assert 0 < len(refine_calls) <= 20
+
     def test_past_former_element_cap(self):
         # 18 elements and 216 flats; 29 elements
         k4 = cf.catalog("mk4")
