@@ -24,7 +24,7 @@ from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
 from .groundsets import (GroundSet, atoms, bits, class_profile, popcount,
                          set_text, subset_key)
 from .matroid import Matroid, _assemble, _support
-from .lattices import _down_masks, _order_isomorphism
+from .lattices import _down_masks, _order_isomorphism, width_of_family
 
 MINOR_SEARCH_CAP = 131_072  # most (C, D) profile pairs has_minor visits
 
@@ -287,6 +287,50 @@ def has_minor(m: Matroid, n: Matroid):
     lexicographically by sorted index tuple, and for each, delete sets
     likewise.
 
+    Invariants of the cyclic flats that never rise under a minor answer
+    "no" before any search, in this order:
+
+    1. size, rank and nullity;
+    2. the number of cyclic flats |Z|, in O(1).  A single deletion or
+       contraction maps Z(N) into Z(M) injectively and keeping order:
+       for N = M \\ e, Y goes to cl_M(Y), and Y is that image minus e;
+       for N = M / e with e not a loop, Y goes to the union of the
+       circuits of M inside Y u e, which is Y or Y u e and a cyclic
+       flat of M (contracting a loop deletes it);
+    3. the cap (below), so a call it refuses stays as cheap as it was;
+    4. the cyclic width, the width of Z, which never rises under a
+       minor (the matroids of width at most k are minor-closed).  It
+       is computed only when n's width is at least 2, so a nested
+       pattern (width 1) pays for one small width computation.
+
+    Those checks only ever answer "no", so every witness is still the
+    least one _minor_search finds.
+
+    Raises TooLarge when the profile pairs (_profile_pairs) are more
+    than MINOR_SEARCH_CAP.
+    """
+    if len(n.ground) > len(m.ground) or n.matroid_rank > m.matroid_rank \
+            or n.nullity > m.nullity or len(n.flats) > len(m.flats):
+        return False, None
+    classes = atoms(m.ground.full, m.flats)
+    pairs = _profile_pairs([popcount(k) for k in classes],
+                           len(m.ground) - len(n.ground))
+    if pairs > MINOR_SEARCH_CAP:
+        raise TooLarge(
+            f"has_minor would visit {pairs} (contract, delete) class-count "
+            f"profile pairs, over cap {MINOR_SEARCH_CAP} (MINOR_SEARCH_CAP); "
+            f"for nested matroids, nested_sequence_of and "
+            f"nested_subsequence_minor decide it without a search")
+    width_n = width_of_family(n.flats)
+    if width_n >= 2 and width_n > width_of_family(m.flats):
+        return False, None
+    return _minor_search(m, n)
+
+
+def _minor_search(m: Matroid, n: Matroid):
+    """has_minor's search, with no gate and no cap: the least minor spec
+    of m isomorphic to n, as (True, spec), or (False, None).
+
     Elements of one class (groundsets.atoms of the cyclic flats: they
     lie in the same cyclic flats) are exchanged by automorphisms of m,
     so only the orbit-minimal pairs are tried, one per pair of
@@ -305,24 +349,10 @@ def has_minor(m: Matroid, n: Matroid):
     the flats attaining r(E - D); then on the count and sorted (|F|, r)
     list of the cyclic flats of _minor_flats.  Only a pair that passes
     is built by minor and tested by is_isomorphic.
-
-    Raises TooLarge when the profile pairs (_profile_pairs) are more
-    than MINOR_SEARCH_CAP.
     """
-    size_m, size_n = len(m.ground), len(n.ground)
-    if size_n > size_m or n.matroid_rank > m.matroid_rank \
-            or n.nullity > m.nullity:
-        return False, None
-    removed = size_m - size_n
-    classes = atoms(m.ground.full, m.flats)
-    pairs = _profile_pairs([popcount(k) for k in classes], removed)
-    if pairs > MINOR_SEARCH_CAP:
-        raise TooLarge(
-            f"has_minor would visit {pairs} (contract, delete) class-count "
-            f"profile pairs, over cap {MINOR_SEARCH_CAP} (MINOR_SEARCH_CAP); "
-            f"for nested matroids, nested_sequence_of and "
-            f"nested_subsequence_minor decide it without a search")
     full = m.ground.full
+    classes = atoms(full, m.flats)
+    removed = len(m.ground) - len(n.ground)
     loops_n, coloops_n = popcount(n.loops()), popcount(n.isthmuses())
     profile_n = sorted(zip(map(popcount, n.flats), n.flat_ranks))
     for size in range(removed + 1):

@@ -17,9 +17,10 @@ of subsets with that profile.  The grid has prod (|c| + 1) <= 2^|S|
 cells; one over 2^ENUM_CAP cells raises TooLarge before it is built.
 
 Each factor costs a fixed number of numpy calls, however many flats it
-has: one batched matroid._grid_ranks call for its ranks, one pass over
-the axes for |A| and the weights (_profile_sizes, which rank_gen_brute
-shares) and one tally.  The factors multiply by Kronecker substitution
+has: one batched matroid._grid_ranks call for its ranks, |A| from the
+column sums of the digit matrices that call caches and the weights from
+one pass over the axes (_profile_sizes, which rank_gen_brute shares),
+and one tally.  The factors multiply by Kronecker substitution
 (_poly_product), one np.convolve each, and tutte_from_rank_gen shifts R
 by two signed Pascal matrix products.  Both run in int64 while their
 sums provably fit and on Python ints (object arrays) past that, so R
@@ -38,7 +39,7 @@ from math import comb, prod
 
 from .errors import TooLarge
 from .groundsets import class_profile, popcount
-from .matroid import ENUM_CAP, Matroid, _grid_ranks
+from .matroid import ENUM_CAP, Matroid, _digits, _grid_ranks
 
 
 @dataclass(frozen=True)
@@ -86,17 +87,23 @@ def _tally(ranks, sizes, rank: int, nullity: int, weights=None):
 def _profile_sizes(radices, dtype=None):
     """|A| at every profile t of the grid of _grid_ranks, and, given a
     dtype, the number of subsets with that profile, the product of
-    C(radices[c], t_c) (None without one).  Both are built in one pass,
-    each axis in turn slower than those before it, so axis 0 varies
-    fastest."""
+    C(radices[c], t_c) (None without one).  Axis 0 varies fastest.  As
+    in _grid_ranks, the grid is a (high x low) outer sum over the halves
+    of the axes: |A| is the sum of the column sums of the two halves'
+    cached digit matrices (_digits).  The weights take one outer product
+    per axis."""
     import numpy as np
-    sizes = np.zeros(1, np.min_scalar_type(sum(radices)))
-    weights = None if dtype is None else np.ones(1, dtype)
+    st = np.min_scalar_type(sum(radices))
+    h = len(radices) // 2
+    high, low = (_digits(tuple(half), st)[:-1].sum(axis=0, dtype=st)
+                 for half in (radices[h:], radices[:h]))
+    sizes = np.add.outer(high, low).ravel()
+    if dtype is None:
+        return sizes, None
+    weights = np.ones(1, dtype)
     for k in radices:
-        sizes = np.add.outer(np.arange(k + 1, dtype=sizes.dtype), sizes).ravel()
-        if weights is not None:
-            row = np.array([comb(k, t) for t in range(k + 1)], dtype)
-            weights = np.multiply.outer(row, weights).ravel()
+        row = np.array([comb(k, t) for t in range(k + 1)], dtype)
+        weights = np.multiply.outer(row, weights).ravel()
     return sizes, weights
 
 

@@ -650,7 +650,8 @@ class TestHasMinor:
 
     def test_absent_p2_builds_no_minor(self, monkeypatch):
         # a minor of a nested matroid is nested, so its chain of cyclic
-        # flats never has P_2's two flats of size 2: every candidate
+        # flats never has P_2's two flats of size 2: has_minor answers
+        # from the widths, and in the search itself every candidate
         # fails on its flat profile, before minor is called
         built = []
 
@@ -664,7 +665,8 @@ class TestHasMinor:
         for _ in range(20):
             seq = "".join(rng.choice("if") for _ in range(8))
             host = cf.nested_from_sequence(seq)
-            assert cf.has_minor(host, p2) == (False, None)
+            assert cf.has_minor(host, p2) == (False, None) \
+                == ops._minor_search(host, p2)
         assert built == []
 
 
@@ -707,8 +709,9 @@ class TestOrbitSearch:
                               ("ififififfiif", 4_317, 379, 3_180)],
                              ids=["None-9", "ififififfiif-4317"])
     def test_visited_pairs(self, seq, pairs, c_sets, d_sets, monkeypatch):
-        # the walks give pairs orbit-minimal pairs over every C; has_minor
+        # the walks give pairs orbit-minimal pairs over every C; the search
         # lists no D for a hopeless C, so it lists fewer D sets than that
+        # (has_minor answers these calls by cyclic width, with no walk)
         host = cf.uniform(6, 12) if seq is None \
             else cf.nested_from_sequence(seq)
         pattern = cf.excluded_minor_pn(2)
@@ -729,7 +732,7 @@ class TestOrbitSearch:
             return sets
 
         monkeypatch.setattr(ops, "_orbit_sets", counting)
-        assert cf.has_minor(host, pattern) == (False, None)
+        assert ops._minor_search(host, pattern) == (False, None)
         assert len(listed) == c_sets + d_sets
 
     @pytest.mark.parametrize("size", [1_000, 3_000])
@@ -753,7 +756,8 @@ class TestOrbitSearch:
             return rank_support(self, a)
 
         monkeypatch.setattr(cf.Matroid, "rank_support", counting)
-        assert cf.has_minor(host, cf.excluded_minor_pn(2)) == (False, None)
+        assert ops._minor_search(host, cf.excluded_minor_pn(2)) \
+            == (False, None)
         assert len(calls) == 379 + 4_317 - 1_137
 
     def test_orbit_pairs_are_the_orbit_minimal_pairs(self):
@@ -820,6 +824,86 @@ class TestOrbitSearch:
                     assert cf.is_isomorphic(cf.minor(host, spec), pattern)[0]
                 found += got
         assert found == 10
+
+
+class TestMinorGate:
+    """has_minor answers "no" from |Z| and the cyclic width, which never
+    rise under a minor, before any search."""
+
+    @staticmethod
+    def _decided(small_catalog):
+        # the (host, pattern) pairs that pass the size, rank and nullity
+        # checks and that the |Z| or width check then answers
+        rng = random.Random("gate-hosts")
+        hosts = [cf.nested_from_sequence(
+                     "".join(rng.choice("if") for _ in range(steps)))
+                 for steps in range(4, 9) for _ in range(steps)]
+        # nested hosts of width 1 with at least as many cyclic flats as P_n
+        chains = [cf.nested_from_sequence("".join(seq))
+                  for seq in product("if", repeat=8)]
+        hosts += rng.sample([m for m in chains if len(m.flats) >= 4], 8)
+        hosts += [cf.random_matroid(random.Random(seed), 8)
+                  for seed in range(15)]
+        hosts += [cf.random_cw2_matroid(random.Random(seed), max_elems=8)
+                  for seed in range(10)]
+        patterns = [cf.excluded_minor_pn(2), cf.excluded_minor_pn(3)]
+        patterns += [small_catalog[k] for k in ("u12+u12", "u24+u12", "mk4",
+                                                "nested:ififif")]
+        for m in hosts:
+            for n in patterns:
+                if len(n.ground) > len(m.ground) \
+                        or n.matroid_rank > m.matroid_rank \
+                        or n.nullity > m.nullity:
+                    continue
+                width = cf.cyclic_width(n)
+                if len(n.flats) > len(m.flats) \
+                        or 2 <= width > cf.cyclic_width(m):
+                    yield m, n
+
+    def test_decided_pairs_match_the_oracles(self, small_catalog):
+        by_count = by_width = 0
+        for m, n in self._decided(small_catalog):
+            assert cf.has_minor(m, n) == (False, None) \
+                == _has_minor_pairwise(m, n) == _has_minor_sorted(m, n)
+            if len(n.flats) > len(m.flats):
+                by_count += 1
+            else:
+                by_width += 1
+        assert by_count > 100 and by_width > 30
+
+    def test_decided_pairs_make_no_search(self, small_catalog,
+                                          monkeypatch):
+        calls = []
+        rank_support, orbit_sets = cf.Matroid.rank_support, ops._orbit_sets
+
+        def counting_rank_support(self, a):
+            calls.append("rank_support")
+            return rank_support(self, a)
+
+        def counting_orbit_sets(classes, avoid, size):
+            calls.append("_orbit_sets")
+            return orbit_sets(classes, avoid, size)
+
+        decided = list(self._decided(small_catalog))
+        monkeypatch.setattr(cf.Matroid, "rank_support", counting_rank_support)
+        monkeypatch.setattr(ops, "_orbit_sets", counting_orbit_sets)
+        for m, n in decided:
+            assert cf.has_minor(m, n) == (False, None)
+        host = cf.nested_from_sequence("iiff" * 5)
+        assert cf.has_minor(host, cf.excluded_minor_pn(2)) == (False, None)
+        assert calls == []
+        # the walk, called directly, does search these pairs
+        assert ops._minor_search(*decided[0]) == (False, None)
+        assert "_orbit_sets" in calls
+
+    def test_cap_runs_before_the_width_check(self):
+        # "if" * 9 has width 1 under P_2's 2, and 10 cyclic flats over its
+        # 4, yet the cap refuses it first: a call the cap refuses pays for
+        # no width computation
+        host = cf.nested_from_sequence("if" * 9)
+        with pytest.raises(cf.TooLarge) as err:
+            cf.has_minor(host, cf.excluded_minor_pn(2))
+        assert "visit 1303452 (contract, delete)" in str(err.value)
 
 
 class TestMinorFlats:

@@ -29,6 +29,23 @@ class TestCyclicWidth:
                 for spec in (cf.MinorSpec(0, 1 << x), cf.MinorSpec(1 << x, 0)):
                     assert cf.cyclic_width(cf.minor(m, spec)) <= w, (name, x)
 
+    def test_flat_count_minor_monotone(self, small_catalog):
+        # |Z| never rises under a minor, which has_minor's gate relies on:
+        # a single deletion or contraction maps Z(N) into Z(M) injectively
+        hosts = list(small_catalog.values())
+        hosts += [cf.random_matroid(random.Random(seed))
+                  for seed in range(100)]
+        hosts += [cf.random_cw2_matroid(random.Random(seed), max_elems=8)
+                  for seed in range(100)]
+        minors = 0
+        for m in hosts + [cf.dual(m) for m in hosts]:
+            for x in range(len(m.ground)):
+                for spec in (cf.MinorSpec(0, 1 << x), cf.MinorSpec(1 << x, 0)):
+                    assert len(cf.minor(m, spec).flats) <= len(m.flats), \
+                        (m, spec)
+                    minors += 1
+        assert minors == 4_820
+
     def test_free_product_takes_max(self, catalog):
         # CW(M box N) = max(CW(M), CW(N)) for loop/isthmus-free factors
         m, n = catalog["mk4"], cf.relabel(catalog["p2"], "r:")
