@@ -9,7 +9,7 @@ random-matroid generators used by the test suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
@@ -40,8 +40,7 @@ def uniform(r: int, n: int, labels=None) -> Matroid:
 
 # -- lattice realization ------------------------------------------------
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     matroid: Matroid
     witness: tuple  # pairs (lattice element name, flat mask)
 
@@ -232,8 +231,7 @@ def catalog(name: str) -> Matroid:
 
 # -- uniform minors from chains ------------------------------------------
 
-@dataclass(frozen=True)
-class ChainMinor:
+class ChainMinor(NamedTuple):
     """Minor specs extracted from a chain of k+2 cyclic flats: raw is the
     restriction/contraction/deletion from the constructive proof (a
     uniform minor of rank >= k and nullity >= 2); trimmed reduces it to

@@ -247,10 +247,22 @@ def is_chain(masks: Sequence[int]) -> bool:
 def width_of_family(masks: Sequence[int]) -> int:
     """Maximum size of an antichain of distinct sets under inclusion.
 
-    Computes a minimum chain cover via maximum bipartite matching on the
-    strict-comparability relation (Dilworth duality).  A repeated mask
-    raises DuplicateSet.
+    A chain (each mask, by size, a strict subset of the next) has width 1
+    and the empty family 0; any other family goes to _matching_width.  A
+    repeated mask raises DuplicateSet.
     """
+    chain = sorted(masks, key=int.bit_count)
+    for a, b in zip(chain, chain[1:]):
+        if a & ~b or a == b:
+            break
+    else:
+        return 1 if chain else 0
+    return _matching_width(masks)
+
+
+def _matching_width(masks: Sequence[int]) -> int:
+    """width_of_family by a minimum chain cover: maximum bipartite
+    matching on the strict-comparability relation (Dilworth duality)."""
     n = len(masks)
     up = _converse(_poset_of(masks)[1])
     adj = [list(bits(up[i] & ~(1 << i))) for i in range(n)]

@@ -52,11 +52,10 @@ Tutte polynomial work factor by factor too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import InvalidParameters, NotAMatroid, TooLarge
 from .groundsets import (GroundSet, atoms, bits, outside, popcount,
@@ -115,8 +114,7 @@ class RankedFamily:
         return f"RankedFamily({list(self.ground.labels)!r}, {shown!r})"
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     """A failed validation: which condition, and a witness to re-check it."""
 
     which: str              # one of "Z0", "Z1", "Z2", "Z3"

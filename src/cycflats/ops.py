@@ -18,7 +18,7 @@ over pairs.  validate stays the gate for families from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
 from .groundsets import (GroundSet, atoms, bits, class_profile, popcount,
@@ -43,16 +43,19 @@ def dual(m: Matroid) -> Matroid:
     return _assemble(m.ground, entries)
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(namedtuple("MinorSpec", "contract delete")):
     """A (contract, delete) pair of disjoint subset masks."""
 
-    contract: int
-    delete: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.contract & self.delete:
+    def __new__(cls, contract: int, delete: int):
+        if contract & delete:
             raise InvalidParameters("contract and delete sets overlap")
+        return super().__new__(cls, contract, delete)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make
+        return cls(*iterable)
 
 
 def minor(m: Matroid, spec: MinorSpec) -> Matroid:

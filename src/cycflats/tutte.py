@@ -33,17 +33,16 @@ free-product convolution combines two matrices coefficientwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+from typing import NamedTuple
 
 from .errors import TooLarge
 from .groundsets import class_profile, popcount
 from .matroid import ENUM_CAP, Matroid, _digits, _grid_ranks
 
 
-@dataclass(frozen=True)
-class RankGenMatrix:
+class RankGenMatrix(NamedTuple):
     """Coefficients a[i][j] of R(M; x, y): i = corank, j = nullity."""
 
     coeffs: tuple[tuple[int, ...], ...]

@@ -327,13 +327,18 @@ def test_readme_cap_table():
 
 
 def test_table_free_commands_do_not_import_numpy():
+    # nor dataclasses and inspect: importing them costs each CLI child
+    # about as much as executing the whole package
     script = (
         "import sys\n"
+        "heavy = ('numpy', 'dataclasses', 'inspect')\n"
         "import cycflats\n"
-        "assert 'numpy' not in sys.modules, 'import cycflats'\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, f'import cycflats: {loaded}'\n"
         "from cycflats import cli\n"
         f"assert cli.main(['validate', {str(FX / 'mk4.json')!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'validate'\n")
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, f'validate: {loaded}'\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,

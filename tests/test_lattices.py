@@ -192,6 +192,30 @@ class TestWidth:
             f = canonical(masks)
             assert cf.width_of_family(f) == _max_antichain_brute(f)
 
+    def test_chain_answer_equals_matching(self):
+        # chains (width 1 without matching), chains with one mask
+        # repeated, and random families, each in shuffled order
+        rng = random.Random(1)
+        for trial in range(300):
+            size = rng.randint(0, 9)
+            if trial % 3 == 2:
+                masks = [rng.randrange(1 << 8) for _ in range(size)]
+            else:
+                masks, mask = [], 0
+                for _ in range(size):
+                    masks.append(mask)
+                    mask |= rng.randrange(1, 1 << 8)
+                if trial % 3 == 1 and masks:
+                    masks.append(rng.choice(masks))
+            rng.shuffle(masks)
+            try:
+                want = lattices._matching_width(masks)
+            except cf.DuplicateSet:
+                with pytest.raises(cf.DuplicateSet):
+                    cf.width_of_family(masks)
+            else:
+                assert cf.width_of_family(masks) == want, masks
+
 
 class TestIsChain:
     def test_examples(self):

@@ -53,8 +53,12 @@ class TestDual:
 
 class TestMinor:
     def test_spec_disjointness(self):
+        for contract, delete in ((0b011, 0b110), (1, 1)):
+            with pytest.raises(cf.InvalidParameters):
+                cf.MinorSpec(contract, delete)
         with pytest.raises(cf.InvalidParameters):
-            cf.MinorSpec(0b011, 0b110)
+            cf.MinorSpec(1, 2)._replace(delete=1)
+        assert repr(cf.MinorSpec(1, 2)) == "MinorSpec(contract=1, delete=2)"
 
     def test_outside_ground(self, catalog):
         with pytest.raises(cf.InvalidParameters):
@@ -144,6 +148,34 @@ class TestMinor:
         inner = cf.MinorSpec(inner_m.ground.mask(["e1"]), 0)
         merged = compose_into(inner, outer, m.ground, inner_m.ground)
         assert cf.minor(m, merged) == cf.minor(inner_m, inner)
+
+
+def _records():
+    """One value of each frozen record type, built afresh per call."""
+    mk4 = cf.catalog("mk4")
+    with pytest.raises(cf.NotAMatroid) as info:
+        cf.validate(cf.RankedFamily.from_labels(
+            "abcde", [("", 0), ("abc", 1), ("cde", 1), ("abcde", 2)]))
+    lat = cf.lattice_from_covers(["0", "x", "1"], [("0", "x"), ("x", "1")])
+    return [info.value.violation, cf.rank_gen(mk4), cf.realize_lattice(lat),
+            cf.uniform_minor_from_chain(cf.nested_from_sequence("fififif"), 2),
+            cf.MinorSpec(1, 2)]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("i, field", enumerate(
+        ["which", "coeffs", "matroid", "raw", "contract"]))
+    def test_frozen_and_equal_by_value(self, i, field):
+        a, b = _records()[i], _records()[i]
+        assert a is not b and a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        assert a == b
+
+    def test_violation_text(self):
+        v = _records()[0]
+        assert v.which == "Z3"
+        assert str(v).startswith("Z3 violated: ")
 
 
 class TestRelax:
