@@ -46,8 +46,14 @@ subset A is then
 
 the formula min over members F of r(F) + |A - F| taken factor by
 factor, so it costs sum |Z_i| steps, not prod |Z_i|.  Independence,
-circuits and closure all derive from that oracle, and minors and the
-Tutte polynomial work factor by factor too.
+circuits and closure all derive from that oracle, and the Tutte
+polynomial works factor by factor too.
+
+Z is the product of the factors' pairs with 0 in every member
+(_product), and direct sums, minors and rank tables build on the stored
+factors rather than re-derive them from Z: ops.minor splits only the
+factors that the contracted and deleted sets meet, and rank_table takes
+one grid per piece of factors (_pieces) and adds them as outer sums.
 """
 
 from __future__ import annotations
@@ -129,18 +135,19 @@ class Matroid:
     """A validated cyclic-flats-with-ranks representation.
 
     Immutable; build via validate() or Matroid.from_labels() at the
-    boundary.  The constructor itself checks nothing: ops.relabel and
-    ops.direct_sum call it on data read off operands that validate has
-    already passed, and the operations whose result is a matroid by
+    boundary.  The constructor itself checks nothing: ops.relabel,
+    ops.direct_sum and ops.minor call it on data read off operands that
+    validate has already passed (minor splits only the factors it
+    changes), and the other operations whose result is a matroid by
     theorem (the ops and freeprod modules, build.realize_lattice) go
     through _assemble, which finds the factors with no second sweep.
     flats and flat_ranks are parallel tuples in canonical subset order;
     factors holds, for each connected component E_i of the elements
     between the least and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over
-    Y in Z_i (module docstring), in order of least element.  The
-    oracles rank, rank_support, closure and is_independent raise
-    UnknownLabel for a mask outside the ground set: one that is negative
-    or has a bit at or past |E|.
+    Y in Z_i in canonical order (module docstring), in order of least
+    element.  The oracles rank, rank_support, closure and
+    is_independent raise UnknownLabel for a mask outside the ground set:
+    one that is negative or has a bit at or past |E|.
     """
 
     __slots__ = ("ground", "flats", "flat_ranks", "factors", "bottom", "top",
@@ -213,7 +220,15 @@ class Matroid:
         uint8).
 
         The grid of _grid_ranks with every element its own class of one,
-        so a profile is a subset and its grid index is its mask.
+        so a profile is a subset and its grid index is its mask.  r(A)
+        is the sum of the ranks of A's parts in the pieces (_pieces), so
+        each piece gets a grid over the product of its factors' pairs
+        with its loops in every member, and the table is the outer sum
+        of the grids from the lowest piece up.  Its peak is the table
+        and the sum below the highest piece, at most a quarter of it, as
+        a piece with a factor has two elements or more.  A matroid of one
+        piece, connected or with interleaved factors, gets one grid over
+        its flats.
         """
         if self._table is None:
             n = len(self.ground)
@@ -222,7 +237,19 @@ class Matroid:
                     f"rank_table would tabulate all subsets of {n} elements, "
                     f"over cap {ENUM_CAP} (ENUM_CAP); rank, closure, minor "
                     f"and dual need no table")
-            table = _grid_ranks([1] * n, zip(self.flats, self.flat_ranks))
+            pieces = _pieces(n, self.factors)
+            if len(pieces) == 1:
+                table = _grid_ranks([1] * n,
+                                    zip(self.flats, self.flat_ranks))
+            else:
+                import numpy as np
+                for low, high, group in pieces:
+                    flats = _product(self.bottom & (1 << high) - (1 << low),
+                                     group)
+                    part = _grid_ranks([1] * (high - low), [
+                        (f >> low, r) for f, r in flats.items()])
+                    table = part if low == 0 else np.add.outer(
+                        part, table).ravel()
             table.flags.writeable = False
             self._table = table
         return self._table
@@ -406,7 +433,8 @@ def _product_split(entries) -> list[int]:
 
 def _factors(entries):
     """The factors (E_i, ((Y, r_i(Y)), ...)) of a ranked family over the
-    parts E_i of _product_split, each Z_i ordered by size; None unless
+    parts E_i of _product_split, each Z_i in canonical order when the
+    family is (Y first appears in Y u 0, and sizes are sorted); None unless
     every member lies between 0 and 1, Z = Z_1 x ... x Z_p and the ranks
     add (module docstring).  A family that passes is a product, but its
     factors are not yet checked against Z0-Z3.
@@ -430,6 +458,41 @@ def _factors(entries):
             for x, r in entries.items()):
         return None
     return tuple((e, tuple(ri.items())) for e, ri in zip(split, ranks))
+
+
+def _product(base: int, families) -> dict[int, int]:
+    """{base u X_1 u ... u X_p: r_1 + ... + r_p} over one pair (X_i, r_i)
+    of each family, the families being pairs on disjoint elements
+    outside base: the cyclic flats of a direct sum (module docstring).
+    The last family varies fastest, so when only one family has more
+    than one pair the product keeps its order, canonical order included
+    (adding a fixed disjoint set keeps it).
+    """
+    found = {base: 0}
+    for pairs in families:
+        found = {x | y: rx + ry for x, rx in found.items() for y, ry in pairs}
+    return found
+
+
+def _pieces(n: int, factors) -> list[list]:
+    """[low, high, pairs of each factor inside] for the pieces
+    range(low, high) of range(n) that rank_table grids one by one.
+
+    A piece starts at 0 and at the least element of each factor above
+    every element of the factors before it (factors come in order of
+    least element), so no factor's span, least to highest element,
+    crosses a cut.  Loops and isthmuses between two factors go with the
+    lower one.
+    """
+    pieces, reach = [[0, n, []]], 0
+    for e, pairs in factors:
+        low = (e & -e).bit_length() - 1
+        if pieces[-1][2] and low >= reach:
+            pieces[-1][1] = low
+            pieces.append([low, n, []])
+        pieces[-1][2].append(pairs)
+        reach = max(reach, e.bit_length())
+    return pieces
 
 
 def _support(pairs, a: int) -> tuple[int, int, int]:

@@ -9,11 +9,13 @@ is_isomorphic), so it has no element cap.
 No operation here validates its result a second time: its operand
 was validated, and the result is a matroid by the rule it follows.
 relabel keeps every mask, and direct_sum puts together the factors of
-its two summands, each checked when its summand was validated.  dual,
-minor, relax, truncate and higgs_lift each build a new family of cyclic
-flats by the standard rule for that operation (cited in each docstring)
-and pass it to matroid._assemble, which finds its factors with no sweep
-over pairs.  validate stays the gate for families from outside.
+its two summands, each checked when its summand was validated.  minor
+carries over the factors it does not touch and finds the factors of
+each one it does from that factor's minor alone.  dual, relax, truncate
+and higgs_lift each build a new family of cyclic flats by the standard
+rule for that operation (cited in each docstring) and pass it to
+matroid._assemble, which finds its factors with no sweep over pairs.
+validate stays the gate for families from outside.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from collections import namedtuple
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
 from .groundsets import (GroundSet, atoms, bits, class_profile, popcount,
                          set_text, subset_key)
-from .matroid import Matroid, _assemble, _support
+from .matroid import (Matroid, RankedFamily, _assemble, _factors, _product,
+                      _support, validate)
 from .lattices import _down_masks, _order_isomorphism, width_of_family
 
 MINOR_SEARCH_CAP = 131_072  # most (C, D) profile pairs has_minor visits
@@ -61,25 +64,58 @@ class MinorSpec(namedtuple("MinorSpec", "contract delete")):
 def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     """The minor m \\ D / C, with C = spec.contract, D = spec.delete.
 
-    Its cyclic flats are those of _minor_flats, and its rank oracle is
-    r'(A) = r(A u C) - r(C).  A minor of a matroid is a matroid and
-    _minor_flats lists exactly its cyclic flats, so they are packed onto
-    the kept elements with no second validation.
+    Its rank oracle is r'(A) = r(A u C) - r(C).  A minor of a direct
+    sum is the sum of the summands' minors (_minor_flats), so a factor
+    that C u D misses is carried over, its masks packed onto the kept
+    elements, and one that C u D meets gets the cyclic flats of
+    _factor_minor_flats in canonical order, split into factors
+    (_factors) on their own; the least of them, its new loops, joins
+    the least cyclic flat.  The factors go in order of least element,
+    and the cyclic flats are the product of the families (_product),
+    sorted only when two families have more than one member.  No family
+    is validated again; one that fails _factors breaks the rule, and
+    validate then raises NotAMatroid with a witness.
     """
     c, d = spec.contract, spec.delete
     full = m.ground.full
-    if (c | d) & ~full:
+    removed = c | d
+    if removed & ~full:
         raise InvalidParameters("minor spec outside ground set")
-    keep = full & ~(c | d)
+    keep = full & ~removed
     runs = _runs(keep)
-    entries = []
-    for x, r in _minor_flats(m, c, d).items():
+
+    def pack(x):
         y = 0
         for run, shift in runs:
             y |= (x & run) >> shift
-        entries.append((y, r))
-    ground = GroundSet(m.ground.labels[i] for i in bits(keep))
-    return _assemble(ground, entries)
+        return y
+
+    families, factors, split_all, several = [], [], True, 0
+    for e, pairs in m.factors:
+        if not e & removed:
+            pairs = tuple((pack(y), r) for y, r in pairs)
+            factors.append((pack(e), pairs))
+        else:
+            found = _factor_minor_flats(pairs, c & e, d & e)
+            pairs = sorted(((pack(x), r) for x, r in found.items()),
+                           key=lambda item: subset_key(item[0]))
+            split = _factors(dict(pairs))
+            if split is None:
+                split_all = False
+            else:
+                factors.extend(split)
+        families.append(pairs)
+        several += len(pairs) > 1
+    ground = GroundSet([lab for i, lab in enumerate(m.ground.labels)
+                        if keep >> i & 1])
+    flats = _product(pack(m.bottom & ~removed), families)
+    if not split_all:
+        return validate(RankedFamily(ground, flats))
+    if several > 1:
+        flats = dict(sorted(flats.items(),
+                            key=lambda item: subset_key(item[0])))
+    factors.sort(key=lambda factor: factor[0] & -factor[0])
+    return Matroid(ground, flats.keys(), flats.values(), tuple(factors))
 
 
 def _runs(keep: int) -> list[tuple[int, int]]:
@@ -108,12 +144,9 @@ def _minor_flats(m: Matroid, c: int, d: int) -> dict[int, int]:
     rule of _factor_minor_flats.
     """
     removed = c | d
-    found = {m.bottom & ~removed: 0}
-    for e, pairs in m.factors:
-        if e & removed:
-            pairs = _factor_minor_flats(pairs, c & e, d & e).items()
-        found = {x | y: rx + ry for x, rx in found.items() for y, ry in pairs}
-    return found
+    return _product(m.bottom & ~removed, [
+        _factor_minor_flats(pairs, c & e, d & e).items() if e & removed
+        else pairs for e, pairs in m.factors])
 
 
 def _factor_minor_flats(pairs, c: int, d: int) -> dict[int, int]:
@@ -194,21 +227,22 @@ def relabel(m: Matroid, prefix: str) -> Matroid:
 def direct_sum(m: Matroid, n: Matroid) -> Matroid:
     """Direct sum; the lattice of cyclic flats is the product of the two.
 
-    Its cyclic flats are the X u Y, X in Z(m) and Y in Z(n) (Y moved past
-    m's elements), at rank r(X) + r(Y), and its factors are m's followed
-    by n's.  validate would decide the product factor by factor (matroid
-    module docstring), and each of these factors passed that check when
-    m or n was validated, so the sum is built with no second validation.
+    Its factors are m's followed by n's (moved past m's elements), and
+    its cyclic flats the X u Y, X in Z(m) and Y in Z(n), at rank
+    r(X) + r(Y): the product of those factors' pairs with both loop sets
+    in every member (matroid._product).  validate would decide the
+    product factor by factor (matroid module docstring), and each of
+    these factors passed that check when m or n was validated, so the
+    sum is built with no second validation.
     """
     ground = m.ground.concat(n.ground)
     shift = len(m.ground)
-    ranks = {x | (y << shift): rx + ry
-             for x, rx in zip(m.flats, m.flat_ranks)
-             for y, ry in zip(n.flats, n.flat_ranks)}
-    flats = sorted(ranks, key=subset_key)
     factors = m.factors + tuple(
         (e << shift, tuple((y << shift, r) for y, r in pairs))
         for e, pairs in n.factors)
+    ranks = _product(m.bottom | n.bottom << shift,
+                     [pairs for _, pairs in factors])
+    flats = sorted(ranks, key=subset_key)
     return Matroid(ground, flats, [ranks[f] for f in flats], factors)
 
 

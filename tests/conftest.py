@@ -78,6 +78,13 @@ def same_matroid(got, want):
         want.bottom, want.top, want.matroid_rank)
 
 
+def reordered(m, labels):
+    """m rebuilt by Matroid.from_labels with its ground set in the given
+    order, so that validate finds its factors in their new places."""
+    return cf.Matroid.from_labels(labels, [
+        (m.ground.names(f), r) for f, r in zip(m.flats, m.flat_ranks)])
+
+
 def agrees_with_validate(m):
     """m, built with no sweep, is what validate makes of its family."""
     same_matroid(m, cf.validate(m.ranked_family()))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cycflats as cf
-from conftest import rank_support_scan
+from conftest import rank_support_scan, reordered, summands
 from cycflats import matroid
 from cycflats.groundsets import (bits, class_profile, popcount, set_text,
                                  subset_key)
@@ -577,6 +577,128 @@ class TestGridRanksAgainstOuterSums:
                              list(zip(m.flats, m.flat_ranks)))
 
 
+def _alternating(m, n):
+    """m + n with the ground order alternating between the two while
+    both last: every factor of one crosses every factor of the other."""
+    s = cf.direct_sum(m, n)
+    a, b = list(s.ground.labels[:len(m.ground)]), list(
+        s.ground.labels[len(m.ground):])
+    k = min(len(a), len(b))
+    labels = [x for pair in zip(a, b) for x in pair] + a[k:] + b[k:]
+    return reordered(s, labels)
+
+
+class TestRankTableByPieces:
+    """rank_table, one grid per piece of factors and their outer sum,
+    against one grid over every flat: _grid_ranks([1] * n, flats)."""
+
+    @staticmethod
+    def assert_whole(m):
+        got = m.rank_table()
+        want = _grid_ranks([1] * len(m.ground), zip(m.flats, m.flat_ranks))
+        assert got.dtype == np.uint8 and not got.flags.writeable
+        assert np.array_equal(got, want), m
+
+    @staticmethod
+    def pieces(m):
+        return len(matroid._pieces(len(m.ground), m.factors))
+
+    def test_contiguous_sums(self):
+        fixed, rand = summands()
+        rng = random.Random("pieces:contiguous")
+        sums = 0
+        for j in range(120):
+            m, n = rng.choice(fixed + rand), rng.choice(fixed + rand)
+            if len(m.ground) + len(n.ground) > 16:
+                continue
+            s = cf.direct_sum(cf.relabel(m, "a"), cf.relabel(n, "b"))
+            sums += self.pieces(s) > 1
+            self.assert_whole(s)
+        assert sums > 40, sums
+
+    def test_interleaved_sums(self):
+        # shuffled ground orders: factors interleave and pieces merge
+        fixed, rand = summands()
+        rng = random.Random("pieces:interleaved")
+        merged = 0
+        for j in range(80):
+            m, n = rng.choice(fixed + rand), rng.choice(fixed + rand)
+            if len(m.ground) + len(n.ground) > 14:
+                continue
+            s = cf.direct_sum(cf.relabel(m, "a"), cf.relabel(n, "b"))
+            labels = list(s.ground.labels)
+            rng.shuffle(labels)
+            s = reordered(s, labels)
+            merged += self.pieces(s) < len(s.factors)
+            self.assert_whole(s)
+        assert merged > 10, merged
+
+    def test_alternating_sums(self):
+        mk4 = cf.catalog("mk4")
+        for m, n in ((cf.uniform(2, 5), cf.uniform(3, 5)),
+                     (mk4, cf.uniform(1, 3)),
+                     (cf.direct_sum(cf.uniform(1, 2), cf.relabel(mk4, "x")),
+                      cf.relabel(mk4, "y"))):
+            s = _alternating(cf.relabel(m, "a"), cf.relabel(n, "b"))
+            assert self.pieces(s) == 1
+            self.assert_whole(s)
+
+    def test_loops_and_isthmuses(self):
+        # loops (l) and isthmuses (i) before, inside and between the
+        # pieces of U_{1,3} (a) + U_{2,4} (b) + M(K4) (k)
+        mk4 = cf.relabel(cf.catalog("mk4"), "k")
+        parts = [cf.uniform(1, 3, ["a1", "a2", "a3"]),
+                 cf.uniform(2, 4, ["b1", "b2", "b3", "b4"]), mk4,
+                 cf.uniform(0, 2, ["l1", "l2"]),
+                 cf.uniform(2, 2, ["i1", "i2"])]
+        s = parts[0]
+        for part in parts[1:]:
+            s = cf.direct_sum(s, part)
+        k = list(mk4.ground.labels)
+        for labels, pieces in (
+                (["l1", "a1", "i1", "a2", "a3", "l2", "b1", "b2", "b3", "b4",
+                  "i2"] + k, 3),
+                (["i1", "a1", "a2", "l1", "a3", "b1", "b2", "i2", "b3", "b4",
+                  "l2"] + k, 3),
+                (k[:3] + ["l1", "a1", "a2", "a3", "i1"] + k[3:] + [
+                    "b1", "l2", "b2", "b3", "i2", "b4"], 2)):
+            m = reordered(s, labels)
+            assert self.pieces(m) == pieces
+            self.assert_whole(m)
+
+    def test_uniform_edges(self):
+        for m in (cf.uniform(0, 0), cf.uniform(0, 9), cf.uniform(9, 9),
+                  cf.direct_sum(cf.uniform(0, 4), cf.relabel(
+                      cf.uniform(5, 5), "i"))):
+            self.assert_whole(m)
+
+    def test_dense_path_at_cap(self):
+        self.assert_whole(TestDensePathAtCap.big())
+
+    def test_one_grid_per_piece(self, monkeypatch):
+        calls = []
+        real = matroid._grid_ranks
+
+        def spy(radices, flats):
+            flats = list(flats)
+            calls.append((radices, flats))
+            return real(radices, flats)
+
+        monkeypatch.setattr(matroid, "_grid_ranks", spy)
+        big = TestDensePathAtCap.big()
+        big.rank_table()
+        assert [len(r) for r, _ in calls] == [6, 6, 6, 2, 2]
+        assert [len(f) for _, f in calls] == [6, 6, 6, 2, 2]
+        alt = _alternating(cf.uniform(5, 11, [f"a{i}" for i in range(11)]),
+                           cf.uniform(5, 11, [f"b{i}" for i in range(11)]))
+        nested = cf.nested_from_sequence("iffifiiff")
+        for m in (alt, nested, cf.uniform(3, 7), cf.uniform(0, 4)):
+            calls.clear()
+            m.rank_table()
+            assert calls == [([1] * len(m.ground),
+                              list(zip(m.flats, m.flat_ranks)))]
+
+
 def _fixpoint_strided(m):
     """Oracle for cyclic_flats_recompute: for each element x, the table
     viewed as (-1, 2, 2^x) compares each set without x with the same set
@@ -799,6 +921,13 @@ class TestDensePathAtCap:
         for a in [0, m.ground.full] + [rng.getrandbits(ENUM_CAP)
                                        for _ in range(300)]:
             assert table[a] == m.rank(a), a
+
+    def test_rank_table_peak_by_pieces(self):
+        # five pieces, so the table is an outer sum: the table and the
+        # sum below its last piece (a quarter), not a grid and its scratch
+        table, peak = self.peak_over_table(self.big().rank_table)
+        assert peak <= 1.5, peak
+        assert (len(table), table.dtype) == (1 << ENUM_CAP, np.uint8)
 
     def test_grid_with_one_low_part(self):
         # after a first group of one flat, 864 flats inside the high

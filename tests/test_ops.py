@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
-from conftest import rank_support_scan, same_matroid, summands
+from conftest import rank_support_scan, reordered, same_matroid, summands
 from cycflats import ops
 from cycflats.groundsets import bits, class_profile, popcount, subset_key
-from cycflats.matroid import ENUM_CAP
+from cycflats.matroid import ENUM_CAP, _assemble
 from cycflats.ops import MINOR_SEARCH_CAP
 
 
@@ -1059,6 +1059,114 @@ class TestMinorFlats:
                 met = [pairs for e, pairs in m.factors if e & d]
                 assert len(calls) == sum(
                     1 + sum(1 for y, _ in pairs if y & d) for pairs in met)
+
+
+class TestMinorByFactors:
+    """minor splits only the families of the factors that C u D meets
+    and sorts the product at most once; _minor_whole, which sorts the
+    whole product and finds its factors again, gives the same ground
+    set, flats, ranks and factors."""
+
+    @staticmethod
+    def _hosts(seed):
+        """A random or cw2 matroid, a third of them summed with a piece
+        of up to 5 elements, its dual, and both rebuilt by
+        Matroid.from_labels in a shuffled ground order, where the
+        factors interleave."""
+        m = (cf.random_matroid(random.Random(seed), 10) if seed % 2
+             else cf.random_cw2_matroid(random.Random(seed), 8))
+        if seed % 3 == 0:
+            m = cf.direct_sum(cf.relabel(m, "x:"), cf.relabel(
+                cf.random_matroid(random.Random(~seed), 5), "y:"))
+        hosts = [m, cf.dual(m)]
+        rng = random.Random(f"minor-by-factors:shuffle:{seed}")
+        for h in hosts[:]:
+            labels = list(h.ground.labels)
+            rng.shuffle(labels)
+            hosts.append(reordered(h, labels))
+        return hosts
+
+    @staticmethod
+    def _spec(rng, m):
+        n, full = len(m.ground), m.ground.full
+        c = rng.getrandbits(n) & rng.getrandbits(n) & full
+        return c, rng.getrandbits(n) & rng.getrandbits(n) & full & ~c
+
+    def test_matches_whole_product(self):
+        rng = random.Random("minor-by-factors")
+        checked = interleaved = resplit = sorted_product = 0
+        for seed in range(150):
+            for m in self._hosts(seed):
+                pieces = cf.matroid._pieces(len(m.ground), m.factors)
+                interleaved += len(pieces) < len(m.factors)
+                for _ in range(9):
+                    c, d = self._spec(rng, m)
+                    got = cf.minor(m, cf.MinorSpec(c, d))
+                    same_matroid(got, _minor_whole(m, c, d))
+                    checked += 1
+                    resplit += len(got.factors) > len(m.factors)
+                    sorted_product += sum(
+                        len(pairs) > 1 for _, pairs in got.factors) > 1
+        assert checked == 5400
+        # hosts whose factors interleave; minors with more factors than
+        # the host; minors whose product took a sort
+        assert interleaved > 50 and resplit > 25 and sorted_product > 200, (
+            interleaved, resplit, sorted_product)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), spec=st.randoms(use_true_random=False))
+    def test_matches_whole_product_property(self, seed, spec):
+        for m in self._hosts(seed):
+            c, d = self._spec(spec, m)
+            same_matroid(cf.minor(m, cf.MinorSpec(c, d)),
+                         _minor_whole(m, c, d))
+
+    def test_splits_only_the_met_factors(self, monkeypatch):
+        # deleting or contracting one element of M(K4) + M(K4) + U_{1,3}
+        # finds the factors of that M(K4)'s minor alone, and _assemble,
+        # which would sort and split the product, is never called
+        families = []
+        real = ops._factors
+
+        def spy(entries):
+            families.append(len(entries))
+            return real(entries)
+
+        monkeypatch.setattr(ops, "_factors", spy)
+        monkeypatch.setattr(ops, "_assemble", None)
+        mk4 = cf.catalog("mk4")
+        m = cf.direct_sum(cf.direct_sum(cf.relabel(mk4, "a"),
+                                        cf.relabel(mk4, "b")),
+                          cf.uniform(1, 3))
+        assert len(m.flats) == 72
+        for x in range(12):
+            for spec in (cf.MinorSpec(1 << x, 0), cf.MinorSpec(0, 1 << x)):
+                families.clear()
+                got = cf.minor(m, spec)
+                assert families == [len(got.flats) // 12]
+                same_matroid(got, _minor_whole(m, spec.contract, spec.delete))
+
+    def test_broken_factor_rule_goes_to_validate(self, monkeypatch):
+        # a factor family that is no product of its own factors (here
+        # {a, b} and {c, d} have no join) breaks minor's rule, and the
+        # product goes to validate, which names the pair
+        monkeypatch.setattr(ops, "_factor_minor_flats",
+                            lambda pairs, c, d: {0: 0, 3: 1, 12: 1})
+        with pytest.raises(cf.NotAMatroid) as info:
+            cf.minor(cf.uniform(2, 5), cf.MinorSpec(0, 1 << 4))
+        assert info.value.violation.which == "Z0"
+
+
+def _minor_whole(m, c, d):
+    """Reference for minor: the route that sorts the whole product and
+    finds its factors again.  The flats of _minor_flats, moved onto the
+    kept elements one bit at a time, go to matroid._assemble."""
+    kept = list(bits(m.ground.full & ~(c | d)))
+    entries = []
+    for x, r in ops._minor_flats(m, c, d).items():
+        entries.append((sum(((x >> i) & 1) << j for j, i in enumerate(kept)),
+                        r))
+    return _assemble(cf.GroundSet(m.ground.labels[i] for i in kept), entries)
 
 
 def _check_minor(m, c, d, name):
