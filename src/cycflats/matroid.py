@@ -527,11 +527,10 @@ def _grid_ranks(radices, flats) -> np.ndarray:
     groups (at least one), each step one broadcast sum of its groups'
     high and low parts and one min; the high parts come from products
     of at most _STEP_ENTRIES entries.  So a grid whose groups times
-    cells fit in _STEP_ENTRIES, as every Tutte factor of a few classes
-    does, takes a fixed number of numpy calls however many flats and
-    groups it has, and a 2^ENUM_CAP grid takes one group a step, with a
-    peak of the grid, one step's sums and an eighth of a grid of high
-    parts.  Returns the flattened grid in the smallest unsigned dtype
+    cells fit in _STEP_ENTRIES takes a fixed number of numpy calls
+    however many flats and groups it has, and a 2^ENUM_CAP grid takes
+    one group a step, with a peak of the grid, one step's sums and an
+    eighth of a grid of high parts.  Returns the flattened grid in the smallest unsigned dtype
     that holds the largest candidate value.
     """
     import numpy as np

@@ -4,42 +4,59 @@ R(M; x, y) = sum over subsets A of x^(r(M)-r(A)) y^(|A|-r(A)), stored as
 a dense (corank x nullity) matrix of exact integers.  The Tutte
 polynomial is t(M; x, y) = R(M; x-1, y-1).
 
-rank_gen computes R from the cyclic flats, with no 2^n table.  Loops and
-coloops factor out as (1+y)^l and (1+x)^c, and R of a direct sum is the
-product of the summands' R, so the rest is split into its connected
-components: the factors of m, each a component S with the cyclic flats
-Y of M|S and their ranks, found from Z alone (matroid._factors, see the
-matroid module).  In a component S, r(A) = min over those Y of
-r(Y) + |A - Y| depends only on how many elements A takes from each
-class of elements of S lying in the same sets Y.  So R(M|S) is a sum
-over the class profiles t, each weighted by prod C(|c|, t_c), the number
-of subsets with that profile.  The grid has prod (|c| + 1) <= 2^|S|
-cells; one over 2^ENUM_CAP cells raises TooLarge before it is built.
+rank_gen computes R from the cyclic flats, with no 2^n table and no
+numpy.  Loops and coloops factor out as (1+y)^l and (1+x)^c, and R of a
+direct sum is the product of the summands' R, so the rest is split into
+its connected components: the factors of m, each a component with the
+cyclic flats of M|S and their ranks, found from Z alone
+(matroid._factors, see the matroid module).  A component's R then
+follows from the intervals of its lattice of cyclic flats, with |F| and
+r(F) (Eberhardt, EJC 21(3) 2014, P3.47: T(M) depends on nothing else).
 
-Each factor costs a fixed number of numpy calls, however many flats it
-has: one batched matroid._grid_ranks call for its ranks, |A| from the
-column sums of the digit matrices that call caches and the weights from
-one pass over the axes (_profile_sizes, which rank_gen_brute shares),
-and one tally.  The factors multiply by Kronecker substitution
-(_poly_product), one np.convolve each, and tutte_from_rank_gen shifts R
-by two signed Pascal matrix products.  Both run in int64 while their
-sums provably fit and on Python ints (object arrays) past that, so R
-and t stay exact: U_{40,80} has a grid of 81 cells and coefficients
-past 2^63.
+For cyclic flats G <= F, N = (M|F)/G has no loops (G is a flat) and no
+coloops (F is cyclic), and its cyclic flats are the H - G for H in
+[G, F].  Each subset X of F - G splits uniquely into S = X n H, which
+spans (M|H)/G, and T = X - H, an independent flat of (M|F)/H, where H
+is G with the cyclic part of cl_N(X): the elements of cl_N(X) outside H
+are its coloops, which every set spanning it holds; conversely S u T
+for any such S and T has closure H u T with cyclic part H.  So with p_GF(z)
+and b_GF(z) counting N's spanning sets and independent flats by size,
+
+  sum over G <= H <= F of p_GH(z) b_HF(z) = (1+z)^|F - G|,
+
+with p_GG = b_FF = 1.  For G < F the spanning sets of N have at least
+d = r(F) - r(G) elements and its independent flats fewer (one of d
+elements would span, so be all of F - G, which holds a circuit).  Taken
+in an order where each interval comes after those it contains,
+(1+z)^|F - G| less the terms for G < H < F is p_GF in its degrees >= d
+and b_GF in its degrees < d.  The tables hold at most n + 1 entries per
+comparable pair; a component whose tables would pass 2^ENUM_CAP entries
+raises TooLarge before they are built.
+
+A subset X of the component splits at H into S and T with nullity
+|S| - r(H) and corank r(1) - r(H) - |T|, so R is the sum over the cyclic
+flats H of the outer product of b_H1 (by corank) and p_0H (by nullity).
+tutte_polynomial shifts each of those 1-D factors z -> z - 1 (_shift,
+by Horner's rule) before it takes the products, so it needs no 2-D
+shift.  Polynomials multiply as integers, each held as its value at a
+power of two wide enough that its coefficients are the value's digits
+(Kronecker substitution).  Everything runs on Python ints, so R and t
+stay exact: U_{40,80} has coefficients past 2^63.
 
 rank_gen_brute enumerates all 2^n subsets and is the oracle.  The
-free-product convolution combines two matrices coefficientwise.
+free-product convolution combines two matrices coefficientwise, and
+tutte_from_rank_gen shifts the columns and then the rows of a matrix
+with the same _shift.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb, prod
+from math import comb
 from typing import NamedTuple
 
 from .errors import TooLarge
-from .groundsets import class_profile, popcount
-from .matroid import ENUM_CAP, Matroid, _digits, _grid_ranks
+from .groundsets import popcount
+from .matroid import ENUM_CAP, Matroid, _digits
 
 
 class RankGenMatrix(NamedTuple):
@@ -61,128 +78,161 @@ class RankGenMatrix(NamedTuple):
                 for j, c in enumerate(row) if c]
 
 
-def _tally(ranks, sizes, rank: int, nullity: int, weights=None):
+def _tally(ranks, sizes, rank: int, nullity: int):
     """The (corank x nullity) coefficient array of R from a grid of ranks
-    and one of sizes: each cell adds weights[cell] (or 1) at corank
-    rank - r and nullity size - r, tallied by the key nullity*(rank+1) +
-    corank.  The grid is counted in slices of 2^16 cells, so the keys and
-    bincount's int64 copy of them stay small beside the grids."""
+    and one of sizes: each cell adds 1 at corank rank - r and nullity
+    size - r, tallied by the key nullity*(rank+1) + corank.  The grid is
+    counted in slices of 2^16 cells, so the keys and bincount's int64
+    copy of them stay small beside the grids."""
     import numpy as np
     cells = (nullity + 1) * (rank + 1)
     kt = np.min_scalar_type(cells - 1)
-    counts = np.zeros(cells, np.int64 if weights is None else weights.dtype)
+    counts = np.zeros(cells, np.int64)
     step = 1 << 16
     for lo in range(0, len(ranks), step):
         part = ranks[lo:lo + step]
         key = (sizes[lo:lo + step] - part).astype(kt) * (rank + 1) \
             + (rank - part)
-        if weights is None:
-            counts += np.bincount(key, minlength=cells)
-        else:
-            np.add.at(counts, key, weights[lo:lo + step])
+        counts += np.bincount(key, minlength=cells)
     return counts.reshape(nullity + 1, rank + 1).T
 
 
-def _profile_sizes(radices, dtype=None):
-    """|A| at every profile t of the grid of _grid_ranks, and, given a
-    dtype, the number of subsets with that profile, the product of
-    C(radices[c], t_c) (None without one).  Axis 0 varies fastest.  As
-    in _grid_ranks, the grid is a (high x low) outer sum over the halves
-    of the axes: |A| is the sum of the column sums of the two halves'
-    cached digit matrices (_digits).  The weights take one outer product
-    per axis."""
+def _subset_sizes(n: int):
+    """|A| at every mask A < 2^n.  As in matroid._grid_ranks, the masks
+    form a (high x low) outer sum over the halves of the elements: |A| is
+    the sum of the column sums of the two halves' cached digit matrices
+    (matroid._digits)."""
     import numpy as np
-    st = np.min_scalar_type(sum(radices))
-    h = len(radices) // 2
-    high, low = (_digits(tuple(half), st)[:-1].sum(axis=0, dtype=st)
-                 for half in (radices[h:], radices[:h]))
-    sizes = np.add.outer(high, low).ravel()
-    if dtype is None:
-        return sizes, None
-    weights = np.ones(1, dtype)
-    for k in radices:
-        row = np.array([comb(k, t) for t in range(k + 1)], dtype)
-        weights = np.multiply.outer(row, weights).ravel()
-    return sizes, weights
-
-
-def _matrix(coeffs) -> RankGenMatrix:
-    """The RankGenMatrix of an integer array, as tuples of Python ints."""
-    return RankGenMatrix(tuple(map(tuple, coeffs.tolist())))
+    st = np.min_scalar_type(n)
+    high, low = (_digits((1,) * half, st)[:-1].sum(axis=0, dtype=st)
+                 for half in (n - n // 2, n // 2))
+    return np.add.outer(high, low).ravel()
 
 
 def rank_gen_brute(m: Matroid) -> RankGenMatrix:
     """Exact coefficient matrix by enumerating all 2^|E| subsets."""
     n = len(m.ground)
     ranks = m.rank_table()  # first, so its build peak never meets the sizes
-    return _matrix(_tally(ranks, _profile_sizes([1] * n)[0], m.matroid_rank,
-                          n - m.matroid_rank))
+    coeffs = _tally(ranks, _subset_sizes(n), m.matroid_rank,
+                    n - m.matroid_rank)
+    return RankGenMatrix(tuple(map(tuple, coeffs.tolist())))
 
 
-def _component_rank_gen(e: int, pairs, dtype):
+def _interval_terms(e: int, pairs) -> list[tuple[list[int], list[int]]]:
     """R(M|E) of a connected component E, the factor with the pairs
-    (Y, r(Y)) of its cyclic flats, summed over class profiles, as an
-    array of dtype (int64 or object)."""
-    classes, inside = class_profile([y for y, _ in pairs], e)
-    radices = [popcount(c) for c in classes]
+    (Y, r(Y)) of its cyclic flats in canonical order, as one term per
+    cyclic flat H: the coefficients of b_H1 by corank and of p_0H by
+    nullity, whose outer products sum to R (module docstring)."""
     n = popcount(e)
-    cells = prod(k + 1 for k in radices)
-    if cells > 1 << ENUM_CAP:
+    masks = [y for y, _ in pairs]
+    ranks = [r for _, r in pairs]
+    sizes = [popcount(y) for y in masks]
+    # below[f]: the indices of the flats inside Y_f, ascending; canonical
+    # order sorts by size, so a flat's subsets come before it
+    below = [[g for g in range(f) if not masks[g] & ~yf]
+             for f, yf in enumerate(masks)]
+    entries = (len(pairs) + sum(map(len, below))) * (n + 1)
+    if entries > 1 << ENUM_CAP:
         raise TooLarge(
-            f"rank_gen would sum a grid of {cells} class profiles for a "
-            f"connected component of {n} elements, over cap 2^{ENUM_CAP} "
-            f"(ENUM_CAP); rank_gen_convolution gives R of a free product "
-            f"from its factors")
-    rank = min(r + popcount(e & ~y) for y, r in pairs)
-    # with every class a single element each profile is one subset
-    sizes, weights = _profile_sizes(radices,
-                                    None if cells == 1 << n else dtype)
-    ranks = _grid_ranks(radices, zip(inside, (r for _, r in pairs)))
-    return _tally(ranks, sizes, rank, n - rank, weights).astype(dtype,
-                                                                copy=False)
+            f"rank_gen would tabulate {entries} interval coefficients for a "
+            f"connected component of {n} elements and {len(pairs)} cyclic "
+            f"flats, over cap 2^{ENUM_CAP} (ENUM_CAP); rank_gen_convolution "
+            f"gives R of a free product from its factors")
+    # each polynomial is held as its value at z = 2^w: every coefficient
+    # counts subsets of at most n elements, so it is below 2^w and the
+    # value's base-2^w digits are the coefficients (Kronecker)
+    w = n + 1
+    p = [{} for _ in pairs]  # p[g][h]: p_GH
+    b = [{} for _ in pairs]  # b[f][h]: b_HF
+    for f, down in enumerate(below):
+        into = b[f]  # by now b_HF for every H in (G, F)
+        for g in reversed(down):
+            rest = ((1 << w) + 1) ** (sizes[f] - sizes[g])
+            above = p[g]
+            for h, b_hf in into.items():
+                if h in above:
+                    rest -= above[h] * b_hf
+            low = rest & (1 << w * (ranks[f] - ranks[g])) - 1
+            above[f], into[g] = rest - low, low
+    top = len(pairs) - 1
+    mask = (1 << w) - 1
+
+    def digits(value, start, stop):
+        return [value >> w * i & mask for i in range(start, stop)]
+
+    return [([0, *digits(b[top][h], 0, ranks[top] - ranks[h])[::-1]]
+             if h < top else [1],
+             digits(p[0][h], ranks[h], sizes[h] + 1) if h else [1])
+            for h in range(len(pairs))]
 
 
-def _poly_product(factors, dtype):
-    """The product of polynomials in x, y given as coefficient arrays,
-    by Kronecker substitution: with c columns in the product, row i,
-    column j of a factor is the coefficient of z^(c i + j).  No column
-    of the product reaches c, so no term spills into the next row, and
-    one np.convolve per factor multiplies."""
-    import numpy as np
-    rows = 1 + sum(a.shape[0] - 1 for a in factors)
-    cols = 1 + sum(a.shape[1] - 1 for a in factors)
-    out = np.ones(1, dtype)
-    for a in factors:
-        padded = np.zeros((a.shape[0], cols), dtype)
-        padded[:, :a.shape[1]] = a
-        out = np.convolve(out, padded.ravel())
-    return out[:rows * cols].reshape(rows, cols)
+def _shift(coeffs) -> list[int]:
+    """p(z - 1) from the coefficients of p(z), lowest degree first, by
+    Horner's rule: q <- q (z - 1) + c from the top coefficient down, so
+    additions only."""
+    out = []
+    for c in reversed(coeffs):
+        last = 0
+        for i, a in enumerate(out):
+            out[i], last = last - a, a
+        out.append(last)
+        out[0] += c
+    return out
+
+
+def _at(coeffs, bits: int) -> int:
+    """The polynomial with these coefficients, lowest degree first, at
+    z = 2^bits."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + c
+    return value
+
+
+def _factor_product(m: Matroid, step) -> list[list[int]]:
+    """The coefficient matrix of (1+x)^coloops (1+y)^loops times, for
+    each connected component, the sum over its cyclic flats H of b_H1(x)
+    p_0H(y) (module docstring), with step applied to each of those 1-D
+    factors: list for R, _shift for t.
+
+    The factors are multiplied as integers, at x = 2^(w cols) and
+    y = 2^w, where cols = nullity + 1 bounds the y-degree and w = n + 1
+    (Kronecker substitution).  The product's coefficients, those of R or
+    of t, are counts of at most 2^n subsets or bases, so they lie in
+    [0, 2^w) and are the product's base-2^w digits, even where a shifted
+    factor has negative coefficients."""
+    w, cols = len(m.ground) + 1, m.nullity + 1
+
+    def value(xs, ys):
+        return _at(step(xs), w * cols) * _at(step(ys), w)
+
+    loops, coloops = popcount(m.loops()), popcount(m.isthmuses())
+    product = value([comb(coloops, i) for i in range(coloops + 1)],
+                    [comb(loops, j) for j in range(loops + 1)])
+    for e, pairs in m.factors:
+        product *= sum(value(xs, ys) for xs, ys in _interval_terms(e, pairs))
+    mask = (1 << w) - 1
+    return [[product >> w * (cols * i + j) & mask for j in range(cols)]
+            for i in range(m.matroid_rank + 1)]
 
 
 def rank_gen(m: Matroid) -> RankGenMatrix:
     """Exact coefficient matrix from the cyclic flats (module docstring):
-    (1+y)^loops (1+x)^coloops times R of each connected component.
-
-    Every coefficient is at least 0 and they sum to 2^n, so every sum
-    of the product is at most 2^n: int64 holds them while n <= 62, and
-    Python ints (object arrays) do past that."""
-    import numpy as np
-    dtype = np.int64 if len(m.ground) <= 62 else object
-    loops, coloops = popcount(m.loops()), popcount(m.isthmuses())
-    factors = [np.multiply.outer(
-        np.array([comb(coloops, i) for i in range(coloops + 1)], dtype),
-        np.array([comb(loops, j) for j in range(loops + 1)], dtype))]
-    factors += [_component_rank_gen(e, pairs, dtype) for e, pairs in m.factors]
-    return _matrix(_poly_product(factors, dtype))
+    (1+y)^loops (1+x)^coloops times R of each connected component."""
+    return RankGenMatrix(tuple(map(tuple, _factor_product(m, list))))
 
 
 def tutte_polynomial(m: Matroid) -> dict[tuple[int, int], int]:
-    """t(M; x, y) as a map (x_exp, y_exp) -> coefficient.
+    """t(M; x, y) as a map (x_exp, y_exp) -> coefficient, only nonzero
+    terms kept, in (p, q) order: the product of rank_gen with each 1-D
+    factor shifted z -> z - 1, which takes (1+x)^coloops to x^coloops."""
+    return _nonzero(_factor_product(m, _shift))
 
-    Obtained from R = rank_gen(m) by the substitution x -> x-1, y -> y-1
-    expanded with binomial coefficients; only nonzero terms are kept.
-    """
-    return tutte_from_rank_gen(rank_gen(m))
+
+def _nonzero(coeffs) -> dict[tuple[int, int], int]:
+    """{(p, q): coefficient} of the nonzero entries, in (p, q) order."""
+    return {(p, q): c for p, row in enumerate(coeffs)
+            for q, c in enumerate(row) if c}
 
 
 def rank_gen_convolution(rm: RankGenMatrix,
@@ -214,29 +264,6 @@ def rank_gen_convolution(rm: RankGenMatrix,
 def tutte_from_rank_gen(rgm: RankGenMatrix) -> dict[tuple[int, int], int]:
     """Shift a rank-generating matrix to Tutte-polynomial coefficients:
     t(x, y) = R(x-1, y-1), only nonzero terms kept, in (p, q) order.
-
-    With P_k the k x k signed Pascal matrix, P[p][i] = C(i, p) (-1)^(i-p),
-    x -> x-1 is P_rows @ a and y -> y-1 is @ P_cols^T: two matrix
-    products.  Every sum there is at most sum |a[i][j]| C(i, p) C(j, q)
-    <= sum |a| 2^(rows + cols - 2) in absolute value, so int64 holds
-    them below 2^63 and Python ints (object arrays) do past it.
-    """
-    import numpy as np
-    rows, cols = len(rgm.coeffs), len(rgm.coeffs[0])
-    bound = max(1, sum(abs(c) for row in rgm.coeffs for c in row))
-    dtype = np.int64 if bound << (rows + cols - 2) < 1 << 63 else object
-    t = (_signed_pascal(rows, dtype) @ np.array(rgm.coeffs, dtype)
-         @ _signed_pascal(cols, dtype).T)
-    p, q = np.nonzero(t)
-    return dict(zip(zip(p.tolist(), q.tolist()), t[p, q].tolist()))
-
-
-@lru_cache(maxsize=64)
-def _signed_pascal(k: int, dtype):
-    """The k x k matrix of C(i, p) (-1)^(i-p) at row p, column i
-    (read-only, cached)."""
-    import numpy as np
-    out = np.array([[comb(i, p) * (-1) ** (i - p) if i >= p else 0
-                     for i in range(k)] for p in range(k)], dtype)
-    out.flags.writeable = False
-    return out
+    x -> x-1 shifts each column and y -> y-1 then each row (_shift)."""
+    columns = [_shift(col) for col in zip(*rgm.coeffs)]
+    return _nonzero(_shift(row) for row in zip(*columns))

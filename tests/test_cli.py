@@ -328,7 +328,10 @@ def test_readme_cap_table():
 
 def test_table_free_commands_do_not_import_numpy():
     # nor dataclasses and inspect: importing them costs each CLI child
-    # about as much as executing the whole package
+    # about as much as executing the whole package.  Tutte, from one
+    # matroid or from the two factors of a free product, takes no table
+    mk4, u24 = str(FX / "mk4.json"), str(FX / "u24.json")
+    commands = [["validate", mk4], ["tutte", mk4], ["tutte", mk4, u24]]
     script = (
         "import sys\n"
         "heavy = ('numpy', 'dataclasses', 'inspect')\n"
@@ -336,9 +339,10 @@ def test_table_free_commands_do_not_import_numpy():
         "loaded = [m for m in heavy if m in sys.modules]\n"
         "assert not loaded, f'import cycflats: {loaded}'\n"
         "from cycflats import cli\n"
-        f"assert cli.main(['validate', {str(FX / 'mk4.json')!r}]) == 0\n"
-        "loaded = [m for m in heavy if m in sys.modules]\n"
-        "assert not loaded, f'validate: {loaded}'\n")
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    loaded = [m for m in heavy if m in sys.modules]\n"
+        "    assert not loaded, f'{argv}: {loaded}'\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import cycflats as cf
 from cycflats.matroid import ENUM_CAP, _grid_ranks
 from cycflats.groundsets import bits, class_profile, popcount
-from cycflats.tutte import (RankGenMatrix, _tally, rank_gen, rank_gen_brute,
+from cycflats.tutte import (RankGenMatrix, rank_gen, rank_gen_brute,
                             rank_gen_convolution, tutte_from_rank_gen,
                             tutte_polynomial)
 
@@ -42,10 +42,13 @@ def transpose(rgm):
 
 
 def _component_rank_gen_loops(e, pairs):
-    """Oracle for a factor of rank_gen: R(M|E) summed over class profiles
-    by two _grid_ranks calls, one for the ranks and one for |A| (the
-    rank of A when no class lies in a flat), with the weights built
-    apart, as a list of rows."""
+    """Oracle for a factor of rank_gen, the class grid: in a component,
+    r(A) = min over the cyclic flats Y of r(Y) + |A - Y| depends only on
+    how many elements A takes from each class of elements lying in the
+    same flats, so R(M|E) is a sum over those class profiles t, each
+    weighted by prod C(|c|, t_c).  Two _grid_ranks calls give the ranks
+    and |A| (the rank of A when no class lies in a flat), and the
+    weights are built apart; returns a list of rows."""
     classes, inside = class_profile([y for y, _ in pairs], e)
     radices = [popcount(c) for c in classes]
     n = popcount(e)
@@ -56,8 +59,11 @@ def _component_rank_gen_loops(e, pairs):
     for k in reversed(radices):
         row = np.array([comb(k, t) for t in range(k + 1)], dtype)
         weights = np.multiply.outer(weights, row).ravel()
-    return _tally(_grid_ranks(radices, flats), _grid_ranks(radices, [(0, 0)]),
-                  rank, n - rank, weights).tolist()
+    ranks = _grid_ranks(radices, flats).astype(np.int64)
+    sizes = _grid_ranks(radices, [(0, 0)]).astype(np.int64)
+    counts = np.zeros((rank + 1, n - rank + 1), dtype)
+    np.add.at(counts, (rank - ranks, sizes - ranks), weights)
+    return counts.tolist()
 
 
 def _poly_mul(a, b):
@@ -103,19 +109,71 @@ def tutte_shift_loops(rgm):
             for q, c in enumerate(row) if c}
 
 
+def _sparse_paving(rng, rank, n):
+    """A sparse paving matroid of the given rank on n elements: random
+    rank-subsets, kept while each meets every kept one in at most
+    rank - 2 elements, are its circuit-hyperplanes."""
+    hyperplanes = []
+    for _ in range(40):
+        h = frozenset(rng.sample(range(n), rank))
+        if all(len(h & g) <= rank - 2 for g in hyperplanes):
+            hyperplanes.append(h)
+    labels = "".join(map(str, range(n)))
+    return cf.Matroid.from_labels(labels, [("", 0)] + [
+        ("".join(map(str, sorted(h))), rank - 1) for h in hyperplanes]
+        + [(labels, rank)])
+
+
 class TestAgainstLoops:
-    """rank_gen and tutte_from_rank_gen against the loop oracles above:
-    the per-factor grids, the Kronecker product and the Pascal shift."""
+    """rank_gen, by intervals of cyclic flats, against the class-grid
+    oracle above and, to 14 elements, rank_gen_brute; tutte_polynomial
+    against the shift of rank_gen; tutte_from_rank_gen against the
+    binomial passes."""
 
     @staticmethod
     def assert_same(m):
         rgm = rank_gen(m)
         assert rgm == rank_gen_loops(m), m
+        if len(m.ground) <= 14:
+            assert rgm == rank_gen_brute(m), m
         assert all(type(c) is int for row in rgm.coeffs for c in row)
         t = tutte_from_rank_gen(rgm)
         assert t == tutte_shift_loops(rgm), m
+        assert tutte_polynomial(m) == t, m
         assert list(t) == sorted(t)
         assert all(type(c) is int for c in t.values())
+
+    def test_catalog_and_duals(self, catalog):
+        for m in catalog.values():
+            self.assert_same(m)
+            self.assert_same(cf.dual(m))
+
+    def test_both_realizations_of_every_lattice(self):
+        lattices = cf.all_lattices(6)
+        assert len(lattices) == 25
+        for lat in lattices:
+            for variant in ("plain", "sublattice"):
+                m = cf.realize_lattice(lat, variant).matroid
+                self.assert_same(m)
+                self.assert_same(cf.dual(m))
+
+    def test_sparse_paving(self):
+        rng = random.Random("sparse paving")
+        for rank, n in product((3, 4), (7, 8)):
+            for _ in range(10):
+                m = _sparse_paving(rng, rank, n)
+                assert len(m.flats) > 2
+                self.assert_same(m)
+                self.assert_same(cf.dual(m))
+
+    def test_nested(self):
+        for length in range(1, 9):
+            for seq in product("if", repeat=length):
+                self.assert_same(cf.nested_from_sequence("".join(seq)))
+        rng = random.Random("nested")
+        for _ in range(20):
+            seq = "".join(rng.choice("if") for _ in range(rng.randint(9, 16)))
+            self.assert_same(cf.nested_from_sequence(seq))
 
     def test_catalog_sums_and_free_products(self, catalog):
         names = ["empty", "u01", "u11", "u13", "u24", "u23+u11", "u01+u11",
@@ -133,7 +191,9 @@ class TestAgainstLoops:
 
     def test_random_cw2_matroids(self):
         for seed in range(40):
-            self.assert_same(cf.random_cw2_matroid(random.Random(seed), 10))
+            m = cf.random_cw2_matroid(random.Random(seed), 10)
+            self.assert_same(m)
+            self.assert_same(cf.dual(m))
 
     def test_sums_of_random_pieces(self):
         rng = random.Random("pieces")
@@ -280,7 +340,7 @@ class TestRankGen:
 
     @pytest.mark.parametrize("n", [62, 63])
     def test_uniform_at_the_int64_line(self, n):
-        # every sum is at most 2^n: int64 at n = 62, Python ints past it
+        # the coefficients sum to 2^n, on both sides of int64's 2^63
         rgm = rank_gen(cf.uniform(31, n))
         assert rgm == uniform_rank_gen(31, n)
         assert total(rgm) == 1 << n
@@ -511,12 +571,44 @@ class TestTuttePastTheCap:
             assert total(rgm) == 1 << len(m.ground)
             assert rank_gen(cf.dual(m)) == transpose(rgm)
 
-    def test_connected_grid_over_cap(self):
-        m = cf.relabel(cf.catalog("mk4"), "a:")
+    def test_free_product_of_four_mk4(self):
+        # one connected component of 24 elements, whose class grid would
+        # have 2^24 cells: its R is the convolution of its factors'
+        mk4 = cf.catalog("mk4")
+        m = cf.relabel(mk4, "a:")
         for p in "bcd":
-            m = cf.free_product(m, cf.relabel(cf.catalog("mk4"), f"{p}:"))
-        assert len(m.ground) == 24
+            m = cf.free_product(m, cf.relabel(mk4, f"{p}:"))
+        assert len(m.ground) == 24 and len(m.factors) == 1
+        rgm = rank_gen(m)
+        r_k4 = rank_gen(mk4)
+        conv = r_k4
+        for _ in range(3):
+            conv = rank_gen_convolution(conv, r_k4)
+        assert rgm == conv
+        assert total(rgm) == 1 << 24
+        t = tutte_polynomial(m)
+        assert t == tutte_from_rank_gen(rgm)
+        assert eval_poly(t, 2, 2) == 1 << 24
+        assert m._table is None
+
+    def test_gimenez_8(self):
+        m = cf.gimenez_family(8, list(range(8, 0, -1)))
+        assert len(m.ground) == 37 and len(m.factors) == 1
+        rgm = rank_gen(m)
+        assert total(rgm) == 1 << 37
+        assert rank_gen(cf.dual(m)) == transpose(rgm)
+        t = tutte_polynomial(m)
+        assert t == tutte_from_rank_gen(rgm)
+        assert eval_poly(t, 2, 2) == 1 << 37
+
+    def test_interval_tables_over_cap(self, monkeypatch):
+        # M(K4): 15 comparable pairs of its 6 cyclic flats, 7 sizes each
+        monkeypatch.setattr("cycflats.tutte.ENUM_CAP", 6)
         with pytest.raises(cf.TooLarge) as err:
-            tutte_polynomial(m)
-        assert f"{1 << 24} class profiles" in str(err.value)
-        assert f"cap 2^{ENUM_CAP} (ENUM_CAP)" in str(err.value)
+            rank_gen(cf.catalog("mk4"))
+        assert "105 interval coefficients" in str(err.value)
+        assert "over cap 2^6 (ENUM_CAP)" in str(err.value)
+        with pytest.raises(cf.TooLarge):
+            tutte_polynomial(cf.catalog("mk4"))
+        assert tutte_polynomial(cf.uniform(2, 3)) == {(0, 1): 1, (1, 0): 1,
+                                                      (2, 0): 1}
