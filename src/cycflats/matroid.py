@@ -530,8 +530,8 @@ def _grid_ranks(radices, flats) -> np.ndarray:
     cells fit in _STEP_ENTRIES takes a fixed number of numpy calls
     however many flats and groups it has, and a 2^ENUM_CAP grid takes
     one group a step, with a peak of the grid, one step's sums and an
-    eighth of a grid of high parts.  Returns the flattened grid in the smallest unsigned dtype
-    that holds the largest candidate value.
+    eighth of a grid of high parts.  Returns the flattened grid in the
+    smallest unsigned dtype that holds the largest candidate value.
     """
     import numpy as np
     axes = len(radices)

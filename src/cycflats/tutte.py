@@ -19,8 +19,8 @@ coloops (F is cyclic), and its cyclic flats are the H - G for H in
 spans (M|H)/G, and T = X - H, an independent flat of (M|F)/H, where H
 is G with the cyclic part of cl_N(X): the elements of cl_N(X) outside H
 are its coloops, which every set spanning it holds; conversely S u T
-for any such S and T has closure H u T with cyclic part H.  So with p_GF(z)
-and b_GF(z) counting N's spanning sets and independent flats by size,
+for any such S and T has closure H u T with cyclic part H.  So with
+p_GF(z) and b_GF(z) counting N's spanning sets and independent flats by size,
 
   sum over G <= H <= F of p_GH(z) b_HF(z) = (1+z)^|F - G|,
 
@@ -36,17 +36,15 @@ raises TooLarge before they are built.
 A subset X of the component splits at H into S and T with nullity
 |S| - r(H) and corank r(1) - r(H) - |T|, so R is the sum over the cyclic
 flats H of the outer product of b_H1 (by corank) and p_0H (by nullity).
-tutte_polynomial shifts each of those 1-D factors z -> z - 1 (_shift,
-by Horner's rule) before it takes the products, so it needs no 2-D
-shift.  Polynomials multiply as integers, each held as its value at a
-power of two wide enough that its coefficients are the value's digits
-(Kronecker substitution).  Everything runs on Python ints, so R and t
-stay exact: U_{40,80} has coefficients past 2^63.
+Polynomials multiply as integers, each held as its value at a power of
+two wide enough that its coefficients are the value's digits (Kronecker
+substitution).  The same trick shifts R to t: t at (2^a, 2^b) is R at
+(2^a - 1, 2^b - 1), one evaluation (tutte_from_rank_gen), and
+tutte_polynomial is that shift of rank_gen.  Everything runs on Python
+ints, so R and t stay exact: U_{40,80} has coefficients past 2^63.
 
 rank_gen_brute enumerates all 2^n subsets and is the oracle.  The
-free-product convolution combines two matrices coefficientwise, and
-tutte_from_rank_gen shifts the columns and then the rows of a matrix
-with the same _shift.
+free-product convolution combines two matrices coefficientwise.
 """
 
 from __future__ import annotations
@@ -166,73 +164,56 @@ def _interval_terms(e: int, pairs) -> list[tuple[list[int], list[int]]]:
             for h in range(len(pairs))]
 
 
-def _shift(coeffs) -> list[int]:
-    """p(z - 1) from the coefficients of p(z), lowest degree first, by
-    Horner's rule: q <- q (z - 1) + c from the top coefficient down, so
-    additions only."""
-    out = []
-    for c in reversed(coeffs):
-        last = 0
-        for i, a in enumerate(out):
-            out[i], last = last - a, a
-        out.append(last)
-        out[0] += c
-    return out
-
-
-def _at(coeffs, bits: int) -> int:
+def _at(coeffs, bits: int, minus_one: bool = False) -> int:
     """The polynomial with these coefficients, lowest degree first, at
-    z = 2^bits."""
+    z = 2^bits, or at 2^bits - 1 with minus_one, by Horner's rule: each
+    step's product by z is a shift, less the value itself for 2^bits - 1,
+    so it costs the length of the value, however long z is."""
     value = 0
     for c in reversed(coeffs):
-        value = (value << bits) + c
+        value = ((value << bits) - value if minus_one else value << bits) + c
     return value
 
 
-def _factor_product(m: Matroid, step) -> list[list[int]]:
-    """The coefficient matrix of (1+x)^coloops (1+y)^loops times, for
-    each connected component, the sum over its cyclic flats H of b_H1(x)
-    p_0H(y) (module docstring), with step applied to each of those 1-D
-    factors: list for R, _shift for t.
+def _unpack(value: int, w: int, rows: int, cols: int) -> list[list[int]]:
+    """The base-2^w digits of value as a (rows x cols) matrix, the digit
+    at w (cols i + j) in row i, column j."""
+    mask, row_mask = (1 << w) - 1, (1 << w * cols) - 1
+    out = []
+    for i in range(rows):
+        row = value >> w * cols * i & row_mask
+        out.append([row >> w * j & mask for j in range(cols)])
+    return out
+
+
+def rank_gen(m: Matroid) -> RankGenMatrix:
+    """Exact coefficient matrix from the cyclic flats (module docstring):
+    (1+x)^coloops (1+y)^loops times, for each connected component, the
+    sum over its cyclic flats H of b_H1(x) p_0H(y).
 
     The factors are multiplied as integers, at x = 2^(w cols) and
     y = 2^w, where cols = nullity + 1 bounds the y-degree and w = n + 1
-    (Kronecker substitution).  The product's coefficients, those of R or
-    of t, are counts of at most 2^n subsets or bases, so they lie in
-    [0, 2^w) and are the product's base-2^w digits, even where a shifted
-    factor has negative coefficients."""
+    (Kronecker substitution).  The coefficients of R count at most 2^n
+    subsets, so they lie in [0, 2^w) and are the product's base-2^w
+    digits."""
     w, cols = len(m.ground) + 1, m.nullity + 1
 
     def value(xs, ys):
-        return _at(step(xs), w * cols) * _at(step(ys), w)
+        return _at(xs, w * cols) * _at(ys, w)
 
     loops, coloops = popcount(m.loops()), popcount(m.isthmuses())
     product = value([comb(coloops, i) for i in range(coloops + 1)],
                     [comb(loops, j) for j in range(loops + 1)])
     for e, pairs in m.factors:
         product *= sum(value(xs, ys) for xs, ys in _interval_terms(e, pairs))
-    mask = (1 << w) - 1
-    return [[product >> w * (cols * i + j) & mask for j in range(cols)]
-            for i in range(m.matroid_rank + 1)]
-
-
-def rank_gen(m: Matroid) -> RankGenMatrix:
-    """Exact coefficient matrix from the cyclic flats (module docstring):
-    (1+y)^loops (1+x)^coloops times R of each connected component."""
-    return RankGenMatrix(tuple(map(tuple, _factor_product(m, list))))
+    return RankGenMatrix(tuple(map(tuple, _unpack(
+        product, w, m.matroid_rank + 1, cols))))
 
 
 def tutte_polynomial(m: Matroid) -> dict[tuple[int, int], int]:
     """t(M; x, y) as a map (x_exp, y_exp) -> coefficient, only nonzero
-    terms kept, in (p, q) order: the product of rank_gen with each 1-D
-    factor shifted z -> z - 1, which takes (1+x)^coloops to x^coloops."""
-    return _nonzero(_factor_product(m, _shift))
-
-
-def _nonzero(coeffs) -> dict[tuple[int, int], int]:
-    """{(p, q): coefficient} of the nonzero entries, in (p, q) order."""
-    return {(p, q): c for p, row in enumerate(coeffs)
-            for q, c in enumerate(row) if c}
+    terms kept, in (p, q) order."""
+    return tutte_from_rank_gen(rank_gen(m))
 
 
 def rank_gen_convolution(rm: RankGenMatrix,
@@ -264,6 +245,21 @@ def rank_gen_convolution(rm: RankGenMatrix,
 def tutte_from_rank_gen(rgm: RankGenMatrix) -> dict[tuple[int, int], int]:
     """Shift a rank-generating matrix to Tutte-polynomial coefficients:
     t(x, y) = R(x-1, y-1), only nonzero terms kept, in (p, q) order.
-    x -> x-1 shifts each column and y -> y-1 then each row (_shift)."""
-    columns = [_shift(col) for col in zip(*rgm.coeffs)]
-    return _nonzero(_shift(row) for row in zip(*columns))
+
+    t at x = 2^(w cols), y = 2^w is R at x = 2^(w cols) - 1,
+    y = 2^w - 1, one Horner evaluation (Kronecker substitution, as in
+    rank_gen).  t[p][q] is the sum of a[i][j] C(i, p) C(j, q) with
+    signs, so |t[p][q]| < 2^(w-1) once 2^(w-1) passes sum |a| times
+    2^(rows + cols - 2); adding 2^(w-1) to every digit then makes them
+    all lie in [0, 2^w), and the value's base-2^w digits less 2^(w-1)
+    are t's coefficients, for any integer matrix."""
+    coeffs = rgm.coeffs
+    rows, cols = len(coeffs), len(coeffs[0])
+    w = (sum(sum(map(abs, row)) for row in coeffs).bit_length()
+         + rows + cols - 1)
+    half = 1 << w - 1
+    value = (_at([_at(row, w, True) for row in coeffs], w * cols, True)
+             + ((1 << w * rows * cols) - 1) // ((1 << w) - 1) * half)
+    return {(p, q): c - half
+            for p, row in enumerate(_unpack(value, w, rows, cols))
+            for q, c in enumerate(row) if c != half}
