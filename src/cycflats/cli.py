@@ -5,7 +5,10 @@ violation (with a diagnostic on stdout), 2 = input error (message on
 stderr).  All output is canonically sorted and deterministic.
 
 Each subcommand is declared once, by command() beside its handler;
-make_parser lists them in the order they are declared.
+make_parser lists them in the order they are declared.  The package
+loads its modules lazily (see cycflats), and main builds only the
+parser of the command it is given, so a command runs only the modules
+it uses.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import build, io, ops, tutte, widths
+from . import build, freeprod, io, ops, tutte, widths
 from .errors import (ChainTooShort, CycflatsError, InvalidParameters,
                      NotAMatroid, NotNested, NotRelaxable, RankZero)
-from .freeprod import free_product
 from .matroid import Matroid, cyclic_flats_recompute, validate
 
 # subcommand name -> (help, add_argument calls, handler), in parser order
@@ -167,7 +169,7 @@ def cmd_two_matroids(args) -> int:
     """directsum and freeprod: the operation on the two files' matroids,
     looked up when the command runs (as in cmd_one_matroid)."""
     op = {"directsum": ops.direct_sum,
-          "freeprod": free_product}[args.command]
+          "freeprod": freeprod.free_product}[args.command]
     return _emit(op(_load_matroid(args.left), _load_matroid(args.right)))
 
 
@@ -296,12 +298,23 @@ def cmd_gen(args) -> int:
     return _emit(m)
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, if command names one, of that
+    one only.  On a command line that starts with that command, the
+    two parse, print and exit alike: the usage line of the one-command
+    parser still lists every command."""
     parser = argparse.ArgumentParser(
         prog="cycflats",
         description="Matroids represented by cyclic flats and ranks")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help, arguments, fn) in COMMANDS.items():
+    one = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        # argparse's own metavar lists only the commands built; a metavar
+        # on the full parser would rename the command argument in its
+        # "invalid choice" message
+        metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
+        help, arguments, fn = COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         for flags, options in arguments:
@@ -310,7 +323,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = make_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except (NotRelaxable, NotNested, ChainTooShort, RankZero) as exc:

@@ -142,10 +142,14 @@ def _interval_terms(e: int, pairs) -> list[tuple[list[int], list[int]]]:
     w = n + 1
     p = [{} for _ in pairs]  # p[g][h]: p_GH
     b = [{} for _ in pairs]  # b[f][h]: b_HF
+    powers = {}  # d -> (1+z)^d: only n + 1 exponents occur
     for f, down in enumerate(below):
         into = b[f]  # by now b_HF for every H in (G, F)
         for g in reversed(down):
-            rest = ((1 << w) + 1) ** (sizes[f] - sizes[g])
+            d = sizes[f] - sizes[g]
+            if d not in powers:
+                powers[d] = ((1 << w) + 1) ** d
+            rest = powers[d]
             above = p[g]
             for h, b_hf in into.items():
                 if h in above:

@@ -9,6 +9,16 @@ import pytest
 
 import cycflats as cf
 
+# The package runs a module on its first attribute access and looks up
+# each public name on its first use.  Do both for every module and name
+# now, so that no module first runs, and no name is first looked up,
+# while a spy fixture below has replaced a function.
+for _name, _module in list(sys.modules.items()):
+    if _name.startswith("cycflats."):
+        vars(_module)
+for _name in cf.__all__:
+    getattr(cf, _name)
+
 
 def build_catalog():
     """A named catalog of >= 30 valid matroids used across the suite."""

@@ -326,28 +326,128 @@ def test_readme_cap_table():
         assert int(got) == want, name
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def test_table_free_commands_do_not_import_numpy():
     # nor dataclasses and inspect: importing them costs each CLI child
     # about as much as executing the whole package.  Tutte, from one
-    # matroid or from the two factors of a free product, takes no table
+    # matroid or from the two factors of a free product, takes no table.
+    # `import cycflats` runs only the errors module (the others stay
+    # lazy modules, whose class LazyLoader swaps when they run), and
+    # validate runs none of the operations' modules
     mk4, u24 = str(FX / "mk4.json"), str(FX / "u24.json")
     commands = [["validate", mk4], ["tutte", mk4], ["tutte", mk4, u24]]
     script = (
-        "import sys\n"
+        "import sys, types\n"
         "heavy = ('numpy', 'dataclasses', 'inspect')\n"
+        "def ran():\n"
+        "    return {n for n, m in sys.modules.items()\n"
+        "            if n.startswith('cycflats.')\n"
+        "            and type(m) is types.ModuleType}\n"
         "import cycflats\n"
         "loaded = [m for m in heavy if m in sys.modules]\n"
         "assert not loaded, f'import cycflats: {loaded}'\n"
+        "assert ran() == {'cycflats.errors'}, ran()\n"
+        "assert {n for n in sys.modules if n.startswith('cycflats.')} \\\n"
+        "    == {'cycflats.' + m for m in [*cycflats._EXPORTS, 'errors']}\n"
         "from cycflats import cli\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
         "    loaded = [m for m in heavy if m in sys.modules]\n"
-        "    assert not loaded, f'{argv}: {loaded}'\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+        "    assert not loaded, f'{argv}: {loaded}'\n"
+        "    if argv[0] == 'validate':\n"
+        "        operations = {'cycflats.' + m for m in\n"
+        "                      ('build', 'ops', 'tutte', 'widths', 'freeprod')}\n"
+        "        assert not ran() & operations, ran() & operations\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [["validate", "mk4.json"],
+                                  ["tutte", "mk4.json"]])
+def test_run_as_main_warns_nothing(argv):
+    # cli is the one submodule the package does not register lazily:
+    # runpy warns about a module found in sys.modules before it runs
+    # as __main__, and the benchmark requires an empty stderr
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cycflats.cli", argv[0],
+         str(FX / argv[1])],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_package_names():
+    # every name of the table is its home module's object, listed by
+    # dir() and bound by a star import; any other name is missing
+    assert cf._HOME and set(cf._HOME) <= set(cf.__all__)
+    for module, names in cf._EXPORTS.items():
+        home = importlib.import_module(f"cycflats.{module}")
+        assert getattr(cf, module) is home
+        for name in names:
+            assert getattr(cf, name) is getattr(home, name), name
+    assert set(cf.__all__) <= set(dir(cf))
+    assert cf.TooLarge is cf.errors.TooLarge and "TooLarge" in cf.__all__
+    ns = {}
+    exec("from cycflats import *", ns)
+    assert all(ns[name] is getattr(cf, name) for name in cf.__all__)
+    with pytest.raises(AttributeError, match="nonesuch"):
+        cf.nonesuch  # noqa: B018
+
+
+def _main_output(argv):
+    """stdout, stderr and exit code of main(argv), whether it returns or
+    argparse exits."""
+    out, err = textio.StringIO(), textio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def _parser_argvs():
+    """Command lines for every way the parser can answer: help, no or an
+    unknown command, and, for each command, missing arguments, an extra
+    positional, an unknown option and a bad typed value."""
+    argvs = [["--help"], ["-h"], [], ["nonesuch"], ["nonesuch", "x"]]
+    for name, (_, arguments, _) in cli.COMMANDS.items():
+        full, bad = [], []
+        for flags, options in arguments:
+            if flags[0].startswith("-"):
+                if options.get("required"):
+                    full += [flags[0], "1"]
+                if "type" in options:
+                    bad = [flags[0], "x"]
+            elif options.get("nargs") != "*":
+                full.append(options["choices"][0] if "choices" in options
+                            else str(FX / "mk4.json"))
+        argvs += [["-h", name], [name, "--help"], [name], [name, *full],
+                  [name, *full, "extra"], [name, *full, "--nonesuch"]]
+        if bad:
+            argvs.append([name, *full, *bad])
+    return argvs
+
+
+def test_one_command_parser_answers_as_the_full_parser(monkeypatch):
+    # main builds only the named command's subparser; on every command
+    # line it prints and exits byte for byte as the parser of all
+    argvs = _parser_argvs()
+    assert len(argvs) > 6 * len(cli.COMMANDS)
+    got = [_main_output(argv) for argv in argvs]
+    full = make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda command=None: full())
+    want = [_main_output(argv) for argv in argvs]
+    for argv, g, w in zip(argvs, got, want):
+        assert g == w, argv
+    assert {code for _, _, code in got} == {0, 1, 2}
+    with pytest.raises(SystemExit):
+        with contextlib.redirect_stderr(textio.StringIO()):
+            make_parser("validate").parse_args(["rank", "f", "--set", "a"])
 
 
 def test_witness_text_does_not_depend_on_the_hash_seed():
