@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import InvalidParameters, NotAMatroid, TooLarge
@@ -219,16 +219,14 @@ class Matroid:
         """Ranks of all 2^n subsets, indexed by mask (cached, read-only,
         uint8).
 
-        The grid of _grid_ranks with every element its own class of one,
-        so a profile is a subset and its grid index is its mask.  r(A)
-        is the sum of the ranks of A's parts in the pieces (_pieces), so
-        each piece gets a grid over the product of its factors' pairs
-        with its loops in every member, and the table is the outer sum
-        of the grids from the lowest piece up.  Its peak is the table
-        and the sum below the highest piece, at most a quarter of it, as
-        a piece with a factor has two elements or more.  A matroid of one
-        piece, connected or with interleaved factors, gets one grid over
-        its flats.
+        r(A) is the sum of the ranks of A's parts in the pieces
+        (_pieces), so each piece gets a grid of _grid_ranks over the
+        product of its factors' pairs with its loops in every member, and
+        the table is the outer sum of the grids from the lowest piece up.
+        Its peak is the table and the sum below the highest piece, at most
+        a quarter of it, as a piece with a factor has two elements or
+        more.  A matroid of one piece, connected or with interleaved
+        factors, gets one grid over its flats.
         """
         if self._table is None:
             n = len(self.ground)
@@ -237,19 +235,12 @@ class Matroid:
                     f"rank_table would tabulate all subsets of {n} elements, "
                     f"over cap {ENUM_CAP} (ENUM_CAP); rank, closure, minor "
                     f"and dual need no table")
-            pieces = _pieces(n, self.factors)
-            if len(pieces) == 1:
-                table = _grid_ranks([1] * n,
-                                    zip(self.flats, self.flat_ranks))
-            else:
-                import numpy as np
-                for low, high, group in pieces:
-                    flats = _product(self.bottom & (1 << high) - (1 << low),
-                                     group)
-                    part = _grid_ranks([1] * (high - low), [
-                        (f >> low, r) for f, r in flats.items()])
-                    table = part if low == 0 else np.add.outer(
-                        part, table).ravel()
+            import numpy as np
+            for low, high, group in _pieces(n, self.factors):
+                flats = _product(self.bottom & (1 << high) - (1 << low), group)
+                part = _grid_ranks(high - low, [
+                    (f >> low, r) for f, r in flats.items()])
+                table = part if low == 0 else np.add.outer(part, table).ravel()
             table.flags.writeable = False
             self._table = table
         return self._table
@@ -509,56 +500,49 @@ def _support(pairs, a: int) -> tuple[int, int, int]:
     return best, inter, union
 
 
-def _grid_ranks(radices, flats) -> np.ndarray:
-    """min over flats F of r(F) + sum of t_c over the classes c outside F,
-    at every profile t of a mixed-radix grid.
+def _grid_ranks(axes: int, flats) -> np.ndarray:
+    """min over flats F of r(F) + |A - F| at every mask A < 2^axes.
 
-    Axis c takes t_c = 0..radices[c] (axis 0 varies fastest, so with
-    every radix 1 the grid index of a subset is its mask); flats are
-    (mask of the axes inside F, r(F)).  Each value is the sum of one part
-    from the low h = len(radices) // 2 axes and one from the high axes,
-    so the grid is a (high x low) min of outer sums.  A half's parts are
-    products of the flats' rows (1 on each axis outside F) with its digit
-    matrix (_digits).  Flats are sorted into groups by their low part; a
+    Flats are (mask, r(F)).  Each value is the sum of one part from the
+    low h = axes // 2 bits of A and one from the high bits, so the grid
+    is a (high x low) min of outer sums.  A half's parts are products of
+    the flats' rows (1 on each bit outside F) with its bit matrix
+    (_digits).  Flats are sorted into groups by their low part; a
     group's high parts, r(F) included, are folded to their minimum
     (_run_minima), and only that minimum meets the group's low part.
 
-    The groups go through in steps of at most _STEP_ENTRIES // cells
+    The groups go through in steps of at most _STEP_ENTRIES >> axes
     groups (at least one), each step one broadcast sum of its groups'
     high and low parts and one min; the high parts come from products
     of at most _STEP_ENTRIES entries.  So a grid whose groups times
-    cells fit in _STEP_ENTRIES takes a fixed number of numpy calls
+    2^axes fit in _STEP_ENTRIES takes a fixed number of numpy calls
     however many flats and groups it has, and a 2^ENUM_CAP grid takes
     one group a step, with a peak of the grid, one step's sums and an
-    eighth of a grid of high parts.  Returns the flattened grid in the
-    smallest unsigned dtype that holds the largest candidate value.
+    eighth of a grid of high parts.  Returns the grid in the smallest
+    unsigned dtype that holds the largest candidate value.
     """
     import numpy as np
-    axes = len(radices)
     h = axes // 2
     low_mask = (1 << h) - 1
     flats = sorted(flats, key=lambda f: f[0] & low_mask)
+    dtype = np.min_scalar_type(max(r + axes - f.bit_count() for f, r in flats))
     # bounds[g]: the first flat of group g; bounds[-1]: the flat count
     bounds = [i for i, (f, _) in enumerate(flats)
               if not i or (f ^ flats[i - 1][0]) & low_mask] + [len(flats)]
-    # one row per flat: 1 on each axis outside F, then r(F)
-    rows = np.empty((len(flats), axes + 1), np.int64)
+    # one row per flat: 1 on each bit outside F, then r(F)
+    rows = np.empty((len(flats), axes + 1), dtype)
     rows[:, :axes] = (~np.array([f for f, _ in flats], np.int64)[:, None]
                       >> np.arange(axes) & 1)
     rows[:, axes] = [r for _, r in flats]
-    dtype = np.min_scalar_type(
-        int((rows @ np.array([*radices, 1], np.int64)).max()))
-    rows = rows.astype(dtype)
-    high_digits = _digits(tuple(radices[h:]), dtype)  # its ones add r(F)
-    low_digits = _digits(tuple(radices[:h]), dtype)[:h]
-    step = max(1, _STEP_ENTRIES
-               // (high_digits.shape[1] * low_digits.shape[1]))
-    chunk = max(1, _STEP_ENTRIES // high_digits.shape[1])
+    high_bits = _digits(axes - h, dtype)  # its ones add r(F)
+    low_bits = _digits(h, dtype)[:h]
+    step = max(1, _STEP_ENTRIES >> axes)
+    chunk = max(1, _STEP_ENTRIES >> (axes - h))
     best = sums = None
     for g in range(0, len(bounds) - 1, step):
         cut = bounds[g:g + step + 1]
-        high = _run_minima(rows[:, h:], high_digits, cut, chunk)
-        low = (rows[cut[:-1], :h] @ low_digits)[:, None]
+        high = _run_minima(rows[:, h:], high_bits, cut, chunk)
+        low = (rows[cut[:-1], :h] @ low_bits)[:, None]
         if best is None:
             stack = high[:, :, None] + low
             best = stack[0] if len(stack) == 1 else stack.min(axis=0)
@@ -589,17 +573,12 @@ def _run_minima(rows, digits, bounds, chunk) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _digits(radices: tuple[int, ...], dtype) -> np.ndarray:
-    """The ((axes + 1) x cells) digit matrix of a mixed-radix grid: row
-    c holds t_c at every cell, axis 0 varying fastest, and the last row
-    is all ones (read-only, cached)."""
+def _digits(bits: int, dtype) -> np.ndarray:
+    """The ((bits + 1) x 2^bits) bit matrix: row c holds bit c of every
+    mask, and the last row is all ones (read-only, cached)."""
     import numpy as np
-    out = np.ones((len(radices) + 1, prod(k + 1 for k in radices)), dtype)
-    stride = 1
-    for c, k in enumerate(radices):
-        out[c].reshape(-1, k + 1, stride)[:] = np.arange(
-            k + 1, dtype=dtype)[:, None]
-        stride *= k + 1
+    out = np.ones((bits + 1, 1 << bits), dtype)
+    out[:bits] = np.arange(1 << bits) >> np.arange(bits)[:, None] & 1
     out.flags.writeable = False
     return out
 

@@ -98,11 +98,11 @@ def _tally(ranks, sizes, rank: int, nullity: int):
 def _subset_sizes(n: int):
     """|A| at every mask A < 2^n.  As in matroid._grid_ranks, the masks
     form a (high x low) outer sum over the halves of the elements: |A| is
-    the sum of the column sums of the two halves' cached digit matrices
+    the sum of the column sums of the two halves' cached bit matrices
     (matroid._digits)."""
     import numpy as np
     st = np.min_scalar_type(n)
-    high, low = (_digits((1,) * half, st)[:-1].sum(axis=0, dtype=st)
+    high, low = (_digits(half, st)[:-1].sum(axis=0, dtype=st)
                  for half in (n - n // 2, n // 2))
     return np.add.outer(high, low).ravel()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 
+import numpy as np
 import pytest
 
 import cycflats as cf
@@ -76,6 +77,49 @@ def rank_support_scan(m, a):
             inter &= f
             union |= f
     return best, inter, union
+
+
+def _grid_ranks_outer(radices, flats):
+    """min over flats F of r(F) + sum of t_c over the axes c outside F,
+    at every profile t of a mixed-radix grid, flattened.
+
+    Axis c takes t_c = 0..radices[c], axis 0 varying fastest, and flats
+    are (mask of the axes inside F, r(F)).  Each flat's high part is
+    built axis by axis from np.add.outer, folded per low part, then one
+    (high x low) outer sum per distinct low part is taken, in the
+    smallest unsigned dtype that holds the largest candidate value.
+    With every radix 1 a profile is a subset, its index its mask, and
+    this is the oracle for matroid._grid_ranks; with the sizes of
+    classes of elements it is the class grid of test_tutte's oracle."""
+    flats = list(flats)
+    h = len(radices) // 2
+    low_mask = (1 << h) - 1
+    top = max(r + sum(k for c, k in enumerate(radices) if not inside >> c & 1)
+              for inside, r in flats)
+    dtype = np.min_scalar_type(top)
+
+    def part(axes, inside, base):
+        v = np.full(1, base, dtype=dtype)
+        for c in reversed(range(len(axes))):
+            k = axes[c] + 1
+            step = (np.zeros(k, dtype) if inside >> c & 1
+                    else np.arange(k, dtype=dtype))
+            v = np.add.outer(v, step).ravel()
+        return v
+
+    high_of = {}
+    for inside, r in flats:
+        b = part(radices[h:], inside >> h, r)
+        low = inside & low_mask
+        if low in high_of:
+            np.minimum(high_of[low], b, out=high_of[low])
+        else:
+            high_of[low] = b
+    best = None
+    for low, b in high_of.items():
+        cell = np.add.outer(b, part(radices[:h], low, 0))
+        best = cell if best is None else np.minimum(best, cell)
+    return best.ravel()
 
 
 def same_matroid(got, want):

@@ -2,13 +2,14 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
-from math import comb, prod
+from math import comb
 
 import numpy as np
 import pytest
 
 import cycflats as cf
-from conftest import rank_support_scan, reordered, summands
+from conftest import (_grid_ranks_outer, rank_support_scan, reordered,
+                      summands)
 from cycflats import matroid
 from cycflats.groundsets import (bits, class_profile, popcount, set_text,
                                  subset_key)
@@ -451,7 +452,7 @@ class TestRankOracle:
         radices = [2, 1, 3, 1, 2]
         flats = [(0b00000, 0), (0b00101, 2), (0b11001, 3), (0b10110, 4),
                  (0b11111, 6)]
-        grid = _grid_ranks(radices, flats)
+        grid = _grid_ranks_outer(radices, flats)
         # axis 0 varies fastest
         cells = [t[::-1] for t in product(*(range(k + 1) for k in radices[::-1]))]
         assert len(grid) == len(cells)
@@ -461,78 +462,39 @@ class TestRankOracle:
                             for inside, r in flats), t
 
 
-def _grid_ranks_outer(radices, flats):
-    """Oracle for _grid_ranks: each flat's high part built axis by axis
-    from np.add.outer, folded per low part, then one (high x low) outer
-    sum per distinct low part."""
-    flats = list(flats)
-    h = len(radices) // 2
-    low_mask = (1 << h) - 1
-    top = max(r + sum(k for c, k in enumerate(radices) if not inside >> c & 1)
-              for inside, r in flats)
-    dtype = np.min_scalar_type(top)
-
-    def part(axes, inside, base):
-        v = np.full(1, base, dtype=dtype)
-        for c in reversed(range(len(axes))):
-            k = axes[c] + 1
-            step = (np.zeros(k, dtype) if inside >> c & 1
-                    else np.arange(k, dtype=dtype))
-            v = np.add.outer(v, step).ravel()
-        return v
-
-    high_of = {}
-    for inside, r in flats:
-        b = part(radices[h:], inside >> h, r)
-        low = inside & low_mask
-        if low in high_of:
-            np.minimum(high_of[low], b, out=high_of[low])
-        else:
-            high_of[low] = b
-    best = None
-    for low, b in high_of.items():
-        cell = np.add.outer(b, part(radices[:h], low, 0))
-        best = cell if best is None else np.minimum(best, cell)
-    return best.ravel()
-
-
-def _random_grid(rng, axes, max_cells, max_flats):
-    """Radices of 1-3 on the given number of axes with at most max_cells
-    cells, and up to max_flats distinct inside masks with random ranks."""
-    radices = [rng.randint(1, 3) for _ in range(axes)]
-    while prod(k + 1 for k in radices) > max_cells:
-        radices[rng.randrange(axes)] = 1
+def _random_grid(rng, axes, max_flats):
+    """axes, with up to max_flats distinct masks below 2^axes and random
+    ranks."""
     count = rng.randint(1, min(max_flats, 1 << axes))
     insides = rng.sample(range(1 << axes), count)
-    return radices, [(f, rng.randint(0, 9)) for f in insides]
+    return axes, [(f, rng.randint(0, 9)) for f in insides]
 
 
 class TestGridRanksAgainstOuterSums:
-    """_grid_ranks against the outer-sum oracle: same values, same dtype."""
+    """_grid_ranks against the outer-sum oracle with every radix 1: same
+    values, same dtype."""
 
-    def assert_same(self, radices, flats):
-        got, want = _grid_ranks(radices, flats), _grid_ranks_outer(radices,
-                                                                   flats)
-        assert got.dtype == want.dtype, (radices, flats)
-        assert np.array_equal(got, want), (radices, flats)
+    def assert_same(self, axes, flats):
+        got, want = _grid_ranks(axes, flats), _grid_ranks_outer([1] * axes,
+                                                                 flats)
+        assert got.dtype == want.dtype, (axes, flats)
+        assert np.array_equal(got, want), (axes, flats)
 
-    def test_random_mixed_radices(self):
+    def test_random_grids(self):
         rng = random.Random(5)
-        for axes in range(1, 12):  # odd and even axis counts
+        for axes in range(1, 15):  # odd and even axis counts
             for _ in range(12):
-                self.assert_same(*_random_grid(rng, axes, 1 << 14, 64))
+                self.assert_same(*_random_grid(rng, axes, 64))
 
     def test_more_flats_than_cells(self):
         # every inside mask on 1-6 axes, each with two ranks: more flats
         # than cells, and groups of up to 2^4 flats sharing a low part
         rng = random.Random(64)
         for axes in range(1, 7):
-            for radices in ([1] * axes, [rng.randint(1, 3) for _ in
-                                         range(axes)]):
-                flats = [(f, rng.randint(0, 9)) for f in range(1 << axes)
-                         for _ in range(2)]
-                rng.shuffle(flats)
-                self.assert_same(radices, flats)
+            flats = [(f, rng.randint(0, 9)) for f in range(1 << axes)
+                     for _ in range(2)]
+            rng.shuffle(flats)
+            self.assert_same(axes, flats)
 
     @pytest.mark.parametrize("entries", [1, 5, 24, 64])
     def test_small_steps(self, monkeypatch, entries):
@@ -542,22 +504,21 @@ class TestGridRanksAgainstOuterSums:
         rng = random.Random(entries)
         for axes in range(1, 9):
             for _ in range(6):
-                self.assert_same(*_random_grid(rng, axes, 1 << 10, 200))
-            self.assert_same([1] * axes, [(f, rng.randint(0, 9))
-                                          for f in range(1 << axes)])
+                self.assert_same(*_random_grid(rng, axes, 200))
+            self.assert_same(axes, [(f, rng.randint(0, 9))
+                                    for f in range(1 << axes)])
 
     def test_single_axis(self):
-        # h = 0: no low axes, as rank_gen builds for U_{r,18}
-        for r in (0, 3, 18):
-            self.assert_same([18], [(0, 0), (1, r)])
-        self.assert_same([3], [(0, 2)])
+        # h = 0: no low bits; r = 300 needs a uint16 grid
+        for r in (0, 3, 18, 300):
+            self.assert_same(1, [(0, 0), (1, r)])
+        self.assert_same(1, [(0, 2)])
 
     def test_many_flats(self):
         rng = random.Random(864)
         for count in (1, 2, 200, 864):
             insides = rng.sample(range(1 << 12), count)
-            self.assert_same([1] * 12,
-                             [(f, rng.randint(0, 12)) for f in insides])
+            self.assert_same(12, [(f, rng.randint(0, 12)) for f in insides])
 
     def test_flats_meeting_both_halves(self):
         rng = random.Random(3)
@@ -568,13 +529,11 @@ class TestGridRanksAgainstOuterSums:
             for _ in range(5):
                 flats = [(f, rng.randint(0, 5))
                          for f in rng.sample(straddle, 20)]
-                self.assert_same([rng.randint(1, 2) for _ in range(axes)],
-                                 flats)
+                self.assert_same(axes, flats)
 
     def test_rank_tables(self, catalog):
         for name, m in catalog.items():
-            self.assert_same([1] * len(m.ground),
-                             list(zip(m.flats, m.flat_ranks)))
+            self.assert_same(len(m.ground), list(zip(m.flats, m.flat_ranks)))
 
 
 def _alternating(m, n):
@@ -590,12 +549,12 @@ def _alternating(m, n):
 
 class TestRankTableByPieces:
     """rank_table, one grid per piece of factors and their outer sum,
-    against one grid over every flat: _grid_ranks([1] * n, flats)."""
+    against one grid over every flat: _grid_ranks(n, flats)."""
 
     @staticmethod
     def assert_whole(m):
         got = m.rank_table()
-        want = _grid_ranks([1] * len(m.ground), zip(m.flats, m.flat_ranks))
+        want = _grid_ranks(len(m.ground), zip(m.flats, m.flat_ranks))
         assert got.dtype == np.uint8 and not got.flags.writeable
         assert np.array_equal(got, want), m
 
@@ -679,15 +638,15 @@ class TestRankTableByPieces:
         calls = []
         real = matroid._grid_ranks
 
-        def spy(radices, flats):
+        def spy(axes, flats):
             flats = list(flats)
-            calls.append((radices, flats))
-            return real(radices, flats)
+            calls.append((axes, flats))
+            return real(axes, flats)
 
         monkeypatch.setattr(matroid, "_grid_ranks", spy)
         big = TestDensePathAtCap.big()
         big.rank_table()
-        assert [len(r) for r, _ in calls] == [6, 6, 6, 2, 2]
+        assert [a for a, _ in calls] == [6, 6, 6, 2, 2]
         assert [len(f) for _, f in calls] == [6, 6, 6, 2, 2]
         alt = _alternating(cf.uniform(5, 11, [f"a{i}" for i in range(11)]),
                            cf.uniform(5, 11, [f"b{i}" for i in range(11)]))
@@ -695,8 +654,9 @@ class TestRankTableByPieces:
         for m in (alt, nested, cf.uniform(3, 7), cf.uniform(0, 4)):
             calls.clear()
             m.rank_table()
-            assert calls == [([1] * len(m.ground),
-                              list(zip(m.flats, m.flat_ranks)))]
+            # one piece: its product of factors is Z, in its own order
+            assert [(a, sorted(f)) for a, f in calls] == [
+                (len(m.ground), sorted(zip(m.flats, m.flat_ranks)))]
 
 
 def _fixpoint_strided(m):
@@ -937,7 +897,7 @@ class TestDensePathAtCap:
         rng = random.Random(864)
         flats = [(1, 5)] + [(f << h, rng.randint(0, 9))
                             for f in rng.sample(range(1 << (n - h)), 864)]
-        grid, peak = self.peak_over_table(lambda: _grid_ranks([1] * n, flats))
+        grid, peak = self.peak_over_table(lambda: _grid_ranks(n, flats))
         assert peak <= 2.3, peak
         for a in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(50)]:
             assert grid[a] == min(r + popcount(a & ~f) for f, r in flats), a

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
-from cycflats.matroid import ENUM_CAP, _grid_ranks
+from conftest import _grid_ranks_outer
+from cycflats.matroid import ENUM_CAP
 from cycflats.groundsets import bits, class_profile, popcount
-from cycflats.tutte import (RankGenMatrix, rank_gen, rank_gen_brute,
-                            rank_gen_convolution, tutte_from_rank_gen,
-                            tutte_polynomial)
+from cycflats.tutte import (RankGenMatrix, _subset_sizes, rank_gen,
+                            rank_gen_brute, rank_gen_convolution,
+                            tutte_from_rank_gen, tutte_polynomial)
 
 
 def poly_mul(p, q):
@@ -46,7 +47,8 @@ def _component_rank_gen_loops(e, pairs):
     r(A) = min over the cyclic flats Y of r(Y) + |A - Y| depends only on
     how many elements A takes from each class of elements lying in the
     same flats, so R(M|E) is a sum over those class profiles t, each
-    weighted by prod C(|c|, t_c).  Two _grid_ranks calls give the ranks
+    weighted by prod C(|c|, t_c).  Two _grid_ranks_outer calls (the
+    mixed-radix grid of conftest, one axis per class) give the ranks
     and |A| (the rank of A when no class lies in a flat), and the
     weights are built apart; returns a list of rows."""
     classes, inside = class_profile([y for y, _ in pairs], e)
@@ -59,8 +61,8 @@ def _component_rank_gen_loops(e, pairs):
     for k in reversed(radices):
         row = np.array([comb(k, t) for t in range(k + 1)], dtype)
         weights = np.multiply.outer(weights, row).ravel()
-    ranks = _grid_ranks(radices, flats).astype(np.int64)
-    sizes = _grid_ranks(radices, [(0, 0)]).astype(np.int64)
+    ranks = _grid_ranks_outer(radices, flats).astype(np.int64)
+    sizes = _grid_ranks_outer(radices, [(0, 0)]).astype(np.int64)
     counts = np.zeros((rank + 1, n - rank + 1), dtype)
     np.add.at(counts, (rank - ranks, sizes - ranks), weights)
     return counts.tolist()
@@ -226,6 +228,13 @@ class TestRankGenBrute:
         for name, m in small_catalog.items():
             assert rank_gen_brute(cf.dual(m)) == \
                 transpose(rank_gen_brute(m)), name
+
+    def test_subset_sizes(self):
+        # |A| of every mask, in the smallest dtype that holds n
+        for n in range(13):
+            sizes = _subset_sizes(n)
+            assert sizes.dtype == np.min_scalar_type(n), n
+            assert sizes.tolist() == [popcount(a) for a in range(1 << n)], n
 
 
 class TestTuttePolynomial:
