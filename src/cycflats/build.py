@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
-from .groundsets import GroundSet, bits, popcount
+from .groundsets import GroundSet, bits, popcount, precedes
 from .lattices import FiniteLattice, _converse, _least_lattices, is_chain
 from .matroid import Matroid, RankedFamily, _assemble, validate
 from .ops import MinorSpec, direct_sum, dual, truncate
@@ -187,6 +187,8 @@ def gimenez_family(n: int, sigma) -> Matroid:
     sigma is a permutation of 1..n (sequence of images).  Two chains
     share bottom and top: A_i grows by {z_i, w_i}, B_i by {z_i,
     w_{sigma(i)}}; ranks are n+1+i on both chains and 2n+2 overall.
+    |B_i| = n+2+2i is one less than |A_i|, so the masks are listed in
+    canonical order, B_i before A_i, and RankedFamily keeps that order.
     """
     if n < 1:
         raise InvalidParameters(f"need n >= 1, got {n}")
@@ -198,16 +200,18 @@ def gimenez_family(n: int, sigma) -> Matroid:
               + [f"y{i}" for i in range(1, n + 1)]
               + [f"z{i}" for i in range(1, n + 1)]
               + [f"w{i}" for i in range(1, n + 1)])
-    a = ["a", "a'", "a''"] + [f"x{i}" for i in range(1, n + 1)]
-    b = ["b", "b'"] + [f"y{i}" for i in range(1, n + 1)]
-    sets = [([], 0), (list(a), n + 1), (list(b), n + 1)]
+    ground = GroundSet(labels)
+    # x_i, y_i, z_i and w_i are elements 4+i, 4+n+i, 4+2n+i and 4+3n+i
+    run = (1 << n) - 1
+    a, b = 0b111 | run << 5, 0b11000 | run << (5 + n)
+    entries = [(0, 0), (b, n + 1), (a, n + 1)]
     for i in range(1, n + 1):
-        a = a + [f"z{i}", f"w{i}"]
-        b = b + [f"z{i}", f"w{sigma[i - 1]}"]
-        sets.append((list(a), n + 1 + i))
-        sets.append((list(b), n + 1 + i))
-    sets.append((labels, 2 * n + 2))
-    return Matroid.from_labels(labels, sets)
+        z = 1 << (4 + 2 * n + i)
+        a |= z | 1 << (4 + 3 * n + i)
+        b |= z | 1 << (4 + 3 * n + sigma[i - 1])
+        entries += [(b, n + 1 + i), (a, n + 1 + i)]
+    entries.append((ground.full, 2 * n + 2))
+    return validate(RankedFamily(ground, entries))
 
 
 def catalog(name: str) -> Matroid:
@@ -498,8 +502,9 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
     validate, which stays the gate.  The draws are an ordered uniform
     sample of the candidates, as a shuffle of all of them would give, so
     the law of the result does not depend on how they are drawn, though
-    a shuffling sampler maps each seed to another matroid.  After 20
-    failed tries the last chain is returned (cyclic width 1).  Needs
+    a shuffling sampler maps each seed to another matroid.  The chain is
+    in canonical order, and (s, rho) goes in at its place there.  After
+    20 failed tries the last chain is returned (cyclic width 1).  Needs
     max_elems >= 2.
     """
     if max_elems < 2:
@@ -515,8 +520,10 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
         for i in _draw_indices(rng, total, min(400, total)):
             s, rho = _candidate(i, n)
             if _chain_plus_one_ok(flats, ranks, s, rho):
-                return validate(RankedFamily(_nested_ground(n),
-                                             chain + [(s, rho)]))
+                at = next((k for k, f in enumerate(flats)
+                           if precedes(s, f)), len(flats))
+                chain.insert(at, (s, rho))
+                return validate(RankedFamily(_nested_ground(n), chain))
     return nested_from_sequence(seq)  # fallback: the last chain
 
 

@@ -8,7 +8,8 @@ and N has no loops.  Ranks carry over, shifted by r(M) on the N side
 2005).  The free product of two matroids is a matroid, so that family is
 assembled (matroid._assemble) with no second validation; the one-element
 operands of free_extension and free_coextension are assembled the same
-way.
+way.  The rule fixes the canonical order too: M's part, then E(M), then
+N's part, each part in the order of its operand's flats.
 """
 
 from __future__ import annotations
@@ -21,15 +22,20 @@ from .matroid import Matroid, _assemble
 
 
 def free_product(m: Matroid, n: Matroid) -> Matroid:
-    """M box N on the concatenated ground set."""
+    """M box N on the concatenated ground set.
+
+    Its cyclic flats in canonical order: M's proper cyclic flats, each
+    smaller than E(M); E(M), if it is one; then E(M) u Y for the
+    nonempty Y of N, each larger, in N's order, which adding E(M) below
+    every element of Y keeps."""
     ground = m.ground.concat(n.ground)
     shift = len(m.ground)
     em = m.ground.full
     entries = [(x, rx) for x, rx in zip(m.flats, m.flat_ranks) if x != em]
-    entries += [(em | (y << shift), m.matroid_rank + ry)
-                for y, ry in zip(n.flats, n.flat_ranks) if y != 0]
     if m.isthmuses() == 0 and n.loops() == 0:
         entries.append((em, m.matroid_rank))
+    entries += [(em | (y << shift), m.matroid_rank + ry)
+                for y, ry in zip(n.flats, n.flat_ranks) if y != 0]
     return _assemble(ground, entries)
 
 

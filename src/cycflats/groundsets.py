@@ -5,6 +5,12 @@ means the element with index i belongs to the subset.  All families are
 iterated and serialized in canonical order: by cardinality first, then
 lexicographically by the sorted index tuple.  A family of subsets is a
 plain sequence of masks in that order, such as Matroid.flats.
+
+Whether a family is in that order is decided here, by precedes and
+canonical, and nowhere else.  A builder whose rule fixes the order of
+its output emits it in that order, and canonical passes it through in
+one pass with no sort; only a family in some other order is sorted by
+subset_key.
 """
 
 from __future__ import annotations
@@ -36,6 +42,38 @@ def subset_key(mask: int) -> tuple:
     """
     return (mask.bit_count(),
             bin(mask ^ ((2 << mask.bit_length()) - 1))[:1:-1])
+
+
+def precedes(a: int, b: int) -> bool:
+    """Whether mask a comes strictly before mask b in canonical order:
+    a has fewer elements, or as many and holds the lowest element where
+    the two differ.  O(1), with no key built."""
+    size_a, size_b = a.bit_count(), b.bit_count()
+    if size_a != size_b:
+        return size_a < size_b
+    diff = a ^ b
+    return a & diff & -diff != 0
+
+
+def canonical(pairs) -> list:
+    """(mask, value) pairs of distinct masks as a list in canonical
+    order: in the given order when each mask precedes the next, which
+    one pass decides, and otherwise sorted by subset_key."""
+    pairs = list(pairs)
+    if all(precedes(a, b) for (a, _), (b, _) in zip(pairs, pairs[1:])):
+        return pairs
+    return sorted(pairs, key=lambda item: subset_key(item[0]))
+
+
+def first_difference(pairs, width: int) -> list:
+    """(mask, value) pairs with masks below 2^width, ordered so that of
+    two masks the one holding the lowest element where they differ
+    comes first.  A stable sort of that order by size is canonical
+    order, and a union of disjoint parts, the lower part's elements all
+    below the higher part's, is in that order when the lower part
+    varies slowest."""
+    return sorted(pairs, key=lambda item: bin(item[0] | 1 << width)[:2:-1],
+                  reverse=True)
 
 
 def outside(mask: int) -> UnknownLabel:

@@ -64,8 +64,8 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import InvalidParameters, NotAMatroid, TooLarge
-from .groundsets import (GroundSet, atoms, bits, outside, popcount,
-                         set_text, subset_key)
+from .groundsets import (GroundSet, atoms, bits, canonical, outside,
+                         popcount, set_text, subset_key)
 from .lattices import _bound_lookups, _down_masks
 
 if TYPE_CHECKING:  # numpy is imported by the table functions that use it
@@ -90,7 +90,7 @@ class RankedFamily:
         items = list(entries.items() if hasattr(entries, "items") else entries)
         given = dict(items)
         self.ground = ground
-        self.entries = {m: given[m] for m in sorted(given, key=subset_key)}
+        self.entries = dict(canonical(given.items()))
         if not given:
             raise InvalidParameters("ranked family must be nonempty")
         if len(given) != len(items):
@@ -136,11 +136,12 @@ class Matroid:
 
     Immutable; build via validate() or Matroid.from_labels() at the
     boundary.  The constructor itself checks nothing: ops.relabel,
-    ops.direct_sum and ops.minor call it on data read off operands that
-    validate has already passed (minor splits only the factors it
-    changes), and the other operations whose result is a matroid by
-    theorem (the ops and freeprod modules, build.realize_lattice) go
-    through _assemble, which finds the factors with no second sweep.
+    ops.dual, ops.direct_sum and ops.minor call it on data read off
+    operands that validate has already passed (minor splits only the
+    factors it changes), and the other operations whose result is a
+    matroid by theorem (the ops and freeprod modules,
+    build.realize_lattice) go through _assemble, which finds the factors
+    with no second sweep.
     flats and flat_ranks are parallel tuples in canonical subset order;
     factors holds, for each connected component E_i of the elements
     between the least and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over
@@ -337,13 +338,16 @@ def _assemble(ground: GroundSet, entries) -> Matroid:
     result of an operation on validated operands, by that operation's
     rule.
 
-    The masks are distinct and inside ground.  They are put in canonical
-    order and their factors found (_factors), with no sweep and no
-    RankedFamily checks.  A valid family always passes _factors, so a
-    None there means the rule was broken: the family then goes to
-    validate, which raises NotAMatroid with a witness.
+    The masks are distinct and inside ground.  A rule that fixes the
+    order of its output gives them in canonical order, which
+    groundsets.canonical passes through in one pass; a family in any
+    other order is sorted there.  Its factors are then found (_factors),
+    with no sweep and no RankedFamily checks.  A valid family always
+    passes _factors, so a None there means the rule was broken: the
+    family then goes to validate, which raises NotAMatroid with a
+    witness.
     """
-    ordered = dict(sorted(entries, key=lambda item: subset_key(item[0])))
+    ordered = dict(canonical(entries))
     factors = _factors(ordered)
     if factors is None:
         return validate(RankedFamily(ground, ordered))

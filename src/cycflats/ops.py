@@ -9,13 +9,25 @@ is_isomorphic), so it has no element cap.
 No operation here validates its result a second time: its operand
 was validated, and the result is a matroid by the rule it follows.
 relabel keeps every mask, and direct_sum puts together the factors of
-its two summands, each checked when its summand was validated.  minor
-carries over the factors it does not touch and finds the factors of
-each one it does from that factor's minor alone.  dual, relax, truncate
-and higgs_lift each build a new family of cyclic flats by the standard
-rule for that operation (cited in each docstring) and pass it to
-matroid._assemble, which finds its factors with no sweep over pairs.
-validate stays the gate for families from outside.
+its two summands, each checked when its summand was validated.  dual
+reads its factors off its operand's, one per factor.  minor carries
+over the factors it does not touch and finds the factors of each one it
+does from that factor's minor alone.  relax, truncate and higgs_lift
+each build a new family of cyclic flats by the standard rule for that
+operation (cited in each docstring) and pass it to matroid._assemble,
+which finds its factors with no sweep over pairs.  validate stays the
+gate for families from outside.
+
+Each rule also fixes the canonical order of its output (groundsets
+module docstring), and each operation emits that order, so no family is
+sorted: dual reverses the complements, since complementing reverses
+canonical order; relax and truncate keep a subsequence of the operand's
+flats, truncate with E last, and higgs_lift puts the empty set first;
+relabel keeps every mask; direct_sum takes the product of its summands
+in first-difference order (groundsets.first_difference) and sorts it by
+size alone.  Only minor may sort: the minor of a factor can take more
+elements from one flat than from another, and the product of two or
+more changed factors of more than one flat each is in no fixed order.
 """
 
 from __future__ import annotations
@@ -23,8 +35,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
-from .groundsets import (GroundSet, atoms, bits, class_profile, popcount,
-                         set_text, subset_key)
+from .groundsets import (GroundSet, atoms, bits, canonical, class_profile,
+                         first_difference, popcount, set_text)
 from .matroid import (Matroid, RankedFamily, _assemble, _factors, _product,
                       _support, validate)
 from .lattices import _down_masks, _order_isomorphism, width_of_family
@@ -38,12 +50,22 @@ def dual(m: Matroid) -> Matroid:
     r*(E - X) = |E - X| - r(M) + r(X).  An involution.  A set is a
     cyclic flat of M* iff its complement is one of M (flats and cyclic
     sets swap under complement), so the family is a matroid's with no
-    second validation.
+    second validation.  Complementing reverses canonical order, so the
+    reversed complements are in it.
+
+    The dual of a direct sum is the sum of the duals, so each factor
+    (E_i, pairs) of m gives the factor E_i of the dual, with the
+    reversed complements E_i - Y at |E_i - Y| - r_i(E_i) + r_i(Y).
     """
-    full = m.ground.full
-    entries = [(full & ~f, popcount(full & ~f) - m.matroid_rank + r)
-               for f, r in zip(m.flats, m.flat_ranks)]
-    return _assemble(m.ground, entries)
+    full, rank = m.ground.full, m.matroid_rank
+    flats = [full & ~f for f in reversed(m.flats)]
+    ranks = [popcount(x) - rank + r
+             for x, r in zip(flats, reversed(m.flat_ranks))]
+    factors = tuple(
+        (e, tuple((e & ~y, popcount(e & ~y) - pairs[-1][1] + r)
+                  for y, r in reversed(pairs)))
+        for e, pairs in m.factors)
+    return Matroid(m.ground, flats, ranks, factors)
 
 
 class MinorSpec(namedtuple("MinorSpec", "contract delete")):
@@ -71,10 +93,12 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     _factor_minor_flats in canonical order, split into factors
     (_factors) on their own; the least of them, its new loops, joins
     the least cyclic flat.  The factors go in order of least element,
-    and the cyclic flats are the product of the families (_product),
-    sorted only when two families have more than one member.  No family
-    is validated again; one that fails _factors breaks the rule, and
-    validate then raises NotAMatroid with a witness.
+    and the cyclic flats are the product of the families (_product).
+    groundsets.canonical puts each family in canonical order, and the
+    product too when two families have more than one member (else the
+    product keeps the order of its one family).  No family is validated
+    again; one that fails _factors breaks the rule, and validate then
+    raises NotAMatroid with a witness.
     """
     c, d = spec.contract, spec.delete
     full = m.ground.full
@@ -97,8 +121,7 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
             factors.append((pack(e), pairs))
         else:
             found = _factor_minor_flats(pairs, c & e, d & e)
-            pairs = sorted(((pack(x), r) for x, r in found.items()),
-                           key=lambda item: subset_key(item[0]))
+            pairs = canonical((pack(x), r) for x, r in found.items())
             split = _factors(dict(pairs))
             if split is None:
                 split_all = False
@@ -112,8 +135,7 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     if not split_all:
         return validate(RankedFamily(ground, flats))
     if several > 1:
-        flats = dict(sorted(flats.items(),
-                            key=lambda item: subset_key(item[0])))
+        flats = dict(canonical(flats.items()))
     factors.sort(key=lambda factor: factor[0] & -factor[0])
     return Matroid(ground, flats.keys(), flats.values(), tuple(factors))
 
@@ -229,20 +251,26 @@ def direct_sum(m: Matroid, n: Matroid) -> Matroid:
 
     Its factors are m's followed by n's (moved past m's elements), and
     its cyclic flats the X u Y, X in Z(m) and Y in Z(n), at rank
-    r(X) + r(Y): the product of those factors' pairs with both loop sets
-    in every member (matroid._product).  validate would decide the
-    product factor by factor (matroid module docstring), and each of
-    these factors passed that check when m or n was validated, so the
-    sum is built with no second validation.
+    r(X) + r(Y) (matroid._product).  validate would decide the product
+    factor by factor (matroid module docstring), and each of these
+    factors passed that check when m or n was validated, so the sum is
+    built with no second validation.
+
+    Each summand's flats go in first-difference order over its own
+    elements (groundsets.first_difference).  All of n's elements lie
+    above m's, so the product with m's flats outer is in that order, and
+    a stable sort by size puts it in canonical order.
     """
     ground = m.ground.concat(n.ground)
     shift = len(m.ground)
     factors = m.factors + tuple(
         (e << shift, tuple((y << shift, r) for y, r in pairs))
         for e, pairs in n.factors)
-    ranks = _product(m.bottom | n.bottom << shift,
-                     [pairs for _, pairs in factors])
-    flats = sorted(ranks, key=subset_key)
+    ranks = _product(0, [
+        first_difference(zip(m.flats, m.flat_ranks), shift),
+        [(y << shift, r) for y, r in first_difference(
+            zip(n.flats, n.flat_ranks), len(n.ground))]])
+    flats = sorted(ranks, key=int.bit_count)
     return Matroid(ground, flats, [ranks[f] for f in flats], factors)
 
 
@@ -263,12 +291,12 @@ def higgs_lift(m: Matroid) -> Matroid:
     r(F) + 1, and the empty set at rank 0, as the dual of truncate's
     rule on M* (E - F is kept iff r*(E - F) < r(M*) - 1).  The lift is
     the dual of a truncation, a matroid, so the family is assembled with
-    no second validation."""
+    no second validation.  The empty set is no such F, and goes first."""
     if m.nullity == 0:
         raise RankZero("cannot lift a matroid of full rank r(M) = |E|")
     entries = [(f, r + 1) for f, r in zip(m.flats, m.flat_ranks)
                if popcount(f) - r >= 2]
-    return _assemble(m.ground, entries + [(0, 0)])
+    return _assemble(m.ground, [(0, 0)] + entries)
 
 
 # -- isomorphism ---------------------------------------------------------

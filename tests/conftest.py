@@ -176,6 +176,26 @@ def validate_calls(monkeypatch):
 
 
 @pytest.fixture
+def subset_key_calls(monkeypatch):
+    """The masks groundsets.subset_key is called on from inside the
+    library while the test runs: every cycflats module that holds it
+    gets a spy that logs the mask and passes it on.  cf.subset_key, the
+    package's name, is left alone, so a test's own calls are not
+    logged."""
+    calls = []
+    real = cf.groundsets.subset_key
+
+    def spy(mask):
+        calls.append(mask)
+        return real(mask)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cycflats.") and hasattr(module, "subset_key"):
+            monkeypatch.setattr(module, "subset_key", spy)
+    return calls
+
+
+@pytest.fixture
 def refine_calls(monkeypatch):
     """One entry per lattices._refine_signatures call while the test
     runs: each node of the isomorphism search refines once."""

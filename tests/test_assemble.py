@@ -1,17 +1,18 @@
-"""Operations whose result is a matroid by theorem build it through
-matroid._assemble, with no validate sweep.  Each must give exactly what
-validate makes of the same family, and none may call validate.  The
-free products and realizations of the corpus are in test_freeprod and
-test_build."""
+"""Operations whose result is a matroid by theorem build it with no
+validate sweep, through matroid._assemble or, like dual, from their
+operands' factors.  Each must give exactly what validate makes of the
+same family, none may call validate, and those whose rule fixes the
+order of their output sort nothing.  The free products and
+realizations of the corpus are in test_freeprod and test_build."""
 
 import random
 
 import pytest
 
 import cycflats as cf
-from cycflats.groundsets import GroundSet
+from cycflats.groundsets import GroundSet, subset_key
 from cycflats.matroid import _assemble
-from conftest import agrees_with_validate
+from conftest import agrees_with_validate, summands
 
 
 def _relaxable(m):
@@ -66,6 +67,62 @@ class TestDifferentialCorpus:
                     agrees_with_validate(got)
                     checked += 1
         assert checked > 9_000
+
+    def test_dual_of_sums(self):
+        # dual maps each factor of its operand; sums give it several
+        fixed, rand = summands()
+        several = 0
+        for m in fixed + rand:
+            for n in fixed:
+                got = cf.dual(cf.direct_sum(m, cf.relabel(n, "n:")))
+                agrees_with_validate(got)
+                several += len(got.factors) > 1
+        assert several > 200
+
+
+def _k4_sum():
+    """The direct sum of three relabelled copies of M(K4): 216 flats."""
+    k4 = cf.catalog("mk4")
+    return cf.direct_sum(cf.direct_sum(cf.relabel(k4, "a:"),
+                                       cf.relabel(k4, "b:")),
+                         cf.relabel(k4, "c:"))
+
+
+class TestNoSort:
+    """Builders whose rule fixes the canonical order of their output
+    emit it in that order, so no family is sorted: subset_key is never
+    called."""
+
+    def test_builders(self, catalog, subset_key_calls):
+        other = cf.relabel(catalog["u24+u12"], "o:")
+        operands = [*catalog.values(), cf.gimenez_family(3, [2, 3, 1]),
+                    _k4_sum()]
+        results = []
+        for m in operands:
+            results += [cf.dual(m), cf.free_product(m, other),
+                        cf.free_product(other, m), cf.free_extension(m),
+                        cf.free_coextension(m), cf.direct_sum(m, other),
+                        cf.direct_sum(other, m)]
+            if m.matroid_rank:
+                results.append(cf.truncate(m))
+            if m.nullity:
+                results.append(cf.higgs_lift(m))
+            results += [cf.relax(m, f) for f in _relaxable(m)]
+        results += [cf.gimenez_family(4, [3, 1, 4, 2]),
+                    cf.nested_from_sequence("ffiifif"),
+                    cf.random_cw2_matroid(random.Random(5))]
+        assert subset_key_calls == []
+        assert len(results) > 300
+        for got in results:
+            assert list(got.flats) == sorted(got.flats, key=subset_key)
+
+    def test_parse_canonical_document(self, tmp_path, subset_key_calls):
+        path = tmp_path / "k4sum.json"
+        path.write_text(cf.io.emit_matroid(_k4_sum()))
+        subset_key_calls.clear()
+        family = cf.io.parse_matroid(path)
+        assert subset_key_calls == []
+        assert len(family.entries) == 216
 
 
 class TestNoValidate:

@@ -6,13 +6,15 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycflats as cf
 from conftest import (_grid_ranks_outer, rank_support_scan, reordered,
                       summands)
 from cycflats import matroid
-from cycflats.groundsets import (bits, class_profile, popcount, set_text,
-                                 subset_key)
+from cycflats.groundsets import (bits, canonical, class_profile,
+                                 first_difference, popcount, precedes,
+                                 set_text, subset_key)
 from cycflats.lattices import family_lattice_tables
 from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP, _grid_ranks
 
@@ -961,6 +963,65 @@ class TestSubsetKey:
         masks += [m | (1 << b) for m in masks[:500] for b in (0, 199)]
         assert (sorted(masks, key=subset_key)
                 == sorted(masks, key=self.by_tuple))
+
+
+class TestPrecedes:
+    def test_every_ordered_pair_below_2_to_9(self):
+        keys = [subset_key(a) for a in range(1 << 9)]
+        assert all(precedes(a, b) == (keys[a] < keys[b])
+                   for a in range(1 << 9) for b in range(1 << 9))
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(a=st.integers(1 << 64, (1 << 200) - 1),
+           flips=st.integers(0, (1 << 200) - 1),
+           i=st.integers(0, 199), j=st.integers(0, 199))
+    def test_masks_wider_than_64_bits(self, a, flips, i, j):
+        # c swaps bits i and j of a when just one is set, so it has as
+        # many elements as a: the case the lowest difference decides
+        b = a ^ flips
+        c = a ^ (1 << i | 1 << j) if (a >> i ^ a >> j) & 1 else a
+        for x, y in ((a, b), (b, a), (a, c), (c, a), (a, a)):
+            assert precedes(x, y) == (subset_key(x) < subset_key(y))
+
+
+class TestCanonical:
+    @staticmethod
+    def families(seed, count=300):
+        """Random lists of (distinct mask, tag) pairs, 0 to 12 of them,
+        over 1 to 70 bits."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            width = rng.randint(1, 70)
+            masks = {rng.getrandbits(width) for _ in range(rng.randint(0, 12))}
+            yield [(mask, object()) for mask in masks]
+
+    def test_canonical_input_in_its_given_order(self, subset_key_calls):
+        for pairs in self.families(39):
+            pairs.sort(key=lambda item: subset_key(item[0]))
+            got = canonical(iter(pairs))
+            assert len(got) == len(pairs)
+            assert all(g is p for g, p in zip(got, pairs))
+        assert subset_key_calls == []
+
+    def test_any_other_input_sorted(self):
+        unsorted = 0
+        for pairs in self.families(40):
+            want = sorted(pairs, key=lambda item: subset_key(item[0]))
+            unsorted += pairs != want
+            assert canonical(pairs) == want
+        assert unsorted > 200
+        # one pair out of place, at either end
+        pairs = [(0, 0), (1, 1), (2, 1), (3, 2)]
+        assert canonical(pairs[1::-1] + pairs[2:]) == pairs
+        assert canonical(pairs[:2] + pairs[:1:-1]) == pairs
+
+    def test_first_difference_then_size_is_canonical(self):
+        for pairs in self.families(41):
+            width = max((mask.bit_length() for mask, _ in pairs), default=0)
+            got = sorted(first_difference(pairs, width),
+                         key=lambda item: item[0].bit_count())
+            assert got == sorted(pairs, key=lambda item: subset_key(item[0]))
 
 
 class TestElementClasses:
