@@ -26,16 +26,20 @@ def _dump(doc) -> str:
 
 # -- matroids ------------------------------------------------------------
 
-def ranked_family_to_doc(rf: RankedFamily) -> dict:
+def _doc(ground: GroundSet, pairs) -> dict:  # pairs in canonical order
     return {
-        "ground": list(rf.ground.labels),
-        "cyclic_flats": [{"set": list(rf.ground.names(m)), "rank": r}
-                         for m, r in rf.entries.items()],
+        "ground": list(ground.labels),
+        "cyclic_flats": [{"set": list(ground.names(m)), "rank": r}
+                         for m, r in pairs],
     }
 
 
+def ranked_family_to_doc(rf: RankedFamily) -> dict:
+    return _doc(rf.ground, rf.entries.items())
+
+
 def matroid_to_doc(m: Matroid) -> dict:
-    return ranked_family_to_doc(m.ranked_family())
+    return _doc(m.ground, zip(m.flats, m.flat_ranks))
 
 
 def doc_to_ranked_family(doc) -> RankedFamily:
@@ -129,6 +133,8 @@ def _load(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past int's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     except RecursionError:
         raise ParseError(
             f"{path}: arrays or objects nested too deeply") from None

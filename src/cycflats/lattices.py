@@ -152,17 +152,11 @@ def lattice_from_covers(elements: Sequence[str],
         if lo == hi:
             raise CyclicCovers(f"{lo!r} covers itself")
         up[index[lo]] |= 1 << index[hi]
-    # transitive closure by repeated relaxation
-    changed = True
-    while changed:
-        changed = False
+    # transitive closure (Warshall), one pass over the intermediates k
+    for k in range(n):
         for i in range(n):
-            acc = up[i]
-            for j in bits(up[i]):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     for i in range(n):
         for j in bits(up[i]):
             if j != i and (up[j] >> i) & 1:

@@ -601,9 +601,9 @@ def cyclic_flats_recompute(m: Matroid) -> RankedFamily:
     in rows of 2^x >= 2^h entries.  For the low elements it runs on
     blocks of 2^16 entries, each transposed from (rows x 2^h) to
     (2^h x rows), which puts the low bits above the block's rows, so
-    those rows are long too.  Peak memory is three tables: the ranks,
-    the result mask, and one high element's comparisons with their
-    negation.
+    those rows are long too.  Peak memory is two and a half tables: the
+    ranks, the result mask, and one high element's comparison, which
+    covers half the table.
     """
     import numpy as np
     rt = m.rank_table()
@@ -627,11 +627,11 @@ def _fixpoint_sweep(ranks, good, elements, unit) -> None:
     elements, where adding x to a set adds unit << x to its index.
 
     Viewed as (-1, 2, unit << x), the arrays pair each set without x
-    (column 0) with the same set plus x (column 1).
+    (column 0) with the same set plus x (column 1).  The two tests run
+    in turn, so one half-size temporary is alive at a time.
     """
     for x in elements:
         v = ranks.reshape(-1, 2, unit << x)
         g = good.reshape(-1, 2, unit << x)
-        up = v[:, 1] > v[:, 0]
-        g[:, 0] &= up   # closed: adding x raises the rank
-        g[:, 1] &= ~up  # no isthmus: removing x keeps the rank
+        g[:, 0] &= v[:, 1] > v[:, 0]   # closed: adding x raises the rank
+        g[:, 1] &= v[:, 1] <= v[:, 0]  # no isthmus: removing x keeps it

@@ -43,18 +43,19 @@ substitution).  The same trick shifts R to t: t at (2^a, 2^b) is R at
 tutte_polynomial is that shift of rank_gen.  Everything runs on Python
 ints, so R and t stay exact: U_{40,80} has coefficients past 2^63.
 
-rank_gen_brute enumerates all 2^n subsets and is the oracle.  The
+rank_gen_brute tallies the rank table alone and is the oracle.  The
 free-product convolution combines two matrices coefficientwise.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
 from .errors import TooLarge
 from .groundsets import popcount
-from .matroid import ENUM_CAP, Matroid, _digits
+from .matroid import ENUM_CAP, Matroid
 
 
 class RankGenMatrix(NamedTuple):
@@ -76,43 +77,40 @@ class RankGenMatrix(NamedTuple):
                 for j, c in enumerate(row) if c]
 
 
-def _tally(ranks, sizes, rank: int, nullity: int):
-    """The (corank x nullity) coefficient array of R from a grid of ranks
-    and one of sizes: each cell adds 1 at corank rank - r and nullity
-    size - r, tallied by the key nullity*(rank+1) + corank.  The grid is
-    counted in slices of 2^16 cells, so the keys and bincount's int64
-    copy of them stay small beside the grids."""
+def _tally(ranks, rank: int, nullity: int):
+    """The (corank x nullity) coefficient array of R from the rank table:
+    each subset A adds 1 at corank rank - r(A) and nullity |A| - r(A),
+    tallied by the key nullity*(rank+1) + corank.  The table is counted
+    in slices of 2^16 subsets, so the keys and bincount's int64 copy of
+    them stay small beside it; a slice starts at a multiple of 2^16, so
+    |A| is that start's popcount plus _low_sizes()[A mod 2^16]."""
     import numpy as np
     cells = (nullity + 1) * (rank + 1)
     kt = np.min_scalar_type(cells - 1)
     counts = np.zeros(cells, np.int64)
-    step = 1 << 16
+    low = _low_sizes()
+    step = len(low)
     for lo in range(0, len(ranks), step):
         part = ranks[lo:lo + step]
-        key = (sizes[lo:lo + step] - part).astype(kt) * (rank + 1) \
-            + (rank - part)
+        key = (low[:len(part)] + lo.bit_count() - part).astype(kt) \
+            * (rank + 1) + (rank - part)
         counts += np.bincount(key, minlength=cells)
     return counts.reshape(nullity + 1, rank + 1).T
 
 
-def _subset_sizes(n: int):
-    """|A| at every mask A < 2^n.  As in matroid._grid_ranks, the masks
-    form a (high x low) outer sum over the halves of the elements: |A| is
-    the sum of the column sums of the two halves' cached bit matrices
-    (matroid._digits)."""
+@lru_cache(maxsize=1)
+def _low_sizes():
+    """|A| at every mask A < 2^16, as uint8 (read-only, cached)."""
     import numpy as np
-    st = np.min_scalar_type(n)
-    high, low = (_digits(half, st)[:-1].sum(axis=0, dtype=st)
-                 for half in (n - n // 2, n // 2))
-    return np.add.outer(high, low).ravel()
+    out = np.bitwise_count(np.arange(1 << 16, dtype=np.uint16))
+    out.flags.writeable = False
+    return out
 
 
 def rank_gen_brute(m: Matroid) -> RankGenMatrix:
     """Exact coefficient matrix by enumerating all 2^|E| subsets."""
-    n = len(m.ground)
-    ranks = m.rank_table()  # first, so its build peak never meets the sizes
-    coeffs = _tally(ranks, _subset_sizes(n), m.matroid_rank,
-                    n - m.matroid_rank)
+    r = m.matroid_rank
+    coeffs = _tally(m.rank_table(), r, len(m.ground) - r)
     return RankGenMatrix(tuple(map(tuple, coeffs.tolist())))
 
 

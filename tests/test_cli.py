@@ -752,6 +752,36 @@ class TestParseErrorMessages:
         assert err == f"error: {message.format(path=path)}\n"
 
 
+LONG_INTEGER = "9" * 5000  # past int's default limit of 4,300 digits
+
+
+class TestLongInteger:
+    """An integer too long for int() is a parse error that names the
+    file, not a bare ValueError."""
+
+    MATROID = '{"ground": [], "cyclic_flats": [{"set": [], "rank": %s}]}'
+    LATTICE = '{"elements": [%s], "covers": []}'
+
+    @pytest.mark.parametrize("parse,doc", [("parse_matroid", MATROID),
+                                           ("parse_lattice", LATTICE)],
+                             ids=["matroid", "lattice"])
+    def test_library(self, tmp_path, parse, doc):
+        path = tmp_path / "long.json"
+        path.write_text(doc % LONG_INTEGER)
+        with pytest.raises(cf.ParseError, match=f"^{re.escape(str(path))}: "):
+            getattr(io, parse)(path)
+
+    @pytest.mark.parametrize("command,doc", [("validate", MATROID),
+                                             ("realize", LATTICE)],
+                             ids=["validate", "realize"])
+    def test_cli(self, run, tmp_path, command, doc):
+        path = tmp_path / "long.json"
+        path.write_text(doc % LONG_INTEGER)
+        code, out, err = run(command, path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 # -- property: main() keeps the 0/1/2 exit-code contract --------------------
 
 LABELS = ["a", "b", "c", "d", "e"]

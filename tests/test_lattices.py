@@ -81,6 +81,18 @@ class TestLatticeFromCovers:
         with pytest.raises(cf.NotALattice):
             cf.lattice_from_covers(["0", "a", "b"], [("0", "a"), ("0", "b")])
 
+    def test_all_lattices_round_trip(self):
+        # the closure of a lattice's covers is its order: the same
+        # down-masks, in whatever order the covers come
+        rng = random.Random(78)
+        lats = cf.all_lattices(7)
+        assert len(lats) == 78
+        for lat in lats:
+            covers = lat.covers()
+            rng.shuffle(covers)
+            assert cf.lattice_from_covers(lat.elements, covers).down == \
+                lat.down
+
     def test_covers_round_trip(self):
         pairs = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
         lat = cf.lattice_from_covers(["0", "a", "b", "1"], pairs)

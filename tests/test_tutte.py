@@ -10,7 +10,7 @@ import cycflats as cf
 from conftest import _grid_ranks_outer
 from cycflats.matroid import ENUM_CAP
 from cycflats.groundsets import bits, class_profile, popcount
-from cycflats.tutte import (RankGenMatrix, _subset_sizes, rank_gen,
+from cycflats.tutte import (RankGenMatrix, _low_sizes, rank_gen,
                             rank_gen_brute, rank_gen_convolution,
                             tutte_from_rank_gen, tutte_polynomial)
 
@@ -229,12 +229,20 @@ class TestRankGenBrute:
             assert rank_gen_brute(cf.dual(m)) == \
                 transpose(rank_gen_brute(m)), name
 
-    def test_subset_sizes(self):
-        # |A| of every mask, in the smallest dtype that holds n
-        for n in range(13):
-            sizes = _subset_sizes(n)
-            assert sizes.dtype == np.min_scalar_type(n), n
-            assert sizes.tolist() == [popcount(a) for a in range(1 << n)], n
+    def test_low_sizes(self):
+        # |A| of every mask below 2^16: one cached, read-only uint8 row
+        sizes = _low_sizes()
+        assert sizes is _low_sizes()
+        assert sizes.dtype == np.uint8 and not sizes.flags.writeable
+        assert sizes.tolist() == [popcount(a) for a in range(1 << 16)]
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_uniform_across_slices(self, n):
+        # one slice of 2^16 subsets, part of one, and two or four: each
+        # slice start's popcount adds to |A mod 2^16|
+        for r in (1, n // 2, n - 1):
+            m = cf.uniform(r, n)
+            assert rank_gen_brute(m) == rank_gen(m), (r, n)
 
 
 class TestTuttePolynomial:
