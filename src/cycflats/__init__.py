@@ -12,7 +12,12 @@ transversality test.
 but cli is in sys.modules and bound here from the start, but its code
 runs on its first attribute access (importlib.util.LazyLoader), and the
 package's public names are looked up in their modules on first use
-(PEP 562).  So a CLI command runs only the modules it uses.
+(PEP 562).  So a CLI command runs only the modules it uses, as long
+as no module imports a name from a module its callers may not need:
+such a module is bound whole (from . import lattices) and its functions
+are read when they are called (lattices.width_of_family).  matroid runs
+groundsets but not lattices, and a malformed document runs only cli,
+errors, groundsets and io.
 """
 
 import sys

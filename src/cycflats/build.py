@@ -11,13 +11,11 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from . import freeprod, lattices, ops
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
-from .groundsets import GroundSet, bits, popcount, precedes
-from .lattices import FiniteLattice, _converse, _least_lattices, is_chain
+from .groundsets import GroundSet, _converse, bits, popcount, precedes
 from .matroid import Matroid, RankedFamily, _assemble, validate
-from .ops import MinorSpec, direct_sum, dual, truncate
-from .freeprod import free_extension, free_product
 
 
 def uniform(r: int, n: int, labels=None) -> Matroid:
@@ -45,7 +43,8 @@ class Realization(NamedTuple):
     witness: tuple  # pairs (lattice element name, flat mask)
 
 
-def realize_lattice(lat: FiniteLattice, variant: str = "plain") -> Realization:
+def realize_lattice(lat: lattices.FiniteLattice,
+                    variant: str = "plain") -> Realization:
     """A matroid whose lattice of cyclic flats is isomorphic to lat.
 
     plain: ground is B u {satellites}, where B is the lattice minus its
@@ -127,7 +126,7 @@ def nested_sequence_of(m: Matroid) -> str:
     as r-difference many 'i' steps followed by the remaining 'f' steps,
     and outside isthmuses as trailing 'i' steps.
     """
-    if not is_chain(m.flats):
+    if not lattices.is_chain(m.flats):
         raise NotNested("lattice of cyclic flats is not a chain")
     steps = ["f"] * popcount(m.flats[0])
     for prev, prev_r, cur, cur_r in zip(m.flats, m.flat_ranks,
@@ -164,7 +163,7 @@ def nested_subsequence_minor(seq_n: str, seq_m: str):
                 contract |= 1 << p
             else:
                 delete |= 1 << p
-    return True, MinorSpec(contract, delete)
+    return True, ops.MinorSpec(contract, delete)
 
 
 # -- excluded minors and the permutation family --------------------------
@@ -241,8 +240,8 @@ class ChainMinor(NamedTuple):
     uniform minor of rank >= k and nullity >= 2); trimmed reduces it to
     exactly U_{k,k+2}."""
 
-    raw: MinorSpec
-    trimmed: MinorSpec
+    raw: ops.MinorSpec
+    trimmed: ops.MinorSpec
 
 
 def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
@@ -257,7 +256,7 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
     """
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got {k}")
-    if not is_chain(m.flats):
+    if not lattices.is_chain(m.flats):
         raise NotNested("lattice of cyclic flats is not a chain")
     if len(m.flats) < k + 2:
         raise ChainTooShort(
@@ -274,13 +273,13 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
     delete |= chain[0]
     for j in range(1, k):
         delete |= fsets[j]
-    raw = MinorSpec(isets[k + 1], delete)
+    raw = ops.MinorSpec(isets[k + 1], delete)
     rank = m.rank(m.ground.full & ~delete) - m.rank(raw.contract)
     kept = m.ground.full & ~(raw.contract | delete)
     extra_contract = _lowest(kept, rank - k)
     extra_delete = _lowest(kept & ~extra_contract, popcount(kept) - rank - 2)
-    trimmed = MinorSpec(raw.contract | extra_contract,
-                        raw.delete | extra_delete)
+    trimmed = ops.MinorSpec(raw.contract | extra_contract,
+                            raw.delete | extra_delete)
     return ChainMinor(raw, trimmed)
 
 
@@ -299,7 +298,7 @@ def _lowest(mask: int, t: int) -> int:
 LATTICE_CAP = 10  # OEIS A006966: 5,994 lattices of 10 elements, 37,622 of 11
 
 
-def all_lattices(max_size: int) -> list[FiniteLattice]:
+def all_lattices(max_size: int) -> list[lattices.FiniteLattice]:
     """Every lattice with 1..max_size elements, up to isomorphism.
 
     Each lattice is listed once, in its least natural labelling: i <= j
@@ -342,7 +341,7 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
             f"all_lattices was asked for {max_size} elements, over cap "
             f"{LATTICE_CAP} (LATTICE_CAP); build a larger lattice with "
             f"lattice_from_covers and realize it with realize_lattice")
-    out: list[FiniteLattice] = []
+    out: list[lattices.FiniteLattice] = []
     # the least labellings of n elements, as (down-masks, up-masks)
     level: list[tuple[list[int], list[int]]] = []
     for n in range(1, max_size + 1):
@@ -356,8 +355,8 @@ def all_lattices(max_size: int) -> list[FiniteLattice]:
             # up[i] is row i << (i + 1) | 1 << i, so the up-masks from
             # label n - 1 down compare as the rows
             level.sort(key=lambda lat: lat[1][::-1])
-        out += _least_lattices([f"v{i}" for i in range(n)],
-                               (down for down, _ in level))
+        out += lattices._least_lattices([f"v{i}" for i in range(n)],
+                                        (down for down, _ in level))
     return out
 
 
@@ -471,12 +470,12 @@ def random_matroid(rng: random.Random, max_elems: int = 10) -> Matroid:
     for _ in range(rng.randint(0, 3)):
         op = rng.choice(["dual", "truncate", "free_ext", "sum", "freeprod"])
         if op == "dual":
-            m = dual(m)
+            m = ops.dual(m)
         elif op == "truncate" and m.matroid_rank >= 1:
-            m = truncate(m)
+            m = ops.truncate(m)
         elif op == "free_ext" and len(m.ground) < max_elems:
             serial += 1
-            m = free_extension(m, f"g{serial}")
+            m = freeprod.free_extension(m, f"g{serial}")
         elif op in ("sum", "freeprod"):
             extra = rng.randint(1, 3)
             if len(m.ground) + extra > max_elems:
@@ -484,7 +483,8 @@ def random_matroid(rng: random.Random, max_elems: int = 10) -> Matroid:
             labels = [f"g{serial + i}" for i in range(1, extra + 1)]
             serial += extra
             other = uniform(rng.randint(0, extra), extra, labels)
-            m = direct_sum(m, other) if op == "sum" else free_product(m, other)
+            m = (ops.direct_sum(m, other) if op == "sum"
+                 else freeprod.free_product(m, other))
     return m
 
 

@@ -8,7 +8,10 @@ Each subcommand is declared once, by command() beside its handler;
 make_parser lists them in the order they are declared.  The package
 loads its modules lazily (see cycflats), and main builds only the
 parser of the command it is given, so a command runs only the modules
-it uses.
+it uses.  For that, the handlers bind modules, not names, and read
+their functions when they run (matroid.validate, ops.dual), and a file
+is parsed before matroid.validate is read: a malformed document runs
+only cli, errors, groundsets and io.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import build, freeprod, io, ops, tutte, widths
+from . import build, freeprod, io, matroid, ops, tutte, widths
 from .errors import (ChainTooShort, CycflatsError, InvalidParameters,
                      NotAMatroid, NotNested, NotRelaxable, RankZero)
-from .matroid import Matroid, cyclic_flats_recompute, validate
 
 # subcommand name -> (help, add_argument calls, handler), in parser order
 COMMANDS: dict[str, tuple] = {}
@@ -42,9 +44,10 @@ def arg(*flags, **options):
 FILE, LEFT, RIGHT = arg("file"), arg("left"), arg("right")
 
 
-def _load_matroid(path) -> Matroid:
+def _load_matroid(path) -> matroid.Matroid:
+    family = io.parse_matroid(path)
     try:
-        return validate(io.parse_matroid(path))
+        return matroid.validate(family)
     except NotAMatroid as exc:
         raise CycflatsError(f"{path}: not a matroid: {exc}") from None
 
@@ -60,7 +63,7 @@ def _print_doc(doc) -> None:
     sys.stdout.write(io._dump(doc))
 
 
-def _emit(m: Matroid) -> int:
+def _emit(m: matroid.Matroid) -> int:
     sys.stdout.write(io.emit_matroid(m))
     return 0
 
@@ -81,8 +84,9 @@ def _spec_doc(ground, spec: ops.MinorSpec) -> dict:
 
 @command("validate", "check the Z0-Z3 conditions", FILE)
 def cmd_validate(args) -> int:
+    family = io.parse_matroid(args.file)
     try:
-        m = validate(io.parse_matroid(args.file))
+        m = matroid.validate(family)
     except NotAMatroid as exc:
         print(f"invalid: {exc}")
         return 1
@@ -118,7 +122,7 @@ def cmd_circuits(args) -> int:
          "recompute cyclic flats and report the fixpoint check", FILE)
 def cmd_cyclic_flats(args) -> int:
     m = _load_matroid(args.file)
-    recomputed = cyclic_flats_recompute(m)
+    recomputed = matroid.cyclic_flats_recompute(m)
     sys.stdout.write(io.emit_matroid(recomputed))
     if recomputed == m.ranked_family():
         print("fixpoint: ok")
@@ -167,9 +171,10 @@ def cmd_relax(args) -> int:
 
 def cmd_two_matroids(args) -> int:
     """directsum and freeprod: the operation on the two files' matroids,
-    looked up when the command runs (as in cmd_one_matroid)."""
-    op = {"directsum": ops.direct_sum,
-          "freeprod": freeprod.free_product}[args.command]
+    looked up when the command runs (as in cmd_one_matroid), and only
+    that one, so freeprod does not run ops."""
+    op = (ops.direct_sum if args.command == "directsum"
+          else freeprod.free_product)
     return _emit(op(_load_matroid(args.left), _load_matroid(args.right)))
 
 

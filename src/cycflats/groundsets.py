@@ -11,11 +11,17 @@ canonical, and nowhere else.  A builder whose rule fixes the order of
 its output emits it in that order, and canonical passes it through in
 one pass with no sort; only a family in some other order is sorted by
 subset_key.
+
+A partial order on n items is a list of n masks too, its down-masks:
+bit j of entry i is set iff item j <= item i.  The helpers on them,
+_down_masks (a family under inclusion), _converse and _bound_lookups,
+live here, so matroid and ops use them without running lattices, which
+imports them back.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateSet, OverlappingGroundSets, UnknownLabel
 
@@ -113,6 +119,37 @@ def class_profile(family, support: int) -> tuple[list[int], list[int]]:
     classes = atoms(support, family)
     class_bits = [(p, 1 << c) for c, p in enumerate(classes)]
     return classes, [sum(b for p, b in class_bits if p & f) for f in family]
+
+
+def _down_masks(masks: Sequence[int]) -> list[int]:
+    """Down-masks of a family under inclusion: bit j of the result's
+    entry i is set iff masks[j] is a subset of masks[i]."""
+    weights = [1 << j for j in range(len(masks))]
+    return [sum(w for w, b in zip(weights, masks) if b & ~a == 0)
+            for a in masks]
+
+
+def _converse(rel: Sequence[int]) -> list[int]:
+    """The converse relation: up-masks from down-masks (or back)."""
+    out = [0] * len(rel)
+    for i, row in enumerate(rel):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return out
+
+
+def _bound_lookups(down: Sequence[int]):
+    """(up, glb, lub) of a partial order given by its down-masks
+    (reflexive and transitive, in any index order).
+
+    Down-masks are distinct (antisymmetry), so the lower bounds of
+    {i, j} are down[i] & down[j], and a greatest one exists iff that is
+    the down-mask of some element: glb.get(down[i] & down[j]) is the
+    meet, or None.  Likewise lub.get(up[i] & up[j]) is the join, or None.
+    """
+    up = _converse(down)
+    return (up, {d: i for i, d in enumerate(down)},
+            {u: i for i, u in enumerate(up)})
 
 
 class GroundSet:

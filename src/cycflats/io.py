@@ -7,6 +7,9 @@ Polynomial: {"terms": [{"x": p, "y": q, "c": n}, ...]}
 
 All arrays are canonically sorted, so emit(parse(text)) reproduces a
 canonical file byte for byte.
+
+matroid and lattices are read as module attributes when a document is
+built, so one that fails to parse runs neither module.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from . import lattices, matroid
 from .errors import ParseError
 from .groundsets import GroundSet
-from .lattices import FiniteLattice, lattice_from_covers
-from .matroid import Matroid, RankedFamily
 
 
 def _dump(doc) -> str:
@@ -34,15 +36,15 @@ def _doc(ground: GroundSet, pairs) -> dict:  # pairs in canonical order
     }
 
 
-def ranked_family_to_doc(rf: RankedFamily) -> dict:
+def ranked_family_to_doc(rf: matroid.RankedFamily) -> dict:
     return _doc(rf.ground, rf.entries.items())
 
 
-def matroid_to_doc(m: Matroid) -> dict:
+def matroid_to_doc(m: matroid.Matroid) -> dict:
     return _doc(m.ground, zip(m.flats, m.flat_ranks))
 
 
-def doc_to_ranked_family(doc) -> RankedFamily:
+def doc_to_ranked_family(doc) -> matroid.RankedFamily:
     if not isinstance(doc, dict) or set(doc) != {"ground", "cyclic_flats"}:
         raise ParseError("matroid document needs exactly the fields "
                          "'ground' and 'cyclic_flats'")
@@ -71,22 +73,23 @@ def doc_to_ranked_family(doc) -> RankedFamily:
         if m in seen:
             raise ParseError(f"duplicate set {sorted(ground.names(m))}")
         seen.add(m)
-    return RankedFamily(ground, entries)
+    return matroid.RankedFamily(ground, entries)
 
 
-def parse_matroid(path) -> RankedFamily:
+def parse_matroid(path) -> matroid.RankedFamily:
     return doc_to_ranked_family(_load(path))
 
 
 def emit_matroid(m) -> str:
     """Canonical text for a Matroid or RankedFamily."""
-    doc = matroid_to_doc(m) if isinstance(m, Matroid) else ranked_family_to_doc(m)
+    doc = (matroid_to_doc(m) if isinstance(m, matroid.Matroid)
+           else ranked_family_to_doc(m))
     return _dump(doc)
 
 
 # -- lattices ------------------------------------------------------------
 
-def doc_to_lattice(doc) -> FiniteLattice:
+def doc_to_lattice(doc) -> lattices.FiniteLattice:
     if not isinstance(doc, dict) or set(doc) != {"elements", "covers"}:
         raise ParseError("lattice document needs exactly the fields "
                          "'elements' and 'covers'")
@@ -103,10 +106,10 @@ def doc_to_lattice(doc) -> FiniteLattice:
             raise ParseError(
                 f"covers[{i}] must be a [lower, upper] pair of strings")
         covers.append((pair[0], pair[1]))
-    return lattice_from_covers(elements, covers)
+    return lattices.lattice_from_covers(elements, covers)
 
 
-def parse_lattice(path) -> FiniteLattice:
+def parse_lattice(path) -> lattices.FiniteLattice:
     return doc_to_lattice(_load(path))
 
 

@@ -5,7 +5,8 @@ and families of sets ordered by inclusion.  A lattice stores only its
 down-masks and checks, when it is built, that they form one; no other
 module decides that.  Provides chain and width computations (Dilworth
 duality via bipartite matching), and poset isomorphism with a witness
-bijection.
+bijection.  The down-mask helpers (_down_masks, _converse and
+_bound_lookups) come from groundsets.
 One search, _order_isomorphism, decides isomorphism of posets whose
 nodes carry colours: poset_isomorphic colours none, and
 ops.is_isomorphic adds a node per element class, below the cyclic
@@ -23,7 +24,8 @@ from typing import Iterable, Sequence
 
 from .errors import (CyclicCovers, DuplicateSet, InvalidParameters, NotALattice,
                      UnknownLabel)
-from .groundsets import bits, popcount
+from .groundsets import (_bound_lookups, _converse, _down_masks, bits,
+                         popcount)
 
 
 class _Names(tuple):
@@ -163,37 +165,6 @@ def lattice_from_covers(elements: Sequence[str],
                 raise CyclicCovers(
                     f"cycle through {elements[i]!r} and {elements[j]!r}")
     return FiniteLattice(elements, _converse(up))
-
-
-def _down_masks(masks: Sequence[int]) -> list[int]:
-    """Down-masks of a family under inclusion: bit j of the result's
-    entry i is set iff masks[j] is a subset of masks[i]."""
-    weights = [1 << j for j in range(len(masks))]
-    return [sum(w for w, b in zip(weights, masks) if b & ~a == 0)
-            for a in masks]
-
-
-def _converse(rel: Sequence[int]) -> list[int]:
-    """The converse relation: up-masks from down-masks (or back)."""
-    out = [0] * len(rel)
-    for i, row in enumerate(rel):
-        for j in bits(row):
-            out[j] |= 1 << i
-    return out
-
-
-def _bound_lookups(down: Sequence[int]):
-    """(up, glb, lub) of a partial order given by its down-masks
-    (reflexive and transitive, in any index order).
-
-    Down-masks are distinct (antisymmetry), so the lower bounds of
-    {i, j} are down[i] & down[j], and a greatest one exists iff that is
-    the down-mask of some element: glb.get(down[i] & down[j]) is the
-    meet, or None.  Likewise lub.get(up[i] & up[j]) is the join, or None.
-    """
-    up = _converse(down)
-    return (up, {d: i for i, d in enumerate(down)},
-            {u: i for i, u in enumerate(up)})
 
 
 def _check_lattice(items: Sequence, down: Sequence[int]):

@@ -64,9 +64,8 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import InvalidParameters, NotAMatroid, TooLarge
-from .groundsets import (GroundSet, atoms, bits, canonical, outside,
-                         popcount, set_text, subset_key)
-from .lattices import _bound_lookups, _down_masks
+from .groundsets import (GroundSet, _bound_lookups, _down_masks, atoms, bits,
+                         canonical, outside, popcount, set_text, subset_key)
 
 if TYPE_CHECKING:  # numpy is imported by the table functions that use it
     import numpy as np

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import lattices
 from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
-from .groundsets import (GroundSet, atoms, bits, canonical, class_profile,
-                         first_difference, popcount, set_text)
+from .groundsets import (GroundSet, _down_masks, atoms, bits, canonical,
+                         class_profile, first_difference, popcount, set_text)
 from .matroid import (Matroid, RankedFamily, _assemble, _factors, _product,
                       _support, validate)
-from .lattices import _down_masks, _order_isomorphism, width_of_family
 
 MINOR_SEARCH_CAP = 131_072  # most (C, D) profile pairs has_minor visits
 
@@ -323,7 +323,7 @@ def is_isomorphic(m: Matroid, n: Matroid):
         return False, None
     down_m, colours_m = _class_poset(m, classes_m, inside_m)
     down_n, colours_n = _class_poset(n, classes_n, inside_n)
-    phi = _order_isomorphism(down_m, down_n, colours_m, colours_n)
+    phi = lattices._order_isomorphism(down_m, down_n, colours_m, colours_n)
     if phi is None:
         return False, None
     k = len(m.flats)
@@ -386,8 +386,8 @@ def has_minor(m: Matroid, n: Matroid):
             f"profile pairs, over cap {MINOR_SEARCH_CAP} (MINOR_SEARCH_CAP); "
             f"for nested matroids, nested_sequence_of and "
             f"nested_subsequence_minor decide it without a search")
-    width_n = width_of_family(n.flats)
-    if width_n >= 2 and width_n > width_of_family(m.flats):
+    width_n = lattices.width_of_family(n.flats)
+    if width_n >= 2 and width_n > lattices.width_of_family(m.flats):
         return False, None
     return _minor_search(m, n)
 

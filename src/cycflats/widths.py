@@ -17,11 +17,11 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
+from . import ops
 from .errors import TooLarge
 from .groundsets import popcount
 from .lattices import width_of_family
 from .matroid import Matroid
-from .ops import dual
 
 ANTICHAIN_CAP = 2 ** 20  # most rank calls ingleton_transversal may make
 
@@ -81,5 +81,5 @@ def bitransversal_cert(m: Matroid) -> bool:
     ok, _ = ingleton_transversal(m)
     if not ok:
         return False
-    ok, _ = ingleton_transversal(dual(m))
+    ok, _ = ingleton_transversal(ops.dual(m))
     return ok

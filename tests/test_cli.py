@@ -366,9 +366,74 @@ def test_table_free_commands_do_not_import_numpy():
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("argv", [["validate", "mk4.json"],
-                                  ["tutte", "mk4.json"]])
-def test_run_as_main_warns_nothing(argv):
+# Malformed documents as text: (command, text), one of each shape a
+# CLI child must reject with exit 2 and one stderr line
+MALFORMED_TEXTS = [
+    ("validate", '{"ground": ["a"], "cyclic_flats": 5}'),
+    ("realize", '{"elements": ["a", "b"], "covers": [["a", ["b"]]]}'),
+    ("validate", '{"ground": ["a", "b"], "cyclic_flats": '
+                 '[{"set": [], "rank": 0}, {"set": "ab", "rank": 1}]}'),
+    ("validate", '{"ground": ["a", "b"], "cyclic_flats": '
+                 '[{"set": [], "rank": 0}, {"set": ["a", "a", "b"], '
+                 '"rank": 1}]}'),
+    ("validate", '{"ground": ["a"]}'),
+    ("validate", '{"ground": ['),
+]
+BASE = {"cli", "errors", "groundsets", "io"}
+
+
+# (argv, exit code, the modules beyond BASE that the command runs)
+COMMAND_MODULES = [
+    (["validate", "mk4.json"], 0, {"matroid"}),
+    (["cyclic-flats", "mk4.json"], 0, {"matroid"}),
+    (["tutte", "mk4.json"], 0, {"matroid", "tutte"}),
+    (["dual", "mk4.json"], 0, {"matroid", "ops"}),
+    (["minor", "mk4.json", "--delete", "12"], 0, {"matroid", "ops"}),
+    (["freeprod", "mk4.json", "u24.json"], 0, {"matroid", "freeprod"}),
+    (["width", "mk4.json"], 0, {"matroid", "lattices", "widths"}),
+    (["iso", "mk4.json", "mk4.json"], 0, {"matroid", "lattices", "ops"}),
+    (["realize", "lattice_b2.json"], 0, {"build", "lattices", "matroid"}),
+    (["gen", "catalog", "mk4"], 0, {"build", "matroid"}),
+    *[([command, f"malformed-{i}.json"], 2, set())
+      for i, (command, _) in enumerate(MALFORMED_TEXTS)],
+]
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    pytest.param(*case, id="-".join(case[0])) for case in COMMAND_MODULES])
+def test_modules_each_command_runs(argv, code, modules, tmp_path):
+    # each module a command runs costs its child the module's compile
+    # when no bytecode is cached: a malformed document stops in io,
+    # before matroid runs, and only the commands that call into lattices
+    # run it.  One fresh interpreter per command
+    for i, (_, text) in enumerate(MALFORMED_TEXTS):
+        (tmp_path / f"malformed-{i}.json").write_text(text)
+    paths = {p.name: p for d in (FX, tmp_path) for p in d.glob("*.json")}
+    argv = [str(paths.get(a, a)) for a in argv]
+    script = (
+        "import sys, types\n"
+        "from cycflats import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted(n[len('cycflats.'):]\n"
+        "                   for n, m in sys.modules.items()\n"
+        "                   if n.startswith('cycflats.')\n"
+        "                   and type(m) is types.ModuleType))\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines()[-1:] \
+        == [f"{code} {sorted(BASE | modules)}"], done.stderr
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    pytest.param(["validate", "mk4.json"], 0, "", id="argv0"),
+    pytest.param(["tutte", "mk4.json"], 0, "", id="argv1"),
+    # a document missing cyclic_flats ends in io, before matroid runs
+    pytest.param(["validate", "bad_schema.json"], 2,
+                 "error: matroid document needs exactly the fields 'ground' "
+                 "and 'cyclic_flats'\n", id="malformed"),
+])
+def test_run_as_main_warns_nothing(argv, code, err):
     # cli is the one submodule the package does not register lazily:
     # runpy warns about a module found in sys.modules before it runs
     # as __main__, and the benchmark requires an empty stderr
@@ -377,7 +442,7 @@ def test_run_as_main_warns_nothing(argv):
         [sys.executable, "-W", "error", "-m", "cycflats.cli", argv[0],
          str(FX / argv[1])],
         env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stderr) == (0, "")
+    assert (done.returncode, done.stderr) == (code, err)
 
 
 def test_package_names():

@@ -6,9 +6,10 @@ import sys
 from pathlib import Path
 
 import cycflats as cf
-import cycflats.cli  # noqa: F401  (loads every module install() rebinds)
+import cycflats.cli  # noqa: F401  (the one submodule not bound lazily)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+FX = Path(__file__).resolve().parent / "fixtures"
 
 
 def tracer_namespace():
@@ -69,3 +70,19 @@ def test_installed_hooks_count_and_uninstall_restores():
             name
     assert all(vars(cf.Matroid)[attr] is value
                for attr, value in methods.items())
+
+
+def test_traced_cli_validate_counts(capsys):
+    """cli reads matroid.validate when the command runs, and io calls
+    doc_to_ranked_family through its own module: a traced `validate` of
+    mk4 counts one call of each."""
+    tracer = tracer_namespace()["Tracer"]()
+    tracer.install()
+    try:
+        code = cycflats.cli.main(["validate", str(FX / "mk4.json")])
+    finally:
+        tracer.uninstall()
+    assert (code, capsys.readouterr().out) == (0, "valid, rank 3\n")
+    assert tracer.calls["cli.main"] == 1
+    assert tracer.calls["matroid.validate"] == 1
+    assert tracer.calls["io.doc_to_ranked_family"] == 1
