@@ -28,9 +28,10 @@ from .errors import *  # noqa: F401,F403
 
 # module -> the public names the package serves from it
 _EXPORTS = {
-    "groundsets": ("GroundSet", "bits", "popcount", "subset_key"),
-    "lattices": ("FiniteLattice", "is_chain", "lattice_from_covers",
-                 "poset_isomorphic", "width_of_family"),
+    "groundsets": ("GroundSet", "bits", "is_chain", "popcount",
+                   "subset_key"),
+    "lattices": ("FiniteLattice", "lattice_from_covers", "poset_isomorphic",
+                 "width_of_family"),
     "matroid": ("AxiomViolation", "Matroid", "RankedFamily",
                 "all_violations", "cyclic_flats_recompute", "validate"),
     "ops": ("MinorSpec", "contraction", "direct_sum", "dual", "has_minor",

@@ -4,6 +4,18 @@ small catalog, and the uniform-minor extraction from long chains.
 
 Also houses the exhaustive small-lattice enumerator and the seeded
 random-matroid generators used by the test suite.
+
+A generator whose family is a matroid by its rule builds the (mask,
+rank) pairs in canonical order and assembles them (matroid._assemble)
+with no validate sweep: uniform, realize_lattice, nested_from_sequence,
+excluded_minor_pn and gimenez_family.  That makes each O(k) in its k
+flats instead of O(k^2) (per call, best of 5 runs of 200 calls on a
+shared 2-vCPU host: gimenez_family n = 7 0.152 -> 0.031 ms, n = 32
+1.59 -> 0.10 ms; nested_from_sequence("if" * 200), 201 flats, 13.8 ->
+0.36 ms).  _assemble still finds the factors, so a broken rule would
+fall through to validate and raise NotAMatroid with a witness.
+validate gates the rest: catalog("mk4"), which is hand-entered, and
+the candidate random_cw2_matroid samples.
 """
 
 from __future__ import annotations
@@ -14,7 +26,8 @@ from typing import NamedTuple
 from . import freeprod, lattices, ops
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
-from .groundsets import GroundSet, _converse, bits, popcount, precedes
+from .groundsets import (GroundSet, _converse, bits, is_chain, popcount,
+                         precedes)
 from .matroid import Matroid, RankedFamily, _assemble, validate
 
 
@@ -27,13 +40,16 @@ def uniform(r: int, n: int, labels=None) -> Matroid:
     labels = list(labels)
     if len(labels) != n:
         raise InvalidParameters(f"expected {n} labels, got {len(labels)}")
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise InvalidParameters(f"rank {r!r} is not an integer")
+    ground = GroundSet(labels)
     if r == n:
-        sets = [([], 0)]
+        pairs = [(0, 0)]
     elif r == 0:
-        sets = [(labels, 0)]
+        pairs = [(ground.full, 0)]
     else:
-        sets = [([], 0), (labels, r)]
-    return Matroid.from_labels(labels, sets)
+        pairs = [(0, 0), (ground.full, r)]
+    return _assemble(ground, pairs)
 
 
 # -- lattice realization ------------------------------------------------
@@ -81,8 +97,18 @@ def realize_lattice(lat: lattices.FiniteLattice,
             block.append(((1 << size) - 1) << len(labels))
             labels += [f"{name}:{t}" for t in range(size)]
         masks = [sum(block[y] for y in bits(d)) for d in lat.down]
+    # canonical order: by size, then first difference, which falls at the
+    # lowest lattice index where the keys differ: the V_z for plain (B
+    # keeps the lattice order, and no V_z holds the top or equals
+    # another), the down-sets for sublattice (the blocks keep it).  A
+    # key's bits are flipped and read lowest first, as in subset_key
+    flip = (2 << k) - 1
+    keys = v if variant == "plain" else lat.down
+    order = sorted([(mask.bit_count(), bin(key ^ flip)[:1:-1], mask,
+                     vz.bit_count())
+                    for mask, key, vz in zip(masks, keys, v)])
     m = _assemble(GroundSet(labels),
-                  [(mask, popcount(vz)) for mask, vz in zip(masks, v)])
+                  [(mask, rank) for _, _, mask, rank in order])
     return Realization(m, tuple(zip(lat.elements, masks)))
 
 
@@ -97,7 +123,7 @@ def nested_from_sequence(seq: str) -> Matroid:
     """
     if any(c not in "if" for c in seq):
         raise InvalidParameters(f"sequence must be over 'i'/'f': {seq!r}")
-    return validate(RankedFamily(_nested_ground(len(seq)), _nested_chain(seq)))
+    return _assemble(_nested_ground(len(seq)), _nested_chain(seq))
 
 
 def _nested_ground(n: int) -> GroundSet:
@@ -126,7 +152,7 @@ def nested_sequence_of(m: Matroid) -> str:
     as r-difference many 'i' steps followed by the remaining 'f' steps,
     and outside isthmuses as trailing 'i' steps.
     """
-    if not lattices.is_chain(m.flats):
+    if not is_chain(m.flats):
         raise NotNested("lattice of cyclic flats is not a chain")
     steps = ["f"] * popcount(m.flats[0])
     for prev, prev_r, cur, cur_r in zip(m.flats, m.flat_ranks,
@@ -174,10 +200,11 @@ def excluded_minor_pn(n: int) -> Matroid:
     B = {b1..bn}: truncation keeps the flats of rank below n."""
     if n < 2:
         raise InvalidParameters(f"need n >= 2, got {n}")
-    a = [f"a{i}" for i in range(1, n + 1)]
-    b = [f"b{i}" for i in range(1, n + 1)]
-    return Matroid.from_labels(
-        a + b, [([], 0), (a, n - 1), (b, n - 1), (a + b, n)])
+    ground = GroundSet([f"a{i}" for i in range(1, n + 1)]
+                       + [f"b{i}" for i in range(1, n + 1)])
+    a = (1 << n) - 1
+    return _assemble(ground, [(0, 0), (a, n - 1), (a << n, n - 1),
+                              (ground.full, n)])
 
 
 def gimenez_family(n: int, sigma) -> Matroid:
@@ -187,7 +214,9 @@ def gimenez_family(n: int, sigma) -> Matroid:
     share bottom and top: A_i grows by {z_i, w_i}, B_i by {z_i,
     w_{sigma(i)}}; ranks are n+1+i on both chains and 2n+2 overall.
     |B_i| = n+2+2i is one less than |A_i|, so the masks are listed in
-    canonical order, B_i before A_i, and RankedFamily keeps that order.
+    canonical order, B_i before A_i, and _assemble takes them in one
+    pass: the family is the paper's, a matroid by its rule, so no
+    validate sweep runs.
     """
     if n < 1:
         raise InvalidParameters(f"need n >= 1, got {n}")
@@ -210,7 +239,7 @@ def gimenez_family(n: int, sigma) -> Matroid:
         b |= z | 1 << (4 + 3 * n + sigma[i - 1])
         entries += [(b, n + 1 + i), (a, n + 1 + i)]
     entries.append((ground.full, 2 * n + 2))
-    return validate(RankedFamily(ground, entries))
+    return _assemble(ground, entries)
 
 
 def catalog(name: str) -> Matroid:
@@ -256,7 +285,7 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
     """
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got {k}")
-    if not lattices.is_chain(m.flats):
+    if not is_chain(m.flats):
         raise NotNested("lattice of cyclic flats is not a chain")
     if len(m.flats) < k + 2:
         raise ChainTooShort(

@@ -15,8 +15,8 @@ subset_key.
 A partial order on n items is a list of n masks too, its down-masks:
 bit j of entry i is set iff item j <= item i.  The helpers on them,
 _down_masks (a family under inclusion), _converse and _bound_lookups,
-live here, so matroid and ops use them without running lattices, which
-imports them back.
+and is_chain live here, so matroid, ops and build use them without
+running lattices, which imports them back.
 """
 
 from __future__ import annotations
@@ -119,6 +119,12 @@ def class_profile(family, support: int) -> tuple[list[int], list[int]]:
     classes = atoms(support, family)
     class_bits = [(p, 1 << c) for c, p in enumerate(classes)]
     return classes, [sum(b for p, b in class_bits if p & f) for f in family]
+
+
+def is_chain(masks: Sequence[int]) -> bool:
+    """True iff the members, in canonical order, are pairwise comparable
+    under inclusion."""
+    return all(a & ~b == 0 for a, b in zip(masks, masks[1:]))
 
 
 def _down_masks(masks: Sequence[int]) -> list[int]:

@@ -6,7 +6,7 @@ down-masks and checks, when it is built, that they form one; no other
 module decides that.  Provides chain and width computations (Dilworth
 duality via bipartite matching), and poset isomorphism with a witness
 bijection.  The down-mask helpers (_down_masks, _converse and
-_bound_lookups) come from groundsets.
+_bound_lookups) and is_chain come from groundsets.
 One search, _order_isomorphism, decides isomorphism of posets whose
 nodes carry colours: poset_isomorphic colours none, and
 ops.is_isomorphic adds a node per element class, below the cyclic
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from .errors import (CyclicCovers, DuplicateSet, InvalidParameters, NotALattice,
                      UnknownLabel)
 from .groundsets import (_bound_lookups, _converse, _down_masks, bits,
-                         popcount)
+                         is_chain, popcount)  # noqa: F401 (is_chain)
 
 
 class _Names(tuple):
@@ -201,12 +201,6 @@ def family_lattice_tables(masks: Sequence[int]):
     up, glb, lub = _check_lattice(masks, down)
     return ([[glb[a & b] for b in down] for a in down],
             [[lub[a & b] for b in up] for a in up])
-
-
-def is_chain(masks: Sequence[int]) -> bool:
-    """True iff the members, in canonical order, are pairwise comparable
-    under inclusion."""
-    return all(a & ~b == 0 for a, b in zip(masks, masks[1:]))
 
 
 def width_of_family(masks: Sequence[int]) -> int:

@@ -133,14 +133,18 @@ class AxiomViolation(NamedTuple):
 class Matroid:
     """A validated cyclic-flats-with-ranks representation.
 
-    Immutable; build via validate() or Matroid.from_labels() at the
-    boundary.  The constructor itself checks nothing: ops.relabel,
-    ops.dual, ops.direct_sum and ops.minor call it on data read off
-    operands that validate has already passed (minor splits only the
-    factors it changes), and the other operations whose result is a
-    matroid by theorem (the ops and freeprod modules,
-    build.realize_lattice) go through _assemble, which finds the factors
-    with no second sweep.
+    Immutable.  One rule says how one is built: a constructor whose
+    result is a matroid by a rule assembles it, and validate gates
+    everything else.  validate (or Matroid.from_labels, which calls it)
+    takes parsed documents, hand-entered data such as catalog("mk4"),
+    random_cw2_matroid's sampled candidate and minor's fallback.  The
+    constructor itself checks nothing: ops.relabel, ops.dual,
+    ops.direct_sum and ops.minor call it on data read off operands that
+    are matroids already (minor splits only the factors it changes),
+    and the other rule-built results (the ops and freeprod modules,
+    build.realize_lattice and the parameterized generators uniform,
+    nested_from_sequence, excluded_minor_pn and gimenez_family) go
+    through _assemble, which finds the factors with no sweep.
     flats and flat_ranks are parallel tuples in canonical subset order;
     factors holds, for each connected component E_i of the elements
     between the least and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over
@@ -334,8 +338,8 @@ def validate(candidate: RankedFamily) -> Matroid:
 
 def _assemble(ground: GroundSet, entries) -> Matroid:
     """The Matroid of (mask, rank) pairs that meet Z0-Z3 by theorem: the
-    result of an operation on validated operands, by that operation's
-    rule.
+    result of an operation on validated operands, or of a parameterized
+    generator (build module), by its rule.
 
     The masks are distinct and inside ground.  A rule that fixes the
     order of its output gives them in canonical order, which

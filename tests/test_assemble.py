@@ -139,6 +139,9 @@ class TestNoValidate:
                    cf.direct_sum(m, n)]
         for variant in ("plain", "sublattice"):
             results.append(cf.realize_lattice(lat, variant).matroid)
+        results += [cf.gimenez_family(4, [3, 1, 4, 2]),
+                    cf.nested_from_sequence("ffiifif"), cf.uniform(2, 5),
+                    cf.excluded_minor_pn(4)]
         assert validate_calls == []
         for got in results:
             agrees_with_validate(got)
@@ -148,6 +151,10 @@ class TestNoValidate:
         assert len(validate_calls) == 1
         cf.random_cw2_matroid(random.Random(3))
         assert len(validate_calls) == 2
+        cf.catalog("mk4")  # hand-entered data
+        assert len(validate_calls) == 3
+        cf.catalog("u24")  # uniform, built by its rule
+        assert len(validate_calls) == 3
         with pytest.raises(cf.NotAMatroid):
             cf.Matroid.from_labels(["a", "b"], [([], 0), (["a", "b"], 2)])
 

@@ -233,6 +233,9 @@ class TestUniform:
             cf.uniform(3, 2)
         with pytest.raises(cf.InvalidParameters):
             cf.uniform(1, 2, ["only-one"])
+        for r in (1.5, True):
+            with pytest.raises(cf.InvalidParameters, match="not an integer"):
+                cf.uniform(r, 2)
 
     def test_default_labels(self):
         assert cf.uniform(1, 3).ground.labels == ("e1", "e2", "e3")
@@ -322,6 +325,21 @@ class TestRealizeLattice:
         names = ["a", "b", "c"][:len(down)]
         with pytest.raises(cf.InvalidParameters):
             cf.realize_lattice(FiniteLattice(names, down))
+
+    def test_masks_come_in_canonical_order(self, subset_key_calls):
+        # each element's flat goes to _assemble in canonical order, so
+        # nothing is sorted; the witness keeps the lattice order
+        lats = cf.all_lattices(7)
+        subset_key_calls.clear()
+        reals = [(lat, cf.realize_lattice(lat, variant)) for lat in lats
+                 for variant in ("plain", "sublattice")]
+        assert subset_key_calls == []
+        assert len(reals) == 2 * 78
+        for lat, real in reals:
+            flats = real.matroid.flats
+            assert list(flats) == sorted(flats, key=cf.subset_key)
+            assert [z for z, _ in real.witness] == list(lat.elements)
+            assert sorted(f for _, f in real.witness) == sorted(flats)
 
     def test_realize_checks_nothing(self, lattices_to_8, monkeypatch):
         # a FiniteLattice is checked when it is built, so realizing one
@@ -453,6 +471,40 @@ class TestGimenez:
             cf.gimenez_family(2, [1, 1])
         with pytest.raises(cf.InvalidParameters):
             cf.gimenez_family(0, [])
+
+
+class TestRuleBuilders:
+    """uniform, nested_from_sequence, excluded_minor_pn and
+    gimenez_family assemble their families by their rule, with no
+    validate sweep: each gives exactly what validate makes of the same
+    family, flats, ranks and factors."""
+
+    def test_gimenez(self):
+        for n in range(1, 6):
+            for sigma in permutations(range(1, n + 1)):
+                agrees_with_validate(cf.gimenez_family(n, sigma))
+        rng = random.Random(42)
+        for n in (8, 12, 20):
+            for _ in range(3):
+                sigma = rng.sample(range(1, n + 1), n)
+                agrees_with_validate(cf.gimenez_family(n, sigma))
+
+    def test_nested(self):
+        for n in range(11):
+            for seq in product("if", repeat=n):
+                agrees_with_validate(cf.nested_from_sequence("".join(seq)))
+        m = cf.nested_from_sequence("if" * 200)
+        agrees_with_validate(m)
+        assert len(m.flats) == 201
+
+    def test_uniform(self):
+        for n in range(13):
+            for r in range(n + 1):
+                agrees_with_validate(cf.uniform(r, n))
+
+    def test_excluded_minor_pn(self):
+        for n in range(2, 13):
+            agrees_with_validate(cf.excluded_minor_pn(n))
 
 
 class TestCatalogAndChainMinor:
@@ -741,8 +793,9 @@ class TestRandomGenerators:
         # per try: a chain of fewer than 3 members makes no draw and no
         # candidate; any other makes one draw per candidate, never the
         # same candidate twice, at most min(400, N) of the N candidates,
-        # and all of them unless one passes.  Per call: one validate,
-        # through nested_from_sequence only when every try failed.
+        # and all of them unless one passes.  Per call: one gate, validate
+        # on the sampled candidate, or nested_from_sequence (built by its
+        # rule, no validate) only when every try failed.
         log = []
         nested = build.nested_from_sequence
 
@@ -777,7 +830,7 @@ class TestRandomGenerators:
                     tries[-1][3].append(tuple(args[2:]))
                 else:
                     gates.append(name)
-            fallback = gates == ["nested", "validate"]
+            fallback = gates == ["nested"]
             assert fallback or gates == ["validate"]
             assert not fallback or len(tries) == 20
             for pos, (n, seq, draws, cands) in enumerate(tries):

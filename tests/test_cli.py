@@ -394,6 +394,9 @@ COMMAND_MODULES = [
     (["iso", "mk4.json", "mk4.json"], 0, {"matroid", "lattices", "ops"}),
     (["realize", "lattice_b2.json"], 0, {"build", "lattices", "matroid"}),
     (["gen", "catalog", "mk4"], 0, {"build", "matroid"}),
+    (["nested", "nested_ifif.json"], 0, {"build", "matroid"}),
+    (["chain-minor", "nested_ififif.json", "--k", "1"], 0,
+     {"build", "matroid", "ops"}),
     *[([command, f"malformed-{i}.json"], 2, set())
       for i, (command, _) in enumerate(MALFORMED_TEXTS)],
 ]
