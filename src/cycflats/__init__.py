@@ -17,7 +17,10 @@ as no module imports a name from a module its callers may not need:
 such a module is bound whole (from . import lattices) and its functions
 are read when they are called (lattices.width_of_family).  matroid runs
 groundsets but not lattices, and a malformed document runs only cli,
-errors, groundsets and io.
+errors, groundsets and io.  The 2^n table kernels are in dense, the one
+module that imports numpy, and it serves no public name: matroid and
+tutte bind it whole, so only a command that builds a rank table
+(cyclic-flats) runs it.
 """
 
 import sys
@@ -48,6 +51,7 @@ _EXPORTS = {
               "uniform", "uniform_minor_from_chain"),
     "widths": ("bitransversal_cert", "cyclic_width", "ingleton_transversal"),
     "io": (),
+    "dense": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

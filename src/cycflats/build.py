@@ -26,8 +26,8 @@ from typing import NamedTuple
 from . import freeprod, lattices, ops
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
-from .groundsets import (GroundSet, _converse, bits, is_chain, popcount,
-                         precedes)
+from .groundsets import (GroundSet, _converse, bits, first_difference,
+                         is_chain, popcount, precedes)
 from .matroid import Matroid, RankedFamily, _assemble, validate
 
 
@@ -100,15 +100,11 @@ def realize_lattice(lat: lattices.FiniteLattice,
     # canonical order: by size, then first difference, which falls at the
     # lowest lattice index where the keys differ: the V_z for plain (B
     # keeps the lattice order, and no V_z holds the top or equals
-    # another), the down-sets for sublattice (the blocks keep it).  A
-    # key's bits are flipped and read lowest first, as in subset_key
-    flip = (2 << k) - 1
+    # another), the down-sets for sublattice (the blocks keep it)
     keys = v if variant == "plain" else lat.down
-    order = sorted([(mask.bit_count(), bin(key ^ flip)[:1:-1], mask,
-                     vz.bit_count())
-                    for mask, key, vz in zip(masks, keys, v)])
-    m = _assemble(GroundSet(labels),
-                  [(mask, rank) for _, _, mask, rank in order])
+    order = first_difference(zip(keys, zip(masks, map(popcount, v))), k)
+    order.sort(key=lambda item: item[1][0].bit_count())
+    m = _assemble(GroundSet(labels), [pair for _, pair in order])
     return Realization(m, tuple(zip(lat.elements, masks)))
 
 
@@ -121,9 +117,14 @@ def nested_from_sequence(seq: str) -> Matroid:
     element freely, M box U_{0,1}, whose cyclic flats are M's without
     E(M), and E(M) + e at rank r(M).  Elements are e1, e2, ... in order.
     """
+    _check_sequence(seq)
+    return _assemble(_nested_ground(len(seq)), _nested_chain(seq))
+
+
+def _check_sequence(seq: str) -> None:
+    """Raise InvalidParameters unless seq is over 'i'/'f'."""
     if any(c not in "if" for c in seq):
         raise InvalidParameters(f"sequence must be over 'i'/'f': {seq!r}")
-    return _assemble(_nested_ground(len(seq)), _nested_chain(seq))
 
 
 def _nested_ground(n: int) -> GroundSet:
@@ -170,8 +171,11 @@ def nested_subsequence_minor(seq_n: str, seq_m: str):
     Returns (True, spec) where spec is the MinorSpec on
     nested_from_sequence(seq_m) that deletes unmatched free steps and
     contracts unmatched isthmus steps, or (False, None).  The match is
-    the leftmost embedding.
+    the leftmost embedding.  Raises InvalidParameters unless both
+    sequences are over 'i'/'f', as nested_from_sequence does.
     """
+    _check_sequence(seq_n)
+    _check_sequence(seq_m)
     positions = []
     it = 0
     for step in seq_n:
@@ -281,8 +285,11 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
     X_{k+1}, contract I_{k+1}, and delete X_0 u F_1 u ... u F_{k-1},
     where each X_j - X_{j-1} splits into I_j (rank increase) and F_j
     (free part); the split is determined only in cardinality, so the
-    lexicographically least choice is taken.
+    lexicographically least choice is taken.  Raises InvalidParameters
+    unless k is an int (not a bool) of at least 1.
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InvalidParameters(f"k {k!r} is not an integer")
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got {k}")
     if not is_chain(m.flats):

@@ -53,27 +53,26 @@ Z is the product of the factors' pairs with 0 in every member
 (_product), and direct sums, minors and rank tables build on the stored
 factors rather than re-derive them from Z: ops.minor splits only the
 factors that the contracted and deleted sets meet, and rank_table takes
-one grid per piece of factors (_pieces) and adds them as outer sums.
+one grid per piece of factors and adds them as outer sums.
+
+This module holds the rules on the cyclic flats only.  The 2^n kernels
+behind its two table oracles, Matroid.rank_table and
+cyclic_flats_recompute, are in the dense module, which each calls once
+after its own checks.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
+from . import dense
 from .errors import InvalidParameters, NotAMatroid, TooLarge
 from .groundsets import (GroundSet, _bound_lookups, _down_masks, atoms, bits,
                          canonical, outside, popcount, set_text, subset_key)
 
-if TYPE_CHECKING:  # numpy is imported by the table functions that use it
-    import numpy as np
-
 ENUM_CAP = 22  # largest ground set given a 2^n rank table
-# entries of one step of _grid_ranks, an eighth of a 2^ENUM_CAP grid:
-# a grid of more cells takes one group of flats a step
-_STEP_ENTRIES = 1 << (ENUM_CAP - 3)
 # candidate subsets circuits() may test; on a uniform matroid every
 # candidate is a circuit, so this also bounds the length of its result
 CIRCUIT_CAP = 10_000
@@ -219,19 +218,10 @@ class Matroid:
             rank += best
         return rank
 
-    def rank_table(self) -> np.ndarray:
+    def rank_table(self):
         """Ranks of all 2^n subsets, indexed by mask (cached, read-only,
-        uint8).
-
-        r(A) is the sum of the ranks of A's parts in the pieces
-        (_pieces), so each piece gets a grid of _grid_ranks over the
-        product of its factors' pairs with its loops in every member, and
-        the table is the outer sum of the grids from the lowest piece up.
-        Its peak is the table and the sum below the highest piece, at most
-        a quarter of it, as a piece with a factor has two elements or
-        more.  A matroid of one piece, connected or with interleaved
-        factors, gets one grid over its flats.
-        """
+        uint8): dense.rank_table, built once per matroid.  Raises
+        TooLarge past ENUM_CAP elements, before allocating."""
         if self._table is None:
             n = len(self.ground)
             if n > ENUM_CAP:
@@ -239,14 +229,7 @@ class Matroid:
                     f"rank_table would tabulate all subsets of {n} elements, "
                     f"over cap {ENUM_CAP} (ENUM_CAP); rank, closure, minor "
                     f"and dual need no table")
-            import numpy as np
-            for low, high, group in _pieces(n, self.factors):
-                flats = _product(self.bottom & (1 << high) - (1 << low), group)
-                part = _grid_ranks(high - low, [
-                    (f >> low, r) for f, r in flats.items()])
-                table = part if low == 0 else np.add.outer(part, table).ravel()
-            table.flags.writeable = False
-            self._table = table
+            self._table = dense.rank_table(self)
         return self._table
 
     def is_independent(self, i: int) -> bool:
@@ -472,27 +455,6 @@ def _product(base: int, families) -> dict[int, int]:
     return found
 
 
-def _pieces(n: int, factors) -> list[list]:
-    """[low, high, pairs of each factor inside] for the pieces
-    range(low, high) of range(n) that rank_table grids one by one.
-
-    A piece starts at 0 and at the least element of each factor above
-    every element of the factors before it (factors come in order of
-    least element), so no factor's span, least to highest element,
-    crosses a cut.  Loops and isthmuses between two factors go with the
-    lower one.
-    """
-    pieces, reach = [[0, n, []]], 0
-    for e, pairs in factors:
-        low = (e & -e).bit_length() - 1
-        if pieces[-1][2] and low >= reach:
-            pieces[-1][1] = low
-            pieces.append([low, n, []])
-        pieces[-1][2].append(pairs)
-        reach = max(reach, e.bit_length())
-    return pieces
-
-
 def _support(pairs, a: int) -> tuple[int, int, int]:
     """min over pairs (Y, r) of r + |A - Y|, with the intersection and
     the union of the Y that attain it."""
@@ -507,134 +469,14 @@ def _support(pairs, a: int) -> tuple[int, int, int]:
     return best, inter, union
 
 
-def _grid_ranks(axes: int, flats) -> np.ndarray:
-    """min over flats F of r(F) + |A - F| at every mask A < 2^axes.
-
-    Flats are (mask, r(F)).  Each value is the sum of one part from the
-    low h = axes // 2 bits of A and one from the high bits, so the grid
-    is a (high x low) min of outer sums.  A half's parts are products of
-    the flats' rows (1 on each bit outside F) with its bit matrix
-    (_digits).  Flats are sorted into groups by their low part; a
-    group's high parts, r(F) included, are folded to their minimum
-    (_run_minima), and only that minimum meets the group's low part.
-
-    The groups go through in steps of at most _STEP_ENTRIES >> axes
-    groups (at least one), each step one broadcast sum of its groups'
-    high and low parts and one min; the high parts come from products
-    of at most _STEP_ENTRIES entries.  So a grid whose groups times
-    2^axes fit in _STEP_ENTRIES takes a fixed number of numpy calls
-    however many flats and groups it has, and a 2^ENUM_CAP grid takes
-    one group a step, with a peak of the grid, one step's sums and an
-    eighth of a grid of high parts.  Returns the grid in the smallest
-    unsigned dtype that holds the largest candidate value.
-    """
-    import numpy as np
-    h = axes // 2
-    low_mask = (1 << h) - 1
-    flats = sorted(flats, key=lambda f: f[0] & low_mask)
-    dtype = np.min_scalar_type(max(r + axes - f.bit_count() for f, r in flats))
-    # bounds[g]: the first flat of group g; bounds[-1]: the flat count
-    bounds = [i for i, (f, _) in enumerate(flats)
-              if not i or (f ^ flats[i - 1][0]) & low_mask] + [len(flats)]
-    # one row per flat: 1 on each bit outside F, then r(F)
-    rows = np.empty((len(flats), axes + 1), dtype)
-    rows[:, :axes] = (~np.array([f for f, _ in flats], np.int64)[:, None]
-                      >> np.arange(axes) & 1)
-    rows[:, axes] = [r for _, r in flats]
-    high_bits = _digits(axes - h, dtype)  # its ones add r(F)
-    low_bits = _digits(h, dtype)[:h]
-    step = max(1, _STEP_ENTRIES >> axes)
-    chunk = max(1, _STEP_ENTRIES >> (axes - h))
-    best = sums = None
-    for g in range(0, len(bounds) - 1, step):
-        cut = bounds[g:g + step + 1]
-        high = _run_minima(rows[:, h:], high_bits, cut, chunk)
-        low = (rows[cut[:-1], :h] @ low_bits)[:, None]
-        if best is None:
-            stack = high[:, :, None] + low
-            best = stack[0] if len(stack) == 1 else stack.min(axis=0)
-            continue
-        if sums is None:
-            sums = np.empty((step, *best.shape), dtype)
-        stack = np.add(high[:, :, None], low, out=sums[:len(high)])
-        np.minimum(best, stack[0] if len(stack) == 1 else stack.min(axis=0),
-                   out=best)
-    return best.ravel()
-
-
-def _run_minima(rows, digits, bounds, chunk) -> np.ndarray:
-    """Row g: the minimum over bounds[g] <= i < bounds[g + 1] of
-    rows[i] @ digits, from products of at most chunk rows; a run split
-    between two products is folded by one more minimum."""
-    import numpy as np
-    parts = []
-    for s in range(bounds[0], bounds[-1], chunk):
-        e = min(s + chunk, bounds[-1])
-        part = np.minimum.reduceat(
-            rows[s:e] @ digits, [0] + [b - s for b in bounds if s < b < e])
-        if s not in bounds:  # the run at s began in the last product
-            np.minimum(part[0], parts[-1][-1], out=part[0])
-            parts[-1] = parts[-1][:-1]
-        parts.append(part)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-@lru_cache(maxsize=64)
-def _digits(bits: int, dtype) -> np.ndarray:
-    """The ((bits + 1) x 2^bits) bit matrix: row c holds bit c of every
-    mask, and the last row is all ones (read-only, cached)."""
-    import numpy as np
-    out = np.ones((bits + 1, 1 << bits), dtype)
-    out[:bits] = np.arange(1 << bits) >> np.arange(bits)[:, None] & 1
-    out.flags.writeable = False
-    return out
-
-
 def cyclic_flats_recompute(m: Matroid) -> RankedFamily:
-    """Re-derive the cyclic flats of m from its rank oracle.
+    """Re-derive the cyclic flats of m from its rank table.
 
-    Enumerates all subsets F that are closed (adding any outside element
-    raises the rank) and isthmus-free in restriction (removing any inside
-    element keeps the rank).  Must reproduce m's family exactly.  Raises
+    Keeps every subset F that is closed (adding any outside element
+    raises the rank) and isthmus-free in restriction (removing any
+    inside element keeps the rank), by the fixpoint sweep of
+    dense.cyclic_flats.  Must reproduce m's family exactly.  Raises
     TooLarge past ENUM_CAP elements, before allocating.
-
-    Every subset is tested for every element x by one comparison of the
-    set without x and the same set plus x (_fixpoint_sweep).  For the
-    high elements x >= h = n // 2 the sweep runs on the table as it is,
-    in rows of 2^x >= 2^h entries.  For the low elements it runs on
-    blocks of 2^16 entries, each transposed from (rows x 2^h) to
-    (2^h x rows), which puts the low bits above the block's rows, so
-    those rows are long too.  Peak memory is two and a half tables: the
-    ranks, the result mask, and one high element's comparison, which
-    covers half the table.
     """
-    import numpy as np
-    rt = m.rank_table()
-    n = len(m.ground)
-    h = n // 2
-    good = np.ones(len(rt), dtype=bool)
-    _fixpoint_sweep(rt, good, range(h, n), 1)
-    table, mask = rt.reshape(-1, 1 << h), good.reshape(-1, 1 << h)
-    step = max(1, (1 << 16) >> h)
-    for s in range(0, len(table), step):
-        block = np.ascontiguousarray(table[s:s + step].T)
-        keep = np.ones_like(block, dtype=bool)
-        _fixpoint_sweep(block, keep, range(h), block.shape[1])
-        mask[s:s + step] &= keep.T
-    return RankedFamily(m.ground, [(int(f), int(rt[f]))
-                                   for f in np.flatnonzero(good)])
-
-
-def _fixpoint_sweep(ranks, good, elements, unit) -> None:
-    """Clear good[A] unless A is closed and isthmus-free at each x in
-    elements, where adding x to a set adds unit << x to its index.
-
-    Viewed as (-1, 2, unit << x), the arrays pair each set without x
-    (column 0) with the same set plus x (column 1).  The two tests run
-    in turn, so one half-size temporary is alive at a time.
-    """
-    for x in elements:
-        v = ranks.reshape(-1, 2, unit << x)
-        g = good.reshape(-1, 2, unit << x)
-        g[:, 0] &= v[:, 1] > v[:, 0]   # closed: adding x raises the rank
-        g[:, 1] &= v[:, 1] <= v[:, 0]  # no isthmus: removing x keeps it
+    return RankedFamily(m.ground, dense.cyclic_flats(m.rank_table(),
+                                                     len(m.ground)))

@@ -4,10 +4,10 @@ R(M; x, y) = sum over subsets A of x^(r(M)-r(A)) y^(|A|-r(A)), stored as
 a dense (corank x nullity) matrix of exact integers.  The Tutte
 polynomial is t(M; x, y) = R(M; x-1, y-1).
 
-rank_gen computes R from the cyclic flats, with no 2^n table and no
-numpy.  Loops and coloops factor out as (1+y)^l and (1+x)^c, and R of a
-direct sum is the product of the summands' R, so the rest is split into
-its connected components: the factors of m, each a component with the
+rank_gen computes R from the cyclic flats, with no 2^n table.  Loops
+and coloops factor out as (1+y)^l and (1+x)^c, and R of a direct sum
+is the product of the summands' R, so the rest is split into its
+connected components: the factors of m, each a component with the
 cyclic flats of M|S and their ranks, found from Z alone
 (matroid._factors, see the matroid module).  A component's R then
 follows from the intervals of its lattice of cyclic flats, with |F| and
@@ -43,16 +43,17 @@ substitution).  The same trick shifts R to t: t at (2^a, 2^b) is R at
 tutte_polynomial is that shift of rank_gen.  Everything runs on Python
 ints, so R and t stay exact: U_{40,80} has coefficients past 2^63.
 
-rank_gen_brute tallies the rank table alone and is the oracle.  The
-free-product convolution combines two matrices coefficientwise.
+rank_gen_brute tallies the rank table alone (dense.tally) and is the
+oracle.  The free-product convolution combines two matrices
+coefficientwise.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
+from . import dense
 from .errors import TooLarge
 from .groundsets import popcount
 from .matroid import ENUM_CAP, Matroid
@@ -77,41 +78,12 @@ class RankGenMatrix(NamedTuple):
                 for j, c in enumerate(row) if c]
 
 
-def _tally(ranks, rank: int, nullity: int):
-    """The (corank x nullity) coefficient array of R from the rank table:
-    each subset A adds 1 at corank rank - r(A) and nullity |A| - r(A),
-    tallied by the key nullity*(rank+1) + corank.  The table is counted
-    in slices of 2^16 subsets, so the keys and bincount's int64 copy of
-    them stay small beside it; a slice starts at a multiple of 2^16, so
-    |A| is that start's popcount plus _low_sizes()[A mod 2^16]."""
-    import numpy as np
-    cells = (nullity + 1) * (rank + 1)
-    kt = np.min_scalar_type(cells - 1)
-    counts = np.zeros(cells, np.int64)
-    low = _low_sizes()
-    step = len(low)
-    for lo in range(0, len(ranks), step):
-        part = ranks[lo:lo + step]
-        key = (low[:len(part)] + lo.bit_count() - part).astype(kt) \
-            * (rank + 1) + (rank - part)
-        counts += np.bincount(key, minlength=cells)
-    return counts.reshape(nullity + 1, rank + 1).T
-
-
-@lru_cache(maxsize=1)
-def _low_sizes():
-    """|A| at every mask A < 2^16, as uint8 (read-only, cached)."""
-    import numpy as np
-    out = np.bitwise_count(np.arange(1 << 16, dtype=np.uint16))
-    out.flags.writeable = False
-    return out
-
-
 def rank_gen_brute(m: Matroid) -> RankGenMatrix:
-    """Exact coefficient matrix by enumerating all 2^|E| subsets."""
+    """Exact coefficient matrix by enumerating all 2^|E| subsets: the
+    tally of m's rank table (dense.tally)."""
     r = m.matroid_rank
-    coeffs = _tally(m.rank_table(), r, len(m.ground) - r)
-    return RankGenMatrix(tuple(map(tuple, coeffs.tolist())))
+    coeffs = dense.tally(m.rank_table(), r, len(m.ground) - r)
+    return RankGenMatrix(tuple(map(tuple, coeffs)))
 
 
 def _interval_terms(e: int, pairs) -> list[tuple[list[int], list[int]]]:

@@ -89,7 +89,7 @@ def _grid_ranks_outer(radices, flats):
     (high x low) outer sum per distinct low part is taken, in the
     smallest unsigned dtype that holds the largest candidate value.
     With every radix 1 a profile is a subset, its index its mask, and
-    this is the oracle for matroid._grid_ranks; with the sizes of
+    this is the oracle for dense._grid_ranks; with the sizes of
     classes of elements it is the class grid of test_tutte's oracle."""
     flats = list(flats)
     h = len(radices) // 2

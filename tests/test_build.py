@@ -385,6 +385,12 @@ class TestNested:
     def test_bad_sequence(self):
         with pytest.raises(cf.InvalidParameters):
             cf.nested_from_sequence("ifx")
+        # the subsequence test rejects what nested_from_sequence does,
+        # in either argument, before it matches anything
+        for seq_n, seq_m in (("x", "x"), ("ix", "if"), ("if", "ifx"),
+                             ("", "fx")):
+            with pytest.raises(cf.InvalidParameters, match="'i'/'f'"):
+                cf.nested_subsequence_minor(seq_n, seq_m)
 
     def test_not_nested(self, catalog):
         with pytest.raises(cf.NotNested):
@@ -548,6 +554,9 @@ class TestCatalogAndChainMinor:
             cf.uniform_minor_from_chain(catalog["nested:if"], 2)
         with pytest.raises(cf.InvalidParameters):
             cf.uniform_minor_from_chain(catalog["nested:ifif"], 0)
+        for k in (1.5, True, "1"):
+            with pytest.raises(cf.InvalidParameters, match="not an integer"):
+                cf.uniform_minor_from_chain(catalog["nested:ifif"], k)
 
 
 class TestAllLattices:

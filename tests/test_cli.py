@@ -335,7 +335,10 @@ def test_table_free_commands_do_not_import_numpy():
     # matroid or from the two factors of a free product, takes no table.
     # `import cycflats` runs only the errors module (the others stay
     # lazy modules, whose class LazyLoader swaps when they run), and
-    # validate runs none of the operations' modules
+    # validate runs none of the operations' modules.  Nor does running
+    # every registered module, which vars() on each does, as a profiler
+    # that wraps functions module by module calls it: dense imports
+    # numpy inside its functions
     mk4, u24 = str(FX / "mk4.json"), str(FX / "u24.json")
     commands = [["validate", mk4], ["tutte", mk4], ["tutte", mk4, u24]]
     script = (
@@ -359,11 +362,38 @@ def test_table_free_commands_do_not_import_numpy():
         "    if argv[0] == 'validate':\n"
         "        operations = {'cycflats.' + m for m in\n"
         "                      ('build', 'ops', 'tutte', 'widths', 'freeprod')}\n"
-        "        assert not ran() & operations, ran() & operations\n")
+        "        assert not ran() & operations, ran() & operations\n"
+        "for name in [n for n in sys.modules if n.startswith('cycflats.')]:\n"
+        "    vars(sys.modules[name])\n"
+        "assert 'cycflats.dense' in ran(), ran()\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, f'vars() of every module: {loaded}'\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def _numpy_imports(nodes):
+    return [node.lineno for stmt in nodes for node in ast.walk(stmt)
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "numpy" for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "numpy"]
+
+
+def test_only_dense_imports_numpy():
+    # the 2^n kernels are the only numpy code in the library; dense
+    # imports it inside its functions (or for type checkers only), so
+    # running the module imports none
+    for path in sorted(Path(SRC, "cycflats").glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        if path.stem == "dense":
+            body = [stmt for stmt in body
+                    if not isinstance(stmt, ast.FunctionDef)
+                    and not (isinstance(stmt, ast.If)
+                             and ast.unparse(stmt.test) == "TYPE_CHECKING")]
+        assert not _numpy_imports(body), (path.name, _numpy_imports(body))
 
 
 # Malformed documents as text: (command, text), one of each shape a
@@ -385,7 +415,7 @@ BASE = {"cli", "errors", "groundsets", "io"}
 # (argv, exit code, the modules beyond BASE that the command runs)
 COMMAND_MODULES = [
     (["validate", "mk4.json"], 0, {"matroid"}),
-    (["cyclic-flats", "mk4.json"], 0, {"matroid"}),
+    (["cyclic-flats", "mk4.json"], 0, {"dense", "matroid"}),
     (["tutte", "mk4.json"], 0, {"matroid", "tutte"}),
     (["dual", "mk4.json"], 0, {"matroid", "ops"}),
     (["minor", "mk4.json", "--delete", "12"], 0, {"matroid", "ops"}),
@@ -431,6 +461,8 @@ def test_modules_each_command_runs(argv, code, modules, tmp_path):
 @pytest.mark.parametrize("argv, code, err", [
     pytest.param(["validate", "mk4.json"], 0, "", id="argv0"),
     pytest.param(["tutte", "mk4.json"], 0, "", id="argv1"),
+    # the lazily registered dense module runs under __main__ too
+    pytest.param(["cyclic-flats", "mk4.json"], 0, "", id="argv2"),
     # a document missing cyclic_flats ends in io, before matroid runs
     pytest.param(["validate", "bad_schema.json"], 2,
                  "error: matroid document needs exactly the fields 'ground' "

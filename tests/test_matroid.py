@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 import cycflats as cf
 from conftest import (_grid_ranks_outer, rank_support_scan, reordered,
                       summands)
-from cycflats import matroid
+from cycflats import dense, matroid
+from cycflats.dense import _grid_ranks
 from cycflats.groundsets import (bits, canonical, class_profile,
                                  first_difference, popcount, precedes,
                                  set_text, subset_key)
 from cycflats.lattices import family_lattice_tables
-from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP, _grid_ranks
+from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP
 
 
 def rf(labels, sets):
@@ -502,7 +503,7 @@ class TestGridRanksAgainstOuterSums:
     def test_small_steps(self, monkeypatch, entries):
         # a step budget of a few entries splits groups across steps and
         # runs of flats across products, as 2^ENUM_CAP grids do
-        monkeypatch.setattr(matroid, "_STEP_ENTRIES", entries)
+        monkeypatch.setattr(dense, "_STEP_ENTRIES", entries)
         rng = random.Random(entries)
         for axes in range(1, 9):
             for _ in range(6):
@@ -562,7 +563,7 @@ class TestRankTableByPieces:
 
     @staticmethod
     def pieces(m):
-        return len(matroid._pieces(len(m.ground), m.factors))
+        return len(dense._pieces(len(m.ground), m.factors))
 
     def test_contiguous_sums(self):
         fixed, rand = summands()
@@ -638,14 +639,14 @@ class TestRankTableByPieces:
 
     def test_one_grid_per_piece(self, monkeypatch):
         calls = []
-        real = matroid._grid_ranks
+        real = dense._grid_ranks
 
         def spy(axes, flats):
             flats = list(flats)
             calls.append((axes, flats))
             return real(axes, flats)
 
-        monkeypatch.setattr(matroid, "_grid_ranks", spy)
+        monkeypatch.setattr(dense, "_grid_ranks", spy)
         big = TestDensePathAtCap.big()
         big.rank_table()
         assert [a for a, _ in calls] == [6, 6, 6, 2, 2]

@@ -1097,7 +1097,7 @@ class TestMinorByFactors:
         checked = interleaved = resplit = sorted_product = 0
         for seed in range(150):
             for m in self._hosts(seed):
-                pieces = cf.matroid._pieces(len(m.ground), m.factors)
+                pieces = cf.dense._pieces(len(m.ground), m.factors)
                 interleaved += len(pieces) < len(m.factors)
                 for _ in range(9):
                     c, d = self._spec(rng, m)

@@ -10,7 +10,8 @@ import cycflats as cf
 from conftest import _grid_ranks_outer
 from cycflats.matroid import ENUM_CAP
 from cycflats.groundsets import bits, class_profile, popcount
-from cycflats.tutte import (RankGenMatrix, _low_sizes, rank_gen,
+from cycflats.dense import _low_sizes
+from cycflats.tutte import (RankGenMatrix, rank_gen,
                             rank_gen_brute, rank_gen_convolution,
                             tutte_from_rank_gen, tutte_polynomial)
 
