@@ -31,8 +31,15 @@ from .groundsets import (GroundSet, _converse, bits, first_difference,
 from .matroid import Matroid, RankedFamily, _assemble, validate
 
 
+def _check_int(value, name: str) -> None:
+    """Raise InvalidParameters unless value is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParameters(f"{name} {value!r} is not an integer")
+
+
 def uniform(r: int, n: int, labels=None) -> Matroid:
     """The uniform matroid U_{r,n}."""
+    _check_int(n, "n")
     if not 0 <= r <= n:
         raise InvalidParameters(f"need 0 <= r <= n, got r={r}, n={n}")
     if labels is None:
@@ -40,8 +47,7 @@ def uniform(r: int, n: int, labels=None) -> Matroid:
     labels = list(labels)
     if len(labels) != n:
         raise InvalidParameters(f"expected {n} labels, got {len(labels)}")
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise InvalidParameters(f"rank {r!r} is not an integer")
+    _check_int(r, "rank")
     ground = GroundSet(labels)
     if r == n:
         pairs = [(0, 0)]
@@ -202,6 +208,7 @@ def excluded_minor_pn(n: int) -> Matroid:
     """P_n: the truncation to rank n of U_{n-1,n} + U_{n-1,n}, so
     Z(P_n) = {{}: 0, A: n-1, B: n-1, A u B: n} with A = {a1..an} and
     B = {b1..bn}: truncation keeps the flats of rank below n."""
+    _check_int(n, "n")
     if n < 2:
         raise InvalidParameters(f"need n >= 2, got {n}")
     ground = GroundSet([f"a{i}" for i in range(1, n + 1)]
@@ -222,6 +229,7 @@ def gimenez_family(n: int, sigma) -> Matroid:
     pass: the family is the paper's, a matroid by its rule, so no
     validate sweep runs.
     """
+    _check_int(n, "n")
     if n < 1:
         raise InvalidParameters(f"need n >= 1, got {n}")
     sigma = tuple(sigma)
@@ -288,8 +296,7 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
     lexicographically least choice is taken.  Raises InvalidParameters
     unless k is an int (not a bool) of at least 1.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InvalidParameters(f"k {k!r} is not an integer")
+    _check_int(k, "k")
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got {k}")
     if not is_chain(m.flats):
@@ -368,8 +375,7 @@ def all_lattices(max_size: int) -> list[lattices.FiniteLattice]:
     InvalidParameters for a max_size that is not a nonnegative int and
     TooLarge past LATTICE_CAP = 10 elements.
     """
-    if not isinstance(max_size, int) or isinstance(max_size, bool):
-        raise InvalidParameters(f"max_size {max_size!r} is not an integer")
+    _check_int(max_size, "max_size")
     if max_size < 0:
         raise InvalidParameters(f"need max_size >= 0, got {max_size}")
     if max_size > LATTICE_CAP:
@@ -497,6 +503,7 @@ def _least_search(down: list[int], up: list[int], target: list[int],
 def random_matroid(rng: random.Random, max_elems: int = 10) -> Matroid:
     """A random valid matroid of at most max_elems >= 1 elements, built
     by composing constructions."""
+    _check_int(max_elems, "max_elems")
     if max_elems < 1:
         raise InvalidParameters(f"need max_elems >= 1, got {max_elems}")
     n = rng.randint(1, min(max_elems, max(2, max_elems // 2)))
@@ -543,6 +550,7 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
     20 failed tries the last chain is returned (cyclic width 1).  Needs
     max_elems >= 2.
     """
+    _check_int(max_elems, "max_elems")
     if max_elems < 2:
         raise InvalidParameters(f"need max_elems >= 2, got {max_elems}")
     for _ in range(20):

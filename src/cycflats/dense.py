@@ -7,7 +7,7 @@ table with cyclic_flats, and tutte.rank_gen_brute counts R(M; x, y)
 from it with tally.  Each caller keeps its own checks (the ENUM_CAP
 check comes before any table is allocated) and the table's per-matroid
 cache, so the kernels here take a table or a matroid's factors and
-keep nothing but cached bit matrices (_digits, _low_sizes).
+keep nothing but the set sizes that tally reads (_low_sizes).
 
 A rank table is a flat array of 2^n entries indexed by mask: entry A
 is r(A), one unsigned byte per subset (a rank is at most n, and n is
@@ -89,21 +89,22 @@ def _grid_ranks(axes: int, flats) -> np.ndarray:
 
     Flats are (mask, r(F)).  Each value is the sum of one part from the
     low h = axes // 2 bits of A and one from the high bits, so the grid
-    is a (high x low) min of outer sums.  A half's parts are products of
-    the flats' rows (1 on each bit outside F) with its bit matrix
-    (_digits).  Flats are sorted into groups by their low part; a
-    group's high parts, r(F) included, are folded to their minimum
-    (_run_minima), and only that minimum meets the group's low part.
+    is a (high x low) min of outer sums.  A flat's part on a half is
+    |A - F| there, the bit count (np.bitwise_count) of A's mask of the
+    half and the flat's bits outside F, plus r(F) on the high half.
+    Flats are sorted into groups by their low part; a group's high
+    parts are folded to their minimum (_run_minima), and only that
+    minimum meets the group's low part.
 
     The groups go through in steps of at most _STEP_ENTRIES >> axes
     groups (at least one), each step one broadcast sum of its groups'
-    high and low parts and one min; the high parts come from products
-    of at most _STEP_ENTRIES entries.  So a grid whose groups times
-    2^axes fit in _STEP_ENTRIES takes a fixed number of numpy calls
-    however many flats and groups it has, and a 2^ENUM_CAP grid takes
-    one group a step, with a peak of the grid, one step's sums and an
-    eighth of a grid of high parts.  Returns the grid in the smallest
-    unsigned dtype that holds the largest candidate value.
+    high and low parts and one min; the high parts are counted in
+    chunks of at most _STEP_ENTRIES entries.  So a grid whose groups
+    times 2^axes fit in _STEP_ENTRIES takes a fixed number of numpy
+    calls however many flats and groups it has, and a 2^ENUM_CAP grid
+    takes one group a step, with a peak of the grid, one step's sums
+    and an eighth of a grid of high parts.  Returns the grid in the
+    smallest unsigned dtype that holds the largest candidate value.
     """
     import numpy as np
     h = axes // 2
@@ -113,20 +114,21 @@ def _grid_ranks(axes: int, flats) -> np.ndarray:
     # bounds[g]: the first flat of group g; bounds[-1]: the flat count
     bounds = [i for i, (f, _) in enumerate(flats)
               if not i or (f ^ flats[i - 1][0]) & low_mask] + [len(flats)]
-    # one row per flat: 1 on each bit outside F, then r(F)
-    rows = np.empty((len(flats), axes + 1), dtype)
-    rows[:, :axes] = (~np.array([f for f, _ in flats], np.int64)[:, None]
-                      >> np.arange(axes) & 1)
-    rows[:, axes] = [r for _, r in flats]
-    high_bits = _digits(axes - h, dtype)  # its ones add r(F)
-    low_bits = _digits(h, dtype)[:h]
+    # every mask of the high half (the low half's are its first 2^h) and
+    # each flat's bits outside F on the high and on the low half, in the
+    # smallest unsigned dtype that holds one half's masks
+    top = (1 << (axes - h)) - 1
+    masks = np.arange(top + 1, dtype=np.min_scalar_type(top))
+    outside = np.array([(~f >> h & top, ~f & low_mask) for f, _ in flats],
+                       masks.dtype)
+    ranks = np.array([r for _, r in flats], dtype)
     step = max(1, _STEP_ENTRIES >> axes)
     chunk = max(1, _STEP_ENTRIES >> (axes - h))
     best = sums = None
     for g in range(0, len(bounds) - 1, step):
         cut = bounds[g:g + step + 1]
-        high = _run_minima(rows[:, h:], high_bits, cut, chunk)
-        low = (rows[cut[:-1], :h] @ low_bits)[:, None]
+        high = _run_minima(outside[:, 0], ranks, masks, cut, chunk)
+        low = np.bitwise_count(outside[cut[:-1], 1:, None] & masks[:1 << h])
         if best is None:
             stack = high[:, :, None] + low
             best = stack[0] if len(stack) == 1 else stack.min(axis=0)
@@ -139,32 +141,23 @@ def _grid_ranks(axes: int, flats) -> np.ndarray:
     return best.ravel()
 
 
-def _run_minima(rows, digits, bounds, chunk) -> np.ndarray:
+def _run_minima(outside, ranks, masks, bounds, chunk) -> np.ndarray:
     """Row g: the minimum over bounds[g] <= i < bounds[g + 1] of
-    rows[i] @ digits, from products of at most chunk rows; a run split
-    between two products is folded by one more minimum."""
+    ranks[i] + the bit count of masks & outside[i], counted for at most
+    chunk flats at a time; a run split between two chunks is folded by
+    one more minimum."""
     import numpy as np
     parts = []
     for s in range(bounds[0], bounds[-1], chunk):
         e = min(s + chunk, bounds[-1])
+        rows = np.bitwise_count(outside[s:e, None] & masks) + ranks[s:e, None]
         part = np.minimum.reduceat(
-            rows[s:e] @ digits, [0] + [b - s for b in bounds if s < b < e])
-        if s not in bounds:  # the run at s began in the last product
+            rows, [0] + [b - s for b in bounds if s < b < e])
+        if s not in bounds:  # the run at s began in the last chunk
             np.minimum(part[0], parts[-1][-1], out=part[0])
             parts[-1] = parts[-1][:-1]
         parts.append(part)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-@lru_cache(maxsize=64)
-def _digits(bits: int, dtype) -> np.ndarray:
-    """The ((bits + 1) x 2^bits) bit matrix: row c holds bit c of every
-    mask, and the last row is all ones (read-only, cached)."""
-    import numpy as np
-    out = np.ones((bits + 1, 1 << bits), dtype)
-    out[:bits] = np.arange(1 << bits) >> np.arange(bits)[:, None] & 1
-    out.flags.writeable = False
-    return out
 
 
 def cyclic_flats(ranks, n: int) -> list[tuple[int, int]]:

@@ -236,6 +236,10 @@ class TestUniform:
         for r in (1.5, True):
             with pytest.raises(cf.InvalidParameters, match="not an integer"):
                 cf.uniform(r, 2)
+        for n in (2.5, True):
+            with pytest.raises(cf.InvalidParameters,
+                               match=f"^n {n!r} is not an integer$"):
+                cf.uniform(1, n)
 
     def test_default_labels(self):
         assert cf.uniform(1, 3).ground.labels == ("e1", "e2", "e3")
@@ -461,6 +465,9 @@ class TestExcludedMinorPn:
     def test_bad_n(self):
         with pytest.raises(cf.InvalidParameters):
             cf.excluded_minor_pn(1)
+        with pytest.raises(cf.InvalidParameters,
+                           match=r"^n 3\.0 is not an integer$"):
+            cf.excluded_minor_pn(3.0)
 
 
 class TestGimenez:
@@ -477,6 +484,10 @@ class TestGimenez:
             cf.gimenez_family(2, [1, 1])
         with pytest.raises(cf.InvalidParameters):
             cf.gimenez_family(0, [])
+        for n, sigma in ((2.0, [1, 2]), (True, [1])):
+            with pytest.raises(cf.InvalidParameters,
+                               match=f"^n {n!r} is not an integer$"):
+                cf.gimenez_family(n, sigma)
 
 
 class TestRuleBuilders:
@@ -734,6 +745,10 @@ class TestRandomGenerators:
         for bad in (0, -1):
             with pytest.raises(cf.InvalidParameters, match=">= 1"):
                 cf.random_matroid(random.Random(0), bad)
+        for bad in (3.5, True):
+            with pytest.raises(cf.InvalidParameters,
+                               match=f"^max_elems {bad!r} is not an integer$"):
+                cf.random_matroid(random.Random(0), bad)
 
     def test_random_cw2_size_edges(self):
         for s in range(30):
@@ -741,6 +756,10 @@ class TestRandomGenerators:
             assert len(m.ground) == 2
         for bad in (1, 0):
             with pytest.raises(cf.InvalidParameters, match=">= 2"):
+                cf.random_cw2_matroid(random.Random(0), bad)
+        for bad in (3.5, True):
+            with pytest.raises(cf.InvalidParameters,
+                               match=f"^max_elems {bad!r} is not an integer$"):
                 cf.random_cw2_matroid(random.Random(0), bad)
 
     def test_random_cw2(self):

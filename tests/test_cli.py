@@ -128,6 +128,19 @@ class TestQueries:
         assert code == 0
         assert out.endswith("fixpoint: ok\n")
 
+    def test_cyclic_flats_mismatch(self, run, monkeypatch):
+        # a recomputed family with one rank changed: exit 1, and the
+        # last line reports the mismatch
+        def one_rank_off(m):
+            entries = dict(m.ranked_family().entries)
+            entries[m.ground.full] += 1
+            return cf.RankedFamily(m.ground, entries)
+        monkeypatch.setattr("cycflats.matroid.cyclic_flats_recompute",
+                            one_rank_off)
+        code, out, _ = run("cyclic-flats", FX / "mk4.json")
+        assert code == 1
+        assert out.endswith("fixpoint: MISMATCH\n")
+
     def test_stats(self, run):
         code, out, _ = run("stats", FX / "nested_ifif.json")
         doc = json.loads(out)

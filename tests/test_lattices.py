@@ -52,6 +52,9 @@ class TestLatticeFromCovers:
         assert not lat.leq("a", "b")
         assert lat.meet("a", "b") == "0"
         assert lat.join("a", "b") == "1"
+        assert repr(lat) == ("FiniteLattice(['0', 'a', 'b', '1'], covers="
+                             "[('0', 'a'), ('0', 'b'), ('a', '1'), "
+                             "('b', '1')])")
 
     def test_m3_is_a_lattice(self):
         lat = cf.lattice_from_covers(

@@ -534,6 +534,19 @@ class TestGridRanksAgainstOuterSums:
                          for f in rng.sample(straddle, 20)]
                 self.assert_same(axes, flats)
 
+    def test_full_width_grids(self):
+        # 21 and 22 axes, whose halves of 10 and 11 bits take uint16
+        # masks: a few flats that meet both halves, two of them sharing
+        # a low part
+        rng = random.Random(22)
+        for axes in (21, 22):
+            h = axes // 2
+            for count in (1, 2, 4):
+                lows = [rng.randrange(1, 1 << h) for _ in range(count)]
+                flats = {low | rng.randrange(1, 1 << (axes - h)) << h:
+                         rng.randint(0, 9) for low in lows + lows[:1]}
+                self.assert_same(axes, list(flats.items()))
+
     def test_rank_tables(self, catalog):
         for name, m in catalog.items():
             self.assert_same(len(m.ground), list(zip(m.flats, m.flat_ranks)))
@@ -949,6 +962,19 @@ class TestRankedFamily:
         g = fam.ground
         assert list(fam.entries) == [0, g.mask("ab"), g.mask("abc")]
 
+    def test_hash(self):
+        # equal families, one given out of canonical order, hash equal
+        # and are one member of a set
+        a = rf("abc", [("", 0), ("ab", 1), ("abc", 2)])
+        b = rf("abc", [("abc", 2), ("ab", 1), ("", 0)])
+        other = rf("abc", [("", 0), ("ab", 1), ("abc", 3)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, other}) == 2
+
+    def test_repr(self):
+        assert repr(rf("ba", [("", 0), ("ab", 1)])) == (
+            "RankedFamily(['b', 'a'], {(): 0, ('b', 'a'): 1})")
+
 
 class TestSubsetKey:
     @staticmethod
@@ -1052,6 +1078,9 @@ class TestGroundSet:
                            match=r"^duplicate labels in ground set: "
                                  r"\('a', 'b', 'a'\)$"):
             cf.GroundSet("aba")
+
+    def test_repr(self):
+        assert repr(cf.GroundSet(["b", "a"])) == "GroundSet(['b', 'a'])"
 
     def test_names_outside(self):
         g = cf.GroundSet("ab")
