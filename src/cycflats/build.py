@@ -5,17 +5,17 @@ small catalog, and the uniform-minor extraction from long chains.
 Also houses the exhaustive small-lattice enumerator and the seeded
 random-matroid generators used by the test suite.
 
-A generator whose family is a matroid by its rule builds the (mask,
-rank) pairs in canonical order and assembles them (matroid._assemble)
-with no validate sweep: uniform, realize_lattice, nested_from_sequence,
-excluded_minor_pn and gimenez_family.  That makes each O(k) in its k
-flats instead of O(k^2) (per call, best of 5 runs of 200 calls on a
-shared 2-vCPU host: gimenez_family n = 7 0.152 -> 0.031 ms, n = 32
-1.59 -> 0.10 ms; nested_from_sequence("if" * 200), 201 flats, 13.8 ->
-0.36 ms).  _assemble still finds the factors, so a broken rule would
-fall through to validate and raise NotAMatroid with a witness.
-validate gates the rest: catalog("mk4"), which is hand-entered, and
-the candidate random_cw2_matroid samples.
+A generator whose family is a matroid by its rule or by an exact test
+builds the (mask, rank) pairs in canonical order and assembles them
+(matroid._assemble) with no validate sweep: uniform, realize_lattice,
+nested_from_sequence, excluded_minor_pn, gimenez_family and the
+sample of random_cw2_matroid, which _chain_plus_one_ok accepts.  That
+makes each O(k) in its k flats instead of O(k^2) (per call, best of 5
+runs of 200 calls on a shared 2-vCPU host: gimenez_family n = 7 0.152
+-> 0.031 ms, n = 32 1.59 -> 0.10 ms; nested_from_sequence("if" * 200),
+201 flats, 13.8 -> 0.36 ms).  _assemble still finds the factors, so a
+broken rule would fall through to validate and raise NotAMatroid with
+a witness.  Only catalog("mk4"), hand-entered, is validated.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName)
 from .groundsets import (GroundSet, _converse, bits, first_difference,
                          is_chain, popcount, precedes)
-from .matroid import Matroid, RankedFamily, _assemble, validate
+from .matroid import Matroid, _assemble
 
 
 def _check_int(value, name: str) -> None:
@@ -541,8 +541,9 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
     with f_0 c s c f_t is comparable to both members.  Otherwise up to
     400 of the n * 2^(n-1) candidates (s, rho), 1 <= rho <= |s|, are
     drawn one at a time, uniformly without replacement (_draw_indices),
-    and the first that passes _chain_plus_one_ok is returned through
-    validate, which stays the gate.  The draws are an ordered uniform
+    and the first that passes _chain_plus_one_ok, an exact test of
+    Z0-Z3 for the chain plus one member, is assembled with no validate
+    sweep (matroid._assemble).  The draws are an ordered uniform
     sample of the candidates, as a shuffle of all of them would give, so
     the law of the result does not depend on how they are drawn, though
     a shuffling sampler maps each seed to another matroid.  The chain is
@@ -567,7 +568,7 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
                 at = next((k for k, f in enumerate(flats)
                            if precedes(s, f)), len(flats))
                 chain.insert(at, (s, rho))
-                return validate(RankedFamily(_nested_ground(n), chain))
+                return _assemble(_nested_ground(n), chain)
     return nested_from_sequence(seq)  # fallback: the last chain
 
 

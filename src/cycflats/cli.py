@@ -2,7 +2,9 @@
 
 Exit codes: 0 = success / true, 1 = false or axiom/precondition
 violation (with a diagnostic on stdout), 2 = input error (message on
-stderr).  All output is canonically sorted and deterministic.
+stderr), 141 = stdout closed by its reader (128 + SIGPIPE, what a shell
+reports for a filter stopped by a closed pipe; nothing on stderr).  All
+output is canonically sorted and deterministic.
 
 Each subcommand is declared once, by command() beside its handler;
 make_parser lists them in the order they are declared.  The package
@@ -17,6 +19,7 @@ only cli, errors, groundsets and io.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import build, freeprod, io, matroid, ops, tutte, widths
@@ -332,13 +335,22 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = make_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.fn(args)
-    except (NotRelaxable, NotNested, ChainTooShort, RankZero) as exc:
-        print(f"violation: {exc}")
-        return 1
-    except (CycflatsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            code = args.fn(args)
+        except (NotRelaxable, NotNested, ChainTooShort, RankZero) as exc:
+            print(f"violation: {exc}")
+            code = 1
+        except (CycflatsError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout is gone: point stdout at devnull so the
+        # interpreter's final flush cannot raise again (the recipe of
+        # the signal module's "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ A partial order on n items is a list of n masks too, its down-masks:
 bit j of entry i is set iff item j <= item i.  The helpers on them,
 _down_masks (a family under inclusion), _converse and _bound_lookups,
 and is_chain live here, so matroid, ops and build use them without
-running lattices, which imports them back.
+running lattices, which imports the first three back.
 """
 
 from __future__ import annotations

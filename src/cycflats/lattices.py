@@ -1,12 +1,13 @@
 """Finite lattices and poset machinery.
 
 Covers two flavors of input: abstract lattices given by cover relations,
-and families of sets ordered by inclusion.  A lattice stores only its
-down-masks and checks, when it is built, that they form one; no other
-module decides that.  Provides chain and width computations (Dilworth
-duality via bipartite matching), and poset isomorphism with a witness
-bijection.  The down-mask helpers (_down_masks, _converse and
-_bound_lookups) and is_chain come from groundsets.
+and families of sets ordered by inclusion.  A FiniteLattice stores
+only its down-masks and checks, when it is built, that they form one;
+of the other modules only matroid decides the same for a family of
+cyclic flats, as Z0 of its sweep.  Provides the width of a family
+(Dilworth duality via bipartite matching), and poset isomorphism with
+a witness bijection.  The down-mask helpers (_down_masks, _converse
+and _bound_lookups) come from groundsets.
 One search, _order_isomorphism, decides isomorphism of posets whose
 nodes carry colours: poset_isomorphic colours none, and
 ops.is_isomorphic adds a node per element class, below the cyclic
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 from .errors import (CyclicCovers, DuplicateSet, InvalidParameters, NotALattice,
                      UnknownLabel)
 from .groundsets import (_bound_lookups, _converse, _down_masks, bits,
-                         is_chain, popcount)  # noqa: F401 (is_chain)
+                         popcount)
 
 
 class _Names(tuple):
@@ -221,10 +222,9 @@ def width_of_family(masks: Sequence[int]) -> int:
 
 def _matching_width(masks: Sequence[int]) -> int:
     """width_of_family by a minimum chain cover: maximum bipartite
-    matching on the strict-comparability relation (Dilworth duality)."""
+    matching on the strict-above lists of _links (Dilworth duality)."""
     n = len(masks)
-    up = _converse(_poset_of(masks)[1])
-    adj = [list(bits(up[i] & ~(1 << i))) for i in range(n)]
+    adj = [above for _, above in _links(_poset_of(masks)[1])]
     match_r = [-1] * n
     for root in range(n):
         # Kuhn's augmenting path from root, on a stack, not recursion:

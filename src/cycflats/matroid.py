@@ -19,7 +19,7 @@ A product is found from Z alone and decided one factor at a time.  Let
 whose complement G = (1 - F) u 0 is a member too, with r(F) + r(G) =
 r(1), has F - 0 a separator of M|N; every separator S of M|N arises so,
 from F = S u 0, and the connected components of M|N are the atoms of
-the partition of N that these separators generate (_product_split: one
+the partition of N that these separators generate (_factors: one
 lookup per member that cuts N, then groundsets.atoms, the rule that
 also gives the element classes).  Let E_1, ..., E_p be those atoms,
 Z_i = {X n E_i : X in Z} and r_i(A) = r(A u 0).  If every member lies
@@ -133,17 +133,17 @@ class Matroid:
     """A validated cyclic-flats-with-ranks representation.
 
     Immutable.  One rule says how one is built: a constructor whose
-    result is a matroid by a rule assembles it, and validate gates
-    everything else.  validate (or Matroid.from_labels, which calls it)
-    takes parsed documents, hand-entered data such as catalog("mk4"),
-    random_cw2_matroid's sampled candidate and minor's fallback.  The
+    result is a matroid by a rule or an exact test assembles it, and
+    validate gates everything else.  validate sees parsed documents,
+    Matroid.from_labels (so hand-entered data such as catalog("mk4")),
+    and the broken-rule fallbacks of _assemble and ops.minor.  The
     constructor itself checks nothing: ops.relabel, ops.dual,
     ops.direct_sum and ops.minor call it on data read off operands that
     are matroids already (minor splits only the factors it changes),
-    and the other rule-built results (the ops and freeprod modules,
-    build.realize_lattice and the parameterized generators uniform,
-    nested_from_sequence, excluded_minor_pn and gimenez_family) go
-    through _assemble, which finds the factors with no sweep.
+    and the other results (the ops and freeprod modules, and every
+    generator of the build module but catalog("mk4"), the sample of
+    random_cw2_matroid included) go through _assemble, which finds the
+    factors with no sweep.
     flats and flat_ranks are parallel tuples in canonical subset order;
     factors holds, for each connected component E_i of the elements
     between the least and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over
@@ -320,9 +320,10 @@ def validate(candidate: RankedFamily) -> Matroid:
 
 
 def _assemble(ground: GroundSet, entries) -> Matroid:
-    """The Matroid of (mask, rank) pairs that meet Z0-Z3 by theorem: the
-    result of an operation on validated operands, or of a parameterized
-    generator (build module), by its rule.
+    """The Matroid of (mask, rank) pairs that meet Z0-Z3 by theorem or
+    by an exact test: the result of an operation on validated operands,
+    or of a generator (build module), by its rule or, for the sample of
+    random_cw2_matroid, by _chain_plus_one_ok.
 
     The masks are distinct and inside ground.  A rule that fixes the
     order of its output gives them in canonical order, which
@@ -395,36 +396,25 @@ def _sweep(ground, masks, ranks) -> list[AxiomViolation]:
     return z1 + z2 + z3
 
 
-def _product_split(entries) -> list[int]:
-    """The atoms E_1, ..., E_p (groundsets.atoms) that the separators
-    F - 0 of the module docstring generate in 1 - 0, read off a ranked
-    family {mask: rank} in canonical order.  For a matroid they are the
-    connected components of M restricted to 1 - 0.
-
-    A member F that cuts 1 - 0 costs one lookup, of its complement
-    (1 - F) u 0.
+def _factors(entries):
+    """The factors (E_i, ((Y, r_i(Y)), ...)) of a ranked family {mask:
+    rank}, each Z_i in canonical order when the family is (Y first
+    appears in Y u 0, and sizes are sorted); None unless every member
+    lies between 0 and 1, Z = Z_1 x ... x Z_p and the ranks add (module
+    docstring).  The parts E_i are the atoms (groundsets.atoms) that
+    the separators F - 0 generate in 1 - 0: a member F that cuts 1 - 0
+    costs one lookup, of its complement (1 - F) u 0.  A family that
+    passes is a product, but its factors are not yet checked against
+    Z0-Z3.
     """
     base, top = next(iter(entries)), next(reversed(entries))
     whole, support = entries[top], top & ~base
-    return atoms(support, [
+    if any(x & ~support != base for x in entries):
+        return None
+    split = atoms(support, [
         f for f, rf in entries.items()
         if 0 < f & support < support
         and entries.get((top & ~f) | base) == whole - rf])
-
-
-def _factors(entries):
-    """The factors (E_i, ((Y, r_i(Y)), ...)) of a ranked family over the
-    parts E_i of _product_split, each Z_i in canonical order when the
-    family is (Y first appears in Y u 0, and sizes are sorted); None unless
-    every member lies between 0 and 1, Z = Z_1 x ... x Z_p and the ranks
-    add (module docstring).  A family that passes is a product, but its
-    factors are not yet checked against Z0-Z3.
-    """
-    base = next(iter(entries))
-    support = next(reversed(entries)) & ~base
-    if any(x & ~support != base for x in entries):
-        return None
-    split = _product_split(entries)
     projs, size = [], 1
     for e in split:
         proj = sorted({x & e: None for x in entries}, key=int.bit_count)

@@ -95,10 +95,10 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     the least cyclic flat.  The factors go in order of least element,
     and the cyclic flats are the product of the families (_product).
     groundsets.canonical puts each family in canonical order, and the
-    product too when two families have more than one member (else the
-    product keeps the order of its one family).  No family is validated
-    again; one that fails _factors breaks the rule, and validate then
-    raises NotAMatroid with a witness.
+    product too: it passes an ordered product through in one pass and
+    sorts any other.  No family is validated again; one that fails
+    _factors breaks the rule, and validate then raises NotAMatroid with
+    a witness.
     """
     c, d = spec.contract, spec.delete
     full = m.ground.full
@@ -114,7 +114,7 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
             y |= (x & run) >> shift
         return y
 
-    families, factors, split_all, several = [], [], True, 0
+    families, factors, split_all = [], [], True
     for e, pairs in m.factors:
         if not e & removed:
             pairs = tuple((pack(y), r) for y, r in pairs)
@@ -128,14 +128,12 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
             else:
                 factors.extend(split)
         families.append(pairs)
-        several += len(pairs) > 1
     ground = GroundSet([lab for i, lab in enumerate(m.ground.labels)
                         if keep >> i & 1])
     flats = _product(pack(m.bottom & ~removed), families)
     if not split_all:
         return validate(RankedFamily(ground, flats))
-    if several > 1:
-        flats = dict(canonical(flats.items()))
+    flats = dict(canonical(flats.items()))
     factors.sort(key=lambda factor: factor[0] & -factor[0])
     return Matroid(ground, flats.keys(), flats.values(), tuple(factors))
 

@@ -492,9 +492,10 @@ class TestGimenez:
 
 class TestRuleBuilders:
     """uniform, nested_from_sequence, excluded_minor_pn and
-    gimenez_family assemble their families by their rule, with no
-    validate sweep: each gives exactly what validate makes of the same
-    family, flats, ranks and factors."""
+    gimenez_family assemble their families by their rule, and
+    random_cw2_matroid its sample by the exact test _chain_plus_one_ok,
+    with no validate sweep: each gives exactly what validate makes of
+    the same family, flats, ranks and factors."""
 
     def test_gimenez(self):
         for n in range(1, 6):
@@ -522,6 +523,16 @@ class TestRuleBuilders:
     def test_excluded_minor_pn(self):
         for n in range(2, 13):
             agrees_with_validate(cf.excluded_minor_pn(n))
+
+    def test_random_cw2(self):
+        # the sample _chain_plus_one_ok accepts, or the fallback chain
+        sampled = 0
+        for e in range(2, 10):
+            for seed in range(300):
+                m = cf.random_cw2_matroid(random.Random(seed), e)
+                agrees_with_validate(m)
+                sampled += not cf.is_chain(m.flats)
+        assert sampled > 1000
 
 
 class TestCatalogAndChainMinor:
@@ -821,9 +832,9 @@ class TestRandomGenerators:
         # per try: a chain of fewer than 3 members makes no draw and no
         # candidate; any other makes one draw per candidate, never the
         # same candidate twice, at most min(400, N) of the N candidates,
-        # and all of them unless one passes.  Per call: one gate, validate
-        # on the sampled candidate, or nested_from_sequence (built by its
-        # rule, no validate) only when every try failed.
+        # and all of them unless one passes.  Per call: one gate, _assemble
+        # of the sampled candidate, or nested_from_sequence (which
+        # assembles its chain by its rule) only when every try failed.
         log = []
         nested = build.nested_from_sequence
 
@@ -835,8 +846,8 @@ class TestRandomGenerators:
 
         monkeypatch.setattr(build, "_chain_plus_one_ok",
                             logged("cand", build._chain_plus_one_ok))
-        monkeypatch.setattr(build, "validate", logged("validate",
-                                                      build.validate))
+        monkeypatch.setattr(build, "_assemble", logged("assemble",
+                                                       build._assemble))
         monkeypatch.setattr(build, "nested_from_sequence",
                             logged("nested", nested))
         short = drawn = 0
@@ -858,8 +869,9 @@ class TestRandomGenerators:
                     tries[-1][3].append(tuple(args[2:]))
                 else:
                     gates.append(name)
-            fallback = gates == ["nested"]
-            assert fallback or gates == ["validate"]
+            fallback = gates[:1] == ["nested"]
+            assert gates == (["nested", "assemble"] if fallback
+                             else ["assemble"])
             assert not fallback or len(tries) == 20
             for pos, (n, seq, draws, cands) in enumerate(tries):
                 assert len(seq) == n

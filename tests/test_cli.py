@@ -493,6 +493,23 @@ def test_run_as_main_warns_nothing(argv, code, err):
     assert (done.returncode, done.stderr) == (code, err)
 
 
+@pytest.mark.parametrize("argv", [["gen", "uniform", "1", "20000"],
+                                  ["gen", "catalog", "mk4"]],
+                         ids=["large", "small"])
+def test_closed_stdout_exits_141(argv):
+    # the reader closes stdout before the child writes: exit 141 (128 +
+    # SIGPIPE, as a shell reports a filter stopped by a closed pipe) with
+    # an empty stderr, whether the write or the final flush fails
+    env = dict(os.environ, PYTHONPATH=SRC)
+    child = subprocess.Popen([sys.executable, "-m", "cycflats.cli", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=env)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (141, b"")
+
+
 def test_package_names():
     # every name of the table is its home module's object, listed by
     # dir() and bound by a star import; any other name is missing
