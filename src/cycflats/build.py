@@ -25,21 +25,16 @@ from typing import NamedTuple
 
 from . import freeprod, lattices, ops
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
-                     UnknownName)
+                     UnknownName, _check_int)
 from .groundsets import (GroundSet, _converse, bits, first_difference,
                          is_chain, popcount, precedes)
 from .matroid import Matroid, _assemble
 
 
-def _check_int(value, name: str) -> None:
-    """Raise InvalidParameters unless value is an int and not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidParameters(f"{name} {value!r} is not an integer")
-
-
 def uniform(r: int, n: int, labels=None) -> Matroid:
     """The uniform matroid U_{r,n}."""
     _check_int(n, "n")
+    _check_int(r, "rank")
     if not 0 <= r <= n:
         raise InvalidParameters(f"need 0 <= r <= n, got r={r}, n={n}")
     if labels is None:
@@ -47,7 +42,6 @@ def uniform(r: int, n: int, labels=None) -> Matroid:
     labels = list(labels)
     if len(labels) != n:
         raise InvalidParameters(f"expected {n} labels, got {len(labels)}")
-    _check_int(r, "rank")
     ground = GroundSet(labels)
     if r == n:
         pairs = [(0, 0)]

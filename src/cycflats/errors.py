@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and _check_int, the
+one check that a size, rank or mask parameter is an int."""
 
 
 class CycflatsError(Exception):
@@ -41,8 +42,8 @@ class RankZero(CycflatsError):
 
 class TooLarge(CycflatsError):
     """A call exceeds a size cap: matroid.ENUM_CAP (the elements of a
-    rank table, and 2^ENUM_CAP entries of rank_gen's interval tables),
-    matroid.CIRCUIT_CAP (candidate subsets), ops.MINOR_SEARCH_CAP
+    rank table, 2^ENUM_CAP entries of rank_gen's interval tables, and
+    2^ENUM_CAP cyclic flats of a Matroid's view of Z), matroid.CIRCUIT_CAP (candidate subsets), ops.MINOR_SEARCH_CAP
     (class-count profile pairs of has_minor), widths.ANTICHAIN_CAP (a
     bound on the rank calls of the antichain search) or
     build.LATTICE_CAP (lattice elements).  The message names the cap,
@@ -68,6 +69,12 @@ class NotAMatroid(InvalidParameters):
     def __init__(self, violation):
         self.violation = violation
         super().__init__(str(violation))
+
+
+def _check_int(value, name: str) -> None:
+    """Raise InvalidParameters unless value is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParameters(f"{name} {value!r} is not an integer")
 
 
 class UnknownName(CycflatsError):

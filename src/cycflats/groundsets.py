@@ -75,9 +75,7 @@ def first_difference(pairs, width: int) -> list:
     """(mask, value) pairs with masks below 2^width, ordered so that of
     two masks the one holding the lowest element where they differ
     comes first.  A stable sort of that order by size is canonical
-    order, and a union of disjoint parts, the lower part's elements all
-    below the higher part's, is in that order when the lower part
-    varies slowest."""
+    order."""
     return sorted(pairs, key=lambda item: bin(item[0] | 1 << width)[:2:-1],
                   reverse=True)
 

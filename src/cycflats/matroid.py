@@ -36,9 +36,10 @@ the other components.  So the direct sum of m factors of k flats each
 costs m k^2 pair checks, not k^(2m).  Any failure is reported by the
 whole sweep, with its witnesses.
 
-A valid family always passes that check, so every Matroid keeps its
-factors: each E_i with the pairs (Y, r_i(Y)) for Y in Z_i, one factor
-when M|N is connected and none when 1 = 0.  The rank of an arbitrary
+A valid family always passes that check, so a Matroid stores Z as 0
+and its factors, and nothing else of it: each E_i with the pairs
+(Y, r_i(Y)) for Y in Z_i, one factor when M|N is connected and none
+when 1 = 0.  The rank of an arbitrary
 subset A is then
 
   r(A) = |A - 1| + sum over i of min over Y in Z_i of
@@ -49,11 +50,20 @@ factor, so it costs sum |Z_i| steps, not prod |Z_i|.  Independence,
 circuits and closure all derive from that oracle, and the Tutte
 polynomial works factor by factor too.
 
-Z is the product of the factors' pairs with 0 in every member
-(_product), and direct sums, minors and rank tables build on the stored
-factors rather than re-derive them from Z: ops.minor splits only the
-factors that the contracted and deleted sets meet, and rank_table takes
-one grid per piece of factors and adds them as outer sums.
+Z itself is the product of the factors' pairs with 0 in every member
+(_product), and a view: Matroid.flats and flat_ranks are built the
+first time either is read, and kept (validate and _assemble, which hold
+Z in canonical order already, set it from that, _viewed).  One rule
+orders them.  The product of at most one factor keeps its order, which
+is canonical (a fixed disjoint set added to each member keeps it); that
+of two or more goes into first-difference order
+(groundsets.first_difference) and then, by a stable sort, into size
+order, which is canonical order.  A Z of more than 2^ENUM_CAP members
+raises TooLarge before anything is built.  Duals, direct sums,
+relabellings, minors, rank tables and rank_gen work from the factors
+and never read Z: ops.minor splits only the factors that the contracted
+and deleted sets meet, and rank_table takes one grid per piece of
+factors and adds them as outer sums.
 
 This module holds the rules on the cyclic flats only.  The 2^n kernels
 behind its two table oracles, Matroid.rank_table and
@@ -64,13 +74,14 @@ after its own checks.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Iterable, NamedTuple
 
 from . import dense
-from .errors import InvalidParameters, NotAMatroid, TooLarge
+from .errors import InvalidParameters, NotAMatroid, TooLarge, _check_int
 from .groundsets import (GroundSet, _bound_lookups, _down_masks, atoms, bits,
-                         canonical, outside, popcount, set_text, subset_key)
+                         canonical, first_difference, outside, popcount,
+                         set_text, subset_key)
 
 ENUM_CAP = 22  # largest ground set given a 2^n rank table
 # candidate subsets circuits() may test; on a uniform matroid every
@@ -97,8 +108,7 @@ class RankedFamily:
             if m >> len(ground):
                 raise InvalidParameters(
                     f"subset {m:#x} outside ground set {ground.labels}")
-            if not isinstance(r, int) or isinstance(r, bool):
-                raise InvalidParameters(f"rank {r!r} is not an integer")
+            _check_int(r, "rank")
 
     @classmethod
     def from_labels(cls, labels: Iterable[str],
@@ -144,29 +154,51 @@ class Matroid:
     generator of the build module but catalog("mk4"), the sample of
     random_cw2_matroid included) go through _assemble, which finds the
     factors with no sweep.
-    flats and flat_ranks are parallel tuples in canonical subset order;
-    factors holds, for each connected component E_i of the elements
-    between the least and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over
-    Y in Z_i in canonical order (module docstring), in order of least
-    element.  The oracles rank, rank_support, closure and
-    is_independent raise UnknownLabel for a mask outside the ground set:
-    one that is negative or has a bit at or past |E|.
+    It stores ground, bottom (0_Z, the loops) and factors, which holds,
+    for each connected component E_i of the elements between the least
+    and greatest flats, (E_i, ((Y, r_i(Y)), ...)) over Y in Z_i in
+    canonical order (module docstring), in order of least element; top
+    and matroid_rank follow from them.  Two matroids are equal iff these
+    three are, as the factors are a canonical function of Z.  flats and
+    flat_ranks, parallel tuples in canonical subset order, are the view
+    of Z that __getattr__ builds on the first read.  The oracles rank,
+    rank_support, closure and is_independent raise UnknownLabel for a
+    mask outside the ground set: one that is negative or has a bit at
+    or past |E|.
     """
 
-    __slots__ = ("ground", "flats", "flat_ranks", "factors", "bottom", "top",
-                 "matroid_rank", "_table")
+    __slots__ = ("ground", "bottom", "factors", "top", "matroid_rank",
+                 "flats", "flat_ranks", "_table")
 
-    def __init__(self, ground, flats, flat_ranks, factors):
-        self.ground = ground
-        self.flats = tuple(flats)
-        self.flat_ranks = tuple(flat_ranks)
-        self.factors = factors
-        self.bottom = self.flats[0]  # 0_Z: the least cyclic flat (the loops)
-        self.top = self.flats[-1]    # 1_Z: the union of all circuits
-        # r(E) = r(1_Z) plus one for each isthmus outside 1_Z
-        self.matroid_rank = self.flat_ranks[-1] + popcount(
-            ground.full & ~self.top)
+    def __init__(self, ground, bottom, factors):
+        # bottom is 0_Z, the least cyclic flat: the loops
+        self.ground, self.bottom, self.factors = ground, bottom, factors
+        # 1_Z, the union of all circuits: 0_Z and the disjoint E_i
+        self.top = bottom | sum([e for e, _ in factors])
+        # r(E): the r_i(E_i), plus one for each isthmus outside 1_Z
+        self.matroid_rank = sum([pairs[-1][1] for _, pairs in factors]) \
+            + popcount(ground.full & ~self.top)
         self._table = None
+
+    def __getattr__(self, name):
+        """flats and flat_ranks, the view of Z, set on the first read
+        (module docstring).  Raises TooLarge past 2^ENUM_CAP members,
+        before allocating."""
+        if name not in ("flats", "flat_ranks"):
+            raise AttributeError(name)
+        families = [pairs for _, pairs in self.factors]
+        size = prod(map(len, families))
+        if size > 1 << ENUM_CAP:
+            raise TooLarge(
+                f"Z would hold {size} cyclic flats, over cap 2^{ENUM_CAP} "
+                f"(ENUM_CAP); rank, dual, minor and rank_gen work from "
+                f"the factors without Z")
+        pairs = _product(self.bottom, families).items()
+        if len(families) > 1:
+            pairs = sorted(first_difference(pairs, len(self.ground)),
+                           key=lambda item: item[0].bit_count())
+        self.flats, self.flat_ranks = zip(*pairs)
+        return getattr(self, name)
 
     # -- construction ---------------------------------------------------
 
@@ -183,11 +215,11 @@ class Matroid:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matroid)
                 and self.ground == other.ground
-                and self.flats == other.flats
-                and self.flat_ranks == other.flat_ranks)
+                and self.bottom == other.bottom
+                and self.factors == other.factors)
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.flats, self.flat_ranks))
+        return hash((self.ground, self.bottom, self.factors))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"({set_text(self.ground.names(f))}, {r})"
@@ -315,8 +347,7 @@ def validate(candidate: RankedFamily) -> Matroid:
         violations = all_violations(candidate)
         if violations:
             raise NotAMatroid(violations[0])
-    return Matroid(candidate.ground, entries.keys(), entries.values(),
-                   factors)
+    return _viewed(candidate.ground, entries, factors)
 
 
 def _assemble(ground: GroundSet, entries) -> Matroid:
@@ -338,7 +369,16 @@ def _assemble(ground: GroundSet, entries) -> Matroid:
     factors = _factors(ordered)
     if factors is None:
         return validate(RankedFamily(ground, ordered))
-    return Matroid(ground, ordered.keys(), ordered.values(), factors)
+    return _viewed(ground, ordered, factors)
+
+
+def _viewed(ground: GroundSet, entries, factors) -> Matroid:
+    """The Matroid of a valid family {mask: rank} in canonical order and
+    its factors, with its view of Z set from the family, which is the
+    view the factors would build."""
+    m = Matroid(ground, next(iter(entries)), factors)
+    m.flats, m.flat_ranks = tuple(entries), tuple(entries.values())
+    return m
 
 
 def all_violations(candidate: RankedFamily) -> list[AxiomViolation]:

@@ -18,16 +18,19 @@ operation (cited in each docstring) and pass it to matroid._assemble,
 which finds its factors with no sweep over pairs.  validate stays the
 gate for families from outside.
 
-Each rule also fixes the canonical order of its output (groundsets
-module docstring), and each operation emits that order, so no family is
-sorted: dual reverses the complements, since complementing reverses
-canonical order; relax and truncate keep a subsequence of the operand's
-flats, truncate with E last, and higgs_lift puts the empty set first;
-relabel keeps every mask; direct_sum takes the product of its summands
-in first-difference order (groundsets.first_difference) and sorts it by
-size alone.  Only minor may sort: the minor of a factor can take more
-elements from one flat than from another, and the product of two or
-more changed factors of more than one flat each is in no fixed order.
+dual, relabel, direct_sum and minor build only the loops and the
+factors of their result, never its cyclic flats; the order of those is
+the Matroid's view of Z, decided in one place (matroid module
+docstring).  Each factor's pairs stay in canonical order (groundsets
+module docstring): dual reverses each factor's complements, since
+complementing reverses canonical order; relabel and direct_sum keep
+or shift every mask, and minor packs those of the factors it carries
+over onto the kept elements, which keeps their order.  Only minor may
+sort, one changed factor's family at a time: the minor of a factor can
+take more elements from one flat than from another.  relax, truncate
+and higgs_lift emit canonical order to _assemble: they keep a
+subsequence of the operand's flats, truncate with E last, and
+higgs_lift puts the empty set first.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import lattices
-from .errors import InvalidParameters, NotRelaxable, RankZero, TooLarge
+from .errors import (InvalidParameters, NotRelaxable, RankZero, TooLarge,
+                     _check_int)
 from .groundsets import (GroundSet, _down_masks, atoms, bits, canonical,
-                         class_profile, first_difference, popcount, set_text)
+                         class_profile, popcount, set_text)
 from .matroid import (Matroid, RankedFamily, _assemble, _factors, _product,
                       _support, validate)
 
@@ -50,22 +54,18 @@ def dual(m: Matroid) -> Matroid:
     r*(E - X) = |E - X| - r(M) + r(X).  An involution.  A set is a
     cyclic flat of M* iff its complement is one of M (flats and cyclic
     sets swap under complement), so the family is a matroid's with no
-    second validation.  Complementing reverses canonical order, so the
-    reversed complements are in it.
+    second validation.
 
     The dual of a direct sum is the sum of the duals, so each factor
     (E_i, pairs) of m gives the factor E_i of the dual, with the
-    reversed complements E_i - Y at |E_i - Y| - r_i(E_i) + r_i(Y).
+    reversed complements E_i - Y at |E_i - Y| - r_i(E_i) + r_i(Y), in
+    canonical order as complementing reverses it.  The loops of the
+    dual are m's isthmuses, E - 1_Z.
     """
-    full, rank = m.ground.full, m.matroid_rank
-    flats = [full & ~f for f in reversed(m.flats)]
-    ranks = [popcount(x) - rank + r
-             for x, r in zip(flats, reversed(m.flat_ranks))]
-    factors = tuple(
+    return Matroid(m.ground, m.ground.full & ~m.top, tuple(
         (e, tuple((e & ~y, popcount(e & ~y) - pairs[-1][1] + r)
                   for y, r in reversed(pairs)))
-        for e, pairs in m.factors)
-    return Matroid(m.ground, flats, ranks, factors)
+        for e, pairs in m.factors))
 
 
 class MinorSpec(namedtuple("MinorSpec", "contract delete")):
@@ -74,6 +74,8 @@ class MinorSpec(namedtuple("MinorSpec", "contract delete")):
     __slots__ = ()
 
     def __new__(cls, contract: int, delete: int):
+        _check_int(contract, "contract mask")
+        _check_int(delete, "delete mask")
         if contract & delete:
             raise InvalidParameters("contract and delete sets overlap")
         return super().__new__(cls, contract, delete)
@@ -90,22 +92,18 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     sum is the sum of the summands' minors (_minor_flats), so a factor
     that C u D misses is carried over, its masks packed onto the kept
     elements, and one that C u D meets gets the cyclic flats of
-    _factor_minor_flats in canonical order, split into factors
-    (_factors) on their own; the least of them, its new loops, joins
-    the least cyclic flat.  The factors go in order of least element,
-    and the cyclic flats are the product of the families (_product).
-    groundsets.canonical puts each family in canonical order, and the
-    product too: it passes an ordered product through in one pass and
-    sorts any other.  No family is validated again; one that fails
-    _factors breaks the rule, and validate then raises NotAMatroid with
-    a witness.
+    _factor_minor_flats, put in canonical order by groundsets.canonical
+    and split into factors (_factors) on their own; the least of them,
+    its new loops, joins the loops.  The factors go in order of least
+    element.  No family is validated again; one that fails _factors
+    breaks the rule, and validate, given that family with the loops,
+    then raises NotAMatroid with a witness.
     """
     c, d = spec.contract, spec.delete
-    full = m.ground.full
     removed = c | d
-    if removed & ~full:
+    if removed & ~m.ground.full:
         raise InvalidParameters("minor spec outside ground set")
-    keep = full & ~removed
+    keep = m.ground.full & ~removed
     runs = _runs(keep)
 
     def pack(x):
@@ -114,28 +112,22 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
             y |= (x & run) >> shift
         return y
 
-    families, factors, split_all = [], [], True
+    ground = GroundSet(m.ground.names(keep))
+    bottom, factors = pack(m.bottom & ~removed), []
     for e, pairs in m.factors:
         if not e & removed:
-            pairs = tuple((pack(y), r) for y, r in pairs)
-            factors.append((pack(e), pairs))
-        else:
-            found = _factor_minor_flats(pairs, c & e, d & e)
-            pairs = canonical((pack(x), r) for x, r in found.items())
-            split = _factors(dict(pairs))
-            if split is None:
-                split_all = False
-            else:
-                factors.extend(split)
-        families.append(pairs)
-    ground = GroundSet([lab for i, lab in enumerate(m.ground.labels)
-                        if keep >> i & 1])
-    flats = _product(pack(m.bottom & ~removed), families)
-    if not split_all:
-        return validate(RankedFamily(ground, flats))
-    flats = dict(canonical(flats.items()))
+            factors.append((pack(e), tuple((pack(y), r) for y, r in pairs)))
+            continue
+        found = _factor_minor_flats(pairs, c & e, d & e)
+        pairs = canonical((pack(x), r) for x, r in found.items())
+        split = _factors(dict(pairs))
+        if split is None:  # the rule is broken: validate names how
+            validate(RankedFamily(ground, [(bottom | x, r)
+                                           for x, r in pairs]))
+        bottom |= pairs[0][0]  # the factor's new loops
+        factors.extend(split)
     factors.sort(key=lambda factor: factor[0] & -factor[0])
-    return Matroid(ground, flats.keys(), flats.values(), tuple(factors))
+    return Matroid(ground, bottom, tuple(factors))
 
 
 def _runs(keep: int) -> list[tuple[int, int]]:
@@ -237,39 +229,28 @@ def relax(m: Matroid, f: int) -> Matroid:
 def relabel(m: Matroid, prefix: str) -> Matroid:
     """Prefix every ground-set label; structure unchanged.
 
-    Every mask keeps its index, so m's flats, ranks and factors carry
-    over as they are, with no second validation.
+    Every mask keeps its index, so m's loops and factors carry over as
+    they are, with no second validation.
     """
     ground = GroundSet(prefix + lab for lab in m.ground.labels)
-    return Matroid(ground, m.flats, m.flat_ranks, m.factors)
+    return Matroid(ground, m.bottom, m.factors)
 
 
 def direct_sum(m: Matroid, n: Matroid) -> Matroid:
     """Direct sum; the lattice of cyclic flats is the product of the two.
 
     Its factors are m's followed by n's (moved past m's elements), and
-    its cyclic flats the X u Y, X in Z(m) and Y in Z(n), at rank
-    r(X) + r(Y) (matroid._product).  validate would decide the product
-    factor by factor (matroid module docstring), and each of these
-    factors passed that check when m or n was validated, so the sum is
-    built with no second validation.
-
-    Each summand's flats go in first-difference order over its own
-    elements (groundsets.first_difference).  All of n's elements lie
-    above m's, so the product with m's flats outer is in that order, and
-    a stable sort by size puts it in canonical order.
+    its loops are both summands' loops, so its cyclic flats are the
+    X u Y, X in Z(m) and Y in Z(n), at rank r(X) + r(Y).  validate would
+    decide the product factor by factor (matroid module docstring), and
+    each of these factors passed that check when m or n was validated,
+    so the sum is built with no second validation.
     """
-    ground = m.ground.concat(n.ground)
     shift = len(m.ground)
-    factors = m.factors + tuple(
-        (e << shift, tuple((y << shift, r) for y, r in pairs))
-        for e, pairs in n.factors)
-    ranks = _product(0, [
-        first_difference(zip(m.flats, m.flat_ranks), shift),
-        [(y << shift, r) for y, r in first_difference(
-            zip(n.flats, n.flat_ranks), len(n.ground))]])
-    flats = sorted(ranks, key=int.bit_count)
-    return Matroid(ground, flats, [ranks[f] for f in flats], factors)
+    return Matroid(m.ground.concat(n.ground), m.bottom | n.bottom << shift,
+                   m.factors + tuple(
+                       (e << shift, tuple((y << shift, r) for y, r in pairs))
+                       for e, pairs in n.factors))
 
 
 def truncate(m: Matroid) -> Matroid:

@@ -90,8 +90,9 @@ def _k4_sum():
 
 class TestNoSort:
     """Builders whose rule fixes the canonical order of their output
-    emit it in that order, so no family is sorted: subset_key is never
-    called."""
+    emit it in that order, and the view of Z orders a product of two
+    or more factors by first difference and size (Matroid), so no
+    family is sorted by subset_key, which is never called."""
 
     def test_builders(self, catalog, subset_key_calls):
         other = cf.relabel(catalog["u24+u12"], "o:")

@@ -236,6 +236,11 @@ class TestUniform:
         for r in (1.5, True):
             with pytest.raises(cf.InvalidParameters, match="not an integer"):
                 cf.uniform(r, 2)
+        # the type is checked before r is compared with 0 and n
+        for r in ("1", None):
+            with pytest.raises(cf.InvalidParameters,
+                               match=f"^rank {r!r} is not an integer$"):
+                cf.uniform(r, 3)
         for n in (2.5, True):
             with pytest.raises(cf.InvalidParameters,
                                match=f"^n {n!r} is not an integer$"):

@@ -937,6 +937,80 @@ class TestDensePathAtCap:
         assert coeffs == cf.rank_gen(m)
 
 
+class TestZIsAView:
+    """A Matroid stores its loops and factors, and Z is read off them:
+    the sum of 12 copies of M(K4) has 6^12 = 2,176,782,336 cyclic flats,
+    which only a read of flats or flat_ranks would build."""
+
+    @staticmethod
+    def k4s(count):
+        mk4 = cf.catalog("mk4")
+        m = cf.relabel(mk4, "0:")
+        for i in range(1, count):
+            m = cf.direct_sum(m, cf.relabel(mk4, f"{i}:"))
+        return m
+
+    @pytest.fixture
+    def product_calls(self, monkeypatch):
+        """The calls of matroid._product, in every module that holds it."""
+        calls = []
+        real = matroid._product
+
+        def spy(base, families):
+            calls.append(base)
+            return real(base, families)
+
+        for module in (matroid, dense, cf.ops):
+            monkeypatch.setattr(module, "_product", spy)
+        return calls
+
+    def test_works_from_the_factors(self, product_calls):
+        m = self.k4s(12)
+        assert (len(m.ground), len(m.factors)) == (72, 12)
+        assert m.rank(m.ground.full) == 36
+        d = cf.dual(m)
+        assert d.rank(d.ground.full) == 36 and cf.dual(d) == m
+        got = cf.minor(m, cf.MinorSpec(0, 1))
+        assert got.rank(got.ground.full) == 36 and len(got.factors) == 12
+        assert sum(cf.tutte_polynomial(m).values()) == 16 ** 12  # T(1, 1)
+        assert product_calls == []
+
+    def test_z_past_the_cap(self, product_calls):
+        m = self.k4s(12)
+        for call in (lambda: cf.cyclic_width(m),
+                     lambda: cf.io.emit_matroid(m), lambda: m.flat_ranks):
+            with pytest.raises(cf.TooLarge,
+                               match="2176782336 cyclic flats.*ENUM_CAP"):
+                call()
+        assert product_calls == []
+
+    def test_family_view_is_the_built_view(self, product_calls):
+        # validate and _assemble set the view from the canonical family
+        # they hold, with no product; it is the view the factors build,
+        # also where the factors interleave (reordered)
+        fixed, rand = summands()
+        rng = random.Random("family-view")
+        hosts = fixed + rand + [self.k4s(3)]
+        hosts += [reordered(m, rng.sample(m.ground.labels, len(m.ground)))
+                  for m in hosts[-20:]]
+        for m in hosts:
+            family = m.ranked_family()
+            for got in (cf.validate(family),
+                        matroid._assemble(m.ground, family.entries.items())):
+                calls = len(product_calls)
+                view = (got.flats, got.flat_ranks)
+                assert len(product_calls) == calls
+                built = matroid.Matroid(got.ground, got.bottom, got.factors)
+                assert view == (built.flats, built.flat_ranks)
+                assert len(product_calls) == calls + 1
+
+    def test_view_is_built_once(self, product_calls):
+        m = self.k4s(3)
+        assert len(m.flats) == 216 and len(product_calls) == 1
+        assert list(m.flats) == sorted(m.flats, key=subset_key)
+        assert m.flat_ranks[-1] == 9 and len(product_calls) == 1
+
+
 class TestRankedFamily:
     def test_duplicate_sets_rejected(self):
         g = cf.GroundSet("ab")

@@ -60,6 +60,17 @@ class TestMinor:
             cf.MinorSpec(1, 2)._replace(delete=1)
         assert repr(cf.MinorSpec(1, 2)) == "MinorSpec(contract=1, delete=2)"
 
+    def test_spec_masks_are_ints(self):
+        # a mask is an int: a float has no &, and True would read as
+        # the mask of element 0
+        for contract, delete in ((1.5, 0), (True, 0), (0, False),
+                                 (0, None), ("1", 0)):
+            with pytest.raises(cf.InvalidParameters,
+                               match="mask .* is not an integer$"):
+                cf.MinorSpec(contract, delete)
+        with pytest.raises(cf.InvalidParameters):
+            cf.MinorSpec(1, 2)._replace(delete=2.0)
+
     def test_outside_ground(self, catalog):
         with pytest.raises(cf.InvalidParameters):
             cf.minor(catalog["u24"], cf.MinorSpec(1 << 5, 0))
@@ -1063,9 +1074,9 @@ class TestMinorFlats:
 
 class TestMinorByFactors:
     """minor splits only the families of the factors that C u D meets
-    and sorts the product at most once; _minor_whole, which sorts the
-    whole product and finds its factors again, gives the same ground
-    set, flats, ranks and factors."""
+    and builds no product; _minor_whole, which sorts the whole product
+    and finds its factors again, gives the same ground set, flats,
+    ranks and factors."""
 
     @staticmethod
     def _hosts(seed):
@@ -1109,7 +1120,8 @@ class TestMinorByFactors:
                         len(pairs) > 1 for _, pairs in got.factors) > 1
         assert checked == 5400
         # hosts whose factors interleave; minors with more factors than
-        # the host; minors whose product took a sort
+        # the host; minors of two or more factors of more than one flat,
+        # whose view of Z sorts the product (Matroid)
         assert interleaved > 50 and resplit > 25 and sorted_product > 200, (
             interleaved, resplit, sorted_product)
 
@@ -1145,6 +1157,35 @@ class TestMinorByFactors:
                 got = cf.minor(m, spec)
                 assert families == [len(got.flats) // 12]
                 same_matroid(got, _minor_whole(m, spec.contract, spec.delete))
+
+    def test_equality_reads_factors(self):
+        # a == b exactly when ground, flats and ranks agree, and equal
+        # matroids hash alike, over the hosts, their random minors (by
+        # minor and by _minor_whole, and with C and D swapped, which
+        # keeps the ground set) and the hosts built again by validate
+        rng = random.Random("minor-by-factors:equality")
+        equal = unequal = 0
+        for seed in range(40):
+            pool = []
+            for m in self._hosts(seed):
+                assert cf.dual(cf.dual(m)) == m
+                pool += [m, cf.dual(cf.dual(m)),
+                         cf.validate(m.ranked_family())]
+                for _ in range(3):
+                    c, d = self._spec(rng, m)
+                    pool += [cf.minor(m, cf.MinorSpec(c, d)),
+                             _minor_whole(m, c, d),
+                             cf.minor(m, cf.MinorSpec(d, c))]
+            for a, b in product(pool, repeat=2):
+                same = ((a.ground, a.flats, a.flat_ranks)
+                        == (b.ground, b.flats, b.flat_ranks))
+                assert (a == b) == same
+                if same:
+                    assert hash(a) == hash(b)
+                    equal += 1
+                else:
+                    unequal += a.ground == b.ground
+        assert equal > 4000 and unequal > 1500, (equal, unequal)
 
     def test_broken_factor_rule_goes_to_validate(self, monkeypatch):
         # a factor family that is no product of its own factors (here
