@@ -6,16 +6,18 @@ Also houses the exhaustive small-lattice enumerator and the seeded
 random-matroid generators used by the test suite.
 
 A generator whose family is a matroid by its rule or by an exact test
-builds the (mask, rank) pairs in canonical order and assembles them
-(matroid._assemble) with no validate sweep: uniform, realize_lattice,
-nested_from_sequence, excluded_minor_pn, gimenez_family and the
-sample of random_cw2_matroid, which _chain_plus_one_ok accepts.  That
-makes each O(k) in its k flats instead of O(k^2) (per call, best of 5
-runs of 200 calls on a shared 2-vCPU host: gimenez_family n = 7 0.152
--> 0.031 ms, n = 32 1.59 -> 0.10 ms; nested_from_sequence("if" * 200),
-201 flats, 13.8 -> 0.36 ms).  _assemble still finds the factors, so a
-broken rule would fall through to validate and raise NotAMatroid with
-a witness.  Only catalog("mk4"), hand-entered, is validated.
+builds the (mask, rank) pairs and assembles them (matroid._assemble)
+with no validate sweep: uniform, realize_lattice, nested_from_sequence,
+excluded_minor_pn, gimenez_family and the sample of random_cw2_matroid,
+which _chain_plus_one_ok accepts.  Each but realize_lattice builds them
+in canonical order; realize_lattice gives them in lattice order, which
+groundsets.canonical sorts.  That makes each O(k) in its k flats instead
+of O(k^2) (per call, best of 5 runs of 200 calls on a shared 2-vCPU
+host: gimenez_family n = 7 0.152 -> 0.031 ms, n = 32 1.59 -> 0.10 ms;
+nested_from_sequence("if" * 200), 201 flats, 13.8 -> 0.36 ms).
+_assemble still finds the factors, so a broken rule would fall through
+to validate and raise NotAMatroid with a witness.  Only catalog("mk4"),
+hand-entered, is validated.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import NamedTuple
 from . import freeprod, lattices, ops
 from .errors import (ChainTooShort, InvalidParameters, NotNested, TooLarge,
                      UnknownName, _check_int)
-from .groundsets import (GroundSet, _converse, bits, first_difference,
-                         is_chain, popcount, precedes)
+from .groundsets import (GroundSet, _converse, bits, is_chain, popcount,
+                         precedes)
 from .matroid import Matroid, _assemble
 
 
@@ -72,7 +74,8 @@ def realize_lattice(lat: lattices.FiniteLattice,
     Either family is the lattice of cyclic flats of a matroid whenever
     lat is a lattice (the source paper's realization of every lattice),
     and a FiniteLattice is checked when it is built, so the matroid is
-    assembled with no check or validation of its own.
+    assembled with no check or validation of its own.  The witness
+    keeps the lattice order.
     """
     if variant not in ("plain", "sublattice"):
         raise InvalidParameters(f"unknown variant {variant!r}")
@@ -97,14 +100,7 @@ def realize_lattice(lat: lattices.FiniteLattice,
             block.append(((1 << size) - 1) << len(labels))
             labels += [f"{name}:{t}" for t in range(size)]
         masks = [sum(block[y] for y in bits(d)) for d in lat.down]
-    # canonical order: by size, then first difference, which falls at the
-    # lowest lattice index where the keys differ: the V_z for plain (B
-    # keeps the lattice order, and no V_z holds the top or equals
-    # another), the down-sets for sublattice (the blocks keep it)
-    keys = v if variant == "plain" else lat.down
-    order = first_difference(zip(keys, zip(masks, map(popcount, v))), k)
-    order.sort(key=lambda item: item[1][0].bit_count())
-    m = _assemble(GroundSet(labels), [pair for _, pair in order])
+    m = _assemble(GroundSet(labels), zip(masks, map(popcount, v)))
     return Realization(m, tuple(zip(lat.elements, masks)))
 
 

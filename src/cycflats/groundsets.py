@@ -7,10 +7,14 @@ lexicographically by the sorted index tuple.  A family of subsets is a
 plain sequence of masks in that order, such as Matroid.flats.
 
 Whether a family is in that order is decided here, by precedes and
-canonical, and nowhere else.  A builder whose rule fixes the order of
-its output emits it in that order, and canonical passes it through in
-one pass with no sort; only a family in some other order is sorted by
-subset_key.
+canonical, and nowhere else; canonical alone puts a family into it.  A
+builder whose rule fixes the order of its output emits it in that
+order, and canonical passes it through in one pass with no sort.  Only
+a family in some other order is sorted (_sort_canonical, by first
+difference and then size): the view of a product of two or more
+factors, a realized lattice, the candidates of Matroid.circuits, a
+document out of order, and the families that ops.minor and the 2^n
+fixpoint find.
 
 A partial order on n items is a list of n masks too, its down-masks:
 bit j of entry i is set iff item j <= item i.  The helpers on them,
@@ -64,20 +68,27 @@ def precedes(a: int, b: int) -> bool:
 def canonical(pairs) -> list:
     """(mask, value) pairs of distinct masks as a list in canonical
     order: in the given order when each mask precedes the next, which
-    one pass decides, and otherwise sorted by subset_key."""
+    one pass decides, and otherwise sorted (_sort_canonical).  On a
+    family already in order the pass costs about half of a sort (1.0
+    against 2.3 us at 4 members, 43 against 91 us at 216, on a shared
+    2-vCPU host), and most builders emit their families in order."""
     pairs = list(pairs)
-    if all(precedes(a, b) for (a, _), (b, _) in zip(pairs, pairs[1:])):
-        return pairs
-    return sorted(pairs, key=lambda item: subset_key(item[0]))
+    if not all(precedes(a, b) for (a, _), (b, _) in zip(pairs, pairs[1:])):
+        _sort_canonical(pairs)
+    return pairs
 
 
-def first_difference(pairs, width: int) -> list:
-    """(mask, value) pairs with masks below 2^width, ordered so that of
-    two masks the one holding the lowest element where they differ
-    comes first.  A stable sort of that order by size is canonical
-    order."""
-    return sorted(pairs, key=lambda item: bin(item[0] | 1 << width)[:2:-1],
-                  reverse=True)
+def _sort_canonical(pairs: list) -> None:
+    """Sort a nonempty list of (mask, value) pairs of distinct masks
+    into canonical order, in place.  The first sort puts first, of two
+    masks, the one holding the lowest element where they differ: its
+    key is the string of mask's bits from the lowest up, as wide as the
+    largest mask, and the greater string comes first.  A stable sort of
+    that order by size is canonical order."""
+    width = max(mask for mask, _ in pairs).bit_length()
+    pairs.sort(key=lambda item: bin(item[0] | 1 << width)[:2:-1],
+               reverse=True)
+    pairs.sort(key=lambda item: item[0].bit_count())
 
 
 def outside(mask: int) -> UnknownLabel:

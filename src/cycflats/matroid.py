@@ -51,19 +51,18 @@ circuits and closure all derive from that oracle, and the Tutte
 polynomial works factor by factor too.
 
 Z itself is the product of the factors' pairs with 0 in every member
-(_product), and a view: Matroid.flats and flat_ranks are built the
-first time either is read, and kept (validate and _assemble, which hold
-Z in canonical order already, set it from that, _viewed).  One rule
-orders them.  The product of at most one factor keeps its order, which
-is canonical (a fixed disjoint set added to each member keeps it); that
-of two or more goes into first-difference order
-(groundsets.first_difference) and then, by a stable sort, into size
-order, which is canonical order.  A Z of more than 2^ENUM_CAP members
-raises TooLarge before anything is built.  Duals, direct sums,
-relabellings, minors, rank tables and rank_gen work from the factors
-and never read Z: ops.minor splits only the factors that the contracted
-and deleted sets meet, and rank_table takes one grid per piece of
-factors and adds them as outer sums.
+(_product), and a view: Matroid.flats and flat_ranks are built the first
+time either is read, and kept (validate and _assemble, which hold Z in
+canonical order already, set it from that, _viewed).  The product of at
+most one factor keeps its order, which is canonical (a fixed disjoint
+set added to each member keeps it); that of two or more goes through
+groundsets.canonical, which sorts it.  A Z of more than 2^ENUM_CAP
+members raises TooLarge before anything is built; repr then shows the
+count alone, and pickle and copy carry only the loops and the factors.
+Duals, direct sums, relabellings, minors, rank tables and rank_gen work
+from the factors and never read Z: ops.minor splits only the factors
+that the contracted and deleted sets meet, and rank_table takes one grid
+per piece of factors and adds them as outer sums.
 
 This module holds the rules on the cyclic flats only.  The 2^n kernels
 behind its two table oracles, Matroid.rank_table and
@@ -80,8 +79,7 @@ from typing import Iterable, NamedTuple
 from . import dense
 from .errors import InvalidParameters, NotAMatroid, TooLarge, _check_int
 from .groundsets import (GroundSet, _bound_lookups, _down_masks, atoms, bits,
-                         canonical, first_difference, outside, popcount,
-                         set_text, subset_key)
+                         canonical, outside, popcount, set_text)
 
 ENUM_CAP = 22  # largest ground set given a 2^n rank table
 # candidate subsets circuits() may test; on a uniform matroid every
@@ -195,8 +193,7 @@ class Matroid:
                 f"the factors without Z")
         pairs = _product(self.bottom, families).items()
         if len(families) > 1:
-            pairs = sorted(first_difference(pairs, len(self.ground)),
-                           key=lambda item: item[0].bit_count())
+            pairs = canonical(pairs)
         self.flats, self.flat_ranks = zip(*pairs)
         return getattr(self, name)
 
@@ -221,9 +218,17 @@ class Matroid:
     def __hash__(self) -> int:
         return hash((self.ground, self.bottom, self.factors))
 
+    def __reduce__(self):
+        """Pickle and copy the stored fields alone, not the view of Z or
+        the rank table (past the cap, reading the view would raise)."""
+        return Matroid, (self.ground, self.bottom, self.factors)
+
     def __repr__(self) -> str:
-        shown = ", ".join(f"({set_text(self.ground.names(f))}, {r})"
-                          for f, r in zip(self.flats, self.flat_ranks))
+        try:
+            shown = ", ".join(f"({set_text(self.ground.names(f))}, {r})"
+                              for f, r in zip(self.flats, self.flat_ranks))
+        except TooLarge:
+            shown = f"<{prod(len(p) for _, p in self.factors)} cyclic flats>"
         return (f"Matroid(E={list(self.ground.labels)!r}, "
                 f"rank={self.matroid_rank}, Z=[{shown}])")
 
@@ -317,7 +322,7 @@ class Matroid:
         found = {1 << x for x in bits(self.bottom)}
         found.update(sum(1 << i for i in c)
                      for y, k in ys for c in combinations(bits(y), k))
-        return [c for c in sorted(found, key=subset_key)
+        return [c for c, _ in canonical((c, None) for c in found)
                 if all(self.is_independent(c & ~(1 << x)) for x in bits(c))]
 
     def loops(self) -> int:

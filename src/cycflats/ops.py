@@ -18,19 +18,19 @@ operation (cited in each docstring) and pass it to matroid._assemble,
 which finds its factors with no sweep over pairs.  validate stays the
 gate for families from outside.
 
-dual, relabel, direct_sum and minor build only the loops and the
-factors of their result, never its cyclic flats; the order of those is
-the Matroid's view of Z, decided in one place (matroid module
-docstring).  Each factor's pairs stay in canonical order (groundsets
-module docstring): dual reverses each factor's complements, since
-complementing reverses canonical order; relabel and direct_sum keep
-or shift every mask, and minor packs those of the factors it carries
-over onto the kept elements, which keeps their order.  Only minor may
-sort, one changed factor's family at a time: the minor of a factor can
-take more elements from one flat than from another.  relax, truncate
-and higgs_lift emit canonical order to _assemble: they keep a
-subsequence of the operand's flats, truncate with E last, and
-higgs_lift puts the empty set first.
+dual, relabel, direct_sum and minor build only the loops and the factors
+of their result, never its cyclic flats, which the Matroid's view of Z
+lists (matroid module docstring).  Canonical order is decided and sorted
+into by groundsets.canonical alone (groundsets module docstring).  Each
+factor's pairs stay in that order: dual reverses each factor's
+complements, since complementing reverses canonical order; relabel and
+direct_sum keep or shift every mask, and minor packs those of the
+factors it carries over onto the kept elements, which keeps their order.
+Only minor may sort, through canonical, one changed factor's family at a
+time: the minor of a factor can take more elements from one flat than
+from another.  relax, truncate and higgs_lift emit canonical order to
+_assemble: they keep a subsequence of the operand's flats, truncate with
+E last, and higgs_lift puts the empty set first.
 """
 
 from __future__ import annotations

@@ -176,22 +176,18 @@ def validate_calls(monkeypatch):
 
 
 @pytest.fixture
-def subset_key_calls(monkeypatch):
-    """The masks groundsets.subset_key is called on from inside the
-    library while the test runs: every cycflats module that holds it
-    gets a spy that logs the mask and passes it on.  cf.subset_key, the
-    package's name, is left alone, so a test's own calls are not
-    logged."""
+def canonical_sorts(monkeypatch):
+    """The families groundsets.canonical sorts while the test runs, each
+    logged as its masks in the order given: a spy on
+    groundsets._sort_canonical, which only canonical calls."""
     calls = []
-    real = cf.groundsets.subset_key
+    real = cf.groundsets._sort_canonical
 
-    def spy(mask):
-        calls.append(mask)
-        return real(mask)
+    def spy(pairs):
+        calls.append([mask for mask, _ in pairs])
+        real(pairs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cycflats.") and hasattr(module, "subset_key"):
-            monkeypatch.setattr(module, "subset_key", spy)
+    monkeypatch.setattr(cf.groundsets, "_sort_canonical", spy)
     return calls
 
 

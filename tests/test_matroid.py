@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -13,9 +15,8 @@ from conftest import (_grid_ranks_outer, rank_support_scan, reordered,
                       summands)
 from cycflats import dense, matroid
 from cycflats.dense import _grid_ranks
-from cycflats.groundsets import (bits, canonical, class_profile,
-                                 first_difference, popcount, precedes,
-                                 set_text, subset_key)
+from cycflats.groundsets import (bits, canonical, class_profile, popcount,
+                                 precedes, set_text, subset_key)
 from cycflats.lattices import family_lattice_tables
 from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP
 
@@ -1010,6 +1011,19 @@ class TestZIsAView:
         assert list(m.flats) == sorted(m.flats, key=subset_key)
         assert m.flat_ranks[-1] == 9 and len(product_calls) == 1
 
+    def test_pickle_and_copy_past_the_cap(self, product_calls):
+        # they carry the loops and the factors, never the view of Z
+        m = self.k4s(12)
+        for got in (pickle.loads(pickle.dumps(m)), copy.copy(m),
+                    copy.deepcopy(m)):
+            assert got == m and hash(got) == hash(m)
+        assert product_calls == []
+
+    def test_repr_past_the_cap(self, product_calls):
+        text = repr(self.k4s(12))
+        assert text.endswith("rank=36, Z=[<2176782336 cyclic flats>])")
+        assert product_calls == []
+
 
 class TestRankedFamily:
     def test_duplicate_sets_rejected(self):
@@ -1092,40 +1106,44 @@ class TestPrecedes:
 class TestCanonical:
     @staticmethod
     def families(seed, count=300):
-        """Random lists of (distinct mask, tag) pairs, 0 to 12 of them,
-        over 1 to 70 bits."""
+        """Random lists of (distinct mask, tag) pairs over up to 90 bits:
+        0 to 12 of them, and in every tenth list 100 to 2,000 of them over
+        11 to 90 bits, as many as a view of Z, a realized lattice or a
+        recomputed family holds."""
         rng = random.Random(seed)
-        for _ in range(count):
-            width = rng.randint(1, 70)
-            masks = {rng.getrandbits(width) for _ in range(rng.randint(0, 12))}
+        for i in range(count):
+            if i % 10:
+                width = rng.randint(1, 90)
+                masks = {rng.getrandbits(width)
+                         for _ in range(rng.randint(0, 12))}
+            else:
+                width, size = rng.randint(11, 90), rng.randint(100, 2000)
+                masks = set()
+                while len(masks) < size:
+                    masks.add(rng.getrandbits(width))
             yield [(mask, object()) for mask in masks]
 
-    def test_canonical_input_in_its_given_order(self, subset_key_calls):
+    def test_canonical_input_in_its_given_order(self, canonical_sorts):
         for pairs in self.families(39):
             pairs.sort(key=lambda item: subset_key(item[0]))
             got = canonical(iter(pairs))
             assert len(got) == len(pairs)
             assert all(g is p for g, p in zip(got, pairs))
-        assert subset_key_calls == []
+        assert canonical_sorts == []
 
-    def test_any_other_input_sorted(self):
-        unsorted = 0
+    def test_any_other_input_sorted(self, canonical_sorts):
+        unsorted = large = 0
         for pairs in self.families(40):
             want = sorted(pairs, key=lambda item: subset_key(item[0]))
             unsorted += pairs != want
+            large += len(pairs) >= 100
             assert canonical(pairs) == want
-        assert unsorted > 200
+        assert unsorted > 200 and large == 30
+        assert len(canonical_sorts) == unsorted
         # one pair out of place, at either end
         pairs = [(0, 0), (1, 1), (2, 1), (3, 2)]
         assert canonical(pairs[1::-1] + pairs[2:]) == pairs
         assert canonical(pairs[:2] + pairs[:1:-1]) == pairs
-
-    def test_first_difference_then_size_is_canonical(self):
-        for pairs in self.families(41):
-            width = max((mask.bit_length() for mask, _ in pairs), default=0)
-            got = sorted(first_difference(pairs, width),
-                         key=lambda item: item[0].bit_count())
-            assert got == sorted(pairs, key=lambda item: subset_key(item[0]))
 
 
 class TestElementClasses:
