@@ -12,17 +12,15 @@ excluded_minor_pn, gimenez_family and the sample of random_cw2_matroid,
 which _chain_plus_one_ok accepts.  Each but realize_lattice builds them
 in canonical order; realize_lattice gives them in lattice order, which
 groundsets.canonical sorts.  That makes each O(k) in its k flats instead
-of O(k^2) (per call, best of 5 runs of 200 calls on a shared 2-vCPU
-host: gimenez_family n = 7 0.152 -> 0.031 ms, n = 32 1.59 -> 0.10 ms;
-nested_from_sequence("if" * 200), 201 flats, 13.8 -> 0.36 ms).
-_assemble still finds the factors, so a broken rule would fall through
-to validate and raise NotAMatroid with a witness.  Only catalog("mk4"),
-hand-entered, is validated.
+of O(k^2).  _assemble still finds the factors, so a broken rule would
+fall through to validate and raise NotAMatroid with a witness.  Only
+catalog("mk4"), hand-entered, is validated.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import NamedTuple
 
 from . import freeprod, lattices, ops
@@ -166,29 +164,24 @@ def nested_subsequence_minor(seq_n: str, seq_m: str):
 
     Returns (True, spec) where spec is the MinorSpec on
     nested_from_sequence(seq_m) that deletes unmatched free steps and
-    contracts unmatched isthmus steps, or (False, None).  The match is
-    the leftmost embedding.  Raises InvalidParameters unless both
+    contracts unmatched isthmus steps, or (False, None).  One pass over
+    seq_m matches each step that equals the next unmatched step of
+    seq_n, the leftmost embedding, and puts every other step in the
+    contract or delete mask.  Raises InvalidParameters unless both
     sequences are over 'i'/'f', as nested_from_sequence does.
     """
     _check_sequence(seq_n)
     _check_sequence(seq_m)
-    positions = []
-    it = 0
-    for step in seq_n:
-        while it < len(seq_m) and seq_m[it] != step:
-            it += 1
-        if it == len(seq_m):
-            return False, None
-        positions.append(it)
-        it += 1
-    matched = set(positions)
-    contract = delete = 0
+    at = contract = delete = 0  # at: the steps of seq_n matched so far
     for p, step in enumerate(seq_m):
-        if p not in matched:
-            if step == "i":
-                contract |= 1 << p
-            else:
-                delete |= 1 << p
+        if at < len(seq_n) and seq_n[at] == step:
+            at += 1
+        elif step == "i":
+            contract |= 1 << p
+        else:
+            delete |= 1 << p
+    if at < len(seq_n):
+        return False, None
     return True, ops.MinorSpec(contract, delete)
 
 
@@ -294,19 +287,13 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
     if len(m.flats) < k + 2:
         raise ChainTooShort(
             f"chain has {len(m.flats)} members, need at least {k + 2}")
-    chain = m.flats[:k + 2]
-    ranks = m.flat_ranks[:k + 2]
-    isets, fsets = [0], [chain[0]]  # j = 0: X_0 is all loops (free part)
-    for j in range(1, k + 2):
-        diff = chain[j] & ~chain[j - 1]
-        iset = _lowest(diff, ranks[j] - ranks[j - 1])
-        isets.append(iset)
-        fsets.append(diff & ~iset)
-    delete = m.ground.full & ~chain[k + 1]  # restrict to X_{k+1}
-    delete |= chain[0]
+    chain, ranks = m.flats, m.flat_ranks
+    delete = m.ground.full & ~chain[k + 1] | chain[0]  # restrict to X_{k+1}
     for j in range(1, k):
-        delete |= fsets[j]
-    raw = ops.MinorSpec(isets[k + 1], delete)
+        diff = chain[j] & ~chain[j - 1]
+        delete |= diff & ~_lowest(diff, ranks[j] - ranks[j - 1])  # F_j
+    contract = _lowest(chain[k + 1] & ~chain[k], ranks[k + 1] - ranks[k])
+    raw = ops.MinorSpec(contract, delete)  # contract I_{k+1}
     rank = m.rank(m.ground.full & ~delete) - m.rank(raw.contract)
     kept = m.ground.full & ~(raw.contract | delete)
     extra_contract = _lowest(kept, rank - k)
@@ -317,13 +304,9 @@ def uniform_minor_from_chain(m: Matroid, k: int) -> ChainMinor:
 
 
 def _lowest(mask: int, t: int) -> int:
-    """The t lowest elements of mask (all of them if it has fewer)."""
-    out = 0
-    for _ in range(t):
-        low = mask & -mask
-        out |= low
-        mask ^= low
-    return out
+    """The t lowest elements of mask (all of them if it has fewer): the
+    first t indices that groundsets.bits gives."""
+    return sum(1 << i for i in islice(bits(mask), t))
 
 
 # -- exhaustive small lattices -------------------------------------------
@@ -559,7 +542,7 @@ def random_cw2_matroid(rng: random.Random, max_elems: int = 9) -> Matroid:
                            if precedes(s, f)), len(flats))
                 chain.insert(at, (s, rho))
                 return _assemble(_nested_ground(n), chain)
-    return nested_from_sequence(seq)  # fallback: the last chain
+    return _assemble(_nested_ground(n), chain)  # the last chain
 
 
 def _draw_indices(rng: random.Random, total: int, count: int):

@@ -95,6 +95,8 @@ class RankedFamily:
     def __init__(self, ground: GroundSet, entries):
         """entries: mapping mask -> rank, or iterable of (mask, rank)."""
         items = list(entries.items() if hasattr(entries, "items") else entries)
+        for m, _ in items:
+            _check_int(m, "subset mask")
         given = dict(items)
         self.ground = ground
         self.entries = dict(canonical(given.items()))

@@ -378,6 +378,29 @@ def _nested_by_fold(seq):
     return m
 
 
+def _subsequence_minor_two_pass(seq_n, seq_m):
+    """Reference for nested_subsequence_minor: record the leftmost
+    embedding of seq_n in seq_m, then contract the unmatched 'i' steps
+    and delete the unmatched 'f' steps."""
+    positions = []
+    it = 0
+    for step in seq_n:
+        while it < len(seq_m) and seq_m[it] != step:
+            it += 1
+        if it == len(seq_m):
+            return False, None
+        positions.append(it)
+        it += 1
+    contract = delete = 0
+    for p, step in enumerate(seq_m):
+        if p not in positions:
+            if step == "i":
+                contract |= 1 << p
+            else:
+                delete |= 1 << p
+    return True, cf.MinorSpec(contract, delete)
+
+
 class TestNested:
     def test_matches_sum_and_extension_fold(self):
         for n in range(11):
@@ -426,6 +449,20 @@ class TestNested:
             assert found
             got = cf.minor(cf.nested_from_sequence(big), spec)
             assert cf.is_isomorphic(got, cf.nested_from_sequence(small))[0]
+
+    def test_subsequence_spec(self):
+        # the exact spec, not only its minor's isomorphism class
+        assert cf.nested_subsequence_minor("if", "fif") == \
+            (True, cf.MinorSpec(0, 1))
+        assert cf.nested_subsequence_minor("ff", "fiff") == \
+            (True, cf.MinorSpec(2, 8))
+        assert cf.nested_subsequence_minor("fi", "iffi") == \
+            (True, cf.MinorSpec(1, 4))
+        seqs = ["".join(s) for n in range(7) for s in product("if", repeat=n)]
+        for sn in seqs:
+            for sm in seqs:
+                assert cf.nested_subsequence_minor(sn, sm) == \
+                    _subsequence_minor_two_pass(sn, sm), (sn, sm)
 
     def test_non_subsequence(self):
         assert cf.nested_subsequence_minor("ii", "if") == (False, None)
@@ -553,6 +590,15 @@ class TestCatalogAndChainMinor:
         assert cf.is_isomorphic(got, cf.uniform(2, 4))[0]
         raw = cf.minor(m, cm.raw)
         assert raw.matroid_rank >= 2 and raw.nullity >= 2
+
+    def test_chain_minor_specs(self):
+        # the exact raw and trimmed specs
+        for seq, k, raw, trimmed in (
+                ("ififif", 2, cf.MinorSpec(16, 2), cf.MinorSpec(16, 2)),
+                ("ffiifif", 1, cf.MinorSpec(32, 3), cf.MinorSpec(36, 3)),
+                ("iffifif", 2, cf.MinorSpec(32, 6), cf.MinorSpec(32, 6))):
+            cm = cf.uniform_minor_from_chain(cf.nested_from_sequence(seq), k)
+            assert cm == (raw, trimmed), (seq, k)
 
     def test_chain_minor_k1(self):
         m = cf.nested_from_sequence("ifif")

@@ -1039,6 +1039,12 @@ class TestRankedFamily:
         with pytest.raises(cf.InvalidParameters):
             rf("ab", [("", 0.5)])
 
+    def test_non_integer_mask_rejected(self):
+        # checked before canonical orders the masks; a bool is no mask
+        for mask in (1.5, True, None, "1"):
+            with pytest.raises(cf.InvalidParameters, match="not an integer"):
+                cf.RankedFamily(cf.GroundSet("ab"), [(0, 0), (mask, 1)])
+
     def test_subset_outside_ground_rejected(self):
         with pytest.raises(cf.InvalidParameters,
                            match=r"^subset 0x4 outside ground set "

@@ -81,6 +81,12 @@ class TestMinor:
             with pytest.raises(cf.InvalidParameters):
                 cf.restriction(m, keep)
 
+    def test_restriction_non_integer_mask(self, catalog):
+        # refused as contraction refuses them, through MinorSpec
+        for keep in (1.5, True, None, "1"):
+            with pytest.raises(cf.InvalidParameters, match="not an integer"):
+                cf.restriction(catalog["u24"], keep)
+
     def test_uniform_delete(self, catalog):
         m = catalog["u25"]
         got = cf.restriction(m, m.ground.mask(["e1", "e2", "e3", "e4"]))
