@@ -216,6 +216,8 @@ def gimenez_family(n: int, sigma) -> Matroid:
     if n < 1:
         raise InvalidParameters(f"need n >= 1, got {n}")
     sigma = tuple(sigma)
+    for s in sigma:
+        _check_int(s, "sigma entry")
     if sorted(sigma) != list(range(1, n + 1)):
         raise InvalidParameters(f"not a permutation of 1..{n}: {sigma}")
     labels = (["a", "a'", "a''", "b", "b'"]

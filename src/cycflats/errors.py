@@ -43,7 +43,8 @@ class RankZero(CycflatsError):
 class TooLarge(CycflatsError):
     """A call exceeds a size cap: matroid.ENUM_CAP (the elements of a
     rank table, 2^ENUM_CAP entries of rank_gen's interval tables, and
-    2^ENUM_CAP cyclic flats of a Matroid's view of Z), matroid.CIRCUIT_CAP (candidate subsets), ops.MINOR_SEARCH_CAP
+    2^ENUM_CAP cyclic flats of a Matroid's view of Z),
+    matroid.CIRCUIT_CAP (candidate subsets), ops.MINOR_SEARCH_CAP
     (class-count profile pairs of has_minor), widths.ANTICHAIN_CAP (a
     bound on the rank calls of the antichain search) or
     build.LATTICE_CAP (lattice elements).  The message names the cap,

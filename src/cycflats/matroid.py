@@ -162,9 +162,10 @@ class Matroid:
     three are, as the factors are a canonical function of Z.  flats and
     flat_ranks, parallel tuples in canonical subset order, are the view
     of Z that __getattr__ builds on the first read.  The oracles rank,
-    rank_support, closure and is_independent raise UnknownLabel for a
-    mask outside the ground set: one that is negative or has a bit at
-    or past |E|.
+    rank_support, closure and is_independent raise InvalidParameters for
+    a mask that is not an int (a bool included), and UnknownLabel for one
+    outside the ground set: one that is negative or has a bit at or past
+    |E|.
     """
 
     __slots__ = ("ground", "bottom", "factors", "top", "matroid_rank",
@@ -245,6 +246,8 @@ class Matroid:
     def rank(self, a: int) -> int:
         """Rank of an arbitrary subset, factor by factor (module
         docstring)."""
+        if type(a) is not int:
+            _check_int(a, "subset mask")
         if a & ~self.ground.full:
             raise outside(a)
         rank = (a & ~self.top).bit_count()
@@ -272,13 +275,8 @@ class Matroid:
         return self._table
 
     def is_independent(self, i: int) -> bool:
-        """True iff |I n X| <= r(X) for every cyclic flat X: I avoids the
-        loops and meets each Y of each factor in at most r_i(Y)."""
-        if i & ~self.ground.full:
-            raise outside(i)
-        return not i & self.bottom and all(
-            (i & y).bit_count() <= r
-            for _, pairs in self.factors for y, r in pairs)
+        """True iff r(I) = |I| (module docstring)."""
+        return self.rank(i) == i.bit_count()
 
     def rank_support(self, a: int) -> tuple[int, int, int]:
         """r(A), with the intersection and the union of the cyclic flats F
@@ -291,6 +289,8 @@ class Matroid:
         one attaining Y of each factor, so the intersection and union are
         0_Z with those of each factor (_support).
         """
+        if type(a) is not int:
+            _check_int(a, "subset mask")
         if a & ~self.ground.full:
             raise outside(a)
         rank = (a & ~self.top).bit_count()

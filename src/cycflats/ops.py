@@ -42,8 +42,8 @@ from .errors import (InvalidParameters, NotRelaxable, RankZero, TooLarge,
                      _check_int)
 from .groundsets import (GroundSet, _down_masks, atoms, bits, canonical,
                          class_profile, popcount, set_text)
-from .matroid import (Matroid, RankedFamily, _assemble, _factors, _product,
-                      _support, validate)
+from .matroid import (Matroid, RankedFamily, _assemble, _factors, _support,
+                      validate)
 
 MINOR_SEARCH_CAP = 131_072  # most (C, D) profile pairs has_minor visits
 
@@ -89,15 +89,16 @@ def minor(m: Matroid, spec: MinorSpec) -> Matroid:
     """The minor m \\ D / C, with C = spec.contract, D = spec.delete.
 
     Its rank oracle is r'(A) = r(A u C) - r(C).  A minor of a direct
-    sum is the sum of the summands' minors (_minor_flats), so a factor
-    that C u D misses is carried over, its masks packed onto the kept
-    elements, and one that C u D meets gets the cyclic flats of
-    _factor_minor_flats, put in canonical order by groundsets.canonical
-    and split into factors (_factors) on their own; the least of them,
-    its new loops, joins the loops.  The factors go in order of least
-    element.  No family is validated again; one that fails _factors
-    breaks the rule, and validate, given that family with the loops,
-    then raises NotAMatroid with a witness.
+    sum is the sum of the summands' minors, so a factor that C u D
+    misses is carried over, its masks packed onto the kept elements, and
+    one that C u D meets gets the cyclic flats of _factor_minor_flats,
+    put in canonical order by groundsets.canonical and split into
+    factors (_factors) on their own; the least of them, its new loops,
+    joins the loops.  The factors go in order of least element.  No
+    family is validated again; one that fails _factors breaks the rule,
+    and validate, given that family with the loops, then raises
+    NotAMatroid with a witness.  This is the one place that derives a
+    minor's cyclic flats: has_minor tests the minors it builds.
     """
     c, d = spec.contract, spec.delete
     removed = c | d
@@ -143,22 +144,6 @@ def _runs(keep: int) -> list[tuple[int, int]]:
         packed += run.bit_count()
         keep ^= run
     return runs
-
-
-def _minor_flats(m: Matroid, c: int, d: int) -> dict[int, int]:
-    """Z(m \\ D / C) as {mask: rank}, masks over m's ground set, for
-    disjoint C = c and D = d.
-
-    A minor of a direct sum is the sum of the summands' minors, so Z of
-    the minor is the product of the minors' Z over m's factors, with the
-    loops 0_Z - (C u D) in every member; isthmuses lie in no cyclic flat.
-    A factor that C u D misses keeps its pairs, and one it meets gets the
-    rule of _factor_minor_flats.
-    """
-    removed = c | d
-    return _product(m.bottom & ~removed, [
-        _factor_minor_flats(pairs, c & e, d & e).items() if e & removed
-        else pairs for e, pairs in m.factors])
 
 
 def _factor_minor_flats(pairs, c: int, d: int) -> dict[int, int]:
@@ -213,6 +198,7 @@ def relax(m: Matroid, f: int) -> Matroid:
     same meets, joins and ranks, and meets Z0-Z3 as m's family does; it
     is assembled with no second validation.
     """
+    _check_int(f, "flat mask")
     if f not in m.flats:
         raise NotRelaxable("not a cyclic flat")
     if f == m.bottom or f == m.top:
@@ -391,9 +377,9 @@ def _minor_search(m: Matroid, n: Matroid):
     and nullity at most nullity(m) - |C| + r(C).  Each pair is tested on
     its rank r(E - D) - r(C), loops cl(C) - C - D and coloops
     (E - D) - inter(E - D) - C, inter(E - D) being the intersection of
-    the flats attaining r(E - D); then on the count and sorted (|F|, r)
-    list of the cyclic flats of _minor_flats.  Only a pair that passes
-    is built by minor and tested by is_isomorphic.
+    the flats attaining r(E - D).  A pair that passes is built once, by
+    minor; that minor must match n's sorted (|F|, r) list of cyclic
+    flats before is_isomorphic tests it.
     """
     full = m.ground.full
     classes = atoms(full, m.flats)
@@ -412,12 +398,12 @@ def _minor_search(m: Matroid, n: Matroid):
                         or popcount(union & ~(c | d)) != loops_n \
                         or popcount(full & ~(d | inter | c)) != coloops_n:
                     continue
-                flats = _minor_flats(m, c, d)
-                if len(flats) != len(profile_n) or profile_n != sorted(
-                        zip(map(popcount, flats), flats.values())):
-                    continue
-                if is_isomorphic(minor(m, MinorSpec(c, d)), n)[0]:
-                    return True, MinorSpec(c, d)
+                spec = MinorSpec(c, d)
+                found = minor(m, spec)
+                if profile_n == sorted(zip(map(popcount, found.flats),
+                                           found.flat_ranks)) \
+                        and is_isomorphic(found, n)[0]:
+                    return True, spec
     return False, None
 
 

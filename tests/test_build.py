@@ -531,6 +531,10 @@ class TestGimenez:
             with pytest.raises(cf.InvalidParameters,
                                match=f"^n {n!r} is not an integer$"):
                 cf.gimenez_family(n, sigma)
+        # [1.0, 2.0] == [1, 2], and True == 1, yet neither is a permutation
+        for n, sigma in ((2, [1.0, 2.0]), (1, (True,))):
+            with pytest.raises(cf.InvalidParameters, match="not an integer"):
+                cf.gimenez_family(n, sigma)
 
 
 class TestRuleBuilders:

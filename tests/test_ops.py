@@ -9,7 +9,7 @@ import cycflats as cf
 from conftest import rank_support_scan, reordered, same_matroid, summands
 from cycflats import ops
 from cycflats.groundsets import bits, class_profile, popcount, subset_key
-from cycflats.matroid import ENUM_CAP, _assemble
+from cycflats.matroid import ENUM_CAP, _assemble, _product
 from cycflats.ops import MINOR_SEARCH_CAP
 
 
@@ -216,6 +216,11 @@ class TestRelax:
             cf.relax(m, m.bottom)
         with pytest.raises(cf.NotRelaxable):
             cf.relax(m, m.top)
+
+    def test_non_integer_flat(self):
+        for f in (3.0, True, None, "1"):
+            with pytest.raises(cf.InvalidParameters, match="not an integer"):
+                cf.relax(cf.excluded_minor_pn(2), f)
 
     def test_comparable_middle_flat(self, catalog):
         m = catalog["gimenez1:id"]
@@ -701,14 +706,26 @@ class TestHasMinor:
         # a minor of a nested matroid is nested, so its chain of cyclic
         # flats never has P_2's two flats of size 2: has_minor answers
         # from the widths, and in the search itself every candidate
-        # fails on its flat profile, before minor is called
-        built = []
+        # fails on its flat profile.  minor is the one derivation of a
+        # minor's cyclic flats: every _factor_minor_flats call happens
+        # inside a minor call, also for the candidates that fail
+        inside, outside = [0], []
 
         def counting_minor(m, spec):
-            built.append(spec)
-            return cf.minor(m, spec)
+            inside[0] += 1
+            try:
+                return cf.minor(m, spec)
+            finally:
+                inside[0] -= 1
+
+        factor_minor_flats = ops._factor_minor_flats
+
+        def watched(pairs, c, d):
+            outside.append(not inside[0])
+            return factor_minor_flats(pairs, c, d)
 
         monkeypatch.setattr(ops, "minor", counting_minor)
+        monkeypatch.setattr(ops, "_factor_minor_flats", watched)
         rng = random.Random(15)
         p2 = cf.excluded_minor_pn(2)
         for _ in range(20):
@@ -716,7 +733,11 @@ class TestHasMinor:
             host = cf.nested_from_sequence(seq)
             assert cf.has_minor(host, p2) == (False, None) \
                 == ops._minor_search(host, p2)
-        assert built == []
+        # five candidates fail the flat profile before the witness
+        assert cf.has_minor(cf.nested_from_sequence("ififiif"),
+                            cf.nested_from_sequence("iiff")) \
+            == (True, cf.MinorSpec(48, 1))
+        assert outside and not any(outside)
 
 
 class TestOrbitSearch:
@@ -795,7 +816,7 @@ class TestOrbitSearch:
         # of the 4,317 pairs over 379 sets C, the 1,137 pairs of a C with
         # r(C) > r(M) - r(P_2) or |C| - r(C) > n(M) - n(P_2) make no
         # rank_support call on E - D; one call per C, one per other pair
-        # (_minor_flats reads the factors' pairs, not rank_support)
+        # (minor reads the factors' pairs, not rank_support)
         host = cf.nested_from_sequence("ififififfiif")
         calls = []
         rank_support = cf.Matroid.rank_support
@@ -956,13 +977,21 @@ class TestMinorGate:
 
 
 class TestMinorFlats:
-    """ops._minor_flats, the cyclic-flat rule has_minor tests candidates
-    with, against the flats of the minor that minor builds; that minor's
-    rank oracle is checked against the host's on every subset."""
+    """The cyclic flats of the minor that minor builds, against
+    _minor_flats_full, the rule on the whole family of the host; that
+    minor's rank oracle is checked against the host's on every subset."""
 
     @staticmethod
     def _by_labels(ground, flats):
         return {frozenset(ground.names(x)): r for x, r in flats.items()}
+
+    @classmethod
+    def _agree(cls, m, c, d):
+        """minor's cyclic flats and _minor_flats_full's, by label."""
+        got = cf.minor(m, cf.MinorSpec(c, d))
+        return cls._by_labels(got.ground, dict(zip(
+            got.flats, got.flat_ranks))) == cls._by_labels(
+                m.ground, _minor_flats_full(m, c, d))
 
     @staticmethod
     def _host(kind, seed):
@@ -994,10 +1023,7 @@ class TestMinorFlats:
             for _ in range(8):
                 c = rng.getrandbits(n) & m.ground.full
                 d = rng.getrandbits(n) & m.ground.full & ~c
-                got = ops._minor_flats(m, c, d)
-                want = cf.minor(m, cf.MinorSpec(c, d))
-                assert self._by_labels(m.ground, got) == self._by_labels(
-                    want.ground, dict(zip(want.flats, want.flat_ranks)))
+                assert self._agree(m, c, d)
                 _check_minor(m, c, d, f"{kind} seed {seed}")
                 checked += 1
         assert checked == 480
@@ -1015,7 +1041,7 @@ class TestMinorFlats:
                 d = rng.getrandbits(n) & m.ground.full & ~c
                 kept = list(bits(m.ground.full & ~(c | d)))
                 entries = []
-                for x, r in ops._minor_flats(m, c, d).items():
+                for x, r in _minor_flats_full(m, c, d).items():
                     y = 0
                     for j, i in enumerate(kept):
                         y |= ((x >> i) & 1) << j
@@ -1041,7 +1067,7 @@ class TestMinorFlats:
                 c = 0 if rng.random() < 0.5 else \
                     rng.getrandbits(n) & rng.getrandbits(n) & full
                 d = rng.getrandbits(n) & rng.getrandbits(n) & full & ~c
-                assert ops._minor_flats(m, c, d) == _minor_flats_full(m, c, d)
+                assert self._agree(m, c, d)
                 checked += 1
                 if any(f and not f & d for f in m.flats):
                     untouched += 1
@@ -1072,7 +1098,7 @@ class TestMinorFlats:
             for _ in range(5):
                 d = rng.getrandbits(len(m.ground)) & m.ground.full
                 calls.clear()
-                ops._minor_flats(m, 0, d)
+                cf.minor(m, cf.MinorSpec(0, d))
                 met = [pairs for e, pairs in m.factors if e & d]
                 assert len(calls) == sum(
                     1 + sum(1 for y, _ in pairs if y & d) for pairs in met)
@@ -1206,11 +1232,11 @@ class TestMinorByFactors:
 
 def _minor_whole(m, c, d):
     """Reference for minor: the route that sorts the whole product and
-    finds its factors again.  The flats of _minor_flats, moved onto the
-    kept elements one bit at a time, go to matroid._assemble."""
+    finds its factors again.  The flats of _minor_flats_full, moved onto
+    the kept elements one bit at a time, go to matroid._assemble."""
     kept = list(bits(m.ground.full & ~(c | d)))
     entries = []
-    for x, r in ops._minor_flats(m, c, d).items():
+    for x, r in _minor_flats_full(m, c, d).items():
         entries.append((sum(((x >> i) & 1) << j for j, i in enumerate(kept)),
                         r))
     return _assemble(cf.GroundSet(m.ground.labels[i] for i in kept), entries)
@@ -1342,7 +1368,10 @@ def _pairs_in_order(size, removed):
 
 def _has_minor_pairwise(m, n):
     """Reference: has_minor's filters on every (contract, delete) pair
-    in canonical order, not one pair per class-count profile pair."""
+    in canonical order, not one pair per class-count profile pair.  The
+    flat profile is read off _minor_profile before any minor is built,
+    which rejects the same pairs as has_minor's test on the built minor,
+    at less cost."""
     size_m, size_n = len(m.ground), len(n.ground)
     if size_n > size_m or n.matroid_rank > m.matroid_rank \
             or n.nullity > m.nullity:
@@ -1357,13 +1386,22 @@ def _has_minor_pairwise(m, n):
                 or popcount((c | union) & ~(c | d)) != loops_n \
                 or popcount(full & ~(d | inter | c)) != coloops_n:
             continue
-        flats = ops._minor_flats(m, c, d)
-        if len(flats) != len(profile_n) or profile_n != sorted(
-                zip(map(popcount, flats), flats.values())):
+        if _minor_profile(m, c, d) != profile_n:
             continue
         if cf.is_isomorphic(cf.minor(m, cf.MinorSpec(c, d)), n)[0]:
             return True, cf.MinorSpec(c, d)
     return False, None
+
+
+def _minor_profile(m, c, d):
+    """The sorted (|F|, r) list of Z(m \\ D / C), from the product
+    (matroid._product) of the factors' minor flats
+    (ops._factor_minor_flats), with no minor built."""
+    removed = c | d
+    flats = _product(m.bottom & ~removed, [
+        ops._factor_minor_flats(pairs, c & e, d & e).items() if e & removed
+        else pairs for e, pairs in m.factors])
+    return sorted(zip(map(popcount, flats), flats.values()))
 
 
 def _masks_by_size(elems, sizes):
