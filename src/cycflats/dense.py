@@ -13,8 +13,9 @@ A rank table is a flat array of 2^n entries indexed by mask: entry A
 is r(A), one unsigned byte per subset (a rank is at most n, and n is
 at most ENUM_CAP), and element x of the ground set is bit x of the
 index.  Adding x to a set adds 2^x to its index, so the sets with and
-without x pair up along one axis of a reshaped view, which is how the
-fixpoint compares them.
+without x pair up along one axis of a reshaped view (the fixpoint
+compares them so at its high elements) or between the two halves of
+the table (the tally counts them so at the top element).
 
 numpy is imported inside each function that uses it, never at the top
 of the module.  The package registers this module lazily like every
@@ -28,6 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from .errors import InvalidParameters
 from .matroid import ENUM_CAP, _product
 
 if TYPE_CHECKING:
@@ -36,8 +38,8 @@ if TYPE_CHECKING:
 # entries of one step of _grid_ranks, an eighth of a 2^ENUM_CAP grid:
 # a grid of more cells takes one group of flats a step
 _STEP_ENTRIES = 1 << (ENUM_CAP - 3)
-# entries of one block of the fixpoint's low elements and of one slice
-# of the tally: small beside a table, long enough for numpy's fixed costs
+# entries of one slice of the tally: small beside a table, long enough
+# for numpy's fixed costs
 _BLOCK = 1 << 16
 
 
@@ -166,41 +168,43 @@ def cyclic_flats(ranks, n: int) -> list[tuple[int, int]]:
     in restriction (removing any inside element keeps the rank), in
     numeric mask order.
 
-    Every subset is tested for every element x by one comparison of the
-    set without x and the same set plus x (_fixpoint_sweep).  For the
-    high elements x >= h = n // 2 the sweep runs on the table as it is,
-    in rows of 2^x >= 2^h entries.  For the low elements it runs on
-    blocks of _BLOCK entries, each transposed from (rows x 2^h) to
-    (2^h x rows), which puts the low bits above the block's rows, so
-    those rows are long too.  Peak memory is two and a half tables: the
-    ranks, the result mask, and one high element's comparison, which
-    covers half the table.
+    For the high elements x >= h = n // 2 every subset is tested by one
+    comparison of the set without x and the same set plus x, on the
+    table as it is, in rows of 2^x >= 2^h entries (_fixpoint_sweep).
+    Of each such pair exactly one set passes, so each high element
+    halves the sets that are left, and about 2^h of them survive.  Their
+    indices are then tested at each low element x by one gather: F stays
+    iff r(F ^ 2^x) = r(F) + [x not in F], which is the closure test when
+    x is outside F and the isthmus test when it is inside.  Peak memory
+    is two and a half tables, during the sweep: the ranks, the result
+    mask, and one high element's comparison, which covers half the
+    table.
     """
     import numpy as np
-    h = n // 2
     good = np.ones(len(ranks), dtype=bool)
-    _fixpoint_sweep(ranks, good, range(h, n), 1)
-    table, mask = ranks.reshape(-1, 1 << h), good.reshape(-1, 1 << h)
-    step = max(1, _BLOCK >> h)
-    for s in range(0, len(table), step):
-        block = np.ascontiguousarray(table[s:s + step].T)
-        keep = np.ones_like(block, dtype=bool)
-        _fixpoint_sweep(block, keep, range(h), block.shape[1])
-        mask[s:s + step] &= keep.T
-    return [(int(f), int(ranks[f])) for f in np.flatnonzero(good)]
+    _fixpoint_sweep(ranks, good, range(n // 2, n))
+    found = np.flatnonzero(good)
+    del good
+    found = found.astype(np.min_scalar_type(len(ranks) - 1))
+    found_ranks = ranks[found]
+    for x in range(n // 2):
+        bit = 1 << x
+        keep = ranks[found ^ bit] == found_ranks + ((found & bit) == 0)
+        found, found_ranks = found[keep], found_ranks[keep]
+    return list(zip(found.tolist(), found_ranks.tolist()))
 
 
-def _fixpoint_sweep(ranks, good, elements, unit) -> None:
+def _fixpoint_sweep(ranks, good, elements) -> None:
     """Clear good[A] unless A is closed and isthmus-free at each x in
-    elements, where adding x to a set adds unit << x to its index.
+    elements: ranks and good are whole tables, indexed by mask.
 
-    Viewed as (-1, 2, unit << x), the arrays pair each set without x
-    (column 0) with the same set plus x (column 1).  The two tests run
-    in turn, so one half-size temporary is alive at a time.
+    Viewed as (-1, 2, 2^x), the arrays pair each set without x (column
+    0) with the same set plus x (column 1).  The two tests run in turn,
+    so one half-size temporary is alive at a time.
     """
     for x in elements:
-        v = ranks.reshape(-1, 2, unit << x)
-        g = good.reshape(-1, 2, unit << x)
+        v = ranks.reshape(-1, 2, 1 << x)
+        g = good.reshape(-1, 2, 1 << x)
         g[:, 0] &= v[:, 1] > v[:, 0]   # closed: adding x raises the rank
         g[:, 1] &= v[:, 1] <= v[:, 0]  # no isthmus: removing x keeps it
 
@@ -209,20 +213,43 @@ def tally(ranks, rank: int, nullity: int) -> list[list[int]]:
     """The (corank x nullity) coefficients of R(M; x, y) from the rank
     table of a matroid of that rank and nullity: each subset A adds 1 at
     corank rank - r(A) and nullity |A| - r(A), tallied by the key
-    nullity*(rank+1) + corank.  The table is counted in slices of
-    _BLOCK subsets, so the keys and bincount's int64 copy of them stay
-    small beside it; a slice starts at a multiple of _BLOCK, so |A| is
-    that start's popcount plus _low_sizes()[A mod _BLOCK]."""
+    nullity*(rank+1) + corank.
+
+    Each A without the top element x is paired with A + x, and d =
+    r(A + x) - r(A) is 0 or 1: then A + x has the key of A plus rank + 1
+    (its nullity is one more) when d = 0, and minus 1 (its corank is one
+    less) when d = 1.  So one bincount of 2*key(A) + d over the low half
+    of the table counts both sets, and a fold moves each A + x to its
+    own key.  The half is counted in slices of _BLOCK subsets, so the
+    keys and bincount's int64 copy of them stay small beside the table;
+    a slice starts at a multiple of _BLOCK, so |A| is that start's
+    popcount plus _low_sizes()[A mod _BLOCK].  Raises InvalidParameters
+    if some d is not 0 or 1, as no matroid's rank table has such a pair
+    (a d below 0 wraps past 1 in the uint8 difference).
+    """
     import numpy as np
+    if len(ranks) == 1:  # no elements: R = 1
+        return [[1]]
     cells = (nullity + 1) * (rank + 1)
-    kt = np.min_scalar_type(cells - 1)
-    counts = np.zeros(cells, np.int64)
-    low = _low_sizes()
-    for lo in range(0, len(ranks), _BLOCK):
-        part = ranks[lo:lo + _BLOCK]
+    kt = np.min_scalar_type(2 * cells - 1)
+    pairs = np.zeros(2 * cells, np.int64)
+    low, half = _low_sizes(), len(ranks) >> 1
+    below, above = ranks[:half], ranks[half:]
+    for lo in range(0, half, _BLOCK):
+        part = below[lo:lo + _BLOCK]
+        d = above[lo:lo + _BLOCK] - part
+        if d.max() > 1:
+            a = lo + int(np.argmax(d > 1))
+            raise InvalidParameters(
+                f"not a rank table: adding the top element to {a:#x} "
+                f"changes its rank by {int(above[a]) - int(below[a])}")
         key = (low[:len(part)] + lo.bit_count() - part).astype(kt) \
-            * (rank + 1) + (rank - part)
-        counts += np.bincount(key, minlength=cells)
+            * (2 * rank + 2) + 2 * (rank - part) + d
+        pairs += np.bincount(key, minlength=2 * cells)
+    same, up = pairs[0::2], pairs[1::2]  # by key(A), d = 0 and d = 1
+    counts = same + up
+    counts[rank + 1:] += same[:cells - rank - 1]
+    counts[:-1] += up[1:]
     return counts.reshape(nullity + 1, rank + 1).T.tolist()
 
 

@@ -692,7 +692,28 @@ def _fixpoint_strided(m):
                                       for f in np.flatnonzero(good)])
 
 
+def _high_survivors(m):
+    """The sets that pass the sweep of the high half of m's labels, the
+    ones that the gathers of the low half then test."""
+    n, rt = len(m.ground), m.rank_table()
+    good = np.ones(len(rt), dtype=bool)
+    dense._fixpoint_sweep(rt, good, range(n // 2, n))
+    return int(good.sum())
+
+
 class TestFixpointAgainstStridedSweep:
+    @pytest.mark.parametrize("parts, survivors", [
+        ("k2222", 1024), ("22k2k", 6144), ("k02122", 1024)])
+    def test_many_survivors(self, parts, survivors):
+        # copies of M(K4) (k) and U_{1,2} (2), a loop (0) and an isthmus
+        # (1) on the high labels: 8 to 12 times 2^(n/2) sets survive the
+        # sweep and reach the gathers
+        pieces = {"k": cf.catalog("mk4"), "2": cf.uniform(1, 2),
+                  "0": cf.uniform(0, 1), "1": cf.uniform(1, 1)}
+        m, _ = _sum_of([pieces[p] for p in parts])
+        assert _high_survivors(m) == survivors
+        assert cf.cyclic_flats_recompute(m) == _fixpoint_strided(m)
+
     def test_catalog(self, catalog):
         for name, m in catalog.items():
             want = _fixpoint_strided(m)
@@ -938,6 +959,18 @@ class TestDensePathAtCap:
             lambda: cf.cyclic_flats_recompute(m))
         assert peak <= 2.8, peak
         assert family == m.ranked_family()
+
+    def test_fixpoint_many_survivors(self):
+        # M(K4) and eight copies of U_{1,2}: 1536 cyclic flats, and 2^16
+        # sets, 32 times 2^(n/2), survive the sweep of the high half;
+        # their indices and the gathers stay small beside the table
+        m, _ = _sum_of([cf.catalog("mk4")] + [cf.uniform(1, 2)] * 8)
+        assert (len(m.ground), len(m.flats)) == (ENUM_CAP, 1536)
+        family, peak = self.peak_over_table(
+            lambda: cf.cyclic_flats_recompute(m))
+        assert peak <= 2.8, peak
+        assert _high_survivors(m) == 1 << 16
+        assert family == _fixpoint_strided(m)
 
     def test_rank_gen_brute(self):
         # the rank table and slices of keys: no |A| grid beside it and no

@@ -10,7 +10,7 @@ import cycflats as cf
 from conftest import _grid_ranks_outer
 from cycflats.matroid import ENUM_CAP
 from cycflats.groundsets import bits, class_profile, popcount
-from cycflats.dense import _low_sizes
+from cycflats.dense import _low_sizes, tally
 from cycflats.tutte import (RankGenMatrix, rank_gen,
                             rank_gen_brute, rank_gen_convolution,
                             tutte_from_rank_gen, tutte_polynomial)
@@ -236,6 +236,46 @@ class TestRankGenBrute:
         assert sizes is _low_sizes()
         assert sizes.dtype == np.uint8 and not sizes.flags.writeable
         assert sizes.tolist() == [popcount(a) for a in range(1 << 16)]
+
+    @staticmethod
+    def counted(m):
+        """R(M; x, y) counted from m.rank over every subset, with no
+        table: x^(r(E) - r(A)) y^(|A| - r(A)) for each A."""
+        r = m.matroid_rank
+        coeffs = [[0] * (len(m.ground) - r + 1) for _ in range(r + 1)]
+        for a in range(1 << len(m.ground)):
+            ra = m.rank(a)
+            coeffs[r - ra][popcount(a) - ra] += 1
+        return RankGenMatrix(tuple(map(tuple, coeffs)))
+
+    def test_counted_small_catalog(self, small_catalog):
+        for name, m in small_catalog.items():
+            assert rank_gen_brute(m) == self.counted(m), name
+
+    @pytest.mark.parametrize("draw", [cf.random_matroid,
+                                      cf.random_cw2_matroid])
+    def test_counted_random_and_duals(self, draw):
+        sizes = set()
+        for seed in range(40):
+            m = draw(random.Random(seed), 12)
+            sizes.add(len(m.ground))
+            for each in (m, cf.dual(m)):
+                assert rank_gen_brute(each) == self.counted(each), seed
+        assert max(sizes) >= 10, sizes
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 18])
+    def test_bad_table(self, n):
+        # the free matroid's table with a rank drop (which wraps past 1
+        # in the uint8 difference) or a jump of 2 where the top element
+        # is added to the largest set without it, in the last slice
+        a = (1 << (n - 1)) - 1
+        for pair in ((1, 0), (0, 2)):
+            table = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+            table[a], table[-1] = pair
+            with pytest.raises(cf.InvalidParameters, match=(
+                    f"^not a rank table: adding the top element to {a:#x} "
+                    f"changes its rank by {pair[1] - pair[0]}$")):
+                tally(table, n, 0)
 
     @pytest.mark.parametrize("n", [15, 16, 17, 18])
     def test_uniform_across_slices(self, n):
