@@ -17,17 +17,20 @@ document out of order, and the families that ops.minor and the 2^n
 fixpoint find.
 
 A partial order on n items is a list of n masks too, its down-masks:
-bit j of entry i is set iff item j <= item i.  The helpers on them,
-_down_masks (a family under inclusion), _converse and _bound_lookups,
-and is_chain live here, so matroid, ops and build use them without
-running lattices, which imports the first three back.
+bit j of entry i is set iff item j <= item i.  The order of a family
+is derived here and nowhere else: _down_masks (a family under
+inclusion), _converse, _links (strict below and above lists),
+_check_lattice (the lattice test: Z0 of matroid's sweep and the check
+of a FiniteLattice) and is_chain.  So matroid, tutte, ops and build
+use them without running lattices, which imports them back.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DuplicateSet, OverlappingGroundSets, UnknownLabel
+from .errors import (DuplicateSet, NotALattice, OverlappingGroundSets,
+                     UnknownLabel)
 
 
 def popcount(mask: int) -> int:
@@ -139,9 +142,12 @@ def is_chain(masks: Sequence[int]) -> bool:
 def _down_masks(masks: Sequence[int]) -> list[int]:
     """Down-masks of a family under inclusion: bit j of the result's
     entry i is set iff masks[j] is a subset of masks[i]."""
-    weights = [1 << j for j in range(len(masks))]
-    return [sum(w for w, b in zip(weights, masks) if b & ~a == 0)
-            for a in masks]
+    down = [0] * len(masks)
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if not b & ~a:
+                down[i] |= 1 << j
+    return down
 
 
 def _converse(rel: Sequence[int]) -> list[int]:
@@ -153,18 +159,38 @@ def _converse(rel: Sequence[int]) -> list[int]:
     return out
 
 
-def _bound_lookups(down: Sequence[int]):
-    """(up, glb, lub) of a partial order given by its down-masks
-    (reflexive and transitive, in any index order).
+def _links(down: Sequence[int]) -> list[tuple[list[int], list[int]]]:
+    """(below, above) of each node of a poset given by its down-masks:
+    the nodes strictly below it and those strictly above it, each list
+    ascending."""
+    below, above = [[] for _ in down], [[] for _ in down]
+    for i, d in enumerate(down):
+        for j in bits(d & ~(1 << i)):
+            below[i].append(j)
+            above[j].append(i)
+    return list(zip(below, above))
 
-    Down-masks are distinct (antisymmetry), so the lower bounds of
-    {i, j} are down[i] & down[j], and a greatest one exists iff that is
-    the down-mask of some element: glb.get(down[i] & down[j]) is the
-    meet, or None.  Likewise lub.get(up[i] & up[j]) is the join, or None.
+
+def _check_lattice(items: Sequence, down: Sequence[int]):
+    """(up, glb, lub) of a partial order given by its down-masks (in
+    any index order), once every pair has a meet and a join; otherwise
+    NotALattice(items[i], items[j], reason) for the first offending pair
+    (i, j) in index order, its meet checked before its join.  items name
+    the elements (names or masks).  Down-masks are distinct
+    (antisymmetry), so the lower bounds of {i, j} are down[i] & down[j],
+    and the meet is glb[down[i] & down[j]] iff that is a down-mask;
+    likewise the join is lub[up[i] & up[j]].
     """
     up = _converse(down)
-    return (up, {d: i for i, d in enumerate(down)},
-            {u: i for i, u in enumerate(up)})
+    glb = {d: i for i, d in enumerate(down)}
+    lub = {u: i for i, u in enumerate(up)}
+    for i, (di, ui) in enumerate(zip(down, up)):
+        for j in range(i + 1, len(down)):
+            if di & down[j] not in glb:
+                raise NotALattice(items[i], items[j], "no unique meet")
+            if ui & up[j] not in lub:
+                raise NotALattice(items[i], items[j], "no unique join")
+    return up, glb, lub
 
 
 class GroundSet:

@@ -2,12 +2,13 @@
 
 Covers two flavors of input: abstract lattices given by cover relations,
 and families of sets ordered by inclusion.  A FiniteLattice stores
-only its down-masks and checks, when it is built, that they form one;
-of the other modules only matroid decides the same for a family of
-cyclic flats, as Z0 of its sweep.  Provides the width of a family
-(Dilworth duality via bipartite matching), and poset isomorphism with
-a witness bijection.  The down-mask helpers (_down_masks, _converse
-and _bound_lookups) come from groundsets.
+only its down-masks and checks, when it is built, that they form one.
+Provides the width of a family (Dilworth duality via bipartite
+matching), and poset isomorphism with a witness bijection.  The order
+itself is groundsets': its down-masks (_down_masks, _converse), the
+strict below and above lists (_links) and the lattice test
+(_check_lattice) come from there, the one test that matroid's Z0 runs
+too.
 One search, _order_isomorphism, decides isomorphism of posets whose
 nodes carry colours: poset_isomorphic colours none, and
 ops.is_isomorphic adds a node per element class, below the cyclic
@@ -23,10 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .errors import (CyclicCovers, DuplicateSet, InvalidParameters, NotALattice,
-                     UnknownLabel)
-from .groundsets import (_bound_lookups, _converse, _down_masks, bits,
-                         popcount)
+from .errors import CyclicCovers, DuplicateSet, InvalidParameters, UnknownLabel
+from .groundsets import (_check_lattice, _converse, _down_masks, _links, bits,
+                         is_chain, popcount)
 
 
 class _Names(tuple):
@@ -168,25 +168,6 @@ def lattice_from_covers(elements: Sequence[str],
     return FiniteLattice(elements, _converse(up))
 
 
-def _check_lattice(items: Sequence, down: Sequence[int]):
-    """The (up, glb, lub) of _bound_lookups for a partial order given by
-    its down-masks, once every pair has a meet and a join.  Otherwise
-    raises NotALattice(items[i], items[j], reason) for the first
-    offending pair (i, j) in index order, the meet of a pair checked
-    before its join; items name the elements (names or masks).
-    """
-    up, glb, lub = _bound_lookups(down)
-    n = len(down)
-    for i in range(n):
-        di, ui = down[i], up[i]
-        for j in range(i + 1, n):
-            if di & down[j] not in glb:
-                raise NotALattice(items[i], items[j], "no unique meet")
-            if ui & up[j] not in lub:
-                raise NotALattice(items[i], items[j], "no unique join")
-    return up, glb, lub
-
-
 def family_lattice_tables(masks: Sequence[int]):
     """Meet/join tables of a family of distinct sets under inclusion.
 
@@ -195,7 +176,7 @@ def family_lattice_tables(masks: Sequence[int]):
     given (canonical for Matroid.flats), without a unique
     inclusion-greatest lower or inclusion-least upper member.  Meet and
     join are members of the family, not intersections and unions, found
-    by the lookups of _bound_lookups on the family's down-masks.  Only
+    by the lookups of _check_lattice on the family's down-masks.  Only
     tests call it; it stays here because the benchmark tracer spans it.
     """
     down = _down_masks(masks)
@@ -207,16 +188,14 @@ def family_lattice_tables(masks: Sequence[int]):
 def width_of_family(masks: Sequence[int]) -> int:
     """Maximum size of an antichain of distinct sets under inclusion.
 
-    A chain (each mask, by size, a strict subset of the next) has width 1
-    and the empty family 0; any other family goes to _matching_width.  A
-    repeated mask raises DuplicateSet.
+    A family of distinct masks that groundsets.is_chain accepts, sorted
+    by size, has width 1 (the empty family 0), with no order built; any
+    other family goes to _matching_width, which reads the strict-above
+    lists of groundsets._links.  A repeated mask raises DuplicateSet.
     """
-    chain = sorted(masks, key=int.bit_count)
-    for a, b in zip(chain, chain[1:]):
-        if a & ~b or a == b:
-            break
-    else:
-        return 1 if chain else 0
+    if len(set(masks)) == len(masks) and is_chain(
+            sorted(masks, key=int.bit_count)):
+        return 1 if masks else 0
     return _matching_width(masks)
 
 
@@ -262,17 +241,6 @@ def _poset_of(obj):
         twice = next(x for x, c in Counter(obj).items() if c > 1)
         raise DuplicateSet(f"mask {twice:#b} appears twice in the family")
     return obj, _down_masks(obj)
-
-
-def _links(down: Sequence[int]) -> list[tuple[list[int], list[int]]]:
-    """(below, above) of each node of a poset given by its down-masks:
-    the nodes strictly below it and those strictly above it."""
-    below, above = [[] for _ in down], [[] for _ in down]
-    for i, d in enumerate(down):
-        for j in bits(d & ~(1 << i)):
-            below[i].append(j)
-            above[j].append(i)
-    return list(zip(below, above))
 
 
 def _refine_signatures(links_a: Sequence, links_b: Sequence,

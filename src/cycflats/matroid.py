@@ -8,10 +8,11 @@ four conditions:
   Z2: 0 < r(Y) - r(X) < |Y - X| whenever X is properly contained in Y;
   Z3: r(X) + r(Y) >= r(X v Y) + r(X ^ Y) + |(X n Y) - (X ^ Y)|.
 
-validate decides all four in one sweep over the pairs of members: a
-comparable pair gets Z2 only (its meet and join are its own members, so
-Z0 holds and Z3 holds with equality), an incomparable pair its meet and
-join by one lookup each (Z0), then Z3.  It returns a Matroid or raises
+validate decides Z0 by groundsets._check_lattice, the lattice test that
+a FiniteLattice runs too, and Z1-Z3 in one sweep over the pairs of
+members: a comparable pair gets Z2 only (its meet and join are its own
+members, so Z3 holds with equality), an incomparable pair Z3, its meet
+and join read from that test's lookups.  It returns a Matroid or raises
 NotAMatroid naming the first violation; all_violations lists them all.
 
 A product is found from Z alone and decided one factor at a time.  Let
@@ -77,8 +78,9 @@ from math import comb, prod
 from typing import Iterable, NamedTuple
 
 from . import dense
-from .errors import InvalidParameters, NotAMatroid, TooLarge, _check_int
-from .groundsets import (GroundSet, _bound_lookups, _down_masks, atoms, bits,
+from .errors import (InvalidParameters, NotALattice, NotAMatroid, TooLarge,
+                     _check_int)
+from .groundsets import (GroundSet, _check_lattice, _down_masks, atoms, bits,
                          canonical, outside, popcount, set_text)
 
 ENUM_CAP = 22  # largest ground set given a 2^n rank table
@@ -400,16 +402,22 @@ def _sweep(ground, masks, ranks) -> list[AxiomViolation]:
     proper subset before its supersets) with ranks, by the rule of the
     module docstring.
 
-    The first pair without a unique meet or join ends the sweep and is
-    the only violation; otherwise Z1 comes first, then the Z2s, then the
-    Z3s, each in pair order.
+    Z0 is decided first (groundsets._check_lattice): the first pair
+    without a unique meet or join is then the only violation.  Otherwise
+    Z1 comes first, then the Z2s, then the Z3s, each in pair order.
     """
     down = _down_masks(masks)
-    up, glb, lub = _bound_lookups(down)
 
     def show(m):
         return set_text(ground.names(m))
 
+    try:
+        up, glb, lub = _check_lattice(masks, down)
+    except NotALattice as exc:
+        x, y = exc.pair
+        return [AxiomViolation(
+            "Z0", (x, y),
+            f"members {show(x)} and {show(y)} lack a unique meet or join")]
     z1 = [] if ranks[0] == 0 else [AxiomViolation(
         "Z1", (masks[0],),
         f"least member {show(masks[0])} has rank {ranks[0]}, not 0")]
@@ -419,7 +427,7 @@ def _sweep(ground, masks, ranks) -> list[AxiomViolation]:
         x, rx, dx, ux = masks[i], ranks[i], down[i], up[i]
         for j in range(i + 1, n):
             y, ry = masks[j], ranks[j]
-            if x & ~y == 0:  # X proper subset of Y
+            if down[j] >> i & 1:  # X proper subset of Y
                 if not 0 < ry - rx < popcount(y & ~x):
                     z2.append(AxiomViolation(
                         "Z2", (x, y),
@@ -427,12 +435,7 @@ def _sweep(ground, masks, ranks) -> list[AxiomViolation]:
                         f"|Y-X| = {popcount(y & ~x)} for X={show(x)}, "
                         f"Y={show(y)}"))
                 continue
-            mt, jn = glb.get(dx & down[j]), lub.get(ux & up[j])
-            if mt is None or jn is None:
-                return [AxiomViolation(
-                    "Z0", (x, y),
-                    f"members {show(x)} and {show(y)} lack a unique meet "
-                    f"or join")]
+            mt, jn = glb[dx & down[j]], lub[ux & up[j]]
             rhs = ranks[jn] + ranks[mt] + popcount(x & y & ~masks[mt])
             if rx + ry < rhs:
                 z3.append(AxiomViolation(

@@ -219,6 +219,8 @@ def relabel(m: Matroid, prefix: str) -> Matroid:
     Every mask keeps its index, so m's loops and factors carry over as
     they are, with no second validation.
     """
+    if not isinstance(prefix, str):
+        raise InvalidParameters(f"prefix {prefix!r} is not a string")
     ground = GroundSet(prefix + lab for lab in m.ground.labels)
     return Matroid(ground, m.bottom, m.factors)
 

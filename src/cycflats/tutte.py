@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from . import dense
 from .errors import TooLarge
-from .groundsets import popcount
+from .groundsets import _down_masks, _links, popcount
 from .matroid import ENUM_CAP, Matroid
 
 
@@ -94,10 +94,9 @@ def _interval_terms(e: int, pairs) -> list[tuple[list[int], list[int]]]:
     masks = [y for y, _ in pairs]
     ranks = [r for _, r in pairs]
     sizes = [popcount(y) for y in masks]
-    # below[f]: the indices of the flats inside Y_f, ascending; canonical
-    # order sorts by size, so a flat's subsets come before it
-    below = [[g for g in range(f) if not masks[g] & ~yf]
-             for f, yf in enumerate(masks)]
+    # below[f]: the indices of the flats strictly inside Y_f, ascending;
+    # canonical order sorts by size, so a flat's subsets come before it
+    below = [lo for lo, _ in _links(_down_masks(masks))]
     entries = (len(pairs) + sum(map(len, below))) * (n + 1)
     if entries > 1 << ENUM_CAP:
         raise TooLarge(

@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 import cycflats as cf
-from cycflats import build, lattices
+from cycflats import build, lattices, matroid
 from cycflats.build import (_atom_up_sets, _chain_plus_one_ok,
                             _is_least_labelling)
 from cycflats.groundsets import bits, popcount
@@ -353,9 +353,9 @@ class TestRealizeLattice:
 
     def test_realize_checks_nothing(self, lattices_to_8, monkeypatch):
         # a FiniteLattice is checked when it is built, so realizing one
-        # makes no lattice or order check
+        # makes no lattice or order check, not even validate's Z0
         calls = []
-        for module in (lattices, build):
+        for module in (lattices, build, matroid):
             monkeypatch.setattr(module, "_check_lattice",
                                 lambda *args: calls.append(args),
                                 raising=False)
@@ -708,7 +708,6 @@ class TestAllLattices:
 
         counted(build, "_is_least_labelling")
         counted(lattices, "_check_lattice")
-        counted(lattices, "_bound_lookups")
         counted(lattices, "_refine_signatures")
         counted(lattices, "_order_isomorphism")
         assert len(cf.all_lattices(8)) == 300

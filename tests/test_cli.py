@@ -691,8 +691,9 @@ class TestAnalysis:
     def test_realize_checks_the_lattice_once(self, run, monkeypatch):
         # parsing builds the FiniteLattice, which checks it; realizing
         # it checks nothing again.  Every cycflats module that holds
-        # _check_lattice gets the counting spy
-        calls = []
+        # _check_lattice gets the counting spy: groundsets, which owns
+        # it, and lattices and matroid, which read it
+        calls, spied = [], set()
         check = lattices._check_lattice
 
         def counted(*args):
@@ -702,6 +703,9 @@ class TestAnalysis:
             if name.startswith("cycflats.") and hasattr(module,
                                                         "_check_lattice"):
                 monkeypatch.setattr(module, "_check_lattice", counted)
+                spied.add(name)
+        assert spied == {"cycflats.groundsets", "cycflats.lattices",
+                         "cycflats.matroid"}
         code, _, _ = run("realize", FX / "lattice_b2.json")
         assert code == 0
         assert len(calls) == 1

@@ -13,11 +13,10 @@ from hypothesis import given, settings, strategies as st
 import cycflats as cf
 from conftest import (_grid_ranks_outer, rank_support_scan, reordered,
                       summands)
-from cycflats import dense, matroid
+from cycflats import dense, groundsets, lattices, matroid
 from cycflats.dense import _grid_ranks
 from cycflats.groundsets import (bits, canonical, class_profile, popcount,
                                  precedes, set_text, subset_key)
-from cycflats.lattices import family_lattice_tables
 from cycflats.matroid import CIRCUIT_CAP, ENUM_CAP
 
 
@@ -90,23 +89,39 @@ class TestValidate:
 
 # -- the one-sweep validation against the two-pass rule ----------------------
 
+def _brute_meet_join(masks, x, y):
+    """(meet, join) of members x and y of a family under inclusion, by
+    brute force: the only inclusion-greatest member inside both and the
+    only inclusion-least member containing both, each None if there is
+    not exactly one."""
+    inside = [z for z in masks if z & ~(x & y) == 0]
+    over = [z for z in masks if (x | y) & ~z == 0]
+    greatest = [z for z in inside if not any(
+        z != w and z & ~w == 0 for w in inside)]
+    least = [z for z in over if not any(
+        z != w and w & ~z == 0 for w in over)]
+    return (greatest[0] if len(greatest) == 1 else None,
+            least[0] if len(least) == 1 else None)
+
+
 def _violations_two_pass(candidate):
-    """Oracle for all_violations: Z0 from the meet/join tables of
-    family_lattice_tables, then Z1, then Z2 over the comparable pairs and
-    Z3 over every pair, each pass in canonical pair order."""
+    """Oracle for all_violations: Z0 from a brute-force meet and join of
+    every pair (_brute_meet_join), then Z1, then Z2 over the comparable
+    pairs and Z3 over every pair, each pass in canonical pair order."""
     entries = candidate.entries
     masks = tuple(entries)
 
     def show(m):
         return set_text(candidate.ground.names(m))
 
-    try:
-        meet, join = family_lattice_tables(masks)
-    except cf.NotALattice as exc:
-        x, y = exc.pair
-        return [cf.AxiomViolation(
-            "Z0", (x, y),
-            f"members {show(x)} and {show(y)} lack a unique meet or join")]
+    bounds = {}
+    for x, y in combinations(masks, 2):
+        bounds[x, y] = _brute_meet_join(masks, x, y)
+        if None in bounds[x, y]:
+            return [cf.AxiomViolation(
+                "Z0", (x, y),
+                f"members {show(x)} and {show(y)} lack a unique meet or "
+                f"join")]
     out = []
     r0 = entries[masks[0]]
     if r0 != 0:
@@ -126,7 +141,7 @@ def _violations_two_pass(candidate):
                     f"Y={show(y)}"))
     for i, j in combinations(range(n), 2):
         x, y = masks[i], masks[j]
-        mt, jn = masks[meet[i][j]], masks[join[i][j]]
+        mt, jn = bounds[x, y]
         lhs = entries[x] + entries[y]
         rhs = entries[jn] + entries[mt] + popcount((x & y) & ~mt)
         if lhs < rhs:
@@ -178,6 +193,25 @@ class TestOneSweep:
                     cf.validate(cand)
                     firsts["valid"] += 1
         assert set(firsts) == {"valid", "Z0", "Z1", "Z2", "Z3"}, firsts
+
+    def test_z0_is_the_one_lattice_test(self, monkeypatch):
+        # validate's Z0 and a FiniteLattice's check are one function,
+        # and a family with no join runs it once
+        assert matroid._check_lattice is groundsets._check_lattice
+        assert lattices._check_lattice is groundsets._check_lattice
+        calls = []
+        check = groundsets._check_lattice
+
+        def counted(*args):
+            calls.append(args[0])
+            return check(*args)
+        for module in (groundsets, lattices, matroid):
+            monkeypatch.setattr(module, "_check_lattice", counted)
+        cand = rf("abc", [("", 0), ("ab", 1), ("bc", 1)])
+        g = cand.ground
+        v = first_violation(cand)
+        assert (v.which, v.witness) == ("Z0", (g.mask("ab"), g.mask("bc")))
+        assert len(calls) == 1
 
     def test_z0_after_a_z2_pair(self):
         # ({}, {a}) breaks Z2 before ({a}, {b, c}) is found to have no join

@@ -248,6 +248,14 @@ class TestRelabel:
             same_matroid(got, cf.validate(cf.RankedFamily(
                 got.ground, zip(m.flats, m.flat_ranks))))
 
+    def test_prefix_is_a_string(self, catalog):
+        # a prefix of another type names itself, not a bare TypeError
+        # from string concatenation
+        for bad in (5, None):
+            with pytest.raises(cf.InvalidParameters,
+                               match=f"^prefix {bad!r} is not a string$"):
+                cf.relabel(catalog["u24"], bad)
+
 
 def _validated_sum(m, n):
     """Oracle for direct_sum: validate on the product family."""
